@@ -40,105 +40,149 @@ __all__ = ["main", "run_config", "parse_config_text", "CATALOG"]
 
 
 # ---------------------------------------------------------------------------
-# catalog: every experiment kind, its defaults, and what it verifies
+# catalog: every experiment kind, what it verifies, its runner, and each key's
+# runner keyword and default
 
 _COMMON_KEYS = {
     "seed": 0,
     "output.dir": "runs",
 }
 
+# default of a key that every config of its kind must set
+_NO_DEFAULT = object()
+
+
+def _with_dims(experiment):
+    """Runner taking the dims.d1 / dims.d2 keys as separate keywords."""
+    def run(d1, d2, **kwargs):
+        return experiment(dims=(d1, d2), **kwargs)
+    return run
+
+
+def _run_kernel_support(levels, times, **kwargs) -> ExperimentResult:
+    if (not isinstance(levels, list) or not isinstance(times, list)
+            or len(levels) != len(times)):
+        raise ConfigError("experiment.levels",
+                          "levels and times must be lists of equal length")
+    return kernel_support_suite(level_times=tuple(zip(levels, times)), **kwargs)
+
+
+def _run_distance_table(pairs) -> ExperimentResult:
+    if not isinstance(pairs, list) or not pairs:
+        raise ConfigError("experiment.pairs", "expected a non-empty list "
+                          "of [x', x'', y', y''] quadruples")
+    points = []
+    for item in pairs:
+        if (not isinstance(item, list) or len(item) != 4
+                or any(not isinstance(part, list) for part in item)):
+            raise ConfigError("experiment.pairs", "each entry must be "
+                              "[x', x'', y', y''] with list-valued parts")
+        xp, xs, yp, ys = item
+        points.append(((tuple(xp), tuple(xs)), (tuple(yp), tuple(ys))))
+    return distance_table(points)
+
+
+# "params" maps each key to (runner keyword, default); a "seeded" runner
+# also gets the common seed
 CATALOG: Dict[str, dict] = {
     "weighted_restriction": {
         "verifies": "norms of |x'|^gamma-weighted spectral bands grow as "
                     "R^((2 d2 + d1)(1/p - 1/2) - gamma)",
+        "run": _with_dims(weighted_restriction_experiment),
         "params": {
-            "dims.d1": 2, "dims.d2": 1,
-            "experiment.p": 1.0, "experiment.gamma": 0.0,
-            "experiment.radii": [4.0, 8.0, 16.0, 32.0],
-            "experiment.n_scan": 97,
-            "grid.S": math.pi,
-            "truncation.k_max": 4000,
+            "dims.d1": ("d1", 2), "dims.d2": ("d2", 1),
+            "experiment.p": ("p", 1.0), "experiment.gamma": ("gamma", 0.0),
+            "experiment.radii": ("radii", [4.0, 8.0, 16.0, 32.0]),
+            "experiment.n_scan": ("n_scan", 97),
+            "grid.S": ("torus_half_period", math.pi),
+            "truncation.k_max": ("k_max", 4000),
         },
     },
     "localized_restriction": {
         "verifies": "band norms on inputs confined to a small metric ball "
                     "scale as R^((d2 + d1)(1/p - 1/2)) times "
                     "|y'|^(gamma - d2 (1/p - 1/2))",
+        "run": _with_dims(localized_restriction_experiment),
         "params": {
-            "dims.d1": 2, "dims.d2": 1,
-            "experiment.p": 1.0, "experiment.gamma": 0.25,
-            "experiment.radii": [8.0, 16.0, 32.0],
-            "experiment.y_values": [1.5, 3.0, 6.0],
-            "experiment.ball_radius": 0.1875,
-            "experiment.y_fix": None, "experiment.r_fix": None,
-            "experiment.n_scan": 17,
-            "grid.S": math.pi,
-            "truncation.k_max": 4000,
+            "dims.d1": ("d1", 2), "dims.d2": ("d2", 1),
+            "experiment.p": ("p", 1.0), "experiment.gamma": ("gamma", 0.25),
+            "experiment.radii": ("radii", [8.0, 16.0, 32.0]),
+            "experiment.y_values": ("y_values", [1.5, 3.0, 6.0]),
+            "experiment.ball_radius": ("ball_radius", 0.1875),
+            "experiment.y_fix": ("y_fix", None), "experiment.r_fix": ("r_fix", None),
+            "experiment.n_scan": ("n_scan", 17),
+            "grid.S": ("torus_half_period", math.pi),
+            "truncation.k_max": ("k_max", 4000),
         },
     },
     "bochner_riesz": {
         "verifies": "uniform boundedness of the means (1 - L/R^2)_+^delta "
                     "above the critical exponent and blow-up below it",
+        "run": _with_dims(bochner_riesz_sweep),
         "params": {
-            "dims.d1": 2, "dims.d2": 1,
-            "experiment.p": 1.0,
-            "experiment.deltas": [1.5, 0.2],
-            "experiment.radii": [4.0, 8.0, 16.0, 32.0, 64.0],
-            "experiment.points_per_wavelength": 4.0,
-            "grid.S": math.pi / 2.0,
+            "dims.d1": ("d1", 2), "dims.d2": ("d2", 1),
+            "experiment.p": ("p", 1.0),
+            "experiment.deltas": ("deltas", [1.5, 0.2]),
+            "experiment.radii": ("radii", [4.0, 8.0, 16.0, 32.0, 64.0]),
+            "experiment.points_per_wavelength": ("points_per_wavelength", 4.0),
+            "grid.S": ("torus_half_period", math.pi / 2.0),
         },
     },
     "multiplier_norm": {
         "verifies": "norms of the dilated family F(t L) stay within a fixed "
                     "multiple of a Sobolev norm of the profile, uniformly in t",
+        "run": _with_dims(multiplier_norm_experiment),
         "params": {
-            "dims.d1": 2, "dims.d2": 1,
-            "experiment.p": 1.0,
-            "experiment.sobolev_orders": [2.0],
-            "experiment.t_values": [2.0 ** k for k in range(-4, 5)],
-            "grid.S": math.pi / 2.0,
+            "dims.d1": ("d1", 2), "dims.d2": ("d2", 1),
+            "experiment.p": ("p", 1.0),
+            "experiment.sobolev_orders": ("sobolev_orders", [2.0]),
+            "experiment.t_values": ("t_values", [2.0 ** k for k in range(-4, 5)]),
+            "grid.S": ("torus_half_period", math.pi / 2.0),
         },
     },
     "heat_gaussian": {
         "verifies": "Gaussian-type decay of the heat kernel in the "
                     "quasi-distance with volume-normalized on-diagonal values",
+        "run": _with_dims(heat_gaussian_check),
         "params": {
-            "dims.d1": 2, "dims.d2": 1,
-            "experiment.times": [0.05, 0.1, 0.2],
-            "grid.S": 12.0,
+            "dims.d1": ("d1", 2), "dims.d2": ("d2", 1),
+            "experiment.times": ("times", [0.05, 0.1, 0.2]),
+            "grid.S": ("torus_half_period", 12.0),
         },
     },
     "kernel_support": {
         "verifies": "kernel columns of dyadic wave pieces keep at least 99% "
                     "of their mass inside the propagation radius",
+        "run": _run_kernel_support,
         "params": {
-            "experiment.levels": [0, 1, 2],
-            "experiment.times": [1.0, 1.0, 0.5],
-            "experiment.kappas": [1.1, 1.5, 2.0],
-            "grid.X": 22.0, "grid.n_prime": 256,
-            "grid.S": 6.0, "grid.n_second": 128,
-            "truncation.k_max": 64, "truncation.lambda_max": 64.0,
+            "experiment.levels": ("levels", [0, 1, 2]),
+            "experiment.times": ("times", [1.0, 1.0, 0.5]),
+            "experiment.kappas": ("kappas", [1.1, 1.5, 2.0]),
+            "grid.X": ("prime_extent", 22.0), "grid.n_prime": ("n_prime", 256),
+            "grid.S": ("torus_half_period", 6.0), "grid.n_second": ("n_second", 128),
+            "truncation.k_max": ("k_max", 64),
+            "truncation.lambda_max": ("lambda_max", 64.0),
         },
     },
     "geometry_suite": {
         "verifies": "quasi-metric measure structure: branch-interface "
                     "continuity, quasi-triangle constant, ball-volume model "
                     "comparability, and doubling growth",
+        "run": geometry_suite,
+        "seeded": True,
         "params": {
-            "experiment.n_triples": 100000,
-            "experiment.mc_samples": 1000000,
+            "experiment.n_triples": ("n_triples", 100000),
+            "experiment.mc_samples": ("mc_samples", 1000000),
         },
     },
     "distance_table": {
         "verifies": "explicit quasi-distance values for chosen point pairs",
+        "run": _run_distance_table,
         "params": {
-            "experiment.pairs": None,  # required: [[x', x'', y', y''], ...]
+            "experiment.pairs": ("pairs", _NO_DEFAULT),  # [[x', x'', y', y''], ...]
         },
     },
 }
-
-# keys whose value may not stay None after resolution, per kind
-_REQUIRED = {"distance_table": ("experiment.pairs",)}
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +222,14 @@ def _resolve(raw: Dict[str, object]) -> Dict[str, object]:
             f"unknown kind {kind!r}; choose from {', '.join(CATALOG)}")
     resolved: Dict[str, object] = {"experiment.kind": kind}
     resolved.update(_COMMON_KEYS)
-    resolved.update(CATALOG[kind]["params"])
+    resolved.update({key: default
+                     for key, (_, default) in CATALOG[kind]["params"].items()})
     for key, value in raw.items():
         if key != "experiment.kind" and key not in resolved:
             raise ConfigError(key, f"not a parameter of kind {kind!r}")
         resolved[key] = value
-    for key in _REQUIRED.get(kind, ()):
-        if resolved[key] is None:
+    for key, value in resolved.items():
+        if value is _NO_DEFAULT:
             raise ConfigError(key, "missing required field")
     if not isinstance(resolved["seed"], int) or isinstance(resolved["seed"], bool):
         raise ConfigError("seed", "expected an integer")
@@ -208,84 +253,12 @@ def config_lines(resolved: Dict[str, object]) -> List[str]:
             for key, value in sorted(resolved.items())]
 
 
-def _pairs_from_config(value) -> list:
-    pairs = []
-    if not isinstance(value, list) or not value:
-        raise ConfigError("experiment.pairs", "expected a non-empty list "
-                          "of [x', x'', y', y''] quadruples")
-    for item in value:
-        if (not isinstance(item, list) or len(item) != 4
-                or any(not isinstance(part, list) for part in item)):
-            raise ConfigError("experiment.pairs", "each entry must be "
-                              "[x', x'', y', y''] with list-valued parts")
-        xp, xs, yp, ys = item
-        pairs.append(((tuple(xp), tuple(xs)), (tuple(yp), tuple(ys))))
-    return pairs
-
-
-def _dispatch(resolved: Dict[str, object]) -> ExperimentResult:
-    kind = resolved["experiment.kind"]
-    g = resolved.get
-    if kind == "weighted_restriction":
-        return weighted_restriction_experiment(
-            dims=(g("dims.d1"), g("dims.d2")),
-            p=g("experiment.p"), gamma=g("experiment.gamma"),
-            radii=g("experiment.radii"),
-            torus_half_period=g("grid.S"),
-            k_max=g("truncation.k_max"),
-            n_scan=g("experiment.n_scan"))
-    if kind == "localized_restriction":
-        return localized_restriction_experiment(
-            dims=(g("dims.d1"), g("dims.d2")),
-            p=g("experiment.p"), gamma=g("experiment.gamma"),
-            radii=g("experiment.radii"),
-            y_values=g("experiment.y_values"),
-            ball_radius=g("experiment.ball_radius"),
-            torus_half_period=g("grid.S"),
-            k_max=g("truncation.k_max"),
-            n_scan=g("experiment.n_scan"),
-            y_fix=g("experiment.y_fix"),
-            r_fix=g("experiment.r_fix"))
-    if kind == "bochner_riesz":
-        return bochner_riesz_sweep(
-            dims=(g("dims.d1"), g("dims.d2")),
-            p=g("experiment.p"),
-            deltas=g("experiment.deltas"), radii=g("experiment.radii"),
-            torus_half_period=g("grid.S"),
-            points_per_wavelength=g("experiment.points_per_wavelength"))
-    if kind == "multiplier_norm":
-        return multiplier_norm_experiment(
-            dims=(g("dims.d1"), g("dims.d2")),
-            p=g("experiment.p"),
-            sobolev_orders=g("experiment.sobolev_orders"),
-            t_values=g("experiment.t_values"),
-            torus_half_period=g("grid.S"))
-    if kind == "heat_gaussian":
-        return heat_gaussian_check(
-            dims=(g("dims.d1"), g("dims.d2")),
-            times=g("experiment.times"),
-            torus_half_period=g("grid.S"))
-    if kind == "kernel_support":
-        levels = g("experiment.levels")
-        times = g("experiment.times")
-        if (not isinstance(levels, list) or not isinstance(times, list)
-                or len(levels) != len(times)):
-            raise ConfigError("experiment.levels",
-                              "levels and times must be lists of equal length")
-        return kernel_support_suite(
-            level_times=tuple(zip(levels, times)),
-            kappas=g("experiment.kappas"),
-            prime_extent=g("grid.X"), n_prime=g("grid.n_prime"),
-            torus_half_period=g("grid.S"), n_second=g("grid.n_second"),
-            k_max=g("truncation.k_max"), lambda_max=g("truncation.lambda_max"))
-    if kind == "geometry_suite":
-        return geometry_suite(
-            seed=g("seed"),
-            n_triples=g("experiment.n_triples"),
-            mc_samples=g("experiment.mc_samples"))
-    if kind == "distance_table":
-        return distance_table(_pairs_from_config(g("experiment.pairs")))
-    raise ConfigError("experiment.kind", f"unknown kind {kind!r}")
+def _run(resolved: Dict[str, object]) -> ExperimentResult:
+    entry = CATALOG[resolved["experiment.kind"]]
+    kwargs = {arg: resolved[key] for key, (arg, _) in entry["params"].items()}
+    if entry.get("seeded"):
+        kwargs["seed"] = resolved["seed"]
+    return entry["run"](**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +292,7 @@ def _next_run_dir(base: Path) -> Path:
 
 def run_config(resolved: Dict[str, object], out_dir: Path) -> Path:
     """Execute the resolved configuration; write report files; return the dir."""
-    result = _dispatch(resolved)
+    result = _run(resolved)
     run_dir = _next_run_dir(out_dir)
     csv_text = rows_to_csv(result.header, result.rows)
     (run_dir / "report.csv").write_text(csv_text, encoding="utf-8",
@@ -348,9 +321,8 @@ def _cmd_list() -> int:
         print(kind)
         print(f"  verifies: {entry['verifies']}")
         print("  parameters:")
-        required = _REQUIRED.get(kind, ())
-        for key, default in entry["params"].items():
-            shown = "(required)" if key in required else _format_value(default)
+        for key, (_, default) in entry["params"].items():
+            shown = "(required)" if default is _NO_DEFAULT else _format_value(default)
             print(f"    {key} = {shown}")
         for key, default in _COMMON_KEYS.items():
             print(f"    {key} = {_format_value(default)}")
@@ -358,12 +330,7 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_run(config_path: str, seed: Optional[int], out: Optional[str],
-             threads: int) -> int:
-    if threads < 1:
-        raise ConfigError("--threads", "must be a positive integer")
-    # experiment configurations are cheap to schedule serially; a thread
-    # count above one is accepted for interface stability and run serially
+def _cmd_run(config_path: str, seed: Optional[int], out: Optional[str]) -> int:
     path = Path(config_path)
     if not path.is_file():
         raise ConfigError("config", f"file not found: {config_path}")
@@ -390,15 +357,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="override the config seed")
     run_p.add_argument("--out", default=None,
                        help="override the output directory")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="worker budget (scheduling is serial)")
     sub.add_parser("list", help="print the experiment catalog")
     args = parser.parse_args(argv)
 
     try:
         if args.command == "list":
             return _cmd_list()
-        return _cmd_run(args.config, args.seed, args.out, args.threads)
+        return _cmd_run(args.config, args.seed, args.out)
     except (TruncationError, AliasingError) as exc:
         print(f"resolution violation ({type(exc).__name__}): {exc}",
               file=sys.stderr)

@@ -120,38 +120,66 @@ def _apply_xi_zero(profile: MultiplierProfile, slab: np.ndarray, prime: PrimeGri
     return out[(slice(0, n),) * d1]
 
 
+def slice_levels(profile: MultiplierProfile, prime: PrimeGrid, xi_mag: float,
+                 k_max: int, lambda_max: float) -> range:
+    """Levels k that F(L_xi) keeps on one nonzero |xi| slice; possibly empty.
+
+    A level is kept when its eigenvalue (2k + d1)|xi| lies in supp(F) and at
+    or below lambda_max.  Raises TruncationError, naming the first offending
+    level, if a kept level is beyond k_max or beyond what the x' grid can
+    represent reliably at this |xi|.
+    """
+    k_lo, k_hi = active_level_range(profile, xi_mag, prime.d1, lambda_max)
+    if k_hi >= k_lo:
+        if k_hi > k_max:
+            raise TruncationError(k_hi, xi_mag, k_max)
+        cap = prime.reliable_level_cap(xi_mag)
+        if k_hi > cap:
+            raise TruncationError(k_hi, xi_mag, cap)
+    return range(k_lo, k_hi + 1)
+
+
+def apply_slice_multiplier(profile: MultiplierProfile, f: np.ndarray, prime: PrimeGrid,
+                           xi_mag: float, k_max: int, lambda_max: float) -> np.ndarray:
+    """F(L_xi) f on one nonzero |xi| slice via the truncated eigenfunction expansion.
+
+    The first d1 axes of f are spatial; trailing axes are a batch of slices
+    sharing |xi|.  Only the levels of slice_levels are kept, and its
+    TruncationError conditions apply.
+    """
+    kept = slice_levels(profile, prime, xi_mag, k_max, lambda_max)
+    if not kept:
+        return np.zeros(np.shape(f), dtype=complex)
+    d1 = prime.d1
+    coef = oscillator_transform(f, prime, xi_mag, kept[-1])
+    levels = _level_weights(coef.shape, d1)
+    weights = np.asarray(profile((2 * levels + d1) * xi_mag), dtype=complex)
+    weights[(levels < kept.start) | (levels >= kept.stop)] = 0.0
+    weights = weights.reshape(weights.shape + (1,) * (coef.ndim - d1))
+    return oscillator_synthesis(coef * weights, prime, xi_mag)
+
+
 def apply_multiplier(profile: MultiplierProfile, field: Field,
                      trunc: SpectralTruncation) -> Field:
     """Apply F(L) to a field under the given truncation policy.
 
-    Raises TruncationError, naming the first offending (level, |xi|) pair, if
-    the profile's support within [0, lambda_max] requires a level beyond the
-    policy's k_max or beyond what the x' grid can represent reliably.
+    Each nonzero |xi| group goes through apply_slice_multiplier, so the
+    TruncationError conditions are those of slice_levels.
     """
     grid = field.grid
     prime = grid.prime
-    d1 = prime.d1
     fhat = partial_fourier(field)
-    fh = fhat.reshape(fhat.shape[:d1] + (-1,))
+    fh = fhat.reshape(fhat.shape[:prime.d1] + (-1,))
     out = np.zeros_like(fh)
     for xi_mag, idx in xi_groups(grid):
         if xi_mag == 0.0:
             out[..., idx] = _apply_xi_zero(profile, fh[..., idx], prime,
                                            trunc.xi_zero_mode)
-            continue
-        k_lo, k_hi = active_level_range(profile, xi_mag, d1, trunc.lambda_max)
-        if k_hi < k_lo:
-            continue
-        if k_hi > trunc.k_max:
-            raise TruncationError(k_hi, xi_mag, trunc.k_max)
-        cap = prime.reliable_level_cap(xi_mag)
-        if k_hi > cap:
-            raise TruncationError(k_hi, xi_mag, cap)
-        coef = oscillator_transform(fh[..., idx], prime, xi_mag, k_hi)
-        levels = _level_weights(coef.shape, d1)
-        weights = np.asarray(profile((2 * levels + d1) * xi_mag), dtype=complex)
-        weights[levels < k_lo] = 0.0
-        out[..., idx] = oscillator_synthesis(coef * weights[..., None], prime, xi_mag)
+        elif slice_levels(profile, prime, xi_mag, trunc.k_max, trunc.lambda_max):
+            # a slice with no kept level stays zero: skip the strided gather
+            # and scatter of its values
+            out[..., idx] = apply_slice_multiplier(profile, fh[..., idx], prime, xi_mag,
+                                                   trunc.k_max, trunc.lambda_max)
     return inverse_partial_fourier(grid, out.reshape(grid.shape))
 
 

@@ -348,13 +348,3 @@ def load_field(fh: BinaryIO) -> Field:
         raise ContractViolation("snapshot truncated: value buffer too short")
     values = np.frombuffer(buf, dtype="<c16").reshape(grid.shape)
     return Field(grid, values.copy())
-
-
-def save_field_path(f: Field, path) -> None:
-    with open(path, "wb") as fh:
-        save_field(f, fh)
-
-
-def load_field_path(path) -> Field:
-    with open(path, "rb") as fh:
-        return load_field(fh)

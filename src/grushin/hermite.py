@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError, TruncationError
+from .errors import ContractViolation, DomainError
 
 __all__ = [
     "PrimeGrid",
@@ -24,7 +24,6 @@ __all__ = [
     "level_multiplicity",
     "phi_eval",
     "projection_kernel",
-    "project_onto_level",
     "level_sum_profile",
     "gaussian_decay_fit",
 ]
@@ -172,42 +171,6 @@ class PrimeGrid:
         dx = np.pi / (points_per_osc * np.sqrt(2.0 * k_max + d1))
         n = 1 << int(np.ceil(np.log2(2.0 * X / dx)))
         return cls(half_width=float(X), n_points=n, d1=d1)
-
-
-def _axis_tables(grid: PrimeGrid, k: int) -> np.ndarray:
-    return hermite_table(k, grid.axis)
-
-
-def project_onto_level(f: np.ndarray, k: int, grid: PrimeGrid) -> np.ndarray:
-    """Orthogonal projection of grid samples f onto the level-k eigenspace.
-
-    Grid quadrature stands in for the continuum inner products; accurate once the
-    grid resolves level k (see PrimeGrid.reliable_level_cap).
-    """
-    if k < 0:
-        raise DomainError("level must be >= 0")
-    if k > grid.reliable_level_cap():
-        raise TruncationError(k, 1.0, grid.reliable_level_cap())
-    f = np.asarray(f)
-    if f.shape != (grid.n_points,) * grid.d1:
-        raise ContractViolation("field shape does not match the grid")
-    H = _axis_tables(grid, k)
-    dx = grid.spacing
-    if grid.d1 == 1:
-        c = H[k] @ f * dx
-        return c * H[k]
-    if grid.d1 == 2:
-        coef = H @ f @ H.T * dx * dx  # full (k+1)^2 coefficient block
-        mask = np.add.outer(np.arange(k + 1), np.arange(k + 1)) == k
-        coef = np.where(mask, coef, 0.0)
-        return H.T @ coef @ H
-    if grid.d1 == 3:
-        coef = np.einsum("ai,bj,ck,ijk->abc", H, H, H, f, optimize=True) * dx ** 3
-        idx = np.arange(k + 1)
-        mask = idx[:, None, None] + idx[None, :, None] + idx[None, None, :] == k
-        coef = np.where(mask, coef, 0.0)
-        return np.einsum("abc,ai,bj,ck->ijk", coef, H, H, H, optimize=True)
-    raise DomainError("projection implemented for d1 <= 3")
 
 
 def level_sum_profile(k: int, d1: int, r: np.ndarray) -> np.ndarray:

@@ -58,7 +58,9 @@ def planar_radial_kernel(profile, r: np.ndarray,
 
     Hankel form (2 pi)^{-1} int F(rho^2) J_0(rho r) rho drho over the
     support of F capped at lambda_max.  Quadrature density follows the
-    fastest oscillation J_0(rho r_max).
+    fastest oscillation J_0(rho r_max).  The rule is Simpson's: the integrand
+    starts with slope F(0) at rho = 0, where the trapezoid rule would leave
+    the same O(h^2) offset on every r.
     """
     r = np.asarray(r, dtype=float)
     lo, hi = profile.support
@@ -70,10 +72,12 @@ def planar_radial_kernel(profile, r: np.ndarray,
     r_max = float(np.max(np.abs(r))) if r.size else 1.0
     n_rho = max(512, int(np.ceil(4.0 * (rho_hi - rho_lo)
                                  * max(r_max, 1.0) / np.pi)))
+    n_rho += n_rho % 2  # Simpson needs an even interval count
     rho = np.linspace(rho_lo, rho_hi, n_rho + 1)
-    w = np.full(rho.size, rho[1] - rho[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = np.full(rho.size, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    w *= (rho[1] - rho[0]) / 3.0
     fvals = np.asarray(profile(rho * rho)).real * rho * w
     return (j0(np.multiply.outer(r, rho)) @ fvals) / (2.0 * np.pi)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gammaln
 
 from ..errors import DomainError, TruncationError
@@ -106,24 +106,21 @@ def _gauss_modes(n_max: int, l: int, gamma: float) -> np.ndarray:
     Row n holds sqrt(n!/(n+l)!) L_n^l(t_q) sqrt(w_q) at the n_max + 1 Gauss
     nodes (the t = s^2 substitution Jacobian absorbs the radial sqrt(2)), so
     U @ U.T is the weighted Gram, exactly: the quadrature integrates
-    polynomial degree 2 n_max + 1 without error.  Weights are assembled in log
-    scale (Golub-Welsch eigenvectors plus log Gamma total mass) because the
-    raw total mass Gamma(l + gamma + 1) overflows long before l gets large.
+    polynomial degree 2 n_max + 1 without error.  The nodes are the
+    eigenvalues of the Jacobi matrix.  The weights are Christoffel numbers,
+    w_q = t_q^alpha e^{-t_q} / sum_n phi_n(t_q)^2 with phi_n the orthonormal
+    Laguerre functions of parameter alpha = l + gamma, assembled in log scale:
+    each weight is then accurate in relative terms, however small, and the
+    total mass Gamma(alpha + 1), which overflows for large l, never forms.
     """
-    n_modes = n_max + 1
     alpha = l + gamma
-    k = np.arange(n_modes, dtype=float)
-    diag = 2.0 * k + alpha + 1.0
-    if n_modes == 1:
-        t = diag
-        log_w = np.zeros(1)
-    else:
-        off = np.sqrt(k[1:] * (k[1:] + alpha))
-        t, vec = eigh_tridiagonal(diag, off)
-        with np.errstate(divide="ignore"):
-            log_w = 2.0 * np.log(np.abs(vec[0]))
-    log_row0 = 0.5 * (gammaln(alpha + 1.0) - gammaln(l + 1.0) + log_w)
-    return _normalized_recurrence(n_max, l, t, log_row0)
+    k = np.arange(n_max + 1, dtype=float)
+    t = eigvalsh_tridiagonal(2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha)))
+    log_weight = alpha * np.log(t) - t
+    phi = _normalized_recurrence(n_max, alpha, t,
+                                 0.5 * (log_weight - gammaln(alpha + 1.0)))
+    log_w = log_weight - np.log(np.sum(phi * phi, axis=0))
+    return _normalized_recurrence(n_max, l, t, 0.5 * (log_w - gammaln(l + 1.0)))
 
 
 def radial_gram(n_max: int, l: int, gamma: float) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, TruncationError
+from .errors import ContractViolation, DegenerateInputError, DomainError, TruncationError
 from .hermite import PrimeGrid, hermite_table, level_sum_profile, phi_eval
 
 __all__ = [
@@ -20,7 +20,7 @@ __all__ = [
     "active_level_range",
     "oscillator_transform",
     "oscillator_synthesis",
-    "apply_multiplier_oscillator",
+    "project_onto_level",
     "restriction_norm_level",
     "weighted_oscillator_check",
     "RatioReport",
@@ -103,38 +103,26 @@ def oscillator_synthesis(coef: np.ndarray, grid: PrimeGrid, xi_mag: float) -> np
 
 
 def _level_weights(coef_shape, d1: int) -> np.ndarray:
-    """Tensor of |nu| values matching a coefficient tensor's shape."""
-    k_hi = coef_shape[0] - 1
-    idx = np.arange(k_hi + 1)
-    if d1 == 1:
-        return idx
-    if d1 == 2:
-        return np.add.outer(idx, idx)
-    return idx[:, None, None] + idx[None, :, None] + idx[None, None, :]
+    """Tensor of |nu| values over the first d1 axes of a coefficient tensor."""
+    return sum(np.ix_(*[np.arange(coef_shape[0])] * d1))
 
 
-def apply_multiplier_oscillator(profile, xislice: XiSlice, f: np.ndarray, grid: PrimeGrid,
-                                lambda_max: float | None = None) -> np.ndarray:
-    """F(L_xi) f via the truncated eigenfunction expansion.
+def project_onto_level(f: np.ndarray, k: int, grid: PrimeGrid) -> np.ndarray:
+    """Orthogonal projection of grid samples f onto the level-k eigenspace at |xi| = 1.
 
-    Levels outside supp(F) are skipped.  If the support requires a level past the
-    slice cap, a TruncationError names the first offending level.
+    Grid quadrature stands in for the continuum inner products; accurate once the
+    grid resolves level k (see PrimeGrid.reliable_level_cap).
     """
-    if lambda_max is None:
-        lambda_max = xislice.eigenvalue(xislice.k_max)
-    k_lo, k_hi = active_level_range(profile, xislice.xi_mag, xislice.d1, lambda_max)
-    if k_hi < k_lo:
-        return np.zeros_like(np.asarray(f), dtype=complex)
-    if k_hi > xislice.k_max:
-        raise TruncationError(k_hi, xislice.xi_mag, xislice.k_max)
-    if k_hi > grid.reliable_level_cap(xislice.xi_mag):
-        raise TruncationError(k_hi, xislice.xi_mag, grid.reliable_level_cap(xislice.xi_mag))
-    coef = oscillator_transform(np.asarray(f), grid, xislice.xi_mag, k_hi)
-    levels = _level_weights(coef.shape, grid.d1)
-    eig = (2 * levels + xislice.d1) * xislice.xi_mag
-    weights = np.asarray(profile(eig), dtype=complex)
-    weights[(levels < k_lo) | (levels > k_hi)] = 0.0
-    return oscillator_synthesis(coef * weights, grid, xislice.xi_mag)
+    if k < 0:
+        raise DomainError("level must be >= 0")
+    if k > grid.reliable_level_cap():
+        raise TruncationError(k, 1.0, grid.reliable_level_cap())
+    f = np.asarray(f)
+    if f.shape != (grid.n_points,) * grid.d1:
+        raise ContractViolation("field shape does not match the grid")
+    coef = oscillator_transform(f, grid, 1.0, k)
+    coef[_level_weights(coef.shape, grid.d1) != k] = 0.0
+    return oscillator_synthesis(coef, grid, 1.0)
 
 
 def restriction_norm_level(k: int, xi_mag: float, p: float, d1: int,
@@ -143,7 +131,7 @@ def restriction_norm_level(k: int, xi_mag: float, p: float, d1: int,
 
     p = 1 is exact: the norm equals sup_{y'} sqrt(sum_{|nu|=k} Phi_nu^xi(y')^2),
     evaluated on a dense radial grid (the level sum is radial) with parabolic
-    refinement of the maximum.  For p in (1, 2) use estimate_lab.op_norm, which
+    refinement of the maximum.  For p in (1, 2) use grushin.lab.op_norm, which
     reports certified lower bounds; this function only handles the exact endpoint.
     """
     if not (1.0 <= p <= 2.0):
@@ -152,7 +140,7 @@ def restriction_norm_level(k: int, xi_mag: float, p: float, d1: int,
         raise DomainError("xi_mag must be positive")
     if p != 1.0:
         raise DomainError("only the exact endpoint p = 1 is computed here; "
-                          "use estimate_lab.op_norm for p in (1, 2)")
+                          "use grushin.lab.op_norm for p in (1, 2)")
     lam = 2.0 * k + d1
     rmax = np.sqrt(lam) + 5.0
     # >= 8 points per oscillation of the fastest Hermite factor

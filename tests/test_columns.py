@@ -27,14 +27,24 @@ def br_profile(radius, delta):
 class TestRadialKernels:
     def test_closed_form_matches_quadrature(self):
         # the compactly-supported mean has an explicit Bessel form; the
-        # generic Hankel quadrature must reproduce it (trapezoid endpoint
-        # error scales with the smoothness of (1 - v)^delta at v = 1)
+        # generic Hankel quadrature must reproduce it (the endpoint error
+        # scales with the smoothness of (1 - v)^delta at v = 1)
         r = np.linspace(0.0, 6.0, 301)
         for radius, delta, tol in ((5.0, 0.7, 1e-4), (5.0, 2.0, 1e-5)):
             prof = br_profile(radius, delta)
             closed = bochner_riesz_radial_kernel(radius, delta, r)
             quad = planar_radial_kernel(prof, r, radius * radius)
             assert np.max(np.abs(closed - quad)) < tol * np.max(np.abs(closed))
+
+    def test_heat_quadrature_matches_gaussian(self):
+        # the integrand starts with slope F(0) = 1 at rho = 0, which a
+        # trapezoid rule turns into a constant offset of h^2 / (24 pi)
+        t = 0.1
+        prof = MultiplierProfile.heat(t)
+        r = np.linspace(0.0, 4.0, 41)
+        want = np.exp(-r ** 2 / (4.0 * t)) / (4.0 * np.pi * t)
+        got = planar_radial_kernel(prof, r, prof.support[1])
+        assert np.max(np.abs(got - want)) <= 1e-7
 
     def test_origin_value_is_total_symbol_mass(self):
         # K(0) = (1/2 pi) int_0^inf F(s^2) s ds in the planar normalization
@@ -63,6 +73,11 @@ class TestL1MultiplierNorm:
                                   lambda_max=radius ** 2, xi_zero_radial=closed,
                                   fft_oversample=4)
         assert abs(base - fine) / fine < 5e-3
+
+    def test_heat_column_has_unit_mass(self):
+        # the heat kernel is positive with unit mass, so its L^1 norm is 1
+        norm = l1_multiplier_norm(MultiplierProfile.heat(0.1), S)
+        assert norm == pytest.approx(1.0, abs=1e-4)
 
     def test_zone_split_matches_dense_evaluation(self):
         # the split core/bulk accounting must agree with the dense reference

@@ -235,6 +235,17 @@ class TestApplyMultiplier:
             heat_apply(0.05, Field.zeros(grid), tr)
         assert err.value.k_max < 40
 
+    def test_levels_above_lambda_max_are_cut(self, grid):
+        # an unbounded profile under the policy ceiling acts like the same
+        # profile hard-cut at the ceiling: no level above lambda_max leaks in
+        tr = SpectralTruncation(k_max=12, lambda_max=40.0, xi_zero_mode="drop")
+        wave = MultiplierProfile.wave_cosine(1.0)
+        cut = MultiplierProfile(lambda lam: np.cos(np.sqrt(lam)) * (lam <= 40.0),
+                                (0.0, 40.0))
+        got = schwartz_kernel_column(wave, grid, (0.0, 0.0), (0.0,), tr).values
+        want = schwartz_kernel_column(cut, grid, (0.0, 0.0), (0.0,), tr).values
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_empty_support_slices_are_zeroed(self, grid, trunc, rough_field):
         # profile supported above every active eigenvalue: output is zero
         # on oscillator slices; xi=0 DFT band above the content does the rest

@@ -15,9 +15,9 @@ from grushin.hermite import (
     level_sum_profile,
     multiindex_enum,
     phi_eval,
-    project_onto_level,
     projection_kernel,
 )
+from grushin.oscillator import project_onto_level
 
 GRID = PrimeGrid(half_width=17.0, n_points=512, d1=1)
 

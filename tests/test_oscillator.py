@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from grushin.engine import apply_slice_multiplier
 from grushin.errors import DegenerateInputError, DomainError, TruncationError
 from grushin.fields import MultiplierProfile
 from grushin.hermite import PrimeGrid, hermite_table
@@ -10,7 +11,6 @@ from grushin.oscillator import (
     RatioReport,
     XiSlice,
     active_level_range,
-    apply_multiplier_oscillator,
     oscillator_synthesis,
     oscillator_transform,
     phi_xi_eval,
@@ -143,18 +143,18 @@ class TestTransform:
 
 
 class TestApplyMultiplier:
+    """The per-slice kernel the engine runs on every nonzero |xi| group."""
+
     def test_identity_on_span(self, grid2d):
         xi, k_hi = 1.5, 6
-        sl = XiSlice(xi, 2, 12)
         f, _ = random_span_field(grid2d, xi, k_hi, seed=8)
         top = (2 * (2 * k_hi) + 2) * xi + 1.0
         ident = MultiplierProfile.indicator(0.0, top)
-        out = apply_multiplier_oscillator(ident, sl, f, grid2d)
+        out = apply_slice_multiplier(ident, f, grid2d, xi, 12, lambda_max=39.0)
         assert np.max(np.abs(out - f)) < 1e-8 * np.max(np.abs(f))
 
     def test_indicator_projects_single_level(self, grid2d):
         xi = 2.0
-        sl = XiSlice(xi, 2, 10)
         # f = sum of level-1 and level-4 eigenfields
         x1, x2 = np.meshgrid(grid2d.axis, grid2d.axis, indexing="ij")
         pts = np.stack([x1, x2], axis=-1)
@@ -163,12 +163,11 @@ class TestApplyMultiplier:
         f = 2.0 * f1 + 3.0 * f4
         lam1 = (2 * 1 + 2) * xi
         band = MultiplierProfile.indicator(lam1 - xi, lam1 + xi)
-        out = apply_multiplier_oscillator(band, sl, f, grid2d)
+        out = apply_slice_multiplier(band, f, grid2d, xi, 10, lambda_max=44.0)
         assert np.max(np.abs(out - 2.0 * f1)) < 1e-9 * np.max(np.abs(f1))
 
     def test_multiplicativity(self, grid2d):
         xi = 1.0
-        sl = XiSlice(xi, 2, 14)
         f, _ = random_span_field(grid2d, xi, 6, seed=9)
         top = 30.0  # == eigenvalue at the slice cap, so every level is legal
         fp = MultiplierProfile(lambda lam: np.exp(-0.3 * lam), (0.0, 110.0))
@@ -177,33 +176,31 @@ class TestApplyMultiplier:
         fg = MultiplierProfile(
             lambda lam: np.exp(-0.3 * lam) * lam / (1.0 + lam) * (lam <= top),
             (0.0, top))
-        once = apply_multiplier_oscillator(fg, sl, f, grid2d)
-        twice = apply_multiplier_oscillator(
-            fp, sl, apply_multiplier_oscillator(gp, sl, f, grid2d), grid2d)
+        kw = dict(k_max=14, lambda_max=top)
+        once = apply_slice_multiplier(fg, f, grid2d, xi, **kw)
+        twice = apply_slice_multiplier(
+            fp, apply_slice_multiplier(gp, f, grid2d, xi, **kw), grid2d, xi, **kw)
         assert np.max(np.abs(once - twice)) < 1e-9 * np.max(np.abs(once))
 
     def test_truncation_error_names_offender(self, grid2d):
-        sl = XiSlice(1.0, 2, 3)
         f = np.zeros((grid2d.n_points,) * 2)
         wide = MultiplierProfile.indicator(0.0, 30.0)
         with pytest.raises(TruncationError) as err:
-            apply_multiplier_oscillator(wide, sl, f, grid2d, lambda_max=30.0)
+            apply_slice_multiplier(wide, f, grid2d, 1.0, 3, lambda_max=30.0)
         assert err.value.level == 14
         assert err.value.k_max == 3
 
     def test_grid_cap_guards_unresolvable_levels(self):
         tiny = PrimeGrid(5.0, 64, 1)
-        sl = XiSlice(1.0, 1, 500)
         wide = MultiplierProfile.indicator(0.0, 400.0)
         with pytest.raises(TruncationError) as err:
-            apply_multiplier_oscillator(wide, sl, np.zeros(64), tiny)
+            apply_slice_multiplier(wide, np.zeros(64), tiny, 1.0, 500, lambda_max=1001.0)
         assert err.value.k_max == tiny.reliable_level_cap(1.0)
 
     def test_empty_band_returns_zero(self, grid2d):
-        sl = XiSlice(1.0, 2, 10)
         f, _ = random_span_field(grid2d, 1.0, 3, seed=10)
         high = MultiplierProfile.indicator(500.0, 600.0)
-        out = apply_multiplier_oscillator(high, sl, f, grid2d)
+        out = apply_slice_multiplier(high, f, grid2d, 1.0, 10, lambda_max=22.0)
         assert np.count_nonzero(out) == 0
 
 

@@ -69,6 +69,22 @@ class TestRadialGram:
             gram = radial_gram(10, l, 0.0)
             assert np.max(np.abs(gram - np.eye(11))) < 1e-12
 
+    @pytest.mark.parametrize("n,l", [(40, 10), (100, 60), (250, 0), (500, 300),
+                                     (1000, 10)])
+    def test_unweighted_gram_is_identity_at_default_run_sizes(self, n, l):
+        gram = radial_gram(n, l, 0.0)
+        assert np.max(np.abs(gram - np.eye(n + 1))) <= 1e-12
+
+    @pytest.mark.parametrize("n,l", [(40, 10), (100, 60), (250, 0), (500, 300)])
+    def test_gamma_one_gram_is_the_jacobi_matrix(self, n, l):
+        # gamma = 1 weights the modes by t = s^2, whose matrix in the
+        # orthonormal Laguerre basis is tridiagonal with known entries
+        k = np.arange(n + 1.0)
+        off = np.sqrt(k[1:] * (k[1:] + l))
+        jacobi = np.diag(2.0 * k + l + 1.0) - np.diag(off, 1) - np.diag(off, -1)
+        gram = radial_gram(n, l, 1.0)
+        assert np.max(np.abs(gram - jacobi)) <= 1e-12 * np.max(np.abs(jacobi))
+
     def test_weighted_gram_matches_trapezoid(self):
         s = np.linspace(0.0, 30.0, 60001)
         w = trapezoid_weights(s)
