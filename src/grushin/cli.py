@@ -44,19 +44,11 @@ __all__ = ["main", "run_config", "parse_config_text", "CATALOG"]
 # runner keyword and default
 
 _COMMON_KEYS = {
-    "seed": 0,
     "output.dir": "runs",
 }
 
 # default of a key that every config of its kind must set
 _NO_DEFAULT = object()
-
-
-def _with_dims(experiment):
-    """Runner taking the dims.d1 / dims.d2 keys as separate keywords."""
-    def run(d1, d2, **kwargs):
-        return experiment(dims=(d1, d2), **kwargs)
-    return run
 
 
 def _run_kernel_support(levels, times, **kwargs) -> ExperimentResult:
@@ -82,16 +74,14 @@ def _run_distance_table(pairs) -> ExperimentResult:
     return distance_table(points)
 
 
-# "params" maps each key to (runner keyword, default); a "seeded" runner
-# also gets the common seed
+# "params" maps each key to (runner keyword, default)
 CATALOG: Dict[str, dict] = {
     "weighted_restriction": {
         "verifies": "norms of |x'|^gamma-weighted spectral bands grow as "
                     "R^((2 d2 + d1)(1/p - 1/2) - gamma)",
-        "run": _with_dims(weighted_restriction_experiment),
+        "run": weighted_restriction_experiment,
         "params": {
-            "dims.d1": ("d1", 2), "dims.d2": ("d2", 1),
-            "experiment.p": ("p", 1.0), "experiment.gamma": ("gamma", 0.0),
+            "experiment.gamma": ("gamma", 0.0),
             "experiment.radii": ("radii", [4.0, 8.0, 16.0, 32.0]),
             "experiment.n_scan": ("n_scan", 97),
             "grid.S": ("torus_half_period", math.pi),
@@ -102,10 +92,9 @@ CATALOG: Dict[str, dict] = {
         "verifies": "band norms on inputs confined to a small metric ball "
                     "scale as R^((d2 + d1)(1/p - 1/2)) times "
                     "|y'|^(gamma - d2 (1/p - 1/2))",
-        "run": _with_dims(localized_restriction_experiment),
+        "run": localized_restriction_experiment,
         "params": {
-            "dims.d1": ("d1", 2), "dims.d2": ("d2", 1),
-            "experiment.p": ("p", 1.0), "experiment.gamma": ("gamma", 0.25),
+            "experiment.gamma": ("gamma", 0.25),
             "experiment.radii": ("radii", [8.0, 16.0, 32.0]),
             "experiment.y_values": ("y_values", [1.5, 3.0, 6.0]),
             "experiment.ball_radius": ("ball_radius", 0.1875),
@@ -118,10 +107,8 @@ CATALOG: Dict[str, dict] = {
     "bochner_riesz": {
         "verifies": "uniform boundedness of the means (1 - L/R^2)_+^delta "
                     "above the critical exponent and blow-up below it",
-        "run": _with_dims(bochner_riesz_sweep),
+        "run": bochner_riesz_sweep,
         "params": {
-            "dims.d1": ("d1", 2), "dims.d2": ("d2", 1),
-            "experiment.p": ("p", 1.0),
             "experiment.deltas": ("deltas", [1.5, 0.2]),
             "experiment.radii": ("radii", [4.0, 8.0, 16.0, 32.0, 64.0]),
             "experiment.points_per_wavelength": ("points_per_wavelength", 4.0),
@@ -131,10 +118,8 @@ CATALOG: Dict[str, dict] = {
     "multiplier_norm": {
         "verifies": "norms of the dilated family F(t L) stay within a fixed "
                     "multiple of a Sobolev norm of the profile, uniformly in t",
-        "run": _with_dims(multiplier_norm_experiment),
+        "run": multiplier_norm_experiment,
         "params": {
-            "dims.d1": ("d1", 2), "dims.d2": ("d2", 1),
-            "experiment.p": ("p", 1.0),
             "experiment.sobolev_orders": ("sobolev_orders", [2.0]),
             "experiment.t_values": ("t_values", [2.0 ** k for k in range(-4, 5)]),
             "grid.S": ("torus_half_period", math.pi / 2.0),
@@ -143,9 +128,9 @@ CATALOG: Dict[str, dict] = {
     "heat_gaussian": {
         "verifies": "Gaussian-type decay of the heat kernel in the "
                     "quasi-distance with volume-normalized on-diagonal values",
-        "run": _with_dims(heat_gaussian_check),
+        "run": heat_gaussian_check,
         "params": {
-            "dims.d1": ("d1", 2), "dims.d2": ("d2", 1),
+            "dims.d1": ("d1", 2),
             "experiment.times": ("times", [0.05, 0.1, 0.2]),
             "grid.S": ("torus_half_period", 12.0),
         },
@@ -169,10 +154,10 @@ CATALOG: Dict[str, dict] = {
                     "continuity, quasi-triangle constant, ball-volume model "
                     "comparability, and doubling growth",
         "run": geometry_suite,
-        "seeded": True,
         "params": {
             "experiment.n_triples": ("n_triples", 100000),
             "experiment.mc_samples": ("mc_samples", 1000000),
+            "seed": ("seed", 0),
         },
     },
     "distance_table": {
@@ -231,7 +216,8 @@ def _resolve(raw: Dict[str, object]) -> Dict[str, object]:
     for key, value in resolved.items():
         if value is _NO_DEFAULT:
             raise ConfigError(key, "missing required field")
-    if not isinstance(resolved["seed"], int) or isinstance(resolved["seed"], bool):
+    seed = resolved.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("seed", "expected an integer")
     return resolved
 
@@ -255,10 +241,8 @@ def config_lines(resolved: Dict[str, object]) -> List[str]:
 
 def _run(resolved: Dict[str, object]) -> ExperimentResult:
     entry = CATALOG[resolved["experiment.kind"]]
-    kwargs = {arg: resolved[key] for key, (arg, _) in entry["params"].items()}
-    if entry.get("seeded"):
-        kwargs["seed"] = resolved["seed"]
-    return entry["run"](**kwargs)
+    return entry["run"](**{arg: resolved[key]
+                           for key, (arg, _) in entry["params"].items()})
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +286,6 @@ def run_config(resolved: Dict[str, object], out_dir: Path) -> Path:
     document = {
         "kind": result.kind,
         "version": __version__,
-        "seed": resolved["seed"],
         "config": _jsonable(resolved),
         "summary": _jsonable(result.summary),
         "certificates": certificates,
@@ -330,13 +313,11 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_run(config_path: str, seed: Optional[int], out: Optional[str]) -> int:
+def _cmd_run(config_path: str, out: Optional[str]) -> int:
     path = Path(config_path)
     if not path.is_file():
         raise ConfigError("config", f"file not found: {config_path}")
     resolved = _resolve(parse_config_text(path.read_text(encoding="utf-8")))
-    if seed is not None:
-        resolved["seed"] = seed
     if out is not None:
         resolved["output.dir"] = out
     for line in config_lines(resolved):
@@ -353,8 +334,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="execute one experiment config")
     run_p.add_argument("config", help="path to a flat key = value config file")
-    run_p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
     run_p.add_argument("--out", default=None,
                        help="override the output directory")
     sub.add_parser("list", help="print the experiment catalog")
@@ -363,7 +342,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.command == "list":
             return _cmd_list()
-        return _cmd_run(args.config, args.seed, args.out)
+        return _cmd_run(args.config, args.out)
     except (TruncationError, AliasingError) as exc:
         print(f"resolution violation ({type(exc).__name__}): {exc}",
               file=sys.stderr)

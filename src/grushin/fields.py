@@ -10,6 +10,7 @@ trusted.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Tuple
@@ -57,8 +58,8 @@ class GrushinGrid:
     d2: int
 
     def __post_init__(self):
-        if self.torus_half_period <= 0:
-            raise DomainError("torus half period must be positive")
+        if not 0 < self.torus_half_period < math.inf:
+            raise DomainError("torus half period must be positive and finite")
         if self.n_second < 2 or self.n_second % 2:
             raise DomainError("n_second must be even and >= 2")
         if self.d2 < 1 or self.d2 > 2:
@@ -309,8 +310,8 @@ class SpectralTruncation:
     def __post_init__(self):
         if self.k_max < 0:
             raise DomainError("k_max must be >= 0")
-        if not (self.lambda_max > 0):
-            raise DomainError("lambda_max must be positive")
+        if not 0 < self.lambda_max < math.inf:
+            raise DomainError("lambda_max must be positive and finite")
         if self.xi_zero_mode not in _XI_ZERO_MODES:
             raise ConfigError(
                 "xi_zero_mode",

@@ -138,8 +138,8 @@ def ball_volume_mc(x: MetricPoint, r: float, n_samples: int = 1_000_000,
     deterministic shards so the result is reproducible regardless of any
     parallel scheduling.
     """
-    if r <= 0:
-        raise DomainError("radius must be positive")
+    if not 0 < r < math.inf:
+        raise DomainError("radius must be positive and finite")
     if n_samples <= 0:
         raise DegenerateInputError("Monte-Carlo sample budget must be positive")
     d1, d2 = x.d1, x.d2

@@ -141,8 +141,9 @@ class PrimeGrid:
     d1: int
 
     def __post_init__(self):
-        if self.half_width <= 0 or self.n_points < 2 or self.d1 < 1:
-            raise DomainError("PrimeGrid needs positive extent, >=2 points, d1 >= 1")
+        if not 0 < self.half_width < math.inf or self.n_points < 2 or self.d1 < 1:
+            raise DomainError(
+                "PrimeGrid needs finite positive extent, >=2 points, d1 >= 1")
 
     @property
     def spacing(self) -> float:

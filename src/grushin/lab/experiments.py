@@ -67,33 +67,17 @@ class ExperimentResult:
     summary: dict
 
 
-def _check_dims(dims, allowed: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
-    dims = tuple(int(v) for v in dims)
-    if len(dims) != 2 or dims not in tuple(allowed):
+# The experiments measure the exact p = 1 endpoint (norms are exact column
+# maxima) for (d1, d2) = (2, 1); for p > 1 drive op_norm with an engine-backed
+# operator directly.  The slope predictions keep the paper's general formulas.
+_D1, _D2, _P = 2, 1, 1.0
+
+
+def _restriction_precondition(gamma: float) -> None:
+    slack = _D2 * (1.0 / _P - 0.5)
+    if not 0.0 <= gamma < slack:
         raise DomainError(
-            f"dims={dims} not supported here; implemented for {list(allowed)}")
-    return dims
-
-
-def _check_exact_exponent(p: float) -> None:
-    if p != 1.0:
-        raise DomainError(
-            "only p = 1 is implemented here (norms are exact column maxima); "
-            "for p > 1 drive op_norm with an engine-backed operator directly")
-
-
-def _restriction_precondition(p: float, gamma: float, d2: int) -> None:
-    if gamma < 0:
-        raise DomainError("weight exponent gamma must be >= 0")
-    slack = d2 * (1.0 / p - 0.5)
-    if gamma == 0.0:
-        if p > (2.0 * d2 + 2.0) / (d2 + 3.0):
-            raise DomainError(
-                f"unweighted run needs p <= {(2 * d2 + 2) / (d2 + 3)}; got p={p}")
-        return
-    if not gamma < slack:
-        raise DomainError(
-            f"gamma={gamma} must satisfy gamma < d2 (1/p - 1/2) = {slack}")
+            f"gamma={gamma} must satisfy 0 <= gamma < d2 (1/p - 1/2) = {slack}")
 
 
 def _increasing(values, name: str, minimum: int = 3) -> List[float]:
@@ -122,7 +106,7 @@ def band_profile(radius: float,
 
 
 def weighted_restriction_experiment(
-        dims=(2, 1), p: float = 1.0, gamma: float = 0.0,
+        gamma: float = 0.0,
         radii: Sequence[float] = (4.0, 8.0, 16.0, 32.0), *,
         torus_half_period: float = math.pi, k_max: int = 4000,
         n_scan: int = 97) -> ExperimentResult:
@@ -133,11 +117,9 @@ def weighted_restriction_experiment(
     scans the prime radius.  The fitted log-log slope is compared with the
     dilation prediction (2 d2 + d1)(1/p - 1/2) - gamma.
     """
-    d1, d2 = _check_dims(dims, [(2, 1)])
-    _check_exact_exponent(p)
-    _restriction_precondition(p, gamma, d2)
+    _restriction_precondition(gamma)
     radii = _increasing(radii, "radii")
-    predicted = (2.0 * d2 + d1) * (1.0 / p - 0.5) - gamma
+    predicted = (2.0 * _D2 + _D1) * (1.0 / _P - 0.5) - gamma
 
     rows: List[list] = []
     norms: List[float] = []
@@ -153,7 +135,7 @@ def weighted_restriction_experiment(
         header=["radius", "norm", "maximizer_u", "certificate"],
         rows=rows,
         summary={
-            "p": p, "gamma": gamma, "predicted_slope": predicted,
+            "p": _P, "gamma": gamma, "predicted_slope": predicted,
             "fitted_slope": report.fitted_slope,
             "slope_stderr": report.slope_stderr,
             "report": report.to_dict(), "certificate": "exact",
@@ -161,7 +143,7 @@ def weighted_restriction_experiment(
 
 
 def localized_restriction_experiment(
-        dims=(2, 1), p: float = 1.0, gamma: float = 0.25,
+        gamma: float = 0.25,
         radii: Sequence[float] = (8.0, 16.0, 32.0),
         y_values: Sequence[float] = (1.5, 3.0, 6.0),
         ball_radius: float = 0.1875, *,
@@ -177,9 +159,7 @@ def localized_restriction_experiment(
     slope in y at fixed R (prediction gamma - d2 (1/p - 1/2)).  Every y must
     satisfy y > 4 ball_radius to keep the ball away from the degenerate axis.
     """
-    d1, d2 = _check_dims(dims, [(2, 1)])
-    _check_exact_exponent(p)
-    _restriction_precondition(p, gamma, d2)
+    _restriction_precondition(gamma)
     radii = _increasing(radii, "radii")
     y_values = _increasing(y_values, "y_values")
     if ball_radius <= 0:
@@ -211,8 +191,8 @@ def localized_restriction_experiment(
         norms_y.append(norm)
         rows.append(["height", r_fix, y, norm, "exact"])
 
-    predicted_r = (d2 + d1) * (1.0 / p - 0.5)
-    predicted_y = gamma - d2 * (1.0 / p - 0.5)
+    predicted_r = (_D2 + _D1) * (1.0 / _P - 0.5)
+    predicted_y = gamma - _D2 * (1.0 / _P - 0.5)
     report_r = ScalingReport.fit(radii, norms_r, predicted_r)
     report_y = ScalingReport.fit(y_values, norms_y, predicted_y)
     return ExperimentResult(
@@ -220,7 +200,7 @@ def localized_restriction_experiment(
         header=["scan", "radius", "center_height", "norm", "certificate"],
         rows=rows,
         summary={
-            "p": p, "gamma": gamma, "ball_radius": ball_radius,
+            "p": _P, "gamma": gamma, "ball_radius": ball_radius,
             "y_fix": y_fix, "r_fix": r_fix,
             "predicted_slope_radius": predicted_r,
             "fitted_slope_radius": report_r.fitted_slope,
@@ -233,7 +213,7 @@ def localized_restriction_experiment(
 
 
 def bochner_riesz_sweep(
-        dims=(2, 1), p: float = 1.0, deltas: Sequence[float] = (1.5, 0.2),
+        deltas: Sequence[float] = (1.5, 0.2),
         radii: Sequence[float] = (4.0, 8.0, 16.0, 32.0, 64.0), *,
         torus_half_period: float = math.pi / 2.0,
         points_per_wavelength: float = 4.0) -> ExperimentResult:
@@ -246,8 +226,6 @@ def bochner_riesz_sweep(
     ratio near 1 indicates a uniformly bounded family, steady growth a
     divergent one.
     """
-    _check_dims(dims, [(2, 1)])
-    _check_exact_exponent(p)
     radii = _increasing(radii, "radii")
     deltas = [float(d) for d in deltas]
     if not deltas or any(d < 0 for d in deltas):
@@ -279,14 +257,13 @@ def bochner_riesz_sweep(
         kind="bochner_riesz",
         header=["delta", "radius", "norm", "maximizer_u", "certificate"],
         rows=rows,
-        summary={"p": p, "ratios": ratios, "certificate": "exact"})
+        summary={"p": _P, "ratios": ratios, "certificate": "exact"})
 
 
 _PLANAR_EXTENT_FACTOR = 32.0  # kernel tail reach in units of sqrt(t)
 
 
 def multiplier_norm_experiment(
-        dims=(2, 1), p: float = 1.0,
         profile_fn: Optional[Callable] = None,
         sobolev_orders: Sequence[float] = (2.0,),
         t_values: Sequence[float] = tuple(2.0 ** k for k in range(-4, 5)), *,
@@ -300,8 +277,6 @@ def multiplier_norm_experiment(
     dilation F(t lambda) and through the equivalent band parameterization
     F(lambda / R^2) with R = t^{-1/2}; the two must agree to rounding.
     """
-    _check_dims(dims, [(2, 1)])
-    _check_exact_exponent(p)
     if profile_fn is None:
         profile_fn = CutoffSpec.standard().eta
     t_values = [float(t) for t in t_values]
@@ -325,18 +300,20 @@ def multiplier_norm_experiment(
 
     dxi = math.pi / torus_half_period
 
-    def norm_at(t: float) -> float:
-        top = 1.0 / t
+    def extent_at(t: float) -> float:
+        return max(math.sqrt(1.0 / t + 2.0 * dxi) / dxi + 4.0 / math.sqrt(dxi),
+                   _PLANAR_EXTENT_FACTOR * math.sqrt(t))
+
+    def foot_norms(t: float) -> List[float]:
         profile = MultiplierProfile(
             lambda lam, t=t: np.asarray(profile_fn(t * np.asarray(lam))),
             (0.25 / t, 1.0 / t))
-        extent = max(math.sqrt(top + 2.0 * dxi) / dxi + 4.0 / math.sqrt(dxi),
-                     _PLANAR_EXTENT_FACTOR * math.sqrt(t))
-        return max(l1_multiplier_norm(profile, torus_half_period, u=u,
-                                      lambda_max=top, extent=extent)
-                   for u in (0.0, math.sqrt(t), 2.0 * math.sqrt(t)))
+        return [l1_multiplier_norm(profile, torus_half_period, u=u,
+                                   lambda_max=1.0 / t, extent=extent_at(t))
+                for u in (0.0, math.sqrt(t), 2.0 * math.sqrt(t))]
 
-    norms = {t: norm_at(t) for t in t_values}
+    feet = {t: foot_norms(t) for t in t_values}
+    norms = {t: max(vals) for t, vals in feet.items()}
 
     # same operator, two parameterizations: must agree to rounding
     t_mid = t_values[len(t_values) // 2]
@@ -344,15 +321,10 @@ def multiplier_norm_experiment(
     prof_band = MultiplierProfile(
         lambda lam: np.asarray(profile_fn(np.asarray(lam) / scale_mid ** 2)),
         (scale_mid ** 2 / 4.0, scale_mid ** 2))
-    extent_mid = max(math.sqrt(1 / t_mid + 2 * dxi) / dxi + 4 / math.sqrt(dxi),
-                     _PLANAR_EXTENT_FACTOR * math.sqrt(t_mid))
     via_band = l1_multiplier_norm(prof_band, torus_half_period, u=0.0,
-                                  lambda_max=scale_mid ** 2, extent=extent_mid)
-    via_dilation = l1_multiplier_norm(
-        MultiplierProfile(
-            lambda lam: np.asarray(profile_fn(t_mid * np.asarray(lam))),
-            (0.25 / t_mid, 1.0 / t_mid)),
-        torus_half_period, u=0.0, lambda_max=1.0 / t_mid, extent=extent_mid)
+                                  lambda_max=scale_mid ** 2,
+                                  extent=extent_at(t_mid))
+    via_dilation = feet[t_mid][0]  # the u = 0 foot of F(t_mid L)
     denom = max(abs(via_dilation), 1e-300)
     consistency = abs(via_dilation - via_band) / denom
 
@@ -371,7 +343,7 @@ def multiplier_norm_experiment(
                 "certificate"],
         rows=rows,
         summary={
-            "p": p, "norm_max_over_min": uniformity,
+            "p": _P, "norm_max_over_min": uniformity,
             "dilation_consistency_rel": consistency,
             "sobolev_norms": {f"{s:g}": sob[s] for s in orders},
             "certificate": "exact",
@@ -395,7 +367,7 @@ def _default_heat_pairs(d1: int) -> List[Tuple[MetricPoint, MetricPoint]]:
 
 
 def heat_gaussian_check(
-        dims=(2, 1), times: Sequence[float] = (0.05, 0.1, 0.2),
+        d1: int = 2, times: Sequence[float] = (0.05, 0.1, 0.2),
         pairs: Optional[Sequence[Tuple[MetricPoint, MetricPoint]]] = None, *,
         torus_half_period: float = 12.0) -> ExperimentResult:
     """Gaussian-type decay of the heat kernel in the quasi-distance.
@@ -409,7 +381,9 @@ def heat_gaussian_check(
     products p_t(y, y) V_model(y, sqrt(t)), whose spread across t and y is
     the two-sided comparability indicator.
     """
-    d1, d2 = _check_dims(dims, [(1, 1), (2, 1), (3, 1)])
+    if not (isinstance(d1, int) and 1 <= d1 <= 3):
+        raise DomainError(f"d1={d1!r} not supported; the heat kernel is "
+                          "implemented for d1 = 1, 2, 3")
     times = [float(t) for t in times]
     if not times or any(t <= 0 for t in times):
         raise DomainError("times must be positive")
@@ -419,7 +393,7 @@ def heat_gaussian_check(
         raise DomainError("need at least one sample pair")
     for x, y in pairs:
         if x.d1 != d1 or y.d1 != d1 or x.d2 != 1 or y.d2 != 1:
-            raise DomainError("pair dimensions do not match dims")
+            raise DomainError("pair dimensions do not match (d1, 1)")
         if abs(x.x_second[0] - y.x_second[0]) > torus_half_period / 2.0:
             raise DomainError(
                 "pair outside the aliasing-safe half of the torus")
@@ -574,8 +548,8 @@ def kernel_support_suite(
 
 
 def geometry_suite(seed: int = 0, n_triples: int = 100000,
-                   mc_samples: int = 1000000, dims=(2, 1)) -> ExperimentResult:
-    """Bundle of quasi-metric measure checks at fixed dimensions.
+                   mc_samples: int = 1000000) -> ExperimentResult:
+    """Bundle of quasi-metric measure checks at (d1, d2) = (2, 1).
 
     Four parts: exact equality of the two quasi-distance branches on the
     interface; the empirical quasi-triangle constant over random triples;
@@ -583,7 +557,7 @@ def geometry_suite(seed: int = 0, n_triples: int = 100000,
     (two-sided comparability constant); and doubling ratios against the
     homogeneous-dimension growth (1 + lambda)^Q.
     """
-    d1, d2 = _check_dims(dims, [(2, 1)])
+    d1, d2 = _D1, _D2
     if n_triples < 1 or mc_samples < 1:
         raise DomainError("sample budgets must be positive")
     q_hom = d1 + 2 * d2

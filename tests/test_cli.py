@@ -49,8 +49,10 @@ class TestExitCodes:
         "experiment.kind = distance_table\nthis line has no equals sign\n",
         "experiment.pairs = [[[0], [0], [1], [0]]]\n",
         "experiment.kind = kernel_support\nexperiment.levels = [0, 1]\n",
+        "experiment.kind = geometry_suite\nseed = 1.5\n",
     ], ids=["unknown-kind", "unknown-key", "duplicate-key", "missing-pairs",
-            "malformed-line", "missing-kind", "levels-times-mismatch"])
+            "malformed-line", "missing-kind", "levels-times-mismatch",
+            "non-integer-seed"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, text):
         assert run(tmp_path, text) == 2
         assert "config error" in capsys.readouterr().err
@@ -98,15 +100,31 @@ def test_every_declared_key_reaches_the_runner(tmp_path, monkeypatch, kind):
     monkeypatch.setitem(entry, "run", stub)
     # a distinct value per key, so a key that is dropped or swapped shows
     values = {key: 1000 + i for i, key in enumerate(entry["params"])}
-    text = f"experiment.kind = {kind}\nseed = 7\n" + "".join(
+    text = f"experiment.kind = {kind}\n" + "".join(
         f"{key} = {value}\n" for key, value in values.items())
     assert run(tmp_path, text) == 0
-    want = sorted(values.values()) + ([7] if entry.get("seeded") else [])
-    assert sorted(received.values()) == sorted(want)
-    assert len(received) == len(want)
+    assert sorted(received.values()) == sorted(values.values())
+    assert len(received) == len(values)
 
 
-def test_dims_keys_become_one_dims_argument():
-    seen = {}
-    cli._with_dims(lambda **kwargs: seen.update(kwargs))(d1=2, d2=1, p=1.0)
-    assert seen == {"dims": (2, 1), "p": 1.0}
+@pytest.mark.parametrize("kind,key", [
+    ("weighted_restriction", "dims.d1 = 2"),
+    ("bochner_riesz", "experiment.p = 1.0"),
+    ("heat_gaussian", "dims.d2 = 1"),
+    ("distance_table", "seed = 3"),
+])
+def test_keys_that_change_no_number_are_refused(tmp_path, capsys, kind, key):
+    text = f"experiment.kind = {kind}\n{key}\n"
+    if kind == "distance_table":
+        text += f"experiment.pairs = {PAIRS}\n"
+    assert run(tmp_path, text) == 2
+    assert key.split(" = ")[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_has_no_seed_override(tmp_path):
+    path = write_config(tmp_path, "experiment.kind = distance_table\n"
+                                  f"experiment.pairs = {PAIRS}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(path), "--seed", "3"])
+    assert exc.value.code == 2

@@ -20,6 +20,7 @@ from grushin.lab.experiments import (
     multiplier_norm_experiment,
     weighted_restriction_experiment,
 )
+from grushin.lab.columns import l1_multiplier_norm
 from grushin.lab.profiles import CutoffSpec, PieceProfile, dyadic_pieces
 
 
@@ -67,10 +68,6 @@ class TestWeightedRestriction:
             weighted_restriction_experiment(gamma=-0.1)
         with pytest.raises(DomainError):
             weighted_restriction_experiment(gamma=0.5)  # needs < d2/2 at p=1
-        with pytest.raises(DomainError):
-            weighted_restriction_experiment(p=1.5)
-        with pytest.raises(DomainError):
-            weighted_restriction_experiment(dims=(3, 1))
         with pytest.raises(DomainError):
             weighted_restriction_experiment(radii=(4.0, 2.0, 8.0))
         with pytest.raises(DomainError):
@@ -133,6 +130,21 @@ class TestMultiplierNorm:
             multiplier_norm_experiment(profile_fn=lambda lam:
                                        np.exp(-np.asarray(lam) ** 2))
 
+    def test_dilation_check_reuses_the_u0_foot(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["u"])
+            return l1_multiplier_norm(*args, **kwargs)
+
+        monkeypatch.setattr("grushin.lab.experiments.l1_multiplier_norm",
+                            counting)
+        t_values = (0.25, 1.0, 4.0)
+        res = multiplier_norm_experiment(t_values=t_values)
+        # three feet per t, plus the band parameterization at t_mid
+        assert len(calls) == 3 * len(t_values) + 1
+        assert res.summary["dilation_consistency_rel"] <= 1e-9
+
     def test_rejects_bad_times_and_orders(self):
         with pytest.raises(DomainError):
             multiplier_norm_experiment(t_values=())
@@ -153,6 +165,13 @@ class TestHeatGaussian:
         assert s["n_points"] == len(res.rows)
         assert s["min_kernel_value"] >= 0.0
 
+    @pytest.mark.parametrize("d1", [1, 2, 3])
+    def test_every_prime_dimension_fits_a_line(self, d1):
+        s = heat_gaussian_check(d1=d1).summary
+        assert s["decay_rate_b"] > 0.0
+        assert s["r_squared"] >= 0.9
+        assert s["on_diag_ratio"] <= 4.0
+
     def test_single_time_still_fits(self):
         res = heat_gaussian_check(times=(0.1,))
         assert res.summary["decay_rate_b"] > 0.0
@@ -164,7 +183,9 @@ class TestHeatGaussian:
             heat_gaussian_check(pairs=[])
         bad = [(MetricPoint((0.0,), (0.0,)), MetricPoint((0.0,), (0.0,)))]
         with pytest.raises(DomainError):
-            heat_gaussian_check(pairs=bad)  # d1 = 1 points under dims (2,1)
+            heat_gaussian_check(pairs=bad)  # d1 = 1 points under d1 = 2
+        with pytest.raises(DomainError):
+            heat_gaussian_check(d1=4)
         far = [(MetricPoint((0.0, 0.0), (11.0,)),
                 MetricPoint((0.0, 0.0), (0.0,)))]
         with pytest.raises(DomainError):

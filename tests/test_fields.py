@@ -16,6 +16,7 @@ from grushin.fields import (
     load_field,
     save_field,
 )
+from grushin.geometry import MetricPoint, ball_volume_mc
 from grushin.hermite import PrimeGrid
 
 
@@ -191,6 +192,18 @@ class TestSpectralTruncation:
             SpectralTruncation(-1, 20.0)
         with pytest.raises(DomainError):
             SpectralTruncation(8, 0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PrimeGrid(np.nan, 16, 2),
+    lambda: GrushinGrid(PrimeGrid(6.0, 32, 2), np.inf, 16, 1),
+    lambda: SpectralTruncation(8, np.inf),
+    lambda: ball_volume_mc(MetricPoint((0.0, 0.0), (0.0,)), np.nan, 1000),
+], ids=["prime-extent-nan", "torus-half-period-inf", "lambda-max-inf",
+        "ball-radius-nan"])
+def test_non_finite_parameters_raise_domain_error(build):
+    with pytest.raises(DomainError):
+        build()
 
 
 class TestSnapshot:
