@@ -227,6 +227,11 @@ class MultiplierProfile:
         out = np.zeros(lam.shape, dtype=complex)
         if np.any(inside):
             out[inside] = self._evaluate(lam[inside])
+            bad = ~np.isfinite(out)
+            if np.any(bad):
+                raise DomainError(
+                    f"profile {self.label or '<anon>'} is not finite at "
+                    f"lambda = {float(lam[bad][0]):.6g}")
         return out
 
     def __repr__(self):
@@ -251,8 +256,8 @@ class MultiplierProfile:
         """(1 - t lam)_+^delta.  delta = 0 gives the sharp spectral cutoff."""
         if t <= 0:
             raise DomainError("scale parameter t must be positive")
-        if delta < 0:
-            raise DomainError("order delta must be >= 0")
+        if not (np.isfinite(delta) and delta >= 0):
+            raise DomainError("order delta must be finite and >= 0")
         if delta == 0:
             ev = lambda lam: (t * lam < 1.0).astype(float)
         else:

@@ -84,8 +84,10 @@ def _increasing(values, name: str, minimum: int = 3) -> List[float]:
     vals = [float(v) for v in values]
     if len(vals) < minimum:
         raise DomainError(f"{name} needs at least {minimum} entries")
-    if any(b <= a for a, b in zip(vals, vals[1:])) or vals[0] <= 0:
-        raise DomainError(f"{name} must be positive and strictly increasing")
+    if (not all(map(math.isfinite, vals)) or vals[0] <= 0
+            or any(b <= a for a, b in zip(vals, vals[1:]))):
+        raise DomainError(f"{name} must be finite, positive and strictly "
+                          "increasing")
     return vals
 
 
@@ -228,8 +230,8 @@ def bochner_riesz_sweep(
     """
     radii = _increasing(radii, "radii")
     deltas = [float(d) for d in deltas]
-    if not deltas or any(d < 0 for d in deltas):
-        raise DomainError("deltas must be non-negative")
+    if not deltas or not all(math.isfinite(d) and d >= 0 for d in deltas):
+        raise DomainError("deltas must be finite and non-negative")
 
     rows: List[list] = []
     ratios = {}

@@ -9,6 +9,7 @@ from grushin.errors import AliasingError, DomainError
 from grushin.geometry import MetricPoint
 from grushin.lab.experiments import (
     ExperimentResult,
+    _increasing,
     band_profile,
     bochner_riesz_sweep,
     distance_table,
@@ -30,6 +31,13 @@ def assert_well_formed(res, kind):
     assert res.rows
     for row in res.rows:
         assert len(row) == len(res.header)
+
+
+@pytest.mark.parametrize("values", [(np.nan, 4.0, 8.0), (2.0, np.nan, 8.0),
+                                    (2.0, 4.0, np.inf)])
+def test_increasing_rejects_non_finite_entries(values):
+    with pytest.raises(DomainError):
+        _increasing(values, "radii")
 
 
 class TestBandProfile:
@@ -107,6 +115,11 @@ class TestBochnerRiesz:
     def test_rejects_negative_delta(self):
         with pytest.raises(DomainError):
             bochner_riesz_sweep(deltas=(-0.5,))
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(DomainError):
+            bochner_riesz_sweep(deltas=(delta,), radii=(2.0, 4.0, 8.0))
 
 
 class TestMultiplierNorm:

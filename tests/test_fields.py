@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from grushin.engine import schwartz_kernel_column
 from grushin.errors import ConfigError, ContractViolation, DomainError
 from grushin.fields import (
     Dims,
@@ -18,6 +19,8 @@ from grushin.fields import (
 )
 from grushin.geometry import MetricPoint, ball_volume_mc
 from grushin.hermite import PrimeGrid
+from grushin.lab.columns import l1_multiplier_norm
+from grushin.lab.radial import weighted_column_norms
 
 
 def small_grid():
@@ -199,11 +202,32 @@ class TestSpectralTruncation:
     lambda: GrushinGrid(PrimeGrid(6.0, 32, 2), np.inf, 16, 1),
     lambda: SpectralTruncation(8, np.inf),
     lambda: ball_volume_mc(MetricPoint((0.0, 0.0), (0.0,)), np.nan, 1000),
+    lambda: MultiplierProfile.bochner_riesz(0.1, np.nan),
 ], ids=["prime-extent-nan", "torus-half-period-inf", "lambda-max-inf",
-        "ball-radius-nan"])
+        "ball-radius-nan", "bochner-riesz-delta-nan"])
 def test_non_finite_parameters_raise_domain_error(build):
     with pytest.raises(DomainError):
         build()
+
+
+def nan_inside_profile():
+    # vanishes above its support, as the constructor demands, but is NaN on
+    # part of it
+    return MultiplierProfile(
+        lambda lam: np.where(lam > 12.0, 0.0,
+                             np.where(lam < 3.0, 1.0, np.nan)),
+        (0.0, 12.0), label="nan-inside")
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda prof: schwartz_kernel_column(prof, small_grid(), (0.0, 0.0), (0.0,),
+                                        SpectralTruncation(8, 12.0)),
+    lambda prof: weighted_column_norms(prof, [0.0, 1.0], 0.0, np.pi, 40, 12.0),
+    lambda prof: l1_multiplier_norm(prof, np.pi / 2.0, lambda_max=12.0),
+], ids=["engine", "radial", "columns"])
+def test_non_finite_profile_values_raise_domain_error(evaluate):
+    with pytest.raises(DomainError, match="nan-inside"):
+        evaluate(nan_inside_profile())
 
 
 class TestSnapshot:

@@ -6,6 +6,7 @@ import pytest
 from grushin.errors import DomainError, TruncationError
 from grushin.fields import MultiplierProfile
 from grushin.hermite import level_sum_profile
+from grushin.lab.experiments import band_profile
 from grushin.lab.radial import (
     laguerre_radial_table,
     radial_gram,
@@ -175,3 +176,55 @@ class TestWeightedOperatorNorm:
                                               u_range=(2.0, 3.0), n_scan=17)
         assert part <= full + 1e-12
         assert 2.0 <= u_star <= 3.0
+
+
+def per_sector_norms(profile, u, gamma, torus_half_period, lambda_max):
+    """The column norms as one quadratic form per (xi, l), from the public
+    single-l table and Gram: the form the block recurrence must reproduce."""
+    dxi = np.pi / torus_half_period
+    total = np.zeros(len(u))
+    for j in range(1, int(lambda_max / (2.0 * dxi)) + 1):
+        xi = j * dxi
+        k_hi = int(np.floor((lambda_max / xi - 2.0) / 2.0))
+        slab = np.zeros(len(u))
+        for l in range(k_hi + 1):
+            n_hi = (k_hi - l) // 2
+            eig = (2.0 * (2 * np.arange(n_hi + 1) + l) + 2.0) * xi
+            coef = (profile(eig).real[:, None]
+                    * laguerre_radial_table(n_hi, l, np.sqrt(xi) * u))
+            form = np.einsum("nu,nm,mu->u", coef, radial_gram(n_hi, l, gamma),
+                             coef)
+            slab += (2.0 if l > 0 else 1.0) * form
+        total += 2.0 * xi ** (1.0 - gamma) / (2.0 * np.pi) * slab
+    return np.sqrt(total / (2.0 * torus_half_period))
+
+
+class TestBlockRecurrence:
+    # lambda_max = 256 on S = pi reaches level 127 at xi = 1, as default runs
+    # do; at u = 6 the psi start values underflow at the higher frequencies
+    FEET = np.array([0.0, 0.5, 3.0, 6.0])
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 1.0])
+    def test_matches_the_per_sector_sum(self, gamma):
+        prof = band_profile(16.0)
+        got = weighted_column_norms(prof, self.FEET, gamma, np.pi, 4000, 256.0)
+        want = per_sector_norms(prof, self.FEET, gamma, np.pi, 256.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # blocks are sized by the number of feet; no foot sees the others
+        for i, u in enumerate(self.FEET):
+            assert weighted_column_norm(prof, u, gamma, np.pi, 4000,
+                                        256.0) == got[i]
+
+    def test_profile_is_evaluated_once_per_torus_frequency(self, monkeypatch):
+        prof = band_profile(8.0)
+        calls = []
+        evaluate = MultiplierProfile.__call__
+
+        def counted(self, lam):
+            calls.append(lam)
+            return evaluate(self, lam)
+
+        monkeypatch.setattr(MultiplierProfile, "__call__", counted)
+        weighted_column_norms(prof, [0.0, 3.0], 0.25, np.pi, 4000, 64.0)
+        # lambda_max = 64 on S = pi: frequencies xi = 1..32 are all active
+        assert len(calls) == 32
