@@ -211,7 +211,7 @@ class MultiplierProfile:
         if not probes:
             return
         vals = np.asarray(self._evaluate(np.asarray(probes, dtype=float)))
-        bad = np.abs(vals) > 1e-14
+        bad = ~(np.abs(vals) <= 1e-14)  # NaN counts as not vanishing
         if np.any(bad):
             where = float(np.asarray(probes)[bad][0])
             raise ContractViolation(

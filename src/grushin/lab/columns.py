@@ -30,7 +30,11 @@ __all__ = [
     "heat_kernel_pointwise",
 ]
 
-_BLOCK_BUDGET = 6.0e6  # floats per spectral block held at once
+# floats of one x1 block of the full-width spectrum (n_fft // 2 + 1 bins); it
+# fixes the block partition and so the order of the float sums.  The irfft
+# buffer reused by every block holds n_fft / (n_fft // 2 + 1) times as many
+# floats, the stored spectrum only the bins up to the last slab
+_BLOCK_BUDGET = 6.0e6
 
 
 def bochner_riesz_radial_kernel(scale: float, delta: float,
@@ -120,8 +124,18 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     doubles the bin count that many times for convergence studies.  Setting
     core_half_width beyond the resolved region degenerates the split into a
     dense all-frequency evaluation, useful as a reference.  extent overrides
-    the integration half width in x'.
+    the integration half width in x'.  Non-finite arguments raise
+    DomainError; lambda_max None or inf leaves the support edge as the cap.
     """
+    for name, value in (("torus_half_period", torus_half_period), ("u", u),
+                        ("points_per_wavelength", points_per_wavelength),
+                        ("fft_oversample", fft_oversample)):
+        if not np.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+    if lambda_max is not None and np.isnan(lambda_max):
+        raise DomainError("lambda_max is NaN; pass None or inf for no cap")
+    if core_half_width is not None and not core_half_width > 0:
+        raise DomainError("core_half_width must be positive")
     lo, hi = profile.support
     top = min(hi, lambda_max) if lambda_max is not None else hi
     if not np.isfinite(top) or top <= 0:
@@ -174,32 +188,37 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     def accumulate(x1, x2, wgt2, j_list, n_fft, keep=None):
         if keep is not None and not keep.any():
             return 0.0
-        acc = 0.0
         block = max(1, int(_BLOCK_BUDGET / (x2.size * (n_fft // 2 + 1))))
-        tables2 = {}
+        # per slab, whatever no x1 block changes: the level cap, the
+        # coefficient matrix and the x2 Hermite rows of its even columns
+        slabs = {}
         for j in j_list:
             k_cap = slab_level(j)
             if k_cap >= 0:
-                tables2[j] = hermite_table(k_cap, np.sqrt(j * dxi) * x2)
+                C, even = _kernel_slab_coeff(profile, j * dxi, k_cap, u, top)
+                T2 = hermite_table(k_cap, np.sqrt(j * dxi) * x2)[even, :]
+                slabs[j] = (k_cap, C, T2)
+        # bins past the last slab are zero, and irfft zero-pads its input to
+        # n_fft // 2 + 1 bins itself, so the stored spectrum stops there; one
+        # output buffer serves every block, the short last one as a prefix
+        n_bins = max(j_list, default=0) + 1
+        out = np.empty((min(block, x1.size), x2.size, n_fft))
+        acc = 0.0
         for i0 in range(0, x1.size, block):
             i1 = min(x1.size, i0 + block)
-            spec = np.zeros((i1 - i0, x2.size, n_fft // 2 + 1))
+            spec = np.zeros((i1 - i0, x2.size, n_bins))
             rr = np.sqrt((x1[i0:i1, None] - u) ** 2 + x2[None, :] ** 2)
             spec[:, :, 0] = zero_slab(rr)
-            for j in j_list:
-                k_cap = slab_level(j)
-                if k_cap < 0:
-                    continue
+            for j, (k_cap, C, T2) in slabs.items():
                 xi = j * dxi
-                C, even = _kernel_slab_coeff(profile, xi, k_cap, u, top)
                 H1 = hermite_table(k_cap, np.sqrt(xi) * x1[i0:i1])
                 # alternating sign recenters the transform on [-S, S)
-                spec[:, :, j] = ((-1) ** j * xi
-                                 * (H1.T @ C @ tables2[j][even, :]))
-            vals = np.abs(np.fft.irfft(spec, n=n_fft, axis=2))
+                spec[:, :, j] = (-1) ** j * xi * (H1.T @ C @ T2)
+            vals = np.fft.irfft(spec, n=n_fft, axis=2, out=out[:i1 - i0])
+            sums = np.abs(vals, out=vals).sum(axis=2)
             if keep is not None:
-                vals *= keep[i0:i1, :, None]
-            acc += float((vals.sum(axis=2) * wgt2[None, :]).sum())
+                sums *= keep[i0:i1]  # 0/1 mask: the same as masking vals
+            acc += float((sums * wgt2[None, :]).sum())
         return acc
 
     core1 = np.abs(ax1) <= core_half_width

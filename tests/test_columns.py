@@ -7,6 +7,7 @@ from grushin.engine import schwartz_kernel_column
 from grushin.errors import DomainError
 from grushin.fields import GrushinGrid, MultiplierProfile, SpectralTruncation
 from grushin.hermite import PrimeGrid
+from grushin.lab import columns
 from grushin.lab.columns import (
     bochner_riesz_radial_kernel,
     heat_kernel_pointwise,
@@ -109,6 +110,57 @@ class TestL1MultiplierNorm:
                                       (0.0, np.inf))
         with pytest.raises(DomainError):
             l1_multiplier_norm(unbounded, S)  # no eigenvalue cap
+
+    @pytest.mark.parametrize("kwargs", [
+        {"torus_half_period": np.nan},
+        {"torus_half_period": np.inf},
+        {"u": np.nan},
+        {"lambda_max": np.nan},
+        {"points_per_wavelength": np.nan},
+        {"points_per_wavelength": np.inf},
+        {"core_half_width": np.nan},
+        {"fft_oversample": np.nan},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_rejects_non_finite_arguments(self, kwargs):
+        # checked up front, before any grid size is derived from them
+        name = next(iter(kwargs))
+        args = {"torus_half_period": S, **kwargs}
+        with pytest.raises(DomainError, match=f"^{name} "):
+            l1_multiplier_norm(br_profile(4.0, 0.5), **args)
+
+    def test_infinite_lambda_max_means_no_cap(self):
+        prof = br_profile(4.0, 0.5)
+        assert (l1_multiplier_norm(prof, S, lambda_max=np.inf)
+                == l1_multiplier_norm(prof, S))
+
+    def test_block_partition_only_regroups_the_sums(self, monkeypatch):
+        # a small budget splits both zones into several x1 blocks with a
+        # short last one, which irfft writes into a prefix of the shared
+        # output buffer; only the grouping of the block sums changes
+        radius, delta = 8.0, 0.2
+        args = dict(lambda_max=radius ** 2, xi_zero_radial=lambda r:
+                    bochner_riesz_radial_kernel(radius, delta, r))
+        whole = l1_multiplier_norm(br_profile(radius, delta), S, **args)
+        rows = []
+        irfft = np.fft.irfft
+
+        def spy(spec, *a, **kw):
+            rows.append(spec.shape[0])
+            return irfft(spec, *a, **kw)
+
+        monkeypatch.setattr(np.fft, "irfft", spy)
+        monkeypatch.setattr(columns, "_BLOCK_BUDGET", 4000.0)
+        split = l1_multiplier_norm(br_profile(radius, delta), S, **args)
+        # bulk zone: 73 x1 rows; core zone: 15
+        assert rows == [6] * 12 + [1] + [7, 7, 1]
+        assert split == pytest.approx(whole, rel=1e-13)
+
+    def test_cap_below_first_torus_slab(self):
+        # a support edge of 3 < 2 dxi leaves no torus slab (j_max = 0): the
+        # spectrum is the zero slab alone, and the norm still bounds
+        # |F(0)| = 1
+        norm = l1_multiplier_norm(br_profile(np.sqrt(3.0), 1.5), S)
+        assert np.isfinite(norm) and norm >= 1.0
 
 
 class TestHeatKernelPointwise:

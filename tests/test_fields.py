@@ -150,6 +150,13 @@ class TestMultiplierProfile:
         with pytest.raises(ContractViolation):
             MultiplierProfile(lambda lam: np.exp(-lam), (0.5, 2.0))
 
+    def test_construction_probe_rejects_nan_outside_support(self):
+        # NaN does not vanish: it fails the check as a large value would
+        with pytest.raises(ContractViolation):
+            MultiplierProfile(
+                lambda lam: np.where((lam >= 1) & (lam <= 2), 1.0, np.nan),
+                (1.0, 2.0))
+
     def test_heat_profile(self):
         p = MultiplierProfile.heat(0.5)
         assert p(np.array([2.0]))[0] == pytest.approx(np.exp(-1.0))
