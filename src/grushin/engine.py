@@ -49,8 +49,7 @@ def partial_fourier(field: Field) -> np.ndarray:
     g = field.grid
     axes = tuple(range(g.prime.d1, g.prime.d1 + g.d2))
     vals = np.fft.fftn(field.values, axes=axes)
-    vals *= _phase(g)
-    vals *= (g.second_spacing / np.sqrt(2.0 * np.pi)) ** g.d2
+    vals *= _phase(g) * (g.second_spacing / np.sqrt(2.0 * np.pi)) ** g.d2
     return vals
 
 
@@ -59,9 +58,9 @@ def inverse_partial_fourier(grid: GrushinGrid, fhat: np.ndarray) -> Field:
     if fhat.shape != grid.shape:
         raise DomainError(f"fhat shape {fhat.shape} does not match grid {grid.shape}")
     axes = tuple(range(grid.prime.d1, grid.prime.d1 + grid.d2))
-    vals = np.fft.ifftn(fhat * _phase(grid), axes=axes)
-    vals *= (np.sqrt(2.0 * np.pi) / grid.second_spacing) ** grid.d2
-    return Field(grid, vals)
+    scale = (np.sqrt(2.0 * np.pi) / grid.second_spacing) ** grid.d2
+    vals = np.multiply(fhat, _phase(grid) * scale, dtype=complex)
+    return Field(grid, np.fft.ifftn(vals, axes=axes, out=vals))
 
 
 def xi_groups(grid: GrushinGrid):
@@ -114,7 +113,10 @@ def _apply_xi_zero(profile: MultiplierProfile, slab: np.ndarray, prime: PrimeGri
         shape = [1] * d1
         shape[axis] = pad
         lam = lam + (zeta ** 2).reshape(shape)
-    w = np.asarray(profile(lam), dtype=complex)
+    # lam takes far fewer distinct values than it has points (~29k of 262k
+    # on a 512^2 padded grid): evaluate the profile once per value
+    distinct, inverse = np.unique(lam, return_inverse=True)
+    w = np.asarray(profile(distinct), dtype=complex)[inverse].reshape(lam.shape)
     spec *= w.reshape(w.shape + (1,) * (slab.ndim - d1))
     out = np.fft.ifftn(spec, axes=spec_axes)
     return out[(slice(0, n),) * d1]
@@ -164,23 +166,28 @@ def apply_multiplier(profile: MultiplierProfile, field: Field,
     """Apply F(L) to a field under the given truncation policy.
 
     Each nonzero |xi| group goes through apply_slice_multiplier, so the
-    TruncationError conditions are those of slice_levels.
+    TruncationError conditions are those of slice_levels.  A field with a
+    NaN or infinite value raises DomainError.
     """
+    if not np.isfinite(field.values).all():
+        raise DomainError("field has a NaN or infinite value")
     grid = field.grid
     prime = grid.prime
     fhat = partial_fourier(field)
+    # the groups are disjoint and each is read before it is written, so every
+    # result goes back into the transform this call owns
     fh = fhat.reshape(fhat.shape[:prime.d1] + (-1,))
-    out = np.zeros_like(fh)
     for xi_mag, idx in xi_groups(grid):
         if xi_mag == 0.0:
-            out[..., idx] = _apply_xi_zero(profile, fh[..., idx], prime,
-                                           trunc.xi_zero_mode)
+            fh[..., idx] = _apply_xi_zero(profile, fh[..., idx], prime,
+                                          trunc.xi_zero_mode)
         elif slice_levels(profile, prime, xi_mag, trunc.k_max, trunc.lambda_max):
-            # a slice with no kept level stays zero: skip the strided gather
-            # and scatter of its values
-            out[..., idx] = apply_slice_multiplier(profile, fh[..., idx], prime, xi_mag,
-                                                   trunc.k_max, trunc.lambda_max)
-    return inverse_partial_fourier(grid, out.reshape(grid.shape))
+            fh[..., idx] = apply_slice_multiplier(profile, fh[..., idx], prime, xi_mag,
+                                                  trunc.k_max, trunc.lambda_max)
+        else:
+            # no kept level: skip the gather and the transform
+            fh[..., idx] = 0.0
+    return inverse_partial_fourier(grid, fh.reshape(grid.shape))
 
 
 def heat_apply(t: float, field: Field, trunc: SpectralTruncation) -> Field:

@@ -51,14 +51,16 @@ def _rho_from_parts(dp: np.ndarray, ds: np.ndarray, ax: np.ndarray,
     """Two-branch quasi-distance from precomputed norms.
 
     dp = |x'-y'|, ds = |x''-y''|, ax = |x'|, ay = |y'|.  The branches agree on
-    the interface sqrt(ds) = ax + ay, where both give dp + sqrt(ds).
+    the interface sqrt(ds) = ax + ay, where both give dp + sqrt(ds).  The
+    graded branch meets ax + ay = 0 only where ds = 0, and there it gives dp.
     """
     sq = np.sqrt(ds)
     denom = ax + ay
-    safe = np.where(denom > 0, denom, 1.0)
-    graded = dp + ds / safe
-    rooted = dp + sq
-    return np.where(sq <= denom, np.where(denom > 0, graded, dp), rooted)
+    # an array even for grushin_distance's scalars, so it can be filled in place
+    out = np.asarray(ds / np.where(denom > 0, denom, 1.0))
+    out += dp
+    np.copyto(out, dp + sq, where=sq > denom)
+    return out
 
 
 def grushin_distance(x: MetricPoint, y: MetricPoint) -> float:

@@ -125,7 +125,8 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     core_half_width beyond the resolved region degenerates the split into a
     dense all-frequency evaluation, useful as a reference.  extent overrides
     the integration half width in x'.  Non-finite arguments raise
-    DomainError; lambda_max None or inf leaves the support edge as the cap.
+    DomainError; lambda_max None or inf leaves the support edge as the cap,
+    and a cap below the edge where |F| > 1e-14 raises DomainError.
     """
     for name, value in (("torus_half_period", torus_half_period), ("u", u),
                         ("points_per_wavelength", points_per_wavelength),
@@ -141,6 +142,16 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     if not np.isfinite(top) or top <= 0:
         raise DomainError("need a finite positive eigenvalue cap; pass "
                           "lambda_max or use a compactly supported profile")
+    if top < hi:
+        # a cap where F has not vanished cuts the zero slab's Hankel integral
+        # sharply: the planar kernel decays like r^(-3/2), is not integrable,
+        # and the "norm" would grow with the integration window
+        edge = abs(complex(profile(np.array([top]))[0]))
+        if edge > 1e-14:
+            raise DomainError(
+                f"lambda_max = {top:.6g} cuts the profile inside its support, "
+                f"where |F({top:.6g})| = {edge:.3e} > 1e-14; pass the support "
+                f"edge {hi:.6g} or a cap where F vanishes")
     if torus_half_period <= 0:
         raise DomainError("torus half period must be positive")
     if points_per_wavelength < 2.0:

@@ -133,6 +133,16 @@ class TestL1MultiplierNorm:
         assert (l1_multiplier_norm(prof, S, lambda_max=np.inf)
                 == l1_multiplier_norm(prof, S))
 
+    def test_cap_where_profile_does_not_vanish_is_refused(self):
+        # cut at 3 < R^2 = 16, the zero slab's kernel decays like r^(-3/2)
+        # and the result would grow with the window (2.46 at the default
+        # extent, 7.86 at extent 40)
+        with pytest.raises(DomainError, match=r"lambda_max = 3 .*\|F\(3\)\| = 9\.014e-01"):
+            l1_multiplier_norm(br_profile(4.0, 0.5), S, lambda_max=3.0)
+        # at the support edge the value is as before
+        assert (l1_multiplier_norm(br_profile(4.0, 0.5), S, lambda_max=16.0)
+                == pytest.approx(3.418272941420816, rel=1e-12))
+
     def test_block_partition_only_regroups_the_sums(self, monkeypatch):
         # a small budget splits both zones into several x1 blocks with a
         # short last one, which irfft writes into a prefix of the shared

@@ -10,9 +10,12 @@ Grid sizing notes, determined by direct measurement:
   there (t >= 0.12 on the 64-point window below).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from grushin import engine
 from grushin.engine import (
     apply_multiplier,
     bochner_riesz_apply,
@@ -371,3 +374,55 @@ class TestKernelColumns:
         with pytest.raises(ContractViolation):
             schwartz_kernel_column(MultiplierProfile.heat(0.1), grid,
                                    (0.1234, 0.0), (0.0,), trunc)
+
+
+def support_grid():
+    """The default kernel_support grid and truncation."""
+    return (GrushinGrid(PrimeGrid(22.0, 256, 2), 6.0, 128, 1),
+            SpectralTruncation(k_max=64, lambda_max=64.0))
+
+
+class TestWorkAndMemory:
+    def test_input_field_is_left_unchanged(self, grid, trunc, rough_field):
+        before = rough_field.values.copy()
+        apply_multiplier(MultiplierProfile.heat(0.2), rough_field, trunc)
+        assert np.array_equal(rough_field.values, before)
+
+    def test_xi_zero_evaluates_each_distinct_lambda_once(self):
+        prime = support_grid()[0].prime
+        n, pad = prime.n_points, 2 * prime.n_points
+        sizes = []
+
+        def evaluate(lam):
+            sizes.append(lam.size)
+            return np.cos(np.sqrt(lam))
+
+        profile = MultiplierProfile(evaluate, (0.0, np.inf))
+        rng = np.random.default_rng(5)
+        slab = (rng.standard_normal((n, n, 1))
+                + 1j * rng.standard_normal((n, n, 1)))
+        got = engine._apply_xi_zero(profile, slab, prime, "fourier_multiplier")
+        # reference: the symbol evaluated at every point of the padded grid
+        zeta2 = (2.0 * np.pi * np.fft.fftfreq(pad, d=prime.spacing)) ** 2
+        lam = zeta2[:, None] + zeta2[None, :]
+        assert sizes == [np.unique(lam).size]
+        assert sizes[0] < lam.size / 8
+        padded = np.zeros((pad, pad, 1), dtype=complex)
+        padded[:n, :n] = slab
+        spec = np.fft.fftn(padded, axes=(0, 1)) * np.cos(np.sqrt(lam))[:, :, None]
+        want = np.fft.ifftn(spec, axes=(0, 1))[:n, :n]
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_column_peak_memory_is_three_grid_arrays(self):
+        # the delta, its transform and the inverse transform's buffer, which
+        # becomes the column; everything else is per |xi| group
+        grid, tr = support_grid()
+        profile = MultiplierProfile.wave_cosine(1.0)
+        array_bytes = 16 * np.prod(grid.shape)
+        tracemalloc.start()
+        try:
+            schwartz_kernel_column(profile, grid, (0.0, 0.0), (0.0,), tr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * array_bytes

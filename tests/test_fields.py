@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from grushin import engine
 from grushin.engine import schwartz_kernel_column
 from grushin.errors import ConfigError, ContractViolation, DomainError
 from grushin.fields import (
@@ -235,6 +236,21 @@ def nan_inside_profile():
 def test_non_finite_profile_values_raise_domain_error(evaluate):
     with pytest.raises(DomainError, match="nan-inside"):
         evaluate(nan_inside_profile())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_field_values_raise_domain_error(bad, monkeypatch):
+    # one bad value would spread through the transform to every output
+    grid = GrushinGrid(PrimeGrid(6.0, 48, 2), np.pi, 16, 1)
+    field = Field.zeros(grid)
+    field.values[20, 30, 5] = bad
+    forward, transformed = engine.partial_fourier, []
+    monkeypatch.setattr(engine, "partial_fourier",
+                        lambda f: transformed.append(f) or forward(f))
+    with pytest.raises(DomainError, match="NaN or infinite"):
+        engine.apply_multiplier(MultiplierProfile.heat(0.2), field,
+                                SpectralTruncation(8, 4.0))
+    assert transformed == []  # refused before the transform
 
 
 class TestSnapshot:

@@ -112,6 +112,25 @@ class TestDistanceField:
             assert rho[idx] == pytest.approx(
                 grushin_distance(MetricPoint(xp, xs), y), rel=1e-13)
 
+    @pytest.mark.parametrize("y_prime", [(0.0, 0.0), (1.375, -0.6875)],
+                             ids=["on-axis", "off-axis"])
+    def test_matches_pointwise_distance_on_default_grid(self, y_prime):
+        # the kernel_support grid; a foot on the axis makes |x'| + |y'| = 0
+        # on the line x' = 0, where only ds = 0 takes the graded branch
+        grid = GrushinGrid(PrimeGrid(22.0, 256, 2), 6.0, 128, 1)
+        y_second = (0.0,)
+        rho = grushin_distance_field(grid, y_prime, y_second, wrap=False)
+        y = MetricPoint(y_prime, y_second)
+        axis_node = grid.locate((0.0, 0.0), y_second)
+        rng = np.random.default_rng(8)
+        nodes = [axis_node[:2] + (k,) for k in range(grid.n_second)]
+        nodes += [tuple(rng.integers(0, s) for s in grid.shape)
+                  for _ in range(500)]
+        for idx in nodes:
+            x = MetricPoint(tuple(grid.prime.axis[i] for i in idx[:2]),
+                            (grid.second_axis[idx[2]],))
+            assert rho[idx] == pytest.approx(grushin_distance(x, y), rel=1e-14)
+
     def test_wrap_uses_minimal_image(self):
         grid = small_grid()  # second axis [-2, 2), spacing 0.25
         rho = grushin_distance_field(grid, (1.0, 0.0), (1.75,), wrap=True)
