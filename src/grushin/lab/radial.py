@@ -4,8 +4,9 @@ Specialized to two prime coordinates and one torus coordinate.  The level-k
 eigenprojection of the 2-D oscillator splits over angular momentum l into
 radial Laguerre modes psi_{n,l} (k = 2n + l), which turns the weighted L^2
 norm of a multiplier column into small per-(xi, l) quadratic forms.  No
-Cartesian grid appears: radial integrals use exact Gauss quadrature, so this
-path cross-validates the tensor-grid engine rather than reusing it.
+Cartesian grid appears: the weighted radial Gram matrices factor exactly by
+the Laguerre connection formula (DLMF 18.18.18), so this path cross-validates
+the tensor-grid engine rather than reusing it.
 
 The zero torus frequency is excluded from the sum: the lattice sum is a
 Riemann approximation of the continuum xi-integral and the xi = 0 term is a
@@ -15,9 +16,8 @@ grows).  All norms here follow that convention.
 Each torus frequency xi costs one profile evaluation at its levels and a few
 vectorised passes: consecutive l run side by side as lanes of one recurrence
 over n, a lane retiring after its last row n = (k_hi - l) // 2, and at
-gamma > 0 the Gauss-mode recurrence of the same lanes runs in lockstep, so no
-(n, l) table is ever stored.  _BLOCK_BUDGET bounds the lanes of one pass,
-which keeps the memory of a pass flat however many levels are active.
+gamma > 0 the rows of a block meet the Gram factor in one matrix product.
+_BLOCK_BUDGET bounds the lanes of one pass, so its memory stays flat.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import toeplitz
 from scipy.special import gammaln
 
 from ..errors import DomainError, TruncationError
@@ -40,9 +40,8 @@ __all__ = [
 ]
 
 _D1 = 2  # this fast path is specific to two prime coordinates
-# floats per block of l, counted as lanes * (feet + 1) * (Gauss nodes + 1):
-# the (l, u) recurrence state at gamma = 0, the (l, u, node) synthesis at
-# gamma > 0
+# floats per block of l: lanes * (feet + 1), times at gamma > 0 the rows n of
+# the block's first lane (the stacked coefficients; T adds rows^2 more)
 _BLOCK_BUDGET = 1.25e5
 
 
@@ -51,7 +50,7 @@ def _normalized_recurrence(n_max: np.ndarray, l: np.ndarray, x: np.ndarray,
     """Yield rows n = 0..n_max of c_n L_n^l(x) exp(log_row0), c_n the sqrt ratio.
 
     Three-term recurrence with the orthonormal scaling sqrt(n!/(n+l)!) folded
-    in.  Row 0 enters in log form and the recurrence runs on per-node scaled
+    in.  Row 0 enters in log form and the recurrence runs on per-entry scaled
     mantissas with a log offset: starting values far below the underflow
     threshold can still climb back to order one by the time n reaches the
     classically allowed range, which plain arithmetic would lose to a hard
@@ -63,9 +62,7 @@ def _normalized_recurrence(n_max: np.ndarray, l: np.ndarray, x: np.ndarray,
     lanes with n_max >= n, so a lane costs no work past its own last row.
     Every entry sees the same arithmetic as in a run of its lane alone.
     """
-    l = np.asarray(l, dtype=float)
     shape = np.broadcast_shapes(l.shape, np.shape(x), np.shape(log_row0))
-    x = np.broadcast_to(x, shape)
     expo = np.array(np.broadcast_to(log_row0, shape), dtype=float)
     # orthonormal-scaled rows are O(1) where the modes live, so capping the
     # emission exponent only suppresses values already below the double floor
@@ -76,8 +73,8 @@ def _normalized_recurrence(n_max: np.ndarray, l: np.ndarray, x: np.ndarray,
     cur = np.ones(shape)  # scaled row 0 mantissa
     for n, m in enumerate(alive.tolist()):
         if m < len(cur):
-            l, x, prev, cur, expo, unscale = (
-                a[:m] for a in (l, x, prev, cur, expo, unscale))
+            l, prev, cur, expo, unscale = (
+                a[:m] for a in (l, prev, cur, expo, unscale))
         # at n = 0 the prev term vanishes and the divisor is sqrt(1 + l)
         nxt = ((2.0 * n + 1.0 + l - x) * cur
                - np.sqrt(n * (n + l)) * prev) \
@@ -110,107 +107,121 @@ def laguerre_radial_table(n_max: int, l: int, s: np.ndarray) -> np.ndarray:
     if n_max < 0 or l < 0:
         raise DomainError("need n_max >= 0 and l >= 0")
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise DomainError("s is a radial coordinate; need s >= 0")
+    if not np.all((s >= 0) & (s < np.inf)):
+        raise DomainError("s is a radial coordinate; need finite s >= 0")
     lane = np.full((1,) * (s.ndim + 1), float(l))
     return np.stack([row[0] for row in _normalized_recurrence(
         np.array([n_max]), lane, s * s, _radial_log_row0(lane, s))])
 
 
 def _gauss_modes(n_max: np.ndarray, l: np.ndarray, gamma: float):
-    """Orthonormal Laguerre rows times sqrt of Gauss weights for t^{l+gamma} e^{-t}.
+    """Closed-form factor (E, T, 1/E') of the weighted Gram of each lane.
 
-    One lane per entry of the column l, with n_max[i] + 1 Gauss nodes in lane
-    i (n_max nonincreasing).  Yields rows n as _normalized_recurrence does:
-    row n, lane i holds sqrt(n!/(n+l)!) L_n^l(t_q) sqrt(w_q) at the nodes of
-    the lane (the t = s^2 substitution Jacobian absorbs the radial sqrt(2)),
-    so U @ U.T over the rows of one lane is the weighted Gram, exactly: the
-    quadrature integrates polynomial degree 2 n_max + 1 without error.  The
-    nodes are the eigenvalues of the Jacobi matrix.  The weights are
-    Christoffel numbers, w_q = t_q^alpha e^{-t_q} / sum_n phi_n(t_q)^2 with
-    phi_n the orthonormal Laguerre functions of parameter alpha = l + gamma,
-    assembled in log scale: each weight is then accurate in relative terms,
-    however small, and the total mass Gamma(alpha + 1), which overflows for
-    large l, never forms.  Lanes with fewer nodes than the first are padded
-    with copies of their last node whose weight is masked to zero.
+    DLMF 18.18.18 (lambda = l, mu = l + gamma) gives L_n^l = sum_k c_{n-k}
+    L_k^{l+gamma}, c_i = (-gamma)_i / i!, and the L_k^{l+gamma} are
+    orthogonal for t^{l+gamma} e^{-t}.  In t = s^2 the Gram of radial_gram is
+    then M M^T, M[n, k] = E[n] T[n, k] / E'[k] with T[n, k] = c_{n-k} (zero
+    for k > n; shared by all lanes and frequencies), E[n] = sqrt(n!/(n+l)!)
+    and E'[k] = sqrt(k!/Gamma(k+l+gamma+1)).  Lanes are as in
+    _normalized_recurrence; the rows of E and 1/E' stop at n_max of their
+    lane and share a lane constant centring log E (range e^{+-960} at k_hi =
+    3999).  benchmark/tracer.py times this function as radial.gauss_modes.
     """
-    alpha = l + gamma
     width = int(n_max[0]) + 1
-    t = np.empty((len(n_max), width))
-    for row, cap, a in zip(t, n_max, alpha[:, 0]):
-        k = np.arange(cap + 1, dtype=float)
-        row[:cap + 1] = eigvalsh_tridiagonal(2.0 * k + a + 1.0,
-                                             np.sqrt(k[1:] * (k[1:] + a)))
-        row[cap + 1:] = row[cap]
-    log_weight = alpha * np.log(t) - t
-    christoffel = np.zeros_like(t)
-    for phi in _normalized_recurrence(
-            n_max, alpha, t, 0.5 * (log_weight - gammaln(alpha + 1.0))):
-        christoffel[:len(phi)] += phi * phi
-    log_w = log_weight - np.log(christoffel)
-    real = np.arange(width) <= n_max[:, None]
-    return _normalized_recurrence(
-        n_max, l, t, np.where(real, 0.5 * (log_w - gammaln(l + 1.0)), -np.inf))
+    k = np.arange(width, dtype=float)
+    c = np.cumprod(np.concatenate(([1.0], (k[1:] - 1.0 - gamma) / k[1:])))
+    # log-ratio sums, not log Gamma, whose rounding near l log l reaches E / E'
+    # (4e-12 at l = 4000); rho[x - 1] = log Gamma(x + gamma) - log Gamma(x)
+    log_e = np.zeros((len(n_max), width))
+    np.cumsum(0.5 * np.log(k[1:] / (k[1:] + l)), axis=1, out=log_e[:, 1:])
+    rho = gammaln(1.0 + gamma) + np.concatenate(
+        ([0.0], np.cumsum(np.log1p(gamma / np.arange(1.0, l[-1, 0] + width)))))
+    log_e_prime = log_e - 0.5 * rho[l.astype(int) + np.arange(width)]
+    real = k <= n_max[:, None]
+    shift = 0.5 * log_e[np.arange(len(n_max)), n_max, None]
+    return (np.exp(np.where(real, log_e - shift, -np.inf)),
+            toeplitz(c, np.zeros(width)),
+            np.exp(np.where(real, shift - log_e_prime, -np.inf)))
 
 
 def radial_gram(n_max: int, l: int, gamma: float) -> np.ndarray:
     """Gram matrix int_0^inf s^{2 gamma + 1} psi_{n,l} psi_{m,l} ds, exact.
 
-    In the t = s^2 variable this is a polynomial integral against the weight
-    t^{l+gamma} e^{-t}, so Gauss quadrature at n_max + 1 nodes is exact.
-    gamma = 0 recovers the identity (orthonormality) to rounding.
+    Formed as M M^T from the closed-form factor of _gauss_modes (the
+    Laguerre connection formula, DLMF 18.18.18).  gamma = 0 recovers the
+    identity (orthonormality) to rounding.
     """
     if n_max < 0 or l < 0:
         raise DomainError("need n_max >= 0 and l >= 0")
-    if gamma < 0:
-        raise DomainError("gamma must be >= 0")
-    modes = np.stack([row[0] for row in _gauss_modes(
-        np.array([n_max]), np.array([[float(l)]]), gamma)])
-    return modes @ modes.T
+    if not 0.0 <= gamma < np.inf:
+        raise DomainError(f"gamma must be finite and >= 0, got {gamma!r}")
+    e, t, ep_inv = _gauss_modes(np.array([n_max]), np.array([[l]]), gamma)
+    factor = e[0, :, None] * t * ep_inv[0]
+    return factor @ factor.T
 
 
 def _frequency_slab(vals: np.ndarray, s_u: np.ndarray,
                     gamma: float) -> np.ndarray:
     """Sum over l of the weighted quadratic forms of one torus frequency.
 
-    vals[k] is the profile at level k = 2n + l.  The form of sector l is
-    || s^gamma sum_n vals[2n + l] psi_{n,l}(s) psi_{n,l}(s_u) ||^2 over the
-    radial measure, counted twice for l > 0 (the two signs of the angular
+    vals[k] is the profile at level k = 2n + l.  The form of sector l,
+    || s^gamma sum_n a_n psi_{n,l}(s) ||^2 with a_n = vals[2n + l]
+    psi_{n,l}(s_u), is sum_k |sum_n a_n M[n, k]|^2 for the Gram factor M of
+    _gauss_modes, counted twice for l > 0 (the two signs of the angular
     momentum).  The l axis runs in blocks of consecutive l, as many as
-    _BLOCK_BUDGET allows; a block takes one pass of the psi recurrence, at
-    gamma > 0 in lockstep with its Gauss-mode recurrence, and stores no
-    table.  Each (l, u) entry sees the same arithmetic in any block.
+    _BLOCK_BUDGET allows; a block takes one pass of the psi recurrence and,
+    at gamma > 0, one product with T.  At gamma = 0 each (l, u) entry sees
+    the same arithmetic in any block; at gamma > 0 BLAS may group the sums
+    of the product by the block's shape.
     """
     k_hi = vals.size - 1
     slab = np.zeros(s_u.shape)
     l0 = 0
     while l0 <= k_hi:
-        nodes = (k_hi - l0) // 2 + 1 if gamma > 0 else 0
-        lanes = int(_BLOCK_BUDGET / ((s_u.size + 1) * (nodes + 1)))
+        rows = (k_hi - l0) // 2 + 1 if gamma > 0 else 1
+        lanes = int(_BLOCK_BUDGET / ((s_u.size + 1) * rows))
         l1 = min(k_hi + 1, l0 + max(1, lanes))
         l = np.arange(l0, l1, dtype=float)[:, None]
         n_max = (k_hi - np.arange(l0, l1)) // 2
         psi = _normalized_recurrence(n_max, l, s_u * s_u,
                                      _radial_log_row0(l, s_u))
-        form = np.zeros((l1 - l0, s_u.size))
-        if gamma == 0.0:
-            # orthonormal modes: the Gram is the identity
+        if gamma == 0.0:  # orthonormal modes: the Gram is the identity
+            form = np.zeros((l1 - l0, s_u.size))
             for n, row in enumerate(psi):
                 coef = vals[2 * n + l0:2 * n + l0 + len(row), None] * row
                 form[:len(row)] += np.abs(coef) ** 2
         else:
-            synth = np.zeros((l1 - l0, s_u.size, nodes), dtype=vals.dtype)
-            for n, (row, mode) in enumerate(
-                    zip(psi, _gauss_modes(n_max, l, gamma))):
-                coef = vals[2 * n + l0:2 * n + l0 + len(row), None] * row
-                synth[:len(row)] += coef[:, :, None] * mode[:, None, :]
-            # node by node, so the zero padded nodes leave each sum unchanged
-            for q in range(nodes):
-                form += np.abs(synth[:, :, q]) ** 2
+            e, t, ep_inv = _gauss_modes(n_max, l, gamma)
+            coef = np.zeros((rows, l1 - l0, s_u.size), dtype=vals.dtype)
+            for n, row in enumerate(psi):  # a_n E[n], zero past a lane's end
+                coef[n, :len(row)] = vals[2 * n + l0:2 * n + l0 + len(row),
+                                          None] * row * e[:len(row), n, None]
+            mixed = (t.T @ coef.reshape(rows, -1)).reshape(coef.shape)
+            mixed *= ep_inv.T[:, :, None]
+            form = np.einsum("nlu,nlu->lu", mixed, mixed.conj()).real
+            del e, t, ep_inv, coef, mixed  # free them before the next block
         for l_i, row in enumerate(form, l0):
             slab += (2.0 if l_i > 0 else 1.0) * row
         l0 = l1
     return slab
+
+
+def _eigenvalue_cap(profile, gamma: float, torus_half_period: float,
+                    k_max: int, lambda_max: float) -> float:
+    """Validate the shared arguments; return the eigenvalue cap."""
+    if not 0.0 <= gamma < np.inf:
+        raise DomainError(f"gamma must be finite and >= 0, got {gamma!r}")
+    if not 0.0 < torus_half_period < np.inf:
+        raise DomainError("torus half period must be finite and positive")
+    if not k_max >= 0:
+        raise DomainError(f"k_max must be >= 0, got {k_max!r}")
+    if np.isnan(lambda_max):
+        raise DomainError("lambda_max is NaN; pass inf for no cap")
+    top = min(profile.support[1], lambda_max)
+    if not np.isfinite(top) or top <= 0:
+        raise DomainError("need a finite positive eigenvalue cap; lower "
+                          "lambda_max or use a compactly supported profile")
+    return top
 
 
 def weighted_column_norms(profile, u, gamma: float, torus_half_period: float,
@@ -219,22 +230,13 @@ def weighted_column_norms(profile, u, gamma: float, torus_half_period: float,
 
     The column norm depends on y only through u = |y'| by rotation invariance
     in x' and translation invariance on the torus.  Levels beyond the k_max
-    policy raise TruncationError naming the offending frequency.
+    policy raise TruncationError naming the offending frequency; non-finite
+    or out-of-domain arguments raise DomainError.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(u < 0):
-        raise DomainError("u is a radius; need u >= 0")
-    if gamma < 0:
-        raise DomainError("gamma must be >= 0")
-    if torus_half_period <= 0:
-        raise DomainError("torus half period must be positive")
-    if k_max < 0:
-        raise DomainError("k_max must be >= 0")
-    lo, hi = profile.support
-    top = min(hi, lambda_max)
-    if not np.isfinite(top) or top <= 0:
-        raise DomainError("need a finite positive eigenvalue cap; lower "
-                          "lambda_max or use a compactly supported profile")
+    if not np.all((u >= 0) & (u < np.inf)):
+        raise DomainError("u is a radius; need finite u >= 0")
+    top = _eigenvalue_cap(profile, gamma, torus_half_period, k_max, lambda_max)
     dxi = np.pi / torus_half_period
     j_top = int(np.floor(top / (_D1 * dxi) + 1e-12))
     total = np.zeros(u.shape)
@@ -274,17 +276,14 @@ def weighted_operator_norm(profile, gamma: float, torus_half_period: float,
     search is a dense scan with extra density near the axis, then two local
     grid-refinement rounds.
     """
-    lo, hi = profile.support
-    top = min(hi, lambda_max)
-    if not np.isfinite(top) or top <= 0:
-        raise DomainError("need a finite positive eigenvalue cap; lower "
-                          "lambda_max or use a compactly supported profile")
+    top = _eigenvalue_cap(profile, gamma, torus_half_period, k_max, lambda_max)
     dxi = np.pi / torus_half_period
     if u_range is None:
         u_range = (0.0, np.sqrt(top) / dxi + 1.0)
-    u_lo, u_hi = max(0.0, float(u_range[0])), float(u_range[1])
-    if u_hi < u_lo:
-        raise DomainError("empty u range")
+    # np.maximum keeps a NaN lower end, which max() would drop
+    u_lo, u_hi = float(np.maximum(0.0, u_range[0])), float(u_range[1])
+    if not u_lo <= u_hi < np.inf:
+        raise DomainError(f"need a finite nonempty u range, got {u_range!r}")
     if n_scan < 5:
         raise DomainError("need at least 5 scan points")
 

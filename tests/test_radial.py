@@ -1,13 +1,16 @@
 """Tests for the radial column-norm machinery against independent oracles."""
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from grushin.errors import DomainError, TruncationError
 from grushin.fields import MultiplierProfile
 from grushin.hermite import level_sum_profile
 from grushin.lab.experiments import band_profile
 from grushin.lab.radial import (
+    _gauss_modes,
     laguerre_radial_table,
     radial_gram,
     weighted_column_norm,
@@ -21,6 +24,74 @@ def trapezoid_weights(s):
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
+
+
+def orthonormal_laguerre_rows(n_max, alpha, t, log_row0):
+    """Rows n = 0..n_max of exp(log_row0) L_n^alpha(t) times
+    sqrt(n! Gamma(alpha + 1) / Gamma(n + alpha + 1)), by the three-term
+    recurrence."""
+    rows, prev = [np.exp(log_row0)], np.zeros_like(t)
+    for n in range(n_max):
+        nxt = ((2.0 * n + 1.0 + alpha - t) * rows[-1]
+               - np.sqrt(n * (n + alpha)) * prev) \
+            / np.sqrt((n + 1.0) * (n + 1.0 + alpha))
+        prev = rows[-1]
+        rows.append(nxt)
+    return np.array(rows)
+
+
+def gauss_laguerre_gram(n_max, l, gamma):
+    """Reference weighted Gram by Gauss-Laguerre quadrature in t = s^2.
+
+    The n_max + 1 nodes for the weight t^alpha e^{-t}, alpha = l + gamma, are
+    the eigenvalues of the Jacobi matrix; the weights are the Christoffel
+    numbers w_q = 1 / sum_n p_n(t_q)^2 over the orthonormal Laguerre
+    polynomials p_n of parameter alpha.  Both recurrences carry a common node
+    factor exp(start) in log scale, so each weight is accurate in relative
+    terms however small; Gamma(alpha + 1) / l! comes from mpmath.  The
+    quadrature is exact for polynomial degree 2 n_max + 1.
+    """
+    alpha = l + gamma
+    k = np.arange(n_max + 1.0)
+    t = eigvalsh_tridiagonal(2.0 * k + alpha + 1.0,
+                             np.sqrt(k[1:] * (k[1:] + alpha)))
+    with mp.workdps(40):
+        log_mass = mp.loggamma(alpha + 1)
+        log_ratio = float(log_mass - mp.loggamma(l + 1))
+    start = 0.5 * (alpha * np.log(t) - t - float(log_mass))
+    phi = orthonormal_laguerre_rows(n_max, alpha, t, start)
+    # modes sqrt(n!/(n+l)!) L_n^l(t_q) sqrt(w_q) start from sqrt(w_q / l!),
+    # and log(w_q / l!) = log_ratio - log(sum phi^2) + 2 start
+    modes = orthonormal_laguerre_rows(
+        n_max, float(l), t,
+        start + 0.5 * (log_ratio - np.log(np.sum(phi * phi, axis=0))))
+    assert np.all(np.isfinite(modes))
+    return modes @ modes.T
+
+
+def mp_gram_diagonal(n, l, gamma):
+    """The Gram entry (n, n) to 40 digits from the power series of L_n^l,
+    sum_{i,j} a_i a_j Gamma(i + j + l + gamma + 1) n!/(n+l)!, in a precision
+    that covers the cancellation of its terms."""
+    def series(dps, magnitude):
+        with mp.workdps(dps):
+            alpha = l + mp.mpf(gamma)
+            a = [(-1) ** j * mp.binomial(n + l, n - j) / mp.factorial(j)
+                 for j in range(n + 1)]
+            if magnitude:
+                a = [abs(x) for x in a]
+            moment = [mp.gamma(alpha + 1)]
+            for m in range(1, 2 * n + 1):
+                moment.append(moment[-1] * (alpha + m))
+            total = mp.fsum(
+                moment[m] * mp.fdot(a[max(0, m - n):min(m, n) + 1],
+                                    a[m - min(m, n):m - max(0, m - n) + 1][::-1])
+                for m in range(2 * n + 1))
+            return total * mp.factorial(n) / mp.factorial(n + l)
+
+    # the entry is at least Gamma(1 + gamma) > 0.88, so the terms' absolute
+    # sum bounds the digits lost to cancellation
+    return series(45 + int(mp.log10(series(20, True))), False)
 
 
 class TestRadialModes:
@@ -107,6 +178,60 @@ class TestRadialGram:
             radial_gram(5, 0, -0.5)
 
 
+class TestClosedFormGram:
+    # the closed-form factor against independent constructions, at the
+    # (n_max, l) corners that the default runs reach
+    SIZES = [(255, 0), (128, 200), (10, 500)]
+    GAMMAS = [0.25, 0.7, 1.5]
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("n,l", SIZES)
+    def test_matches_gauss_laguerre_quadrature(self, n, l, gamma):
+        gram = radial_gram(n, l, gamma)
+        ref = gauss_laguerre_gram(n, l, gamma)
+        # each entry against the scale sqrt(G_nn G_mm) of its row and column
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert np.max(np.abs(gram - ref) / scale) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("n,l", SIZES)
+    def test_diagonal_matches_mpmath(self, n, l, gamma):
+        gram = radial_gram(n, l, gamma)
+        for i in (0, n // 2, n):
+            want = float(mp_gram_diagonal(i, l, gamma))
+            assert gram[i, i] == pytest.approx(want, rel=1e-13), i
+
+
+class TestDefaultRunSizes:
+    # lambda_max = R^2 reaches k_hi = 2047 at R = 64 on S = pi, and the
+    # k_max = 4000 policy allows k_hi = 3999.  E and E' span up to e^{+-960}
+    # over one lane there; l ~ 0.45 k_hi is where that span is widest
+    @pytest.mark.parametrize("k_hi", [2047, 3999])
+    def test_block_factor_is_finite(self, k_hi):
+        # blocks of consecutive lanes, as _frequency_slab forms them
+        for l0 in (0, int(0.45 * k_hi), k_hi - 9):
+            l = np.arange(l0, min(k_hi + 1, l0 + 12))
+            e, t, ep_inv = _gauss_modes((k_hi - l) // 2,
+                                        l[:, None].astype(float), 0.25)
+            for part in (e, t, ep_inv):
+                assert np.all(np.isfinite(part))
+            assert np.all(e[:, 0] > 0) and np.all(ep_inv[:, 0] > 0)
+
+    @pytest.mark.parametrize("gamma", [0.25, 1.5])
+    @pytest.mark.parametrize("k_hi", [2047, 3999])
+    def test_gram_is_finite_symmetric_with_positive_diagonal(self, k_hi,
+                                                             gamma):
+        for l in (0, int(0.45 * k_hi), k_hi - 9, k_hi):
+            gram = radial_gram((k_hi - l) // 2, l, gamma)
+            assert np.all(np.isfinite(gram)), l
+            assert np.array_equal(gram, gram.T), l
+            assert np.all(np.diag(gram) > 0), l
+            # G_00 = Gamma(l + gamma + 1) / l!
+            with mp.workdps(40):
+                want = float(mp.gammaprod([l + gamma + 1], [l + 1]))
+            assert gram[0, 0] == pytest.approx(want, rel=1e-13), l
+
+
 def ramp_profile():
     return MultiplierProfile(
         lambda lam: np.exp(-0.2 * np.asarray(lam))
@@ -145,6 +270,18 @@ class TestWeightedColumnNorm:
             one = weighted_column_norm(prof, float(u), 0.25, np.pi / 2.0, 40, 24.0)
             assert vec[i] == one
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.25])
+    def test_constant_phase_leaves_the_norm(self, gamma):
+        # a complex profile takes the complex path through the Gram factor
+        prof = ramp_profile()
+        turned = MultiplierProfile(lambda lam: np.exp(0.3j) * prof(lam),
+                                   prof.support)
+        us = np.array([0.0, 0.7, 2.3])
+        np.testing.assert_allclose(
+            weighted_column_norms(turned, us, gamma, np.pi / 2.0, 40, 24.0),
+            weighted_column_norms(prof, us, gamma, np.pi / 2.0, 40, 24.0),
+            rtol=1e-14, atol=0.0)
+
     def test_truncation_policy_enforced(self):
         # lambda_max = 24 at the lowest frequency xi = 2 needs oscillator
         # levels up to 5; a cap below that must refuse, not silently clip
@@ -157,6 +294,45 @@ class TestWeightedColumnNorm:
             weighted_column_norm(prof, -1.0, 0.0, np.pi / 2.0, 40, 24.0)
         with pytest.raises(DomainError):
             weighted_column_norm(prof, 0.0, -0.25, np.pi / 2.0, 40, 24.0)
+
+
+NAN, INF = float("nan"), float("inf")
+BAD_RADIAL_INPUT = {
+    "gamma=nan": lambda p: weighted_column_norms(p, [1.0], NAN, 1.5, 40, 24.0),
+    "gamma=inf": lambda p: weighted_column_norms(p, [1.0], INF, 1.5, 40, 24.0),
+    "u=nan": lambda p: weighted_column_norms(p, [NAN], 0.25, 1.5, 40, 24.0),
+    "u=inf": lambda p: weighted_column_norms(p, [INF], 0.25, 1.5, 40, 24.0),
+    "torus_half_period=nan":
+        lambda p: weighted_column_norms(p, [1.0], 0.25, NAN, 40, 24.0),
+    "torus_half_period=inf":
+        lambda p: weighted_column_norms(p, [1.0], 0.25, INF, 40, 24.0),
+    "opnorm-torus_half_period=nan":
+        lambda p: weighted_operator_norm(p, 0.25, NAN, 40, 24.0),
+    "opnorm-torus_half_period=inf":
+        lambda p: weighted_operator_norm(p, 0.25, INF, 40, 24.0),
+    "lambda_max=nan":
+        lambda p: weighted_column_norms(p, [1.0], 0.25, 1.5, 40, NAN),
+    "k_max=nan":
+        lambda p: weighted_column_norms(p, [1.0], 0.25, 1.5, NAN, 24.0),
+    "u_range=(0,nan)": lambda p: weighted_operator_norm(
+        p, 0.25, 1.5, 40, 24.0, u_range=(0.0, NAN)),
+    "u_range=(nan,3)": lambda p: weighted_operator_norm(
+        p, 0.25, 1.5, 40, 24.0, u_range=(NAN, 3.0)),
+    "u_range=(0,inf)": lambda p: weighted_operator_norm(
+        p, 0.25, 1.5, 40, 24.0, u_range=(0.0, INF)),
+    "radial_gram-gamma=nan": lambda p: radial_gram(5, 2, NAN),
+    "radial_gram-gamma=inf": lambda p: radial_gram(5, 2, INF),
+    "laguerre_radial_table-s=nan":
+        lambda p: laguerre_radial_table(5, 2, np.array([0.5, NAN])),
+}
+
+
+@pytest.mark.parametrize("case", BAD_RADIAL_INPUT.values(),
+                         ids=BAD_RADIAL_INPUT.keys())
+def test_bad_radial_input_raises_domain_error(case):
+    # refused up front, before NaN reaches a comparison that lets it through
+    with pytest.raises(DomainError):
+        case(ramp_profile())
 
 
 class TestWeightedOperatorNorm:
