@@ -29,10 +29,8 @@ from .errors import (
 from .fields import Field, GrushinGrid, MultiplierProfile, SpectralTruncation, delta_field
 from .geometry import (
     MetricPoint,
-    ball_projection,
     ball_volume_mc,
     ball_volume_model,
-    build_net,
     doubling_ratio,
     grushin_distance,
     grushin_distance_arrays,
@@ -58,11 +56,9 @@ __all__ = [
     "TruncationError",
     "WindowingError",
     "apply_multiplier",
-    "ball_projection",
     "ball_volume_mc",
     "ball_volume_model",
     "bochner_riesz_apply",
-    "build_net",
     "delta_field",
     "doubling_ratio",
     "grushin_distance",

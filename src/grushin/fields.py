@@ -11,16 +11,13 @@ trusted.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, DomainError
 from .hermite import PrimeGrid
-
-_SNAPSHOT_MAGIC = b"GRUF0001"
 
 
 @dataclass(frozen=True)
@@ -49,7 +46,7 @@ class GrushinGrid:
 
     The torus is [-S, S)^d2 sampled at n_second points per axis, so the dual
     lattice has spacing pi/S.  Frequencies are kept in FFT index order; use
-    xi_axis / xi_index to pair transform slots with frequencies.
+    xi_index to pair transform slots with frequencies.
     """
 
     prime: PrimeGrid
@@ -68,10 +65,6 @@ class GrushinGrid:
     @property
     def d1(self) -> int:
         return self.prime.d1
-
-    @property
-    def dims(self) -> Dims:
-        return Dims(self.prime.d1, self.d2)
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -93,11 +86,6 @@ class GrushinGrid:
     def xi_index(self) -> np.ndarray:
         """Integer frequency labels in FFT order (one axis)."""
         return np.rint(np.fft.fftfreq(self.n_second) * self.n_second).astype(int)
-
-    @property
-    def xi_axis(self) -> np.ndarray:
-        """Frequency values in FFT order (one axis)."""
-        return self.xi_index * self.xi_spacing
 
     @property
     def cell_volume(self) -> float:
@@ -159,9 +147,6 @@ class Field:
         )
         return cls(grid, np.asarray(fn(*xp), dtype=np.complex128))
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
     def norm_lp(self, p: float) -> float:
         if p == np.inf:
             return float(np.max(np.abs(self.values)))
@@ -170,10 +155,6 @@ class Field:
         w = self.grid.cell_volume
         return float((np.sum(np.abs(self.values) ** p) * w) ** (1.0 / p))
 
-    def inner(self, other: "Field") -> complex:
-        if other.grid != self.grid:
-            raise ContractViolation("fields live on different grids")
-        return complex(np.vdot(other.values, self.values) * self.grid.cell_volume)
 
 def delta_field(grid: GrushinGrid, x_prime, x_second) -> Field:
     """Unit-mass discrete delta: indicator of one node divided by cell volume."""
@@ -272,28 +253,6 @@ class MultiplierProfile:
         return cls(lambda lam: np.cos(s * np.sqrt(np.maximum(lam, 0.0))),
                    (0.0, np.inf), label=f"wave_cosine(s={s:g})")
 
-    @classmethod
-    def indicator(cls, lo: float, hi: float) -> "MultiplierProfile":
-        return cls(lambda lam: ((lam >= lo) & (lam <= hi)).astype(float), (lo, hi),
-                   label=f"indicator[{lo:g},{hi:g}]")
-
-    @classmethod
-    def from_samples(cls, lam_nodes: np.ndarray, values: np.ndarray,
-                     label: str = "sampled") -> "MultiplierProfile":
-        """Linear interpolant through (lam_nodes, values), zero outside."""
-        lam_nodes = np.asarray(lam_nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if lam_nodes.ndim != 1 or lam_nodes.shape != values.shape:
-            raise DomainError("need matching 1-d node and value arrays")
-        if np.any(np.diff(lam_nodes) <= 0):
-            raise DomainError("sample nodes must be strictly increasing")
-        lo, hi = float(lam_nodes[0]), float(lam_nodes[-1])
-
-        def ev(lam, _n=lam_nodes, _v=values):
-            return np.interp(lam, _n, _v, left=0.0, right=0.0)
-
-        return cls(ev, (max(lo, 0.0), hi), label=label)
-
 
 _XI_ZERO_MODES = ("fourier_multiplier", "drop")
 
@@ -322,35 +281,3 @@ class SpectralTruncation:
                 "xi_zero_mode",
                 f"unknown mode {self.xi_zero_mode!r}; choose from {_XI_ZERO_MODES}",
             )
-
-
-# --- binary snapshots ----------------------------------------------------
-
-def save_field(f: Field, fh: BinaryIO) -> None:
-    """Write a loss-free little-endian binary snapshot of a field.
-
-    Layout: 8-byte magic, then <iiid i d> header (d1, d2, n_prime points,
-    prime half width, n_second, torus half period), then the raw row-major
-    complex128 value buffer.
-    """
-    g = f.grid
-    fh.write(_SNAPSHOT_MAGIC)
-    fh.write(struct.pack("<iiidid", g.prime.d1, g.d2, g.prime.n_points,
-                         g.prime.half_width, g.n_second, g.torus_half_period))
-    fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
-
-
-def load_field(fh: BinaryIO) -> Field:
-    """Inverse of save_field; validates magic and buffer length."""
-    magic = fh.read(8)
-    if magic != _SNAPSHOT_MAGIC:
-        raise ContractViolation(f"bad snapshot magic {magic!r}")
-    header = fh.read(struct.calcsize("<iiidid"))
-    d1, d2, n_prime, half_width, n_second, half_period = struct.unpack("<iiidid", header)
-    grid = GrushinGrid(PrimeGrid(half_width, n_prime, d1), half_period, n_second, d2)
-    count = n_prime ** d1 * n_second ** d2
-    buf = fh.read(16 * count)
-    if len(buf) != 16 * count:
-        raise ContractViolation("snapshot truncated: value buffer too short")
-    values = np.frombuffer(buf, dtype="<c16").reshape(grid.shape)
-    return Field(grid, values.copy())

@@ -1,4 +1,4 @@
-"""Quasi-distance, ball volumes, doubling ratios, and separated nets.
+"""Quasi-distance, ball volumes and doubling ratios.
 
 The anisotropic dilation structure (x', x'') -> (t x', t^2 x'') induces a
 two-branch quasi-distance: near the degenerate set {x' = 0} the second layer
@@ -9,15 +9,14 @@ always fitted by the consumer, never asserted as exact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import ContractViolation, DegenerateInputError, DomainError
-from .fields import Field, GrushinGrid
+from .fields import GrushinGrid
 
 
 @dataclass(frozen=True)
@@ -122,8 +121,8 @@ def grushin_distance_field(grid: GrushinGrid, y_prime, y_second,
 
 def ball_volume_model(x: MetricPoint, r: float) -> float:
     """Comparability representative r^{d1+d2} max{r, |x'|}^{d2}."""
-    if r <= 0:
-        raise DomainError("radius must be positive")
+    if not 0 < r < math.inf:
+        raise DomainError("radius must be positive and finite")
     return r ** (x.d1 + x.d2) * max(r, x.prime_norm) ** x.d2
 
 
@@ -173,114 +172,3 @@ def doubling_ratio(x: MetricPoint, r: float, lam: float,
     big, _ = ball_volume_mc(x, lam * r, n_samples, seed=seed * 2 + 1)
     small, _ = ball_volume_mc(x, r, n_samples, seed=seed * 2 + 2)
     return big / small
-
-
-@dataclass
-class NetResult:
-    """Greedy separated net over a finite point family, with its partition.
-
-    centers[i] are net points; assignment[j] gives, for domain point j, the
-    index of the first center within r/10 (scan order), so the induced cells
-    are the closed r/10 balls with earlier cells removed: disjoint, exhaustive,
-    each inside its center's closed r/10 ball.
-    """
-
-    centers: List[MetricPoint]
-    points: np.ndarray           # (n, d1+d2) domain points, scan order
-    assignment: np.ndarray       # (n,) index into centers
-    r: float
-    d1: int
-    overlap_constant: int        # K = sup_i #{j : rho(x_i, x_j) <= 2r}
-
-    @property
-    def cell_sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=len(self.centers))
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "r": self.r,
-            "separation": self.r / 10.0,
-            "overlap_constant": self.overlap_constant,
-            "n_points": int(self.points.shape[0]),
-            "cell_sizes": self.cell_sizes.tolist(),
-            "centers": [{"x_prime": c.x_prime, "x_second": c.x_second}
-                        for c in self.centers],
-        }, indent=1)
-
-
-def _point_rows(points: np.ndarray, d1: int):
-    return points[:, :d1], points[:, d1:]
-
-
-def build_net(grid: GrushinGrid, r: float, stride: int = 1,
-              prime_bounds: Tuple[float, float] | None = None,
-              second_bounds: Tuple[float, float] | None = None) -> NetResult:
-    """Greedy maximal r/10-separated net over (strided) grid nodes.
-
-    The domain is the set of grid nodes inside the optional per-layer bounding
-    boxes (closed intervals applied to every axis of that layer).  Scan order
-    is C order over the strided mesh, so the construction is deterministic.
-    Maximality makes the net r/10-covering, and every point is assigned to the
-    first center within r/10.
-    """
-    if r <= 0:
-        raise DomainError("radius must be positive")
-    if stride < 1:
-        raise DomainError("stride must be >= 1")
-
-    def _clip(axis: np.ndarray, bounds) -> np.ndarray:
-        if bounds is None:
-            return axis
-        lo, hi = bounds
-        return axis[(axis >= lo) & (axis <= hi)]
-
-    axes = [_clip(grid.prime.axis[::stride], prime_bounds)] * grid.prime.d1 \
-        + [_clip(grid.second_axis[::stride], second_bounds)] * grid.d2
-    if any(a.size == 0 for a in axes):
-        raise DegenerateInputError("net domain is empty")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    d1 = grid.prime.d1
-    sep = r / 10.0
-
-    pp, ps = _point_rows(points, d1)
-    center_idx: List[int] = []
-    cp = np.empty((0, d1))
-    cs = np.empty((0, points.shape[1] - d1))
-    for j in range(points.shape[0]):
-        if center_idx:
-            rho = grushin_distance_arrays(cp, cs, pp[j], ps[j])
-            if np.min(rho) <= sep:
-                continue
-        center_idx.append(j)
-        cp = np.vstack([cp, pp[j:j + 1]])
-        cs = np.vstack([cs, ps[j:j + 1]])
-
-    # assignment: first center within sep, in center scan order
-    n = points.shape[0]
-    assignment = np.full(n, -1, dtype=int)
-    block = max(1, 2_000_000 // max(len(center_idx), 1))
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        rho = grushin_distance_arrays(pp[lo:hi, None, :], ps[lo:hi, None, :],
-                                      cp[None, :, :], cs[None, :, :])
-        mask = rho <= sep
-        assignment[lo:hi] = np.argmax(mask, axis=1)
-        if not np.all(mask.any(axis=1)):
-            raise ContractViolation("net is not covering; greedy invariant broken")
-
-    rho_cc = grushin_distance_arrays(cp[:, None, :], cs[:, None, :],
-                                     cp[None, :, :], cs[None, :, :])
-    overlap = int(np.max(np.sum(rho_cc <= 2.0 * r, axis=1)))
-
-    centers = [MetricPoint(tuple(cp[i]), tuple(cs[i])) for i in range(len(center_idx))]
-    return NetResult(centers=centers, points=points, assignment=assignment,
-                     r=r, d1=d1, overlap_constant=overlap)
-
-
-def ball_projection(f: Field, y: MetricPoint, r: float) -> Field:
-    """Multiplication by the indicator of the open quasi-ball around y."""
-    if r <= 0:
-        raise DomainError("radius must be positive")
-    rho = grushin_distance_field(f.grid, y.x_prime, y.x_second, wrap=True)
-    return Field(f.grid, np.where(rho < r, f.values, 0.0))

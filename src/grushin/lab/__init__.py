@@ -19,12 +19,9 @@ from .experiments import (
     multiplier_norm_experiment,
     weighted_restriction_experiment,
 )
-from .opnorm import OpNormResult, op_norm
 from .profiles import CutoffSpec, PieceProfile, dyadic_pieces, smoothstep, sobolev_norm
 from .radial import (
     laguerre_radial_table,
-    radial_gram,
-    weighted_column_norm,
     weighted_column_norms,
     weighted_operator_norm,
 )
@@ -33,7 +30,6 @@ from .reports import ScalingReport, rows_to_csv
 __all__ = [
     "CutoffSpec",
     "ExperimentResult",
-    "OpNormResult",
     "PieceProfile",
     "ScalingReport",
     "band_profile",
@@ -50,13 +46,10 @@ __all__ = [
     "laguerre_radial_table",
     "localized_restriction_experiment",
     "multiplier_norm_experiment",
-    "op_norm",
     "planar_radial_kernel",
-    "radial_gram",
     "rows_to_csv",
     "smoothstep",
     "sobolev_norm",
-    "weighted_column_norm",
     "weighted_column_norms",
     "weighted_operator_norm",
 ]

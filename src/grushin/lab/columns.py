@@ -251,8 +251,8 @@ def heat_kernel_pointwise(x, y, t: float, torus_half_period: float) -> float:
     below machine noise.  Points are (x_prime_tuple, x_second_tuple) with
     one torus coordinate; any prime dimension up to 3.
     """
-    if t <= 0:
-        raise DomainError("time must be positive")
+    if not 0 < t < np.inf:
+        raise DomainError("time must be positive and finite")
     if torus_half_period <= 0:
         raise DomainError("torus half period must be positive")
     xp = np.asarray(x[0], dtype=float)

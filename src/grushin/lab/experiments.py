@@ -68,8 +68,8 @@ class ExperimentResult:
 
 
 # The experiments measure the exact p = 1 endpoint (norms are exact column
-# maxima) for (d1, d2) = (2, 1); for p > 1 drive op_norm with an engine-backed
-# operator directly.  The slope predictions keep the paper's general formulas.
+# maxima) for (d1, d2) = (2, 1); no experiment computes p > 1.  The slope
+# predictions keep the paper's general formulas.
 _D1, _D2, _P = 2, 1, 1.0
 
 
@@ -387,8 +387,8 @@ def heat_gaussian_check(
         raise DomainError(f"d1={d1!r} not supported; the heat kernel is "
                           "implemented for d1 = 1, 2, 3")
     times = [float(t) for t in times]
-    if not times or any(t <= 0 for t in times):
-        raise DomainError("times must be positive")
+    if not times or not all(0 < t < math.inf for t in times):
+        raise DomainError("times must be positive and finite")
     if pairs is None:
         pairs = _default_heat_pairs(d1)
     if not pairs:

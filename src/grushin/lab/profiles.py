@@ -46,14 +46,10 @@ class CutoffSpec:
 
     eta: dyadic bump supported in [1/4, 1]; the dilates eta(2^-l lam) telescope
     to 1 for lam > 0.  eta_zero: 1 - sum_{l>=1} eta(2^-l lam), the low block.
-    psi: supported in (1/16, 4), equal to 1 on (1/8, 2).  phi_br: even bump
-    supported in [-1/2, 1/2], equal to 1 on [-1/4, 1/4].
     """
 
     eta: Callable[[np.ndarray], np.ndarray]
     eta_zero: Callable[[np.ndarray], np.ndarray]
-    psi: Callable[[np.ndarray], np.ndarray]
-    phi_br: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def standard(cls) -> "CutoffSpec":
@@ -67,24 +63,7 @@ class CutoffSpec:
         def eta_zero(lam):
             return 1.0 - g(np.asarray(lam, dtype=float) / 2.0)
 
-        def psi(lam):
-            lam = np.asarray(lam, dtype=float)
-            return _rise(lam, 1.0 / 16.0, 1.0 / 8.0) * (1.0 - _rise(lam, 2.0, 4.0))
-
-        def phi_br(u):
-            return 1.0 - _rise(np.abs(np.asarray(u, dtype=float)), 0.25, 0.5)
-
-        return cls(eta=eta, eta_zero=eta_zero, psi=psi, phi_br=phi_br)
-
-    def partition_residual(self, lam) -> np.ndarray:
-        """|1 - sum_l eta(2^-l lam)| over the dyadic ladder covering lam."""
-        lam = np.asarray(lam, dtype=float)
-        lo = int(np.floor(np.log2(lam.min()))) - 3
-        hi = int(np.ceil(np.log2(lam.max()))) + 3
-        total = np.zeros_like(lam)
-        for level in range(lo, hi + 1):
-            total += self.eta(lam / 2.0 ** level)
-        return np.abs(total - 1.0)
+        return cls(eta=eta, eta_zero=eta_zero)
 
 
 def sobolev_norm(values: np.ndarray, spacing: float, s: float) -> float:
@@ -94,11 +73,16 @@ def sobolev_norm(values: np.ndarray, spacing: float, s: float) -> float:
     The window must already contain the profile: samples at both edges have to
     be below 1e-12 or the periodization would contaminate the spectrum.
     """
-    if s < 0:
-        raise DomainError("Sobolev order must be >= 0")
+    if not 0 <= s < np.inf:
+        raise DomainError(f"Sobolev order must be finite and >= 0, got {s!r}")
+    if not 0 < spacing < np.inf:
+        raise DomainError(
+            f"sample spacing must be finite and positive, got {spacing!r}")
     v = np.asarray(values, dtype=complex)
     if v.ndim != 1 or v.size < 8:
         raise DomainError("need a 1-D profile with at least 8 samples")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("profile samples must be finite")
     edge = max(abs(v[0]), abs(v[-1]))
     if edge > 1e-12:
         raise WindowingError(
@@ -129,10 +113,6 @@ class PieceProfile:
         out = np.sqrt(2.0 / np.pi) * acc
         return out
 
-    @property
-    def time_support(self):
-        return float(self.nodes[0]), float(self.nodes[-1])
-
 
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     w = np.full(n, h)
@@ -153,8 +133,8 @@ def dyadic_pieces(profile: Callable[[np.ndarray], np.ndarray],
     """
     if n_levels < 1:
         raise DomainError("need at least one dyadic level")
-    if ds <= 0:
-        raise DomainError("quadrature spacing must be positive")
+    if not 0 < ds < np.inf:
+        raise DomainError("quadrature spacing must be finite and positive")
     # support contract: the profile must live inside [1/4, 1]
     lam_probe = np.concatenate([np.linspace(0.0, 0.25, 200, endpoint=False),
                                 np.linspace(1.0, 8.0, 400)[1:]])

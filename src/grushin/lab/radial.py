@@ -33,8 +33,6 @@ from ..oscillator import active_level_range
 
 __all__ = [
     "laguerre_radial_table",
-    "radial_gram",
-    "weighted_column_norm",
     "weighted_column_norms",
     "weighted_operator_norm",
 ]
@@ -119,10 +117,11 @@ def _gauss_modes(n_max: np.ndarray, l: np.ndarray, gamma: float):
 
     DLMF 18.18.18 (lambda = l, mu = l + gamma) gives L_n^l = sum_k c_{n-k}
     L_k^{l+gamma}, c_i = (-gamma)_i / i!, and the L_k^{l+gamma} are
-    orthogonal for t^{l+gamma} e^{-t}.  In t = s^2 the Gram of radial_gram is
-    then M M^T, M[n, k] = E[n] T[n, k] / E'[k] with T[n, k] = c_{n-k} (zero
-    for k > n; shared by all lanes and frequencies), E[n] = sqrt(n!/(n+l)!)
-    and E'[k] = sqrt(k!/Gamma(k+l+gamma+1)).  Lanes are as in
+    orthogonal for t^{l+gamma} e^{-t}.  In t = s^2 the weighted Gram
+    int_0^inf s^{2 gamma + 1} psi_{n,l} psi_{m,l} ds is then M M^T,
+    M[n, k] = E[n] T[n, k] / E'[k] with T[n, k] = c_{n-k} (zero for k > n;
+    shared by all lanes and frequencies), E[n] = sqrt(n!/(n+l)!) and
+    E'[k] = sqrt(k!/Gamma(k+l+gamma+1)).  Lanes are as in
     _normalized_recurrence; the rows of E and 1/E' stop at n_max of their
     lane and share a lane constant centring log E (range e^{+-960} at k_hi =
     3999).  benchmark/tracer.py times this function as radial.gauss_modes.
@@ -142,22 +141,6 @@ def _gauss_modes(n_max: np.ndarray, l: np.ndarray, gamma: float):
     return (np.exp(np.where(real, log_e - shift, -np.inf)),
             toeplitz(c, np.zeros(width)),
             np.exp(np.where(real, shift - log_e_prime, -np.inf)))
-
-
-def radial_gram(n_max: int, l: int, gamma: float) -> np.ndarray:
-    """Gram matrix int_0^inf s^{2 gamma + 1} psi_{n,l} psi_{m,l} ds, exact.
-
-    Formed as M M^T from the closed-form factor of _gauss_modes (the
-    Laguerre connection formula, DLMF 18.18.18).  gamma = 0 recovers the
-    identity (orthonormality) to rounding.
-    """
-    if n_max < 0 or l < 0:
-        raise DomainError("need n_max >= 0 and l >= 0")
-    if not 0.0 <= gamma < np.inf:
-        raise DomainError(f"gamma must be finite and >= 0, got {gamma!r}")
-    e, t, ep_inv = _gauss_modes(np.array([n_max]), np.array([[l]]), gamma)
-    factor = e[0, :, None] * t * ep_inv[0]
-    return factor @ factor.T
 
 
 def _frequency_slab(vals: np.ndarray, s_u: np.ndarray,
@@ -253,15 +236,6 @@ def weighted_column_norms(profile, u, gamma: float, torus_half_period: float,
         slab = _frequency_slab(vals, np.sqrt(xi) * u, gamma)
         total += 2.0 * xi ** (1.0 - gamma) / (2.0 * np.pi) * slab
     return np.sqrt(total / (2.0 * torus_half_period))
-
-
-def weighted_column_norm(profile, u: float, gamma: float,
-                         torus_half_period: float, k_max: int,
-                         lambda_max: float) -> float:
-    """Scalar-u convenience wrapper around weighted_column_norms."""
-    return float(weighted_column_norms(profile, np.array([u]), gamma,
-                                       torus_half_period, k_max,
-                                       lambda_max)[0])
 
 
 def weighted_operator_norm(profile, gamma: float, torus_half_period: float,

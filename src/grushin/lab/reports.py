@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -33,8 +32,8 @@ class ScalingReport:
             raise DomainError("scaling fit needs at least 3 abscissae")
         if np.any(np.diff(x) <= 0):
             raise DomainError("abscissae must be strictly increasing")
-        if np.any(x <= 0) or np.any(y <= 0):
-            raise DomainError("log-log fit needs positive data")
+        if not (np.all((x > 0) & (x < np.inf)) and np.all((y > 0) & (y < np.inf))):
+            raise DomainError("log-log fit needs finite positive data")
         lx, ly = np.log(x), np.log(y)
         design = np.stack([lx, np.ones_like(lx)], axis=1)
         coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
@@ -50,15 +49,8 @@ class ScalingReport:
                    predicted_slope=float(predicted_slope),
                    residual_max=float(np.max(np.abs(resid))))
 
-    @property
-    def slope_error(self) -> float:
-        return self.fitted_slope - self.predicted_slope
-
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
 
 def rows_to_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:

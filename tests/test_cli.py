@@ -50,9 +50,11 @@ class TestExitCodes:
         "experiment.pairs = [[[0], [0], [1], [0]]]\n",
         "experiment.kind = kernel_support\nexperiment.levels = [0, 1]\n",
         "experiment.kind = geometry_suite\nseed = 1.5\n",
+        "experiment.kind = multiplier_norm\nexperiment.sobolev_orders = [NaN, 1e400]\n",
+        "experiment.kind = heat_gaussian\nexperiment.times = [NaN]\n",
     ], ids=["unknown-kind", "unknown-key", "duplicate-key", "missing-pairs",
             "malformed-line", "missing-kind", "levels-times-mismatch",
-            "non-integer-seed"])
+            "non-integer-seed", "non-finite-sobolev-order", "nan-heat-time"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, text):
         assert run(tmp_path, text) == 2
         assert "config error" in capsys.readouterr().err

@@ -1,18 +1,14 @@
-"""Tests for the quasi-distance, ball volumes, doubling, nets, projections."""
-
-import json
+"""Tests for the quasi-distance, ball volumes and doubling."""
 
 import numpy as np
 import pytest
 
 from grushin.errors import ContractViolation, DegenerateInputError, DomainError
-from grushin.fields import Field, GrushinGrid
+from grushin.fields import GrushinGrid
 from grushin.geometry import (
     MetricPoint,
-    ball_projection,
     ball_volume_mc,
     ball_volume_model,
-    build_net,
     doubling_ratio,
     grushin_distance,
     grushin_distance_arrays,
@@ -211,108 +207,3 @@ class TestDoubling:
     def test_rejects_factor_below_one(self):
         with pytest.raises(DomainError):
             doubling_ratio(MetricPoint((0.0,), (0.0,)), 1.0, 0.5)
-
-
-class TestNet:
-    def test_invariants(self):
-        grid = small_grid()
-        net = build_net(grid, r=5.0)
-        sep = net.r / 10.0
-        cp = np.array([c.x_prime for c in net.centers])
-        cs = np.array([c.x_second for c in net.centers])
-        # pairwise separation strictly above r/10
-        rho = grushin_distance_arrays(cp[:, None, :], cs[:, None, :],
-                                      cp[None, :, :], cs[None, :, :])
-        off = rho[~np.eye(len(net.centers), dtype=bool)]
-        assert np.min(off) > sep
-        # every point lies in the closed r/10 ball of its assigned center
-        pp, ps = net.points[:, :2], net.points[:, 2:]
-        d_assigned = grushin_distance_arrays(pp, ps, cp[net.assignment],
-                                             cs[net.assignment])
-        assert np.max(d_assigned) <= sep + 1e-12
-        # cells partition the domain exactly
-        assert net.assignment.min() >= 0
-        assert net.assignment.max() < len(net.centers)
-        assert int(net.cell_sizes.sum()) == net.points.shape[0]
-        # every center is its own cell's first point in scan order sense:
-        # the center's own location is assigned to itself
-        for i, c in enumerate(net.centers):
-            row = np.concatenate([c.x_prime, c.x_second])
-            j = np.flatnonzero(np.all(net.points == row, axis=1))[0]
-            assert net.assignment[j] == i
-
-    def test_overlap_constant_below_volume_ratio_bound(self):
-        grid = small_grid()
-        net = build_net(grid, r=2.0, stride=2)
-        cp = np.array([c.x_prime for c in net.centers])
-        cs = np.array([c.x_second for c in net.centers])
-        rho = grushin_distance_arrays(cp[:, None, :], cs[:, None, :],
-                                      cp[None, :, :], cs[None, :, :])
-        counts = np.sum(rho <= 2.0 * net.r, axis=1)
-        assert net.overlap_constant == int(np.max(counts))
-        # packing bound: K <= sup |B(x, 2.05r)| / inf |B(x, r/20)| (measured)
-        probe = list(range(0, len(net.centers), max(1, len(net.centers) // 6)))
-        probe.append(int(np.argmax(counts)))
-        big = max(ball_volume_mc(net.centers[i], 2.05 * net.r, 100_000, seed=11)[0]
-                  for i in probe)
-        small = min(ball_volume_mc(net.centers[i], net.r / 20.0, 100_000, seed=12)[0]
-                    for i in probe)
-        assert net.overlap_constant <= big / small
-
-    def test_radius_beyond_diameter_gives_single_center(self):
-        net = build_net(small_grid(), r=1000.0, stride=4)
-        assert len(net.centers) == 1
-        assert net.overlap_constant == 1
-        assert np.all(net.assignment == 0)
-
-    def test_empty_domain_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            build_net(small_grid(), r=1.0, prime_bounds=(50.0, 60.0))
-
-    def test_bad_parameters_rejected(self):
-        with pytest.raises(DomainError):
-            build_net(small_grid(), r=0.0)
-        with pytest.raises(DomainError):
-            build_net(small_grid(), r=1.0, stride=0)
-
-    def test_json_round_trip(self):
-        net = build_net(small_grid(), r=8.0, stride=2)
-        doc = json.loads(net.to_json())
-        assert doc["r"] == 8.0
-        assert doc["overlap_constant"] == net.overlap_constant
-        assert sum(doc["cell_sizes"]) == doc["n_points"]
-        assert len(doc["centers"]) == len(net.centers)
-        assert doc["centers"][0]["x_prime"] == list(net.centers[0].x_prime)
-
-
-class TestBallProjection:
-    def test_idempotent_and_contractive(self):
-        grid = small_grid()
-        rng = np.random.default_rng(5)
-        f = Field(grid, rng.standard_normal(grid.shape)
-                  + 1j * rng.standard_normal(grid.shape))
-        y = MetricPoint((0.0, 0.0), (0.0,))
-        pf = ball_projection(f, y, 1.0)
-        pf2 = ball_projection(pf, y, 1.0)
-        assert np.array_equal(pf.values, pf2.values)
-        assert pf.norm_lp(2) <= f.norm_lp(2)
-        assert pf.norm_lp(2) < f.norm_lp(2)  # proper sub-ball really cuts
-
-    def test_radius_beyond_diameter_is_identity(self):
-        grid = small_grid()
-        rng = np.random.default_rng(6)
-        f = Field(grid, rng.standard_normal(grid.shape) + 0j)
-        pf = ball_projection(f, MetricPoint((0.0, 0.0), (0.0,)), 100.0)
-        assert np.array_equal(pf.values, f.values)
-
-    def test_wraps_across_torus_seam(self):
-        grid = small_grid()
-        f = Field(grid, np.ones(grid.shape, dtype=complex))
-        pf = ball_projection(f, MetricPoint((1.0, 0.0), (1.75,)), 0.2)
-        # the node just across the seam is distance 0.125 away, inside r
-        assert pf.values[grid.locate((1.0, 0.0), (-2.0,))] == 1.0
-
-    def test_bad_radius_rejected(self):
-        with pytest.raises(DomainError):
-            ball_projection(Field.zeros(small_grid()),
-                            MetricPoint((0.0, 0.0), (0.0,)), -1.0)

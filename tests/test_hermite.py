@@ -1,23 +1,23 @@
-"""Hermite layer: recurrence accuracy, combinatorics, projections, tail decay."""
+"""Hermite layer and the references built on it: recurrence accuracy,
+combinatorics, projections."""
+
+import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
-
-from grushin.errors import ContractViolation, DomainError, TruncationError
-from grushin.hermite import (
-    PrimeGrid,
+from oracles import (
     gaussian_decay_fit,
     hermite_eval,
-    hermite_table,
-    hermite_zero_values,
-    level_multiplicity,
     level_sum_profile,
     multiindex_enum,
     phi_eval,
+    project_onto_level,
     projection_kernel,
 )
-from grushin.oscillator import project_onto_level
+from scipy.integrate import simpson
+
+from grushin.errors import ContractViolation, DomainError, TruncationError
+from grushin.hermite import PrimeGrid, hermite_table, hermite_zero_values
 
 GRID = PrimeGrid(half_width=17.0, n_points=512, d1=1)
 
@@ -75,13 +75,12 @@ def test_multiindex_examples():
     assert multiindex_enum(2, 3) == [(0, 3), (1, 2), (2, 1), (3, 0)]
     assert multiindex_enum(1, 5) == [(5,)]
     assert len(multiindex_enum(3, 4)) == 15
-    assert level_multiplicity(3, 4) == 15
 
 
 @pytest.mark.parametrize("d1,k", [(1, 9), (2, 6), (3, 5)])
 def test_multiindex_exhaustive_sorted_unique(d1, k):
     idx = multiindex_enum(d1, k)
-    assert len(set(idx)) == len(idx) == level_multiplicity(d1, k)
+    assert len(set(idx)) == len(idx) == math.comb(k + d1 - 1, d1 - 1)
     assert idx == sorted(idx)
     assert all(sum(nu) == k and len(nu) == d1 for nu in idx)
 
@@ -180,9 +179,9 @@ def test_gaussian_tail_decay(k, d1):
 
 
 def test_prime_grid_properties():
-    g = PrimeGrid.for_levels(40, 1)
+    g = PrimeGrid(half_width=15.0, n_points=1024, d1=1)
     assert 0.0 in g.axis  # even n_points puts the origin on the grid
-    assert g.half_width >= np.sqrt(2 * 40 + 1) + 6
+    # level 40 turns at sqrt(2 * 40 + 1) = 9, six units inside the box
     assert g.reliable_level_cap() >= 40
     with pytest.raises(DomainError):
         PrimeGrid(half_width=-1.0, n_points=64, d1=1)

@@ -3,35 +3,22 @@
 import numpy as np
 import pytest
 
-from grushin.engine import apply_slice_multiplier
-from grushin.errors import DegenerateInputError, DomainError, TruncationError
-from grushin.fields import MultiplierProfile
-from grushin.hermite import PrimeGrid, hermite_table
-from grushin.oscillator import (
-    RatioReport,
-    XiSlice,
-    active_level_range,
-    oscillator_synthesis,
-    oscillator_transform,
+from oracles import (
+    indicator,
     phi_xi_eval,
     restriction_norm_level,
     weighted_oscillator_check,
 )
 
-
-class TestXiSlice:
-    def test_eigenvalue_formula(self):
-        s = XiSlice(xi_mag=3.0, d1=2, k_max=10)
-        assert s.eigenvalue(0) == 6.0
-        assert s.eigenvalue(4) == 30.0
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(DomainError):
-            XiSlice(xi_mag=0.0, d1=1, k_max=5)
-        with pytest.raises(DomainError):
-            XiSlice(xi_mag=1.0, d1=0, k_max=5)
-        with pytest.raises(DomainError):
-            XiSlice(xi_mag=1.0, d1=1, k_max=-1)
+from grushin.engine import apply_slice_multiplier
+from grushin.errors import DegenerateInputError, DomainError, TruncationError
+from grushin.fields import MultiplierProfile
+from grushin.hermite import PrimeGrid, hermite_table
+from grushin.oscillator import (
+    active_level_range,
+    oscillator_synthesis,
+    oscillator_transform,
+)
 
 
 class TestEigenfunctions:
@@ -82,20 +69,20 @@ class TestEigenfunctions:
 
 class TestActiveLevelRange:
     def test_interior_band(self):
-        prof = MultiplierProfile.indicator(3.0, 10.0)
+        prof = indicator(3.0, 10.0)
         assert active_level_range(prof, 1.0, 1, 100.0) == (1, 4)
 
     def test_edge_eigenvalue_included(self):
-        prof = MultiplierProfile.indicator(3.0, 9.0)
+        prof = indicator(3.0, 9.0)
         # eigenvalue (2*4+1)*1 = 9 sits exactly on the support edge
         assert active_level_range(prof, 1.0, 1, 100.0)[1] == 4
 
     def test_lambda_cap_shrinks_range(self):
-        prof = MultiplierProfile.indicator(3.0, 10.0)
+        prof = indicator(3.0, 10.0)
         assert active_level_range(prof, 1.0, 1, 7.0) == (1, 3)
 
     def test_empty_when_support_above_cap(self):
-        prof = MultiplierProfile.indicator(1000.0, 2000.0)
+        prof = indicator(1000.0, 2000.0)
         k_lo, k_hi = active_level_range(prof, 1.0, 1, 100.0)
         assert k_hi < k_lo
 
@@ -149,7 +136,7 @@ class TestApplyMultiplier:
         xi, k_hi = 1.5, 6
         f, _ = random_span_field(grid2d, xi, k_hi, seed=8)
         top = (2 * (2 * k_hi) + 2) * xi + 1.0
-        ident = MultiplierProfile.indicator(0.0, top)
+        ident = indicator(0.0, top)
         out = apply_slice_multiplier(ident, f, grid2d, xi, 12, lambda_max=39.0)
         assert np.max(np.abs(out - f)) < 1e-8 * np.max(np.abs(f))
 
@@ -162,7 +149,7 @@ class TestApplyMultiplier:
         f4 = phi_xi_eval((2, 2), xi, pts)
         f = 2.0 * f1 + 3.0 * f4
         lam1 = (2 * 1 + 2) * xi
-        band = MultiplierProfile.indicator(lam1 - xi, lam1 + xi)
+        band = indicator(lam1 - xi, lam1 + xi)
         out = apply_slice_multiplier(band, f, grid2d, xi, 10, lambda_max=44.0)
         assert np.max(np.abs(out - 2.0 * f1)) < 1e-9 * np.max(np.abs(f1))
 
@@ -184,7 +171,7 @@ class TestApplyMultiplier:
 
     def test_truncation_error_names_offender(self, grid2d):
         f = np.zeros((grid2d.n_points,) * 2)
-        wide = MultiplierProfile.indicator(0.0, 30.0)
+        wide = indicator(0.0, 30.0)
         with pytest.raises(TruncationError) as err:
             apply_slice_multiplier(wide, f, grid2d, 1.0, 3, lambda_max=30.0)
         assert err.value.level == 14
@@ -192,14 +179,14 @@ class TestApplyMultiplier:
 
     def test_grid_cap_guards_unresolvable_levels(self):
         tiny = PrimeGrid(5.0, 64, 1)
-        wide = MultiplierProfile.indicator(0.0, 400.0)
+        wide = indicator(0.0, 400.0)
         with pytest.raises(TruncationError) as err:
             apply_slice_multiplier(wide, np.zeros(64), tiny, 1.0, 500, lambda_max=1001.0)
         assert err.value.k_max == tiny.reliable_level_cap(1.0)
 
     def test_empty_band_returns_zero(self, grid2d):
         f, _ = random_span_field(grid2d, 1.0, 3, seed=10)
-        high = MultiplierProfile.indicator(500.0, 600.0)
+        high = indicator(500.0, 600.0)
         out = apply_slice_multiplier(high, f, grid2d, 1.0, 10, lambda_max=22.0)
         assert np.count_nonzero(out) == 0
 
@@ -232,7 +219,7 @@ class TestRestrictionNorm:
             restriction_norm_level(1, 1.0, 2.5, 1)
         with pytest.raises(DomainError) as err:
             restriction_norm_level(1, 1.0, 1.5, 1)
-        assert "op_norm" in str(err.value)
+        assert "p = 1" in str(err.value)
 
 
 class TestWeightedInequalities:
@@ -244,40 +231,31 @@ class TestWeightedInequalities:
         c = rng.standard_normal(41)
         return c @ self.table
 
+    def ratio(self, f, gamma):
+        num, den = weighted_oscillator_check(f, 1.0, 40, 1, gamma, self.grid)
+        return num / den
+
     def test_hardy_type_ratio_at_most_one(self):
         # || |x| f ||_2 <= xi^{-1} || L_xi^{1/2} f ||_2 on the oscillator span
-        sl = XiSlice(1.0, 1, 40)
         rng = np.random.default_rng(2024)
-        worst = 0.0
-        for _ in range(200):
-            rep = weighted_oscillator_check(self.random_field(rng), sl, 1.0, self.grid)
-            worst = max(worst, rep.ratio)
+        worst = max(self.ratio(self.random_field(rng), 1.0) for _ in range(200))
         assert worst <= 1.0 + 1e-12
 
     def test_second_power_ratio_at_most_sqrt5(self):
-        sl = XiSlice(1.0, 1, 40)
         rng = np.random.default_rng(2025)
-        worst = 0.0
-        for _ in range(200):
-            rep = weighted_oscillator_check(self.random_field(rng), sl, 2.0, self.grid)
-            worst = max(worst, rep.ratio)
+        worst = max(self.ratio(self.random_field(rng), 2.0) for _ in range(200))
         assert worst <= np.sqrt(5.0) + 1e-12
 
     def test_gamma_zero_ratio_is_one(self):
-        sl = XiSlice(1.0, 1, 40)
         rng = np.random.default_rng(2026)
-        rep = weighted_oscillator_check(self.random_field(rng), sl, 0.0, self.grid)
-        assert rep.ratio == pytest.approx(1.0, abs=1e-12)
+        assert self.ratio(self.random_field(rng), 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_field_rejected(self):
-        sl = XiSlice(1.0, 1, 10)
         with pytest.raises(DegenerateInputError):
-            weighted_oscillator_check(np.zeros(2048), sl, 1.0, self.grid)
+            weighted_oscillator_check(np.zeros(2048), 1.0, 10, 1, 1.0, self.grid)
 
     def test_report_exposes_both_sides(self):
-        sl = XiSlice(1.0, 1, 40)
         rng = np.random.default_rng(2027)
-        rep = weighted_oscillator_check(self.random_field(rng), sl, 1.0, self.grid)
-        assert isinstance(rep, RatioReport)
-        assert rep.numerator > 0 and rep.denominator > 0
-        assert rep.ratio == rep.numerator / rep.denominator
+        num, den = weighted_oscillator_check(self.random_field(rng), 1.0, 40, 1, 1.0,
+                                             self.grid)
+        assert num > 0 and den > 0

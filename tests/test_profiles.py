@@ -35,26 +35,12 @@ class TestCutoffSpec:
         assert live.min() >= 0.25 and live.max() <= 1.0
         assert e.max() > 0.9  # a genuine bump, not a sliver
 
-    def test_psi_support_and_plateau(self):
-        lam = np.linspace(1e-4, 8.0, 20001)
-        p = self.cs.psi(lam)
-        live = lam[p > 1e-14]
-        assert live.min() >= 1.0 / 16.0 and live.max() <= 4.0
-        plateau = (lam >= 1.0 / 8.0) & (lam <= 2.0)
-        assert np.max(np.abs(p[plateau] - 1.0)) == 0.0
-
-    def test_phi_br_even_bump(self):
-        u = np.linspace(-1.0, 1.0, 4001)
-        pb = self.cs.phi_br(u)
-        live = u[np.abs(pb) > 1e-14]
-        assert np.abs(live).max() <= 0.5
-        assert np.max(np.abs(pb[np.abs(u) <= 0.25] - 1.0)) == 0.0
-        half = np.linspace(0.0, 1.0, 2001)
-        assert np.array_equal(self.cs.phi_br(half), self.cs.phi_br(-half))
-
     def test_dyadic_partition_of_unity(self):
+        # the telescoping that lets dyadic_pieces sum back to the profile:
+        # sum_l eta(2^-l lam) = 1 over a ladder of levels covering lam
         lam = np.exp(np.linspace(np.log(2.0 ** -10), np.log(2.0 ** 10), 4001))
-        assert self.cs.partition_residual(lam).max() < 1e-14
+        total = sum(self.cs.eta(lam / 2.0 ** level) for level in range(-13, 14))
+        assert np.abs(total - 1.0).max() < 1e-14
 
 
 class TestSobolevNorm:
@@ -96,6 +82,12 @@ class TestSobolevNorm:
             sobolev_norm(g, 0.1, -1.0)
         with pytest.raises(DomainError):
             sobolev_norm(np.zeros(4), 0.1, 1.0)
+        for spacing, s in [(0.1, np.nan), (0.1, np.inf), (np.nan, 1.0), (np.inf, 1.0)]:
+            with pytest.raises(DomainError):
+                sobolev_norm(g, spacing, s)
+        g[7] = np.nan
+        with pytest.raises(DomainError):
+            sobolev_norm(g, 0.1, 1.0)
 
 
 class TestDyadicPieces:
@@ -121,10 +113,10 @@ class TestDyadicPieces:
     def test_time_supports_are_dyadic(self):
         pieces = dyadic_pieces(self.cs.eta, self.cs, n_levels=4)
         assert len(pieces) == 5
-        assert pieces[0].time_support == (0.0, 1.0)
+        assert (pieces[0].nodes[0], pieces[0].nodes[-1]) == (0.0, 1.0)
         for level in range(1, 5):
-            lo, hi = pieces[level].time_support
-            assert lo == 2.0 ** (level - 2) and hi == 2.0 ** level
+            nodes = pieces[level].nodes
+            assert nodes[0] == 2.0 ** (level - 2) and nodes[-1] == 2.0 ** level
 
     def test_zero_profile_gives_zero_pieces(self):
         pieces = dyadic_pieces(lambda lam: np.zeros(np.shape(lam)), self.cs, 5)

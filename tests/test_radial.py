@@ -3,20 +3,24 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from oracles import level_sum_profile, radial_gram
 from scipy.linalg import eigvalsh_tridiagonal
 
 from grushin.errors import DomainError, TruncationError
 from grushin.fields import MultiplierProfile
-from grushin.hermite import level_sum_profile
 from grushin.lab.experiments import band_profile
 from grushin.lab.radial import (
     _gauss_modes,
     laguerre_radial_table,
-    radial_gram,
-    weighted_column_norm,
     weighted_column_norms,
     weighted_operator_norm,
 )
+
+
+def weighted_column_norm(profile, u, gamma, torus_half_period, k_max, lambda_max):
+    """One foot of weighted_column_norms, as a float."""
+    return float(weighted_column_norms(profile, np.array([u]), gamma,
+                                       torus_half_period, k_max, lambda_max)[0])
 
 
 def trapezoid_weights(s):
