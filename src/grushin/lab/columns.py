@@ -5,7 +5,9 @@ coordinate and both choosing their own discretizations:
 
 * an L^1 norm for multiplier kernel columns, split into a small core square
   in x' that carries every torus frequency and a wide bulk zone where only
-  the low frequencies can reach (higher slabs die off inside the core), and
+  the low frequencies can reach (higher slabs die off inside the core); the
+  bulk's few bins are summed over the torus by one half-period cosine matrix
+  product, the core's many by irfft, and
 * a closed-form heat kernel evaluator built from the oscillator semigroup
   kernel per frequency, with no level truncation at all.
 
@@ -31,9 +33,10 @@ __all__ = [
 ]
 
 # floats of one x1 block of the full-width spectrum (n_fft // 2 + 1 bins); it
-# fixes the block partition and so the order of the float sums.  The irfft
-# buffer reused by every block holds n_fft / (n_fft // 2 + 1) times as many
-# floats, the stored spectrum only the bins up to the last slab
+# fixes the block partition and so the order of the float sums.  The bulk
+# zone's cosine product buffer holds that many floats, the core zone's irfft
+# buffer n_fft / (n_fft // 2 + 1) times as many, the stored spectrum only the
+# bins up to the last slab
 _BLOCK_BUDGET = 6.0e6
 
 
@@ -103,6 +106,39 @@ def _kernel_slab_coeff(profile, xi: float, k_cap: int, u: float,
     return F * h_u[:, None] * h_0[even][None, :], even
 
 
+def _half_period_cosines(n_bins: int, n_fft: int) -> np.ndarray:
+    """Table T with T @ X = irfft(X, n_fft)[:n_fft // 2 + 1] along axis 0.
+
+    T[k, j] = c_j cos(2 pi j k / n_fft) / n_fft, c_0 = 1 and c_j = 2 else,
+    for a real spectrum X of bins 0..n_bins - 1 below the Nyquist bin.
+    The phase j k is reduced mod n_fft in integers, so large products lose
+    no accuracy.
+    """
+    k = np.arange(n_fft // 2 + 1)
+    j = np.arange(n_bins)
+    table = np.cos(2.0 * np.pi * (np.outer(k, j) % n_fft) / n_fft) / n_fft
+    table[:, 1:] *= 2.0
+    return table
+
+
+def _cosine_abs_sums(table: np.ndarray, spec: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+    """Sums of |irfft(spec, n_fft)| over one full period, along axis 0.
+
+    spec holds the real bins 0..n_bins - 1 of spectra slab-major, shape
+    (n_bins, *lines); table is _half_period_cosines(n_bins, n_fft).  The
+    samples of a real spectrum's transform are even about k = 0 and
+    k = n_fft / 2, so only those n_fft // 2 + 1 are computed, into the flat
+    buffer out, and the others enter the sum twice.  Returns shape lines.
+    """
+    lines = spec[0].size
+    vals = out[:table.shape[0] * lines].reshape(table.shape[0], lines)
+    np.matmul(table, spec.reshape(spec.shape[0], lines), out=vals)
+    weights = np.full(table.shape[0], 2.0)
+    weights[0] = weights[-1] = 1.0
+    return (weights @ np.abs(vals, out=vals)).reshape(spec.shape[1:])
+
+
 def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
                        lambda_max: float | None = None,
                        points_per_wavelength: float = 4.0,
@@ -115,7 +151,11 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     inside, every torus frequency contributes and the frequency count sets
     the FFT size; outside, only frequencies reaching past the core survive
     (the rest are cut off exponentially at their classical radius), which
-    keeps the wide-zone FFT short.  xi_zero_radial overrides the radial
+    keeps the wide zone's torus samples few.  Each zone samples |K| at its
+    own n_fft torus points per line: the core, whose bins grow like the
+    square of the scale, by irfft; the bulk, whose bins grow only like the
+    scale, by one product with a half-period cosine table, as per-line FFT
+    overhead would outweigh its few bins.  xi_zero_radial overrides the radial
     profile used for the zero-frequency slab (closed forms beat quadrature
     when available); default is the Hankel quadrature of the profile.
 
@@ -196,7 +236,7 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
         xi = j * dxi
         return int(np.floor((top / xi - 2.0) / 2.0 + 1e-12))
 
-    def accumulate(x1, x2, wgt2, j_list, n_fft, keep=None):
+    def accumulate(x1, x2, wgt2, j_list, n_fft, by_cosines, keep=None):
         if keep is not None and not keep.any():
             return 0.0
         block = max(1, int(_BLOCK_BUDGET / (x2.size * (n_fft // 2 + 1))))
@@ -209,24 +249,34 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
                 C, even = _kernel_slab_coeff(profile, j * dxi, k_cap, u, top)
                 T2 = hermite_table(k_cap, np.sqrt(j * dxi) * x2)[even, :]
                 slabs[j] = (k_cap, C, T2)
-        # bins past the last slab are zero, and irfft zero-pads its input to
-        # n_fft // 2 + 1 bins itself, so the stored spectrum stops there; one
-        # output buffer serves every block, the short last one as a prefix
+        # bins past the last slab are zero, so the stored spectrum stops
+        # there; one output buffer serves every block, the short last one
+        # as a prefix
         n_bins = max(j_list, default=0) + 1
-        out = np.empty((min(block, x1.size), x2.size, n_fft))
+        rows = min(block, x1.size)
+        if by_cosines:
+            table = _half_period_cosines(n_bins, n_fft)
+            out = np.empty(table.shape[0] * rows * x2.size)
+        else:
+            out = np.empty((rows, x2.size, n_fft))
         acc = 0.0
         for i0 in range(0, x1.size, block):
             i1 = min(x1.size, i0 + block)
-            spec = np.zeros((i1 - i0, x2.size, n_bins))
+            spec = np.zeros((n_bins, i1 - i0, x2.size))
             rr = np.sqrt((x1[i0:i1, None] - u) ** 2 + x2[None, :] ** 2)
-            spec[:, :, 0] = zero_slab(rr)
+            spec[0] = zero_slab(rr)
             for j, (k_cap, C, T2) in slabs.items():
                 xi = j * dxi
                 H1 = hermite_table(k_cap, np.sqrt(xi) * x1[i0:i1])
                 # alternating sign recenters the transform on [-S, S)
-                spec[:, :, j] = (-1) ** j * xi * (H1.T @ C @ T2)
-            vals = np.fft.irfft(spec, n=n_fft, axis=2, out=out[:i1 - i0])
-            sums = np.abs(vals, out=vals).sum(axis=2)
+                spec[j] = (-1) ** j * xi * (H1.T @ C @ T2)
+            if by_cosines:
+                sums = _cosine_abs_sums(table, spec, out)
+            else:
+                # irfft zero-pads the spectrum to n_fft // 2 + 1 bins itself
+                vals = np.fft.irfft(np.moveaxis(spec, 0, -1), n=n_fft,
+                                    axis=2, out=out[:i1 - i0])
+                sums = np.abs(vals, out=vals).sum(axis=2)
             if keep is not None:
                 sums *= keep[i0:i1]  # 0/1 mask: the same as masking vals
             acc += float((sums * wgt2[None, :]).sum())
@@ -236,9 +286,9 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     core2 = ax2 <= core_half_width
     outside = ~(core1[:, None] & core2[None, :])
     total = accumulate(ax1, ax2, w2, range(1, j_split + 1), n_fft_bulk,
-                       keep=outside)
+                       by_cosines=True, keep=outside)
     total += accumulate(ax1[core1], ax2[core2], w2[core2],
-                        range(1, j_max + 1), n_fft_core)
+                        range(1, j_max + 1), n_fft_core, by_cosines=False)
     return total * dx * dx
 
 
@@ -253,8 +303,8 @@ def heat_kernel_pointwise(x, y, t: float, torus_half_period: float) -> float:
     """
     if not 0 < t < np.inf:
         raise DomainError("time must be positive and finite")
-    if torus_half_period <= 0:
-        raise DomainError("torus half period must be positive")
+    if not 0 < torus_half_period < np.inf:
+        raise DomainError("torus half period must be positive and finite")
     xp = np.asarray(x[0], dtype=float)
     yp = np.asarray(y[0], dtype=float)
     if xp.shape != yp.shape or xp.ndim != 1 or not (1 <= xp.size <= 3):

@@ -389,6 +389,9 @@ def heat_gaussian_check(
     times = [float(t) for t in times]
     if not times or not all(0 < t < math.inf for t in times):
         raise DomainError("times must be positive and finite")
+    if not 0 < torus_half_period < math.inf:
+        raise DomainError("torus half period must be positive and finite, "
+                          f"got {torus_half_period!r}")
     if pairs is None:
         pairs = _default_heat_pairs(d1)
     if not pairs:

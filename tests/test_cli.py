@@ -52,9 +52,11 @@ class TestExitCodes:
         "experiment.kind = geometry_suite\nseed = 1.5\n",
         "experiment.kind = multiplier_norm\nexperiment.sobolev_orders = [NaN, 1e400]\n",
         "experiment.kind = heat_gaussian\nexperiment.times = [NaN]\n",
+        "experiment.kind = heat_gaussian\ngrid.S = NaN\n",
     ], ids=["unknown-kind", "unknown-key", "duplicate-key", "missing-pairs",
             "malformed-line", "missing-kind", "levels-times-mismatch",
-            "non-integer-seed", "non-finite-sobolev-order", "nan-heat-time"])
+            "non-integer-seed", "non-finite-sobolev-order", "nan-heat-time",
+            "nan-heat-half-period"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, text):
         assert run(tmp_path, text) == 2
         assert "config error" in capsys.readouterr().err

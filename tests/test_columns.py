@@ -145,25 +145,68 @@ class TestL1MultiplierNorm:
 
     def test_block_partition_only_regroups_the_sums(self, monkeypatch):
         # a small budget splits both zones into several x1 blocks with a
-        # short last one, which irfft writes into a prefix of the shared
+        # short last one, which writes into a prefix of the zone's shared
         # output buffer; only the grouping of the block sums changes
         radius, delta = 8.0, 0.2
         args = dict(lambda_max=radius ** 2, xi_zero_radial=lambda r:
                     bochner_riesz_radial_kernel(radius, delta, r))
         whole = l1_multiplier_norm(br_profile(radius, delta), S, **args)
         rows = []
-        irfft = np.fft.irfft
+        irfft, cosine_sums = np.fft.irfft, columns._cosine_abs_sums
 
-        def spy(spec, *a, **kw):
+        def irfft_spy(spec, *a, **kw):
             rows.append(spec.shape[0])
             return irfft(spec, *a, **kw)
 
-        monkeypatch.setattr(np.fft, "irfft", spy)
+        def cosine_spy(table, spec, out):
+            rows.append(spec.shape[1])
+            return cosine_sums(table, spec, out)
+
+        monkeypatch.setattr(np.fft, "irfft", irfft_spy)
+        monkeypatch.setattr(columns, "_cosine_abs_sums", cosine_spy)
         monkeypatch.setattr(columns, "_BLOCK_BUDGET", 4000.0)
         split = l1_multiplier_norm(br_profile(radius, delta), S, **args)
-        # bulk zone: 73 x1 rows; core zone: 15
+        # bulk zone (cosine product): 73 x1 rows; core zone (irfft): 15
         assert rows == [6] * 12 + [1] + [7, 7, 1]
         assert split == pytest.approx(whole, rel=1e-13)
+
+    @pytest.mark.parametrize("n_bins, n_fft", [
+        (18, 128), (17, 128), (15, 64), (32, 128), (30, 128)])
+    def test_cosine_sums_match_full_period_irfft(self, n_bins, n_fft):
+        # the bulk shapes of the runs: R = 32 at u = 0, 1/32 and 4/32, and
+        # R = 64 at u = 0 and 4/64 (S = pi/2, 4 points per wavelength)
+        rng = np.random.default_rng(n_bins * n_fft)
+        spec = rng.standard_normal((n_bins, 5, 7))
+        table = columns._half_period_cosines(n_bins, n_fft)
+        # a buffer longer than needed, as for the short last block
+        out = np.empty(table.shape[0] * 40)
+        got = columns._cosine_abs_sums(table, spec, out)
+        want = np.abs(np.fft.irfft(np.moveaxis(spec, 0, -1), n=n_fft)).sum(-1)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("delta, u, want", [
+        (1.5, 0.0, 2.3126468002486367),
+        (1.5, 1.0 / 32.0, 2.30085762109572),
+        (1.5, 4.0 / 32.0, 2.2208563569526545),
+        (0.2, 0.0, 36.63057503261611),
+        (0.2, 1.0 / 32.0, 37.18609546784522),
+        (0.2, 4.0 / 32.0, 36.042940273915306),
+    ])
+    def test_norms_at_radius_32_are_pinned(self, delta, u, want):
+        # the R = 32 column norms of the default bochner_riesz run, as the
+        # padded full-period irfft gave them in both zones
+        radius = 32.0
+        got = l1_multiplier_norm(
+            br_profile(radius, delta), S, u=u, lambda_max=radius ** 2,
+            xi_zero_radial=lambda r: bochner_riesz_radial_kernel(
+                radius, delta, r))
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_heat_norm_is_pinned(self):
+        # as the padded full-period irfft gave it in both zones
+        assert (l1_multiplier_norm(MultiplierProfile.heat(0.05), S)
+                == pytest.approx(1.0000213146517192, rel=1e-12))
 
     def test_cap_below_first_torus_slab(self):
         # a support edge of 3 < 2 dxi leaves no torus slab (j_max = 0): the
@@ -242,3 +285,9 @@ class TestHeatKernelPointwise:
         with pytest.raises(DomainError):
             heat_kernel_pointwise(((0.0,), (0.0, 0.0)), ((0.0,), (0.0, 0.0)),
                                   0.1, 1.0)
+
+    @pytest.mark.parametrize("half_period", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_torus_half_period(self, half_period):
+        with pytest.raises(DomainError, match="torus half period"):
+            heat_kernel_pointwise(((0.0,), (0.0,)), ((0.0,), (0.0,)), 0.1,
+                                  half_period)

@@ -204,6 +204,11 @@ class TestHeatGaussian:
         with pytest.raises(DomainError):
             heat_gaussian_check(pairs=far)  # beyond the aliasing-safe half
 
+    @pytest.mark.parametrize("half_period", [math.nan, math.inf, 0.0])
+    def test_rejects_bad_torus_half_period(self, half_period):
+        with pytest.raises(DomainError, match="torus half period"):
+            heat_gaussian_check(torus_half_period=half_period)
+
 
 class TestKernelSupport:
     cs = CutoffSpec.standard()

@@ -1,5 +1,6 @@
 """Tests for cutoffs, Sobolev norms, and the dyadic cosine decomposition."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -70,6 +71,37 @@ class TestSobolevNorm:
         n1 = sobolev_norm(g, h, 1.0)
         n2 = sobolev_norm(g, h, 2.0)
         assert n0 <= n1 <= n2
+
+    @staticmethod
+    def mpmath_norm(values, spacing, s):
+        # the same |F-hat|^2 samples, weighted and summed at 40 digits
+        fhat = np.fft.fft(values) * spacing / np.sqrt(2.0 * np.pi)
+        tau = 2.0 * np.pi * np.fft.fftfreq(values.size, d=spacing)
+        dtau = 2.0 * np.pi / (values.size * spacing)
+        with mp.workdps(40):
+            total = mp.fsum((1 + mp.mpf(float(t)) ** 2) ** s * mp.mpf(float(a)) ** 2
+                            for t, a in zip(tau, np.abs(fhat)))
+            return float(mp.sqrt(total * dtau))
+
+    def test_high_orders_do_not_overflow(self):
+        # on the default multiplier_norm window (|tau| up to 2 513) the
+        # weight (1 + tau^2)^s overflows near s = 45; on the coarse Gaussian
+        # window (|tau| up to 2.33) it overflows at s = 400, the norm not
+        lam = np.linspace(-2.0, 3.0, 4001)
+        eta = CutoffSpec.standard().eta(lam)
+        x = 1.35 * np.arange(-128, 128)
+        gauss = np.exp(-x ** 2 / 800.0)
+        for values, spacing, s in ((eta, lam[1] - lam[0], 50.0),
+                                   (gauss, 1.35, 400.0)):
+            got = sobolev_norm(values, spacing, s)  # warnings are errors here
+            assert np.isfinite(got)
+            assert got == pytest.approx(self.mpmath_norm(values, spacing, s),
+                                        rel=1e-12)
+
+    def test_norm_past_the_double_range_is_refused(self):
+        lam = np.linspace(-2.0, 3.0, 4001)
+        with pytest.raises(DomainError, match="exceeds the double range"):
+            sobolev_norm(CutoffSpec.standard().eta(lam), lam[1] - lam[0], 400.0)
 
     def test_rejects_non_decaying_window(self):
         x = np.linspace(-1.0, 1.0, 64)
