@@ -2,9 +2,10 @@
 
 Config format: UTF-8 text, one ``section.key = value`` entry per line, blank
 lines and ``#`` comment lines ignored.  Values are JSON fragments (numbers,
-strings, booleans, lists); a bare word parses as a string.  Every kind fills
-unset keys from its defaults and echoes the fully resolved configuration, so
-a report is reproducible from its own header alone.
+strings, booleans, lists); a bare word parses as a string, and each value
+must have the type of its key's default.  Every kind fills unset keys from
+its runner's defaults and echoes the fully resolved configuration, so a
+report is reproducible from its own header alone.
 
 Exit codes: 0 success; 2 invalid configuration (the message names the
 offending field); 3 truncation or aliasing violation with diagnostics.
@@ -13,6 +14,7 @@ offending field); 3 truncation or aliasing violation with diagnostics.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -40,52 +42,23 @@ __all__ = ["main", "run_config", "parse_config_text", "CATALOG"]
 
 
 # ---------------------------------------------------------------------------
-# catalog: every experiment kind, what it verifies, its runner, and each key's
-# runner keyword and default
+# catalog: every experiment kind, what it verifies, its runner, and the runner
+# keyword each config key sets.  A key's default is its keyword's default in
+# the runner's signature; a keyword without one makes a required key.
 
 _COMMON_KEYS = {
     "output.dir": "runs",
 }
 
-# default of a key that every config of its kind must set
-_NO_DEFAULT = object()
-
-
-def _run_kernel_support(levels, times, **kwargs) -> ExperimentResult:
-    if (not isinstance(levels, list) or not isinstance(times, list)
-            or len(levels) != len(times)):
-        raise ConfigError("experiment.levels",
-                          "levels and times must be lists of equal length")
-    return kernel_support_suite(level_times=tuple(zip(levels, times)), **kwargs)
-
-
-def _run_distance_table(pairs) -> ExperimentResult:
-    if not isinstance(pairs, list) or not pairs:
-        raise ConfigError("experiment.pairs", "expected a non-empty list "
-                          "of [x', x'', y', y''] quadruples")
-    points = []
-    for item in pairs:
-        if (not isinstance(item, list) or len(item) != 4
-                or any(not isinstance(part, list) for part in item)):
-            raise ConfigError("experiment.pairs", "each entry must be "
-                              "[x', x'', y', y''] with list-valued parts")
-        xp, xs, yp, ys = item
-        points.append(((tuple(xp), tuple(xs)), (tuple(yp), tuple(ys))))
-    return distance_table(points)
-
-
-# "params" maps each key to (runner keyword, default)
 CATALOG: Dict[str, dict] = {
     "weighted_restriction": {
         "verifies": "norms of |x'|^gamma-weighted spectral bands grow as "
                     "R^((2 d2 + d1)(1/p - 1/2) - gamma)",
         "run": weighted_restriction_experiment,
         "params": {
-            "experiment.gamma": ("gamma", 0.0),
-            "experiment.radii": ("radii", [4.0, 8.0, 16.0, 32.0]),
-            "experiment.n_scan": ("n_scan", 97),
-            "grid.S": ("torus_half_period", math.pi),
-            "truncation.k_max": ("k_max", 4000),
+            "experiment.gamma": "gamma", "experiment.radii": "radii",
+            "experiment.n_scan": "n_scan", "grid.S": "torus_half_period",
+            "truncation.k_max": "k_max",
         },
     },
     "localized_restriction": {
@@ -94,14 +67,12 @@ CATALOG: Dict[str, dict] = {
                     "|y'|^(gamma - d2 (1/p - 1/2))",
         "run": localized_restriction_experiment,
         "params": {
-            "experiment.gamma": ("gamma", 0.25),
-            "experiment.radii": ("radii", [8.0, 16.0, 32.0]),
-            "experiment.y_values": ("y_values", [1.5, 3.0, 6.0]),
-            "experiment.ball_radius": ("ball_radius", 0.1875),
-            "experiment.y_fix": ("y_fix", None), "experiment.r_fix": ("r_fix", None),
-            "experiment.n_scan": ("n_scan", 17),
-            "grid.S": ("torus_half_period", math.pi),
-            "truncation.k_max": ("k_max", 4000),
+            "experiment.gamma": "gamma", "experiment.radii": "radii",
+            "experiment.y_values": "y_values",
+            "experiment.ball_radius": "ball_radius",
+            "experiment.y_fix": "y_fix", "experiment.r_fix": "r_fix",
+            "experiment.n_scan": "n_scan", "grid.S": "torus_half_period",
+            "truncation.k_max": "k_max",
         },
     },
     "bochner_riesz": {
@@ -109,10 +80,9 @@ CATALOG: Dict[str, dict] = {
                     "above the critical exponent and blow-up below it",
         "run": bochner_riesz_sweep,
         "params": {
-            "experiment.deltas": ("deltas", [1.5, 0.2]),
-            "experiment.radii": ("radii", [4.0, 8.0, 16.0, 32.0, 64.0]),
-            "experiment.points_per_wavelength": ("points_per_wavelength", 4.0),
-            "grid.S": ("torus_half_period", math.pi / 2.0),
+            "experiment.deltas": "deltas", "experiment.radii": "radii",
+            "experiment.points_per_wavelength": "points_per_wavelength",
+            "grid.S": "torus_half_period",
         },
     },
     "multiplier_norm": {
@@ -120,9 +90,8 @@ CATALOG: Dict[str, dict] = {
                     "multiple of a Sobolev norm of the profile, uniformly in t",
         "run": multiplier_norm_experiment,
         "params": {
-            "experiment.sobolev_orders": ("sobolev_orders", [2.0]),
-            "experiment.t_values": ("t_values", [2.0 ** k for k in range(-4, 5)]),
-            "grid.S": ("torus_half_period", math.pi / 2.0),
+            "experiment.sobolev_orders": "sobolev_orders",
+            "experiment.t_values": "t_values", "grid.S": "torus_half_period",
         },
     },
     "heat_gaussian": {
@@ -130,23 +99,21 @@ CATALOG: Dict[str, dict] = {
                     "quasi-distance with volume-normalized on-diagonal values",
         "run": heat_gaussian_check,
         "params": {
-            "dims.d1": ("d1", 2),
-            "experiment.times": ("times", [0.05, 0.1, 0.2]),
-            "grid.S": ("torus_half_period", 12.0),
+            "dims.d1": "d1", "experiment.times": "times",
+            "grid.S": "torus_half_period",
         },
     },
     "kernel_support": {
         "verifies": "kernel columns of dyadic wave pieces keep at least 99% "
-                    "of their mass inside the propagation radius",
-        "run": _run_kernel_support,
+                    "of their L^2 mass inside kappa = 1.5 times the "
+                    "propagation radius",
+        "run": kernel_support_suite,
         "params": {
-            "experiment.levels": ("levels", [0, 1, 2]),
-            "experiment.times": ("times", [1.0, 1.0, 0.5]),
-            "experiment.kappas": ("kappas", [1.1, 1.5, 2.0]),
-            "grid.X": ("prime_extent", 22.0), "grid.n_prime": ("n_prime", 256),
-            "grid.S": ("torus_half_period", 6.0), "grid.n_second": ("n_second", 128),
-            "truncation.k_max": ("k_max", 64),
-            "truncation.lambda_max": ("lambda_max", 64.0),
+            "experiment.levels": "levels", "experiment.times": "times",
+            "experiment.kappas": "kappas", "grid.X": "prime_extent",
+            "grid.n_prime": "n_prime", "grid.S": "torus_half_period",
+            "grid.n_second": "n_second", "truncation.k_max": "k_max",
+            "truncation.lambda_max": "lambda_max",
         },
     },
     "geometry_suite": {
@@ -155,19 +122,34 @@ CATALOG: Dict[str, dict] = {
                     "comparability, and doubling growth",
         "run": geometry_suite,
         "params": {
-            "experiment.n_triples": ("n_triples", 100000),
-            "experiment.mc_samples": ("mc_samples", 1000000),
-            "seed": ("seed", 0),
+            "experiment.n_triples": "n_triples",
+            "experiment.mc_samples": "mc_samples", "seed": "seed",
         },
     },
     "distance_table": {
         "verifies": "explicit quasi-distance values for chosen point pairs",
-        "run": _run_distance_table,
+        "run": distance_table,
         "params": {
-            "experiment.pairs": ("pairs", _NO_DEFAULT),  # [[x', x'', y', y''], ...]
+            "experiment.pairs": "pairs",  # [[x', x'', y', y''], ...]
         },
     },
 }
+
+# default of a key whose runner keyword has none
+_REQUIRED = inspect.Parameter.empty
+
+
+def _signature_defaults(entry: dict) -> Dict[str, object]:
+    parameters = inspect.signature(entry["run"]).parameters
+    defaults = {}
+    for key, arg in entry["params"].items():
+        default = parameters[arg].default
+        defaults[key] = list(default) if isinstance(default, tuple) else default
+    return defaults
+
+
+# read once, so that a runner replaced later keeps its kind's defaults
+_DEFAULTS = {kind: _signature_defaults(entry) for kind, entry in CATALOG.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +178,24 @@ def parse_config_text(text: str) -> Dict[str, object]:
     return out
 
 
+def _fits(value, default) -> bool:
+    """Whether a value has the type of its key's default: an int takes an
+    int, a float an int or a float, a list a list of its elements' type and
+    null null or a number; bool is never a number.  A required key and the
+    output directory take any value."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if default is None:
+        return value is None or _fits(value, 0.0)
+    if default is _REQUIRED or isinstance(default, str):
+        return True
+    kinds = int if isinstance(default, int) else (int, float)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _resolve(raw: Dict[str, object]) -> Dict[str, object]:
-    """Fill defaults for the configured kind; reject unknown or missing keys."""
+    """Fill defaults for the configured kind; reject unknown, missing or
+    mistyped keys."""
     if "experiment.kind" not in raw:
         raise ConfigError("experiment.kind", "missing required field")
     kind = raw["experiment.kind"]
@@ -205,20 +203,21 @@ def _resolve(raw: Dict[str, object]) -> Dict[str, object]:
         raise ConfigError(
             "experiment.kind",
             f"unknown kind {kind!r}; choose from {', '.join(CATALOG)}")
-    resolved: Dict[str, object] = {"experiment.kind": kind}
-    resolved.update(_COMMON_KEYS)
-    resolved.update({key: default
-                     for key, (_, default) in CATALOG[kind]["params"].items()})
+    defaults = {**_COMMON_KEYS, **_DEFAULTS[kind]}
     for key, value in raw.items():
-        if key != "experiment.kind" and key not in resolved:
+        if key == "experiment.kind":
+            continue
+        if key not in defaults:
             raise ConfigError(key, f"not a parameter of kind {kind!r}")
-        resolved[key] = value
-    for key, value in resolved.items():
-        if value is _NO_DEFAULT:
+        if not _fits(value, defaults[key]):
+            raise ConfigError(key, f"expected the type of its default "
+                              f"{_format_value(defaults[key])}, got "
+                              f"{_format_value(value)}")
+    resolved: Dict[str, object] = {"experiment.kind": kind}
+    for key, default in defaults.items():
+        if key not in raw and default is _REQUIRED:
             raise ConfigError(key, "missing required field")
-    seed = resolved.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed", "expected an integer")
+        resolved[key] = raw.get(key, default)
     return resolved
 
 
@@ -242,7 +241,7 @@ def config_lines(resolved: Dict[str, object]) -> List[str]:
 def _run(resolved: Dict[str, object]) -> ExperimentResult:
     entry = CATALOG[resolved["experiment.kind"]]
     return entry["run"](**{arg: resolved[key]
-                           for key, (arg, _) in entry["params"].items()})
+                           for key, arg in entry["params"].items()})
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +303,9 @@ def _cmd_list() -> int:
         print(kind)
         print(f"  verifies: {entry['verifies']}")
         print("  parameters:")
-        for key, (_, default) in entry["params"].items():
-            shown = "(required)" if default is _NO_DEFAULT else _format_value(default)
+        for key, default in {**_DEFAULTS[kind], **_COMMON_KEYS}.items():
+            shown = "(required)" if default is _REQUIRED else _format_value(default)
             print(f"    {key} = {shown}")
-        for key, default in _COMMON_KEYS.items():
-            print(f"    {key} = {_format_value(default)}")
         print()
     return 0
 

@@ -8,8 +8,7 @@ transform back.  Frequencies with equal magnitude share one eigenfunction
 table, so slices are processed in |xi| groups.
 
 The zero frequency is special: there the operator degenerates to the Euclidean
-Laplacian in x' alone, and the slice is handled by a zero-padded DFT multiplier
-(or dropped, per the truncation policy).
+Laplacian in x' alone, and the slice is handled by a zero-padded DFT multiplier.
 """
 
 from __future__ import annotations
@@ -87,8 +86,8 @@ def xi_groups(grid: GrushinGrid):
     return groups
 
 
-def _apply_xi_zero(profile: MultiplierProfile, slab: np.ndarray, prime: PrimeGrid,
-                   mode: str) -> np.ndarray:
+def _apply_xi_zero(profile: MultiplierProfile, slab: np.ndarray,
+                   prime: PrimeGrid) -> np.ndarray:
     """Euclidean functional calculus in x' on the zero-frequency slice.
 
     Uses a 2x zero-padded DFT so the implicit periodization does not fold the
@@ -98,8 +97,6 @@ def _apply_xi_zero(profile: MultiplierProfile, slab: np.ndarray, prime: PrimeGri
     (the ceiling exists to bound oscillator levels, which this slice has none
     of).
     """
-    if mode == "drop":
-        return np.zeros_like(slab)
     d1 = prime.d1
     n = prime.n_points
     pad = 2 * n
@@ -179,8 +176,7 @@ def apply_multiplier(profile: MultiplierProfile, field: Field,
     fh = fhat.reshape(fhat.shape[:prime.d1] + (-1,))
     for xi_mag, idx in xi_groups(grid):
         if xi_mag == 0.0:
-            fh[..., idx] = _apply_xi_zero(profile, fh[..., idx], prime,
-                                          trunc.xi_zero_mode)
+            fh[..., idx] = _apply_xi_zero(profile, fh[..., idx], prime)
         elif slice_levels(profile, prime, xi_mag, trunc.k_max, trunc.lambda_max):
             fh[..., idx] = apply_slice_multiplier(profile, fh[..., idx], prime, xi_mag,
                                                   trunc.k_max, trunc.lambda_max)

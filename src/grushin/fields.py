@@ -16,7 +16,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, DomainError
+from .errors import ContractViolation, DomainError
 from .hermite import PrimeGrid
 
 
@@ -254,30 +254,22 @@ class MultiplierProfile:
                    (0.0, np.inf), label=f"wave_cosine(s={s:g})")
 
 
-_XI_ZERO_MODES = ("fourier_multiplier", "drop")
-
-
 @dataclass(frozen=True)
 class SpectralTruncation:
     """How far the discrete spectral decomposition is trusted.
 
     k_max bounds the oscillator level used on every nonzero-frequency slice;
     lambda_max caps the spectral support of any profile applied under this
-    policy; xi_zero_mode selects the treatment of the zero-frequency slice,
-    where the operator degenerates to a Euclidean Laplacian in x' only.
+    policy on those slices.  The zero-frequency slice, where the operator
+    degenerates to a Euclidean Laplacian in x' only, has no levels and keeps
+    the profile's own support.
     """
 
     k_max: int
     lambda_max: float
-    xi_zero_mode: str = "fourier_multiplier"
 
     def __post_init__(self):
         if self.k_max < 0:
             raise DomainError("k_max must be >= 0")
         if not 0 < self.lambda_max < math.inf:
             raise DomainError("lambda_max must be positive and finite")
-        if self.xi_zero_mode not in _XI_ZERO_MODES:
-            raise ConfigError(
-                "xi_zero_mode",
-                f"unknown mode {self.xi_zero_mode!r}; choose from {_XI_ZERO_MODES}",
-            )

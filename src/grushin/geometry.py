@@ -27,8 +27,12 @@ class MetricPoint:
     x_second: Tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "x_prime", tuple(float(v) for v in self.x_prime))
-        object.__setattr__(self, "x_second", tuple(float(v) for v in self.x_second))
+        try:
+            object.__setattr__(self, "x_prime", tuple(float(v) for v in self.x_prime))
+            object.__setattr__(self, "x_second", tuple(float(v) for v in self.x_second))
+        except (TypeError, ValueError) as exc:
+            raise DomainError(
+                f"metric point has a non-numeric coordinate: {exc}") from exc
         if not all(math.isfinite(v) for v in self.x_prime + self.x_second):
             raise DomainError("metric point has non-finite coordinates")
 

@@ -292,6 +292,9 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     return total * dx * dx
 
 
+_HEAT_MAX_TERMS = 10 ** 6  # each term array then holds at most 8 MB
+
+
 def heat_kernel_pointwise(x, y, t: float, torus_half_period: float) -> float:
     """Heat kernel p_t(x, y) on the torus-compactified model, closed form.
 
@@ -299,7 +302,8 @@ def heat_kernel_pointwise(x, y, t: float, torus_half_period: float) -> float:
     semigroup kernel (a Gaussian in disguise), so there is no level
     truncation anywhere: the frequency sum is cut only where its terms fall
     below machine noise.  Points are (x_prime_tuple, x_second_tuple) with
-    one torus coordinate; any prime dimension up to 3.
+    one torus coordinate; any prime dimension up to 3.  A sum of more than
+    _HEAT_MAX_TERMS terms raises DomainError.
     """
     if not 0 < t < np.inf:
         raise DomainError("time must be positive and finite")
@@ -314,6 +318,13 @@ def heat_kernel_pointwise(x, y, t: float, torus_half_period: float) -> float:
     d1 = xp.size
     ds = float(x[1][0]) - float(y[1][0])
     dp2 = float(np.sum((xp - yp) ** 2))
+    # the sum runs until e^{-2 t xi} reaches e^{-46}: 46 S / (2 pi t) terms
+    terms = 23.0 * torus_half_period / (np.pi * t)
+    if terms > _HEAT_MAX_TERMS:
+        raise DomainError(
+            f"the heat sum at torus half period S={torus_half_period:g} and "
+            f"time t={t:g} needs {terms:.3g} terms, above the cap of "
+            f"{_HEAT_MAX_TERMS}")
     dxi = np.pi / torus_half_period
     # free-plane slab at zero frequency
     total = (4.0 * np.pi * t) ** (-d1 / 2.0) * np.exp(-dp2 / (4.0 * t))

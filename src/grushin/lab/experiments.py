@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,17 +91,15 @@ def _increasing(values, name: str, minimum: int = 3) -> List[float]:
     return vals
 
 
-def band_profile(radius: float,
-                 bump: Optional[Callable] = None) -> MultiplierProfile:
-    """Spectral band at scale R: bump(sqrt(lambda)/R), supported
-    [R^2/16, R^2].
+def band_profile(radius: float) -> MultiplierProfile:
+    """Spectral band at scale R: eta(sqrt(lambda)/R), supported [R^2/16, R^2].
 
-    The bump defaults to the standard dyadic cutoff, so the band family is a
-    single profile dilated through R and the sweep isolates the R-exponent.
+    eta is the standard dyadic cutoff, so the band family is a single profile
+    dilated through R and the sweep isolates the R-exponent.
     """
     if radius <= 0:
         raise DomainError("band radius must be positive")
-    eta = CutoffSpec.standard().eta if bump is None else bump
+    eta = CutoffSpec.standard().eta
     return MultiplierProfile(
         lambda lam, R=radius: eta(np.sqrt(np.maximum(lam, 0.0)) / R),
         (radius * radius / 16.0, radius * radius))
@@ -266,35 +264,26 @@ _PLANAR_EXTENT_FACTOR = 32.0  # kernel tail reach in units of sqrt(t)
 
 
 def multiplier_norm_experiment(
-        profile_fn: Optional[Callable] = None,
         sobolev_orders: Sequence[float] = (2.0,),
         t_values: Sequence[float] = tuple(2.0 ** k for k in range(-4, 5)), *,
         torus_half_period: float = math.pi / 2.0) -> ExperimentResult:
     """Ratios of dilated-multiplier norms to a fixed smoothness norm.
 
-    For a profile F supported in [1/4, 1], the exact 1 -> 1 norm of F(t L) is
-    measured across t; the summary reports, per Sobolev order s, the ratio
-    norm / ||F||_{W_2^s} and its max/min across t, the uniformity indicator.
-    Also recorded: the relative gap between computing one norm through the
-    dilation F(t lambda) and through the equivalent band parameterization
-    F(lambda / R^2) with R = t^{-1/2}; the two must agree to rounding.
+    For the standard dyadic cutoff F, supported in [1/4, 1], the exact
+    1 -> 1 norm of F(t L) is measured across t; the summary reports, per
+    Sobolev order s, the ratio norm / ||F||_{W_2^s} and its max/min across t,
+    the uniformity indicator.  Also recorded: the relative gap between
+    computing one norm through the dilation F(t lambda) and through the
+    equivalent band parameterization F(lambda / R^2) with R = t^{-1/2}; the
+    two must agree to rounding.
     """
-    if profile_fn is None:
-        profile_fn = CutoffSpec.standard().eta
+    profile_fn = CutoffSpec.standard().eta
     t_values = [float(t) for t in t_values]
     if not t_values or any(t <= 0 for t in t_values):
         raise DomainError("t_values must be positive")
     orders = [float(s) for s in sobolev_orders]
     if not orders:
         raise DomainError("need at least one Sobolev order")
-
-    # support contract: F must live inside [1/4, 1]
-    probe = np.concatenate([np.linspace(-1.0, 0.25, 100, endpoint=False),
-                            np.linspace(1.0, 8.0, 200)[1:]])
-    outside = float(np.max(np.abs(np.asarray(profile_fn(probe), dtype=float))))
-    if outside > 1e-12:
-        raise DomainError(
-            f"profile must be supported in [1/4, 1]; |F| = {outside:.3e} outside")
 
     lam_s = np.linspace(-2.0, 3.0, 4001)
     samples = np.asarray(profile_fn(lam_s), dtype=float)
@@ -337,8 +326,6 @@ def multiplier_norm_experiment(
             rows.append([t, s, norms[t], sob[s], ratio, "exact"])
     vals = np.array([norms[t] for t in t_values])
     uniformity = float(vals.max() / vals.min()) if vals.min() > 0 else math.inf
-    if vals.max() == 0.0:
-        uniformity = 1.0  # zero profile: trivially uniform
     return ExperimentResult(
         kind="multiplier_norm",
         header=["t", "sobolev_order", "norm", "sobolev_norm", "ratio",
@@ -357,7 +344,7 @@ _HEAT_SECOND_OFFSETS = (0.0, 0.1, 0.2)
 _HEAT_FOOT_HEIGHTS = (0.0, 0.6, 1.5)
 
 
-def _default_heat_pairs(d1: int) -> List[Tuple[MetricPoint, MetricPoint]]:
+def _heat_pairs(d1: int) -> List[Tuple[MetricPoint, MetricPoint]]:
     pairs = []
     for y1 in _HEAT_FOOT_HEIGHTS:
         y = MetricPoint((y1,) + (0.0,) * (d1 - 1), (0.0,))
@@ -369,17 +356,16 @@ def _default_heat_pairs(d1: int) -> List[Tuple[MetricPoint, MetricPoint]]:
 
 
 def heat_gaussian_check(
-        d1: int = 2, times: Sequence[float] = (0.05, 0.1, 0.2),
-        pairs: Optional[Sequence[Tuple[MetricPoint, MetricPoint]]] = None, *,
+        d1: int = 2, times: Sequence[float] = (0.05, 0.1, 0.2), *,
         torus_half_period: float = 12.0) -> ExperimentResult:
     """Gaussian-type decay of the heat kernel in the quasi-distance.
 
     Pools log(p_t(x, y) V_model(y, sqrt(t))) against rho(x, y)^2 / t over all
     pairs and times and fits a line: slope -b with b > 0 and a high R^2 are
-    the Gaussian signature.  The default pairs mix prime-direction and
-    second-layer offsets at three foot heights; the two-branch quasi-distance
-    understates the control distance anisotropically, so heavily second-layer
-    pair families lower R^2 by construction.  Also reported: the on-diagonal
+    the Gaussian signature.  The pairs mix prime-direction and second-layer
+    offsets at three foot heights; the two-branch quasi-distance understates
+    the control distance anisotropically, so heavily second-layer pair
+    families lower R^2 by construction.  Also reported: the on-diagonal
     products p_t(y, y) V_model(y, sqrt(t)), whose spread across t and y is
     the two-sided comparability indicator.
     """
@@ -392,16 +378,9 @@ def heat_gaussian_check(
     if not 0 < torus_half_period < math.inf:
         raise DomainError("torus half period must be positive and finite, "
                           f"got {torus_half_period!r}")
-    if pairs is None:
-        pairs = _default_heat_pairs(d1)
-    if not pairs:
-        raise DomainError("need at least one sample pair")
-    for x, y in pairs:
-        if x.d1 != d1 or y.d1 != d1 or x.d2 != 1 or y.d2 != 1:
-            raise DomainError("pair dimensions do not match (d1, 1)")
-        if abs(x.x_second[0] - y.x_second[0]) > torus_half_period / 2.0:
-            raise DomainError(
-                "pair outside the aliasing-safe half of the torus")
+    if max(_HEAT_SECOND_OFFSETS) > torus_half_period / 2.0:
+        raise DomainError("pair outside the aliasing-safe half of the torus")
+    pairs = _heat_pairs(d1)
 
     rows: List[list] = []
     abscissa, ordinate = [], []
@@ -458,19 +437,17 @@ def heat_gaussian_check(
 
 
 def kernel_support_check(
-        piece: PieceProfile, scale_time: float, *,
-        prime_extent: float = 22.0, n_prime: int = 256,
-        torus_half_period: float = 6.0, n_second: int = 128,
-        k_max: int = 64, lambda_max: float = 64.0,
-        kappas: Sequence[float] = (1.1, 1.5, 2.0)) -> ExperimentResult:
+        piece: PieceProfile, scale_time: float, kappas: Sequence[float],
+        grid: GrushinGrid, trunc: SpectralTruncation) -> ExperimentResult:
     """Column mass of a dyadic-piece multiplier outside its support radius.
 
     The piece at level l is a cosine combination with frequencies at most
     2^l, so the wave cone confines the kernel of piece(t sqrt(L)) within
     quasi-distance 2^l t of the column foot.  The engine column is computed
-    under the given spectral truncation (the piece's slow spectral tail is
-    part of the truncated object by construction) and the reported fractions
-    are the relative L^2 mass beyond kappa times the support radius.
+    on the given grid under the given spectral truncation (the piece's slow
+    spectral tail is part of the truncated object by construction) and the
+    reported fractions are the relative L^2 mass beyond kappa times the
+    support radius.
     """
     if scale_time <= 0:
         raise DomainError("scale_time must be positive")
@@ -478,15 +455,12 @@ def kernel_support_check(
     if not kappas or kappas[0] <= 0:
         raise DomainError("kappas must be positive")
     support_radius = 2.0 ** piece.level * scale_time
-    if support_radius ** 2 > 0.9 * torus_half_period:
+    if support_radius ** 2 > 0.9 * grid.torus_half_period:
         raise AliasingError(
             f"support radius {support_radius:g} reaches second-layer extent "
             f"{support_radius ** 2:g}, too large for torus half period "
-            f"{torus_half_period:g}")
+            f"{grid.torus_half_period:g}")
 
-    grid = GrushinGrid(PrimeGrid(prime_extent, n_prime, 2),
-                       torus_half_period, n_second, 1)
-    trunc = SpectralTruncation(k_max=k_max, lambda_max=lambda_max)
     profile = MultiplierProfile(
         lambda lam: piece(scale_time * np.sqrt(np.maximum(lam, 0.0))),
         (0.0, np.inf))
@@ -515,31 +489,37 @@ def kernel_support_check(
                  "zero_kernel": total == 0.0})
 
 
-_SUPPORT_LEVEL_TIMES = ((0, 1.0), (1, 1.0), (2, 0.5))
-
-
 def kernel_support_suite(
-        level_times: Sequence[Tuple[int, float]] = _SUPPORT_LEVEL_TIMES,
-        **check_kwargs) -> ExperimentResult:
-    """Run kernel_support_check over the frozen (level, time) pairs.
+        levels: Sequence[int] = (0, 1, 2),
+        times: Sequence[float] = (1.0, 1.0, 0.5),
+        kappas: Sequence[float] = (1.1, 1.5, 2.0), *,
+        prime_extent: float = 22.0, n_prime: int = 256,
+        torus_half_period: float = 6.0, n_second: int = 128,
+        k_max: int = 64, lambda_max: float = 64.0) -> ExperimentResult:
+    """Run kernel_support_check at each (level, time) pair of the two lists.
 
     The time shrinks with the level so that the support radius 2^l t stays
     well inside the torus while the spectral reach t sqrt(lambda_max) stays
     large enough that the truncated piece tail cannot pollute the fractions.
+    The keyword arguments set the engine grid and truncation of every check.
     """
-    level_times = list(level_times)
-    if not level_times:
+    if len(levels) != len(times):
+        raise DomainError(f"levels and times must have equal length, got "
+                          f"{len(levels)} and {len(times)}")
+    if not levels:
         raise DomainError("need at least one (level, time) pair")
-    n_levels = max(level for level, _ in level_times)
+    grid = GrushinGrid(PrimeGrid(prime_extent, n_prime, 2),
+                       torus_half_period, n_second, 1)
+    trunc = SpectralTruncation(k_max=k_max, lambda_max=lambda_max)
     cutoffs = CutoffSpec.standard()
-    pieces = dyadic_pieces(cutoffs.eta, cutoffs, n_levels=max(n_levels, 1))
+    pieces = dyadic_pieces(cutoffs.eta, cutoffs, n_levels=max(max(levels), 1))
     rows: List[list] = []
     worst = {}
     header = None
-    for level, t in level_times:
+    for level, t in zip(levels, times):
         if not 0 <= level < len(pieces):
             raise DomainError(f"no dyadic piece at level {level}")
-        res = kernel_support_check(pieces[level], t, **check_kwargs)
+        res = kernel_support_check(pieces[level], t, kappas, grid, trunc)
         header = res.header
         rows.extend(res.rows)
         for kappa, frac in res.summary["fractions_outside"].items():
@@ -548,7 +528,8 @@ def kernel_support_suite(
         kind="kernel_support",
         header=header,
         rows=rows,
-        summary={"level_times": [[int(l), float(t)] for l, t in level_times],
+        summary={"level_times": [[int(l), float(t)]
+                                 for l, t in zip(levels, times)],
                  "worst_fraction_outside": worst})
 
 
@@ -632,14 +613,21 @@ def geometry_suite(seed: int = 0, n_triples: int = 100000,
 
 
 def distance_table(pairs) -> ExperimentResult:
-    """Quasi-distance for a list of point pairs ((x', x''), (y', y''))."""
-    pairs = list(pairs)
-    if not pairs:
-        raise DomainError("need at least one point pair")
+    """Quasi-distance for a list of [x', x'', y', y''] quadruples."""
+    if not isinstance(pairs, (list, tuple)) or not pairs:
+        raise DomainError("need a non-empty list of [x', x'', y', y''] "
+                          "quadruples")
     rows: List[list] = []
-    for raw_x, raw_y in pairs:
-        x = MetricPoint(tuple(raw_x[0]), tuple(raw_x[1]))
-        y = MetricPoint(tuple(raw_y[0]), tuple(raw_y[1]))
+    for item in pairs:
+        if (not isinstance(item, (list, tuple)) or len(item) != 4
+                or not all(isinstance(part, (list, tuple)) and part
+                           for part in item)
+                or len(item[0]) != len(item[2]) or len(item[1]) != len(item[3])):
+            raise DomainError("each pair must be [x', x'', y', y''] with "
+                              "non-empty list-valued parts, x' and y' of one "
+                              f"length and x'' and y'' of one, got {item!r}")
+        x = MetricPoint(item[0], item[1])
+        y = MetricPoint(item[2], item[3])
         rows.append([str(x.x_prime), str(x.x_second), str(y.x_prime),
                      str(y.x_second), grushin_distance(x, y)])
     return ExperimentResult(

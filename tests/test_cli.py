@@ -1,5 +1,7 @@
 """The grushin-lab command line: exit codes, config errors, reports, catalog."""
 
+import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -53,10 +55,29 @@ class TestExitCodes:
         "experiment.kind = multiplier_norm\nexperiment.sobolev_orders = [NaN, 1e400]\n",
         "experiment.kind = heat_gaussian\nexperiment.times = [NaN]\n",
         "experiment.kind = heat_gaussian\ngrid.S = NaN\n",
+        "experiment.kind = heat_gaussian\ngrid.S = 1e15\n",
+        "experiment.kind = weighted_restriction\nexperiment.n_scan = 20.5\n",
+        "experiment.kind = geometry_suite\nexperiment.n_triples = 2.5\n",
+        "experiment.kind = kernel_support\ngrid.n_prime = 100.5\n",
+        "experiment.kind = weighted_restriction\nexperiment.gamma = abc\n",
+        "experiment.kind = weighted_restriction\nexperiment.radii = 5\n",
+        "experiment.kind = bochner_riesz\nexperiment.deltas = 1.5\n",
+        "experiment.kind = kernel_support\nexperiment.kappas = 1.5\n",
+        "experiment.kind = multiplier_norm\nexperiment.t_values = [1, \"a\"]\n",
+        "experiment.kind = localized_restriction\nexperiment.y_fix = abc\n",
+        "experiment.kind = weighted_restriction\ntruncation.k_max = true\n",
+        "experiment.kind = kernel_support\nexperiment.levels = [0, 1.5, 2]\n",
+        "experiment.kind = distance_table\nexperiment.pairs = 5\n",
+        "experiment.kind = distance_table\nexperiment.pairs = [[[0], [0], [1]]]\n",
     ], ids=["unknown-kind", "unknown-key", "duplicate-key", "missing-pairs",
             "malformed-line", "missing-kind", "levels-times-mismatch",
             "non-integer-seed", "non-finite-sobolev-order", "nan-heat-time",
-            "nan-heat-half-period"])
+            "nan-heat-half-period", "heat-sum-past-term-cap",
+            "non-integer-n-scan", "non-integer-n-triples",
+            "non-integer-n-prime", "string-gamma", "scalar-radii",
+            "scalar-deltas", "scalar-kappas", "string-in-t-values",
+            "string-y-fix", "bool-k-max", "non-integer-level",
+            "scalar-pairs", "three-part-pair"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, text):
         assert run(tmp_path, text) == 2
         assert "config error" in capsys.readouterr().err
@@ -102,13 +123,30 @@ def test_every_declared_key_reaches_the_runner(tmp_path, monkeypatch, kind):
         return ExperimentResult(kind=kind, header=["a"], rows=[[1]], summary={})
 
     monkeypatch.setitem(entry, "run", stub)
-    # a distinct value per key, so a key that is dropped or swapped shows
-    values = {key: 1000 + i for i, key in enumerate(entry["params"])}
+    # a distinct value per key, of the type of its default, so a key that is
+    # dropped or swapped shows
+    values = {key: distinct_value(cli._DEFAULTS[kind][key], i)
+              for i, key in enumerate(entry["params"])}
     text = f"experiment.kind = {kind}\n" + "".join(
-        f"{key} = {value}\n" for key, value in values.items())
+        f"{key} = {json.dumps(value)}\n" for key, value in values.items())
     assert run(tmp_path, text) == 0
-    assert sorted(received.values()) == sorted(values.values())
-    assert len(received) == len(values)
+    assert received == {entry["params"][key]: value
+                        for key, value in values.items()}
+
+
+def distinct_value(default, i):
+    if isinstance(default, list):
+        return [distinct_value(default[0], i)]
+    if isinstance(default, int):
+        return 1000 + i
+    return 1000.5 + i  # a float, null or required default
+
+
+@pytest.mark.parametrize("kind", sorted(cli.CATALOG))
+def test_catalog_keywords_are_the_runner_parameters(kind):
+    entry = cli.CATALOG[kind]
+    parameters = inspect.signature(entry["run"]).parameters
+    assert sorted(entry["params"].values()) == sorted(parameters)
 
 
 @pytest.mark.parametrize("kind,key", [

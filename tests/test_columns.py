@@ -286,6 +286,13 @@ class TestHeatKernelPointwise:
             heat_kernel_pointwise(((0.0,), (0.0, 0.0)), ((0.0,), (0.0, 0.0)),
                                   0.1, 1.0)
 
+    @pytest.mark.parametrize("half_period,t", [(1e15, 0.05), (6.0, 1e-9)])
+    def test_refuses_a_sum_past_the_term_cap(self, half_period, t):
+        # 46 S / (2 pi t) terms: about 1.5e17 and 4.4e10 here
+        with pytest.raises(DomainError, match=r"S=.* and time t=.*cap"):
+            heat_kernel_pointwise(((0.0,), (0.0,)), ((0.0,), (0.0,)), t,
+                                  half_period)
+
     @pytest.mark.parametrize("half_period", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_bad_torus_half_period(self, half_period):
         with pytest.raises(DomainError, match="torus half period"):

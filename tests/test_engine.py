@@ -210,14 +210,6 @@ class TestApplyMultiplier:
         exact = (sig2 / s2) * np.exp(-(x1 ** 2 + x2 ** 2) / (2 * s2))
         assert np.max(np.abs(out.values[:, :, 0] - exact)) < 1e-10 * exact.max()
 
-    def test_xi_zero_drop_mode(self, grid):
-        tr = SpectralTruncation(12, 16.0, "drop")
-        x1, x2 = np.meshgrid(grid.prime.axis, grid.prime.axis, indexing="ij")
-        f = Field(grid, np.repeat(np.exp(-(x1**2 + x2**2))[:, :, None],
-                                  grid.n_second, axis=2).astype(complex))
-        out = heat_apply(0.2, f, tr)
-        assert np.max(np.abs(out.values)) < 1e-14
-
     def test_truncation_error_names_offender(self, grid):
         # lambda_max high enough that the smallest slice needs k > k_max
         tr = SpectralTruncation(k_max=3, lambda_max=26.0)
@@ -239,13 +231,19 @@ class TestApplyMultiplier:
 
     def test_levels_above_lambda_max_are_cut(self, grid):
         # an unbounded profile under the policy ceiling acts like the same
-        # profile hard-cut at the ceiling: no level above lambda_max leaks in
-        tr = SpectralTruncation(k_max=12, lambda_max=40.0, xi_zero_mode="drop")
+        # profile hard-cut at the ceiling: no level above lambda_max leaks in.
+        # The xi = 0 slab keeps each profile's own support, so it is compared
+        # without: taking out the torus mean removes exactly that slab
+        tr = SpectralTruncation(k_max=12, lambda_max=40.0)
         wave = MultiplierProfile.wave_cosine(1.0)
         cut = MultiplierProfile(lambda lam: np.cos(np.sqrt(lam)) * (lam <= 40.0),
                                 (0.0, 40.0))
-        got = schwartz_kernel_column(wave, grid, (0.0, 0.0), (0.0,), tr).values
-        want = schwartz_kernel_column(cut, grid, (0.0, 0.0), (0.0,), tr).values
+
+        def without_slab(profile):
+            col = schwartz_kernel_column(profile, grid, (0.0, 0.0), (0.0,), tr)
+            return col.values - col.values.mean(axis=2, keepdims=True)
+
+        got, want = without_slab(wave), without_slab(cut)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_empty_support_slices_are_zeroed(self, grid, trunc, rough_field):
@@ -400,7 +398,7 @@ class TestWorkAndMemory:
         rng = np.random.default_rng(5)
         slab = (rng.standard_normal((n, n, 1))
                 + 1j * rng.standard_normal((n, n, 1)))
-        got = engine._apply_xi_zero(profile, slab, prime, "fourier_multiplier")
+        got = engine._apply_xi_zero(profile, slab, prime)
         # reference: the symbol evaluated at every point of the padded grid
         zeta2 = (2.0 * np.pi * np.fft.fftfreq(pad, d=prime.spacing)) ** 2
         lam = zeta2[:, None] + zeta2[None, :]

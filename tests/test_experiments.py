@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from grushin.errors import AliasingError, DomainError
-from grushin.geometry import MetricPoint
+from grushin.fields import GrushinGrid, SpectralTruncation
+from grushin.hermite import PrimeGrid
 from grushin.lab.experiments import (
     ExperimentResult,
     _increasing,
@@ -138,11 +139,6 @@ class TestMultiplierNorm:
             assert ratio == pytest.approx(norm / sob, rel=1e-12)
             assert cert == "exact"
 
-    def test_rejects_profile_escaping_support(self):
-        with pytest.raises(DomainError):
-            multiplier_norm_experiment(profile_fn=lambda lam:
-                                       np.exp(-np.asarray(lam) ** 2))
-
     def test_dilation_check_reuses_the_u0_foot(self, monkeypatch):
         calls = []
 
@@ -193,16 +189,10 @@ class TestHeatGaussian:
         with pytest.raises(DomainError):
             heat_gaussian_check(times=(0.0,))
         with pytest.raises(DomainError):
-            heat_gaussian_check(pairs=[])
-        bad = [(MetricPoint((0.0,), (0.0,)), MetricPoint((0.0,), (0.0,)))]
-        with pytest.raises(DomainError):
-            heat_gaussian_check(pairs=bad)  # d1 = 1 points under d1 = 2
-        with pytest.raises(DomainError):
             heat_gaussian_check(d1=4)
-        far = [(MetricPoint((0.0, 0.0), (11.0,)),
-                MetricPoint((0.0, 0.0), (0.0,)))]
-        with pytest.raises(DomainError):
-            heat_gaussian_check(pairs=far)  # beyond the aliasing-safe half
+        # the second-layer offset 0.2 lies beyond the aliasing-safe half
+        with pytest.raises(DomainError, match="aliasing-safe"):
+            heat_gaussian_check(torus_half_period=0.3)
 
     @pytest.mark.parametrize("half_period", [math.nan, math.inf, 0.0])
     def test_rejects_bad_torus_half_period(self, half_period):
@@ -213,14 +203,18 @@ class TestHeatGaussian:
 class TestKernelSupport:
     cs = CutoffSpec.standard()
 
+    kappas = (1.1, 1.5, 2.0)
+    # small_kwargs as kernel_support_suite turns them into a grid and policy
+    small = (GrushinGrid(PrimeGrid(12.0, 96, 2), 4.0, 64, 1),
+             SpectralTruncation(k_max=16, lambda_max=16.0))
+
     def small_kwargs(self):
         return dict(prime_extent=12.0, n_prime=96, torus_half_period=4.0,
                     n_second=64, k_max=16, lambda_max=16.0)
 
     def test_fractions_decrease_in_kappa(self):
         pieces = dyadic_pieces(self.cs.eta, self.cs, n_levels=1)
-        res = kernel_support_check(pieces[0], 1.0, kappas=(1.1, 1.5, 2.0),
-                                   **self.small_kwargs())
+        res = kernel_support_check(pieces[0], 1.0, self.kappas, *self.small)
         assert_well_formed(res, "kernel_support")
         f = res.summary["fractions_outside"]
         assert f["1.1"] >= f["1.5"] >= f["2"]
@@ -232,19 +226,19 @@ class TestKernelSupport:
         weights = np.full(33, nodes[1] - nodes[0])
         zero = PieceProfile(level=0, nodes=nodes, weights=weights,
                             amplitudes=np.zeros(33))
-        res = kernel_support_check(zero, 1.0, **self.small_kwargs())
+        res = kernel_support_check(zero, 1.0, self.kappas, *self.small)
         assert res.summary["zero_kernel"]
         assert all(v == 0.0 for v in res.summary["fractions_outside"].values())
 
     def test_support_radius_guard(self):
         pieces = dyadic_pieces(self.cs.eta, self.cs, n_levels=2)
         with pytest.raises(AliasingError):
-            kernel_support_check(pieces[2], 1.0, **self.small_kwargs())
+            kernel_support_check(pieces[2], 1.0, self.kappas, *self.small)
         with pytest.raises(DomainError):
-            kernel_support_check(pieces[0], 0.0, **self.small_kwargs())
+            kernel_support_check(pieces[0], 0.0, self.kappas, *self.small)
 
     def test_suite_collects_worst_case(self):
-        res = kernel_support_suite(level_times=((0, 0.5), (1, 0.5)),
+        res = kernel_support_suite(levels=(0, 1), times=(0.5, 0.5),
                                    **self.small_kwargs())
         assert_well_formed(res, "kernel_support")
         assert len(res.rows) == 6
@@ -257,7 +251,7 @@ class TestKernelSupport:
 
     def test_suite_rejects_missing_level(self):
         with pytest.raises(DomainError):
-            kernel_support_suite(level_times=((-1, 0.5),),
+            kernel_support_suite(levels=(-1,), times=(0.5,),
                                  **self.small_kwargs())
 
 
@@ -284,10 +278,20 @@ class TestGeometrySuite:
 
 class TestDistanceTable:
     def test_graded_branch_example(self):
-        res = distance_table([(((1.0, 0.0), (0.0,)), ((1.0, 0.0), (0.08,)))])
+        res = distance_table([[[1.0, 0.0], [0.0], [1.0, 0.0], [0.08]]])
         assert_well_formed(res, "distance_table")
         assert res.rows[0][-1] == pytest.approx(0.04, abs=1e-15)
 
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             distance_table([])
+
+    @pytest.mark.parametrize("pairs", [
+        5, [[[0.0], [0.0], [1.0]]], [[[0.0], [0.0], [1.0], 0.0]],
+        [[[0.0], [0.0], [1.0], ["a"]]], [[[0.0, 0.0], [0.0], [1.0], [0.0]]],
+        [[[0.0], [0.0, 1.0], [1.0], [0.0]]], [[[], [], [], []]],
+    ], ids=["not-a-list", "three-parts", "scalar-part", "non-numeric-part",
+            "prime-lengths-differ", "second-lengths-differ", "empty-parts"])
+    def test_rejects_malformed_pairs(self, pairs):
+        with pytest.raises(DomainError):
+            distance_table(pairs)

@@ -6,7 +6,7 @@ from oracles import indicator, inner
 
 from grushin import engine
 from grushin.engine import schwartz_kernel_column
-from grushin.errors import ConfigError, ContractViolation, DomainError
+from grushin.errors import ContractViolation, DomainError
 from grushin.fields import (
     Dims,
     Field,
@@ -185,14 +185,6 @@ class TestMultiplierProfile:
 
 
 class TestSpectralTruncation:
-    def test_defaults(self):
-        t = SpectralTruncation(8, 20.0)
-        assert t.xi_zero_mode == "fourier_multiplier"
-
-    def test_bad_mode(self):
-        with pytest.raises(ConfigError):
-            SpectralTruncation(8, 20.0, "zero_out")
-
     def test_bad_params(self):
         with pytest.raises(DomainError):
             SpectralTruncation(-1, 20.0)
