@@ -7,6 +7,16 @@ oscillator eigenspace by the profile value at its eigenvalue, synthesize, and
 transform back.  Frequencies with equal magnitude share one eigenfunction
 table, so slices are processed in |xi| groups.
 
+The slice operators are real and depend on |xi| only, so a real profile maps
+real fields to real fields, and the xi and -xi slices carry conjugate data.
+The transform is therefore real-to-real: it keeps the half lattice whose last
+torus frequency is >= 0, and the inverse restores the other half.  The other
+cases go through that path by linearity.  A complex field is run as
+F(L) Re f + i F(L) Im f, skipping a part that is all zero.  A profile with
+complex values weights the half spectrum by its real part, and a second half
+spectrum by its imaginary part; that second spectrum is allocated at the
+first slice whose weights are not real.
+
 The zero frequency is special: there the operator degenerates to the Euclidean
 Laplacian in x' alone, and the slice is handled by a zero-padded DFT multiplier.
 """
@@ -15,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import ContractViolation, DomainError, TruncationError
 from .fields import Field, GrushinGrid, MultiplierProfile, SpectralTruncation, delta_field
 from .hermite import PrimeGrid
 from .oscillator import (
@@ -26,64 +36,74 @@ from .oscillator import (
 )
 
 
+def _half_lattice(grid: GrushinGrid) -> list:
+    """Integer frequency labels of each torus axis of the half spectrum.
+
+    All axes but the last are in FFT order; the last keeps m = 0 ... n/2.
+    """
+    return [grid.xi_index] * (grid.d2 - 1) + [np.arange(grid.n_second // 2 + 1)]
+
+
 def _phase(grid: GrushinGrid) -> np.ndarray:
     """Product of per-axis signs (-1)^m translating FFT phases to the torus origin.
 
     The torus axis starts at -S, not 0, so each FFT bin m picks up e^{i pi m}.
     The same sign array serves both transform directions.
     """
-    s = 1.0 - 2.0 * (np.abs(grid.xi_index) % 2)
-    out = s
-    for _ in range(grid.d2 - 1):
-        out = np.multiply.outer(out, s)
+    out = np.ones(())
+    for m in _half_lattice(grid):
+        out = np.multiply.outer(out, 1.0 - 2.0 * (np.abs(m) % 2))
     return out
 
 
 def partial_fourier(field: Field) -> np.ndarray:
-    """Transform the torus axes; returns an array in FFT frequency order.
+    """Transform the torus axes of a real field onto the half lattice.
 
-    Normalization is (2 pi)^{-d2/2} times the Riemann sum with cell weight, so
-    Parseval holds with dual cell weight xi_spacing^d2 on the lattice side.
+    The bins are those of _half_lattice, in FFT order; each bin left out, with
+    a negative last frequency, is the conjugate of one kept.  Normalization is
+    (2 pi)^{-d2/2} times the Riemann sum with cell weight, so Parseval holds
+    with dual cell weight xi_spacing^d2 once the bins 0 < m < n/2 of the last
+    axis are counted twice.  A complex field raises ContractViolation: its
+    real and imaginary parts are transformed one at a time.
     """
+    if np.iscomplexobj(field.values):
+        raise ContractViolation("partial_fourier takes a real field; transform "
+                                "the real and imaginary parts one at a time")
     g = field.grid
-    axes = tuple(range(g.prime.d1, g.prime.d1 + g.d2))
-    vals = np.fft.fftn(field.values, axes=axes)
+    axes = tuple(range(g.d1, g.d1 + g.d2))
+    vals = np.fft.rfftn(field.values, axes=axes)
     vals *= _phase(g) * (g.second_spacing / np.sqrt(2.0 * np.pi)) ** g.d2
     return vals
 
 
 def inverse_partial_fourier(grid: GrushinGrid, fhat: np.ndarray) -> Field:
-    """Inverse of partial_fourier."""
-    if fhat.shape != grid.shape:
-        raise DomainError(f"fhat shape {fhat.shape} does not match grid {grid.shape}")
-    axes = tuple(range(grid.prime.d1, grid.prime.d1 + grid.d2))
-    scale = (np.sqrt(2.0 * np.pi) / grid.second_spacing) ** grid.d2
-    vals = np.multiply(fhat, _phase(grid) * scale, dtype=complex)
-    return Field(grid, np.fft.ifftn(vals, axes=axes, out=vals))
+    """Inverse of partial_fourier: a real field.
+
+    fhat is scaled in place, so it is spent once this returns.
+    """
+    half_shape = grid.shape[:-1] + (grid.n_second // 2 + 1,)
+    if fhat.shape != half_shape:
+        raise DomainError(f"fhat shape {fhat.shape} does not match the half "
+                          f"lattice {half_shape} of the grid")
+    axes = tuple(range(grid.d1, grid.d1 + grid.d2))
+    fhat *= _phase(grid) * (np.sqrt(2.0 * np.pi) / grid.second_spacing) ** grid.d2
+    return Field(grid, np.fft.irfftn(fhat, s=(grid.n_second,) * grid.d2, axes=axes))
 
 
 def xi_groups(grid: GrushinGrid):
-    """[(xi_mag, flat_indices)] over the dual lattice, grouped by |xi|, ascending.
+    """[(xi_mag, flat_indices)] over the half lattice, grouped by |xi|, ascending.
 
-    flat_indices index the flattened torus axes (C order), matching
-    values.reshape(prime_shape + (-1,)).
+    flat_indices index the flattened torus axes of the half spectrum (C
+    order), matching fhat.reshape(prime_shape + (-1,)).  For d2 = 1 every
+    group is one bin.
     """
-    m = grid.xi_index
-    if grid.d2 == 1:
-        key = (np.abs(m).astype(np.int64)) ** 2
-    else:
-        k1, k2 = np.meshgrid(m, m, indexing="ij")
-        key = (k1.astype(np.int64) ** 2 + k2.astype(np.int64) ** 2).reshape(-1)
+    labels = np.meshgrid(*_half_lattice(grid), indexing="ij")
+    key = sum(m.astype(np.int64) ** 2 for m in labels).reshape(-1)
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
-    groups = []
-    start = 0
-    for stop in range(1, order.size + 1):
-        if stop == order.size or sorted_key[stop] != sorted_key[start]:
-            xi_mag = grid.xi_spacing * float(np.sqrt(sorted_key[start]))
-            groups.append((xi_mag, order[start:stop]))
-            start = stop
-    return groups
+    starts = np.flatnonzero(np.diff(sorted_key)) + 1
+    return [(grid.xi_spacing * float(np.sqrt(k)), idx)
+            for k, idx in zip(sorted_key[np.r_[0, starts]], np.split(order, starts))]
 
 
 def _apply_xi_zero(profile: MultiplierProfile, slab: np.ndarray,
@@ -158,32 +178,83 @@ def apply_slice_multiplier(profile: MultiplierProfile, f: np.ndarray, prime: Pri
     return oscillator_synthesis(coef * weights, prime, xi_mag)
 
 
+class _ProfilePart:
+    """Re F or Im F of a profile, for the slice kernels.
+
+    `complex` records whether the last evaluation had a nonzero imaginary
+    part.
+    """
+
+    def __init__(self, profile: MultiplierProfile, part):
+        self.profile, self.part, self.support = profile, part, profile.support
+        self.complex = False
+
+    def __call__(self, lam) -> np.ndarray:
+        w = self.profile(lam)
+        self.complex = bool(w.imag.any())
+        return self.part(w)
+
+
 def apply_multiplier(profile: MultiplierProfile, field: Field,
                      trunc: SpectralTruncation) -> Field:
     """Apply F(L) to a field under the given truncation policy.
 
     Each nonzero |xi| group goes through apply_slice_multiplier, so the
     TruncationError conditions are those of slice_levels.  A field with a
-    NaN or infinite value raises DomainError.
+    NaN or infinite value raises DomainError.  The result is real when the
+    profile's values and the field's values are.
     """
     if not np.isfinite(field.values).all():
         raise DomainError("field has a NaN or infinite value")
+    if not np.iscomplexobj(field.values):
+        return _apply_real(profile, field, trunc)
+    grid = field.grid
+    re, im = field.values.real, field.values.imag
+    out = 0.0
+    # the real part also runs when both parts are zero, so that the
+    # truncation checks still apply
+    if re.any() or not im.any():
+        out = _apply_real(profile, Field(grid, re), trunc).values
+    if im.any():
+        out = out + 1j * _apply_real(profile, Field(grid, im), trunc).values
+    return Field(grid, out)
+
+
+def _apply_real(profile: MultiplierProfile, field: Field,
+                trunc: SpectralTruncation) -> Field:
+    """apply_multiplier on a real field, over the half lattice."""
     grid = field.grid
     prime = grid.prime
     fhat = partial_fourier(field)
     # the groups are disjoint and each is read before it is written, so every
     # result goes back into the transform this call owns
     fh = fhat.reshape(fhat.shape[:prime.d1] + (-1,))
-    for xi_mag, idx in xi_groups(grid):
+    re_part = _ProfilePart(profile, np.real)
+    im_part, fh_im = _ProfilePart(profile, np.imag), None
+
+    def on_slice(part, f, xi_mag):
         if xi_mag == 0.0:
-            fh[..., idx] = _apply_xi_zero(profile, fh[..., idx], prime)
-        elif slice_levels(profile, prime, xi_mag, trunc.k_max, trunc.lambda_max):
-            fh[..., idx] = apply_slice_multiplier(profile, fh[..., idx], prime, xi_mag,
-                                                  trunc.k_max, trunc.lambda_max)
-        else:
+            return _apply_xi_zero(part, f, prime)
+        return apply_slice_multiplier(part, f, prime, xi_mag, trunc.k_max,
+                                      trunc.lambda_max)
+
+    for xi_mag, idx in xi_groups(grid):
+        if xi_mag != 0.0 and not slice_levels(profile, prime, xi_mag, trunc.k_max,
+                                              trunc.lambda_max):
             # no kept level: skip the gather and the transform
             fh[..., idx] = 0.0
-    return inverse_partial_fourier(grid, fh.reshape(grid.shape))
+            continue
+        f = fh[..., idx]
+        fh[..., idx] = on_slice(re_part, f, xi_mag)
+        if re_part.complex:
+            if fh_im is None:
+                fh_im = np.zeros_like(fh)
+            fh_im[..., idx] = on_slice(im_part, f, xi_mag)
+    out = inverse_partial_fourier(grid, fhat)
+    if fh_im is None:
+        return out
+    return Field(grid, out.values + 1j * inverse_partial_fourier(
+        grid, fh_im.reshape(fhat.shape)).values)
 
 
 def heat_apply(t: float, field: Field, trunc: SpectralTruncation) -> Field:

@@ -1,11 +1,11 @@
 """Grids, fields, multiplier profiles, and truncation policies.
 
 The degenerate-elliptic operator acts on functions of (x', x'') where x' lives
-in R^d1 and x'' on a flat torus [-S, S)^d2.  A field couples a complex value
-array to that product grid.  Multiplier profiles wrap a scalar function of the
-spectral parameter together with an authoritative support interval, and a
-truncation policy records how far the discrete spectral decomposition is
-trusted.
+in R^d1 and x'' on a flat torus [-S, S)^d2.  A field couples a real or
+complex value array to that product grid.  Multiplier profiles wrap a scalar
+function of the spectral parameter together with an authoritative support
+interval, and a truncation policy records how far the discrete spectral
+decomposition is trusted.
 """
 
 from __future__ import annotations
@@ -121,13 +121,19 @@ class GrushinGrid:
 
 @dataclass
 class Field:
-    """Complex-valued function sampled on a GrushinGrid."""
+    """Function sampled on a GrushinGrid.
+
+    Real values are kept as float64 and anything else as complex128.  The
+    engine reads the dtype: it splits a complex field into its real and
+    imaginary parts, and maps a real field to a real one under a real profile.
+    """
 
     grid: GrushinGrid
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
+        dtype = np.float64 if np.isrealobj(self.values) else np.complex128
+        self.values = np.ascontiguousarray(self.values, dtype=dtype)
         if self.values.shape != self.grid.shape:
             raise ContractViolation(
                 f"value array shape {self.values.shape} does not match grid "
@@ -145,7 +151,7 @@ class Field:
             *([grid.prime.axis] * grid.prime.d1 + [grid.second_axis] * grid.d2),
             indexing="ij",
         )
-        return cls(grid, np.asarray(fn(*xp), dtype=np.complex128))
+        return cls(grid, fn(*xp))
 
     def norm_lp(self, p: float) -> float:
         if p == np.inf:
@@ -157,10 +163,13 @@ class Field:
 
 
 def delta_field(grid: GrushinGrid, x_prime, x_second) -> Field:
-    """Unit-mass discrete delta: indicator of one node divided by cell volume."""
-    out = Field.zeros(grid)
-    out.values[grid.locate(x_prime, x_second)] = 1.0 / grid.cell_volume
-    return out
+    """Unit-mass discrete delta: indicator of one node divided by cell volume.
+
+    The values are real.
+    """
+    values = np.zeros(grid.shape)
+    values[grid.locate(x_prime, x_second)] = 1.0 / grid.cell_volume
+    return Field(grid, values)
 
 
 class MultiplierProfile:

@@ -46,13 +46,7 @@ def oscillator_transform(f: np.ndarray, grid: PrimeGrid, xi_mag: float, k_hi: in
     """
     if grid.d1 > 3:
         raise DomainError("oscillator transforms implemented for d1 <= 3")
-    H = _tables(grid, xi_mag, k_hi)
-    out = np.asarray(f)
-    for axis in range(grid.d1):
-        # contract spatial axis `axis` (always at position `axis` after the
-        # previous contractions moved their level axis to the front)
-        out = np.moveaxis(np.tensordot(H, out, axes=(1, axis)), 0, axis)
-    return out * grid.cell
+    return _contract(_tables(grid, xi_mag, k_hi), f, grid.d1) * grid.cell
 
 
 def oscillator_synthesis(coef: np.ndarray, grid: PrimeGrid, xi_mag: float) -> np.ndarray:
@@ -60,10 +54,26 @@ def oscillator_synthesis(coef: np.ndarray, grid: PrimeGrid, xi_mag: float) -> np
     if grid.d1 > 3:
         raise DomainError("oscillator transforms implemented for d1 <= 3")
     k_hi = coef.shape[0] - 1
-    H = _tables(grid, xi_mag, k_hi)
-    out = np.asarray(coef)
-    for axis in range(grid.d1):
-        out = np.moveaxis(np.tensordot(H.T, out, axes=(1, axis)), 0, axis)
+    return _contract(_tables(grid, xi_mag, k_hi).T, coef, grid.d1)
+
+
+def _contract(H: np.ndarray, f, d1: int) -> np.ndarray:
+    """Apply the real matrix H along each of the first d1 axes of f.
+
+    A complex f goes through as a float64 view with a trailing (re, im) axis,
+    so every product is a real one and H is never upcast to complex.
+    """
+    out = np.asarray(f)
+    is_complex = np.iscomplexobj(out)
+    if is_complex:
+        out = np.ascontiguousarray(out, dtype=np.complex128)[..., None].view(np.float64)
+    for axis in range(d1):
+        # contract spatial axis `axis` (always at position `axis` after the
+        # previous contractions moved their level axis to the front)
+        out = np.moveaxis(np.tensordot(H, out, axes=(1, axis)), 0, axis)
+    if is_complex:
+        # the (re, im) axis stays last and contiguous through the contractions
+        out = out.view(np.complex128)[..., 0]
     return out
 
 

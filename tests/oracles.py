@@ -10,6 +10,9 @@ it:
   gamma = 0 reference of the radial path), its Gaussian tail fit, and the
   exact p = 1 level-k restriction norm from its maximum;
 - the Hardy-type weight check on the oscillator transform;
+- the full-lattice complex multiplier path (complex FFT over the torus axes,
+  every +-xi bin weighted), against which the engine's half-lattice path is
+  checked;
 - the weighted radial Gram matrix M M^T from the radial path's closed-form
   factor (compared with quadrature and mpmath in the radial tests);
 - the discrete inner product and the sharp indicator profile.
@@ -25,7 +28,8 @@ from grushin.errors import (
     DomainError,
     TruncationError,
 )
-from grushin.fields import Field, MultiplierProfile
+from grushin.engine import _apply_xi_zero, apply_slice_multiplier, slice_levels
+from grushin.fields import Field, GrushinGrid, MultiplierProfile, SpectralTruncation
 from grushin.hermite import PrimeGrid, hermite_table, hermite_zero_values
 from grushin.lab.radial import _gauss_modes
 from grushin.oscillator import _level_weights, oscillator_synthesis, oscillator_transform
@@ -243,3 +247,50 @@ def inner(f: Field, g: Field) -> complex:
     if g.grid != f.grid:
         raise ContractViolation("fields live on different grids")
     return complex(np.vdot(g.values, f.values) * f.grid.cell_volume)
+
+
+def _full_lattice_phase(grid: GrushinGrid) -> np.ndarray:
+    s = 1.0 - 2.0 * (np.abs(grid.xi_index) % 2)
+    out = s
+    for _ in range(grid.d2 - 1):
+        out = np.multiply.outer(out, s)
+    return out
+
+
+def full_lattice_groups(grid: GrushinGrid) -> list:
+    """[(xi_mag, flat_indices)] over the whole dual lattice, grouped by |xi|."""
+    m = grid.xi_index.astype(np.int64)
+    key = (m[:, None] ** 2 + m[None, :] ** 2).reshape(-1) if grid.d2 == 2 else m ** 2
+    order = np.argsort(key, kind="stable")
+    groups, start = [], 0
+    for stop in range(1, order.size + 1):
+        if stop == order.size or key[order[stop]] != key[order[start]]:
+            groups.append((grid.xi_spacing * float(np.sqrt(key[order[start]])),
+                           order[start:stop]))
+            start = stop
+    return groups
+
+
+def full_lattice_apply(profile: MultiplierProfile, field: Field,
+                       trunc: SpectralTruncation) -> np.ndarray:
+    """F(L) f through a complex FFT over the torus axes and every lattice bin.
+
+    The engine's slice kernels weight each |xi| group, as in the engine; only
+    the lattice handling differs: no real-input half spectrum, no split of a
+    complex field or profile into real parts.
+    """
+    grid, prime = field.grid, field.grid.prime
+    axes = tuple(range(prime.d1, prime.d1 + grid.d2))
+    spacing = grid.second_spacing / np.sqrt(2.0 * np.pi)
+    fhat = np.fft.fftn(field.values, axes=axes) * _full_lattice_phase(grid) * spacing ** grid.d2
+    fh = fhat.reshape(fhat.shape[:prime.d1] + (-1,))
+    for xi_mag, idx in full_lattice_groups(grid):
+        if xi_mag == 0.0:
+            fh[..., idx] = _apply_xi_zero(profile, fh[..., idx], prime)
+        elif slice_levels(profile, prime, xi_mag, trunc.k_max, trunc.lambda_max):
+            fh[..., idx] = apply_slice_multiplier(profile, fh[..., idx], prime, xi_mag,
+                                                  trunc.k_max, trunc.lambda_max)
+        else:
+            fh[..., idx] = 0.0
+    fhat *= _full_lattice_phase(grid) / spacing ** grid.d2
+    return np.fft.ifftn(fhat, axes=axes)

@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import indicator, inner, multiindex_enum, phi_xi_eval
+from oracles import full_lattice_apply, indicator, inner, multiindex_enum, phi_xi_eval
 
 from grushin import engine
 from grushin.engine import (
@@ -36,6 +36,7 @@ from grushin.fields import (
     delta_field,
 )
 from grushin.hermite import PrimeGrid
+from grushin.lab.profiles import CutoffSpec, dyadic_pieces
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +57,11 @@ def rough_field(grid):
     env = np.exp(-(x1 ** 2 + x2 ** 2))
     w = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     return Field(grid, env[:, :, None] * w)
+
+
+@pytest.fixture(scope="module")
+def real_field(grid, rough_field):
+    return Field(grid, rough_field.values.real)
 
 
 @pytest.fixture(scope="module")
@@ -80,35 +86,42 @@ def eigenfield(grid, nu, xi):
 
 
 class TestPartialFourier:
-    def test_round_trip(self, grid, rough_field):
-        fh = partial_fourier(rough_field)
+    def test_round_trip(self, grid, real_field):
+        fh = partial_fourier(real_field)
         back = inverse_partial_fourier(grid, fh)
-        assert np.max(np.abs(back.values - rough_field.values)) < 1e-12
+        assert np.max(np.abs(back.values - real_field.values)) < 1e-12
 
-    def test_parseval(self, grid, rough_field):
-        fh = partial_fourier(rough_field)
-        lhs = np.sqrt(np.sum(np.abs(fh) ** 2) * grid.prime.cell * grid.xi_spacing)
-        assert abs(lhs - rough_field.norm_lp(2)) < 1e-10 * rough_field.norm_lp(2)
+    def test_parseval(self, grid, real_field):
+        fh = partial_fourier(real_field)
+        # the bins 0 < m < n/2 stand for themselves and their conjugates at -m
+        twice = np.r_[1.0, np.full(grid.n_second // 2 - 1, 2.0), 1.0]
+        lhs = np.sqrt(np.sum(twice * np.abs(fh) ** 2)
+                      * grid.prime.cell * grid.xi_spacing)
+        assert abs(lhs - real_field.norm_lp(2)) < 1e-10 * real_field.norm_lp(2)
 
     def test_constant_in_second_variable_is_pure_zero_mode(self, grid):
         x1, x2 = np.meshgrid(grid.prime.axis, grid.prime.axis, indexing="ij")
         f = Field(grid, np.repeat(np.exp(-(x1 ** 2 + x2 ** 2))[:, :, None],
-                                  grid.n_second, axis=2).astype(complex))
+                                  grid.n_second, axis=2))
         fh = partial_fourier(f)
         assert np.max(np.abs(fh[:, :, 1:])) < 1e-13 * np.max(np.abs(fh[:, :, 0]))
 
     def test_single_oscillation_lands_on_lattice_node(self, grid):
         xi0 = 2.0 * grid.xi_spacing
         f = Field.from_function(grid, lambda x1, x2, y: np.exp(-(x1**2 + x2**2)) *
-                                np.exp(1j * xi0 * y))
+                                np.cos(xi0 * y))
         fh = partial_fourier(f)
         m = np.argmax(np.abs(fh).max(axis=(0, 1)))
-        assert grid.xi_index[m] * grid.xi_spacing == pytest.approx(xi0)
+        assert m * grid.xi_spacing == pytest.approx(xi0)
+
+    def test_complex_field_is_refused(self, rough_field):
+        with pytest.raises(ContractViolation, match="real field"):
+            partial_fourier(rough_field)
 
     def test_xi_groups_cover_lattice_once(self, grid):
         groups = xi_groups(grid)
         all_idx = np.concatenate([idx for _, idx in groups])
-        assert sorted(all_idx.tolist()) == list(range(grid.n_second))
+        assert sorted(all_idx.tolist()) == list(range(grid.n_second // 2 + 1))
         mags = [m for m, _ in groups]
         assert mags == sorted(mags)
         assert mags[0] == 0.0
@@ -379,11 +392,82 @@ def support_grid():
             SpectralTruncation(k_max=64, lambda_max=64.0))
 
 
+def rel_l2(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestHalfLatticeMatchesFullLattice:
+    """The half-lattice engine against the full-lattice complex path."""
+
+    def test_default_kernel_support_column(self):
+        grid, tr = support_grid()
+        cutoffs = CutoffSpec.standard()
+        piece = dyadic_pieces(cutoffs.eta, cutoffs, n_levels=2)[0]
+        # as kernel_support_check builds it at level 0, t = 1
+        profile = MultiplierProfile(
+            lambda lam: piece(np.sqrt(np.maximum(lam, 0.0))), (0.0, np.inf))
+        delta = delta_field(grid, (0.0, 0.0), (0.0,))
+        col = apply_multiplier(profile, delta, tr)
+        assert col.values.dtype == np.float64
+        assert rel_l2(col.values, full_lattice_apply(profile, delta, tr)) <= 1e-12
+
+    def test_benchmark_heat_column_off_axis(self, col_setup):
+        grid, tr = col_setup
+        ax = grid.prime.axis
+        delta = delta_field(grid, (ax[110], ax[83]), (grid.second_axis[37],))
+        heat = MultiplierProfile.heat(0.1)
+        col = apply_multiplier(heat, delta, tr)
+        assert col.values.dtype == np.float64
+        assert rel_l2(col.values, full_lattice_apply(heat, delta, tr)) <= 1e-12
+
+    def test_two_torus_dimensions(self):
+        grid = GrushinGrid(PrimeGrid(6.0, 48, 2), 1.5, 16, 2)
+        tr = SpectralTruncation(k_max=10, lambda_max=24.0)
+        rng = np.random.default_rng(7)
+        x1, x2 = grid.meshgrid_prime()
+        f = Field(grid, np.exp(-(x1 ** 2 + x2 ** 2))[:, :, None, None]
+                  * rng.standard_normal(grid.shape))
+        heat = MultiplierProfile.heat(0.2)
+        out = apply_multiplier(heat, f, tr)
+        assert out.values.dtype == np.float64
+        assert rel_l2(out.values, full_lattice_apply(heat, f, tr)) <= 1e-12
+
+    def test_complex_field(self, trunc, rough_field):
+        heat = MultiplierProfile.heat(0.2)
+        out = apply_multiplier(heat, rough_field, trunc)
+        assert rel_l2(out.values, full_lattice_apply(heat, rough_field, trunc)) <= 1e-12
+
+    @pytest.mark.parametrize("which", ["real delta", "complex field"])
+    def test_complex_profile(self, grid, trunc, rough_field, which):
+        f = rough_field if which == "complex field" else \
+            delta_field(grid, (0.0, 0.0), (grid.second_axis[9],))
+        turned = MultiplierProfile(lambda lam: np.exp(0.3j) * np.exp(-0.2 * lam),
+                                   MultiplierProfile.heat(0.2).support)
+        out = apply_multiplier(turned, f, trunc)
+        assert rel_l2(out.values, full_lattice_apply(turned, f, trunc)) <= 1e-12
+
+
 class TestWorkAndMemory:
     def test_input_field_is_left_unchanged(self, grid, trunc, rough_field):
         before = rough_field.values.copy()
         apply_multiplier(MultiplierProfile.heat(0.2), rough_field, trunc)
         assert np.array_equal(rough_field.values, before)
+
+    @pytest.mark.parametrize("value, transforms", [
+        (1.0, 1), (1.0j, 1), (1.0 + 1.0j, 2), (0.0, 1)])
+    def test_complex_field_transforms_each_nonzero_part(
+            self, grid, trunc, monkeypatch, value, transforms):
+        # F(L) Re f + i F(L) Im f; an all-zero field still runs one part, so
+        # that the truncation checks apply
+        forward, transformed = engine.partial_fourier, []
+        monkeypatch.setattr(engine, "partial_fourier",
+                            lambda f: transformed.append(f) or forward(f))
+        f = Field.zeros(grid)
+        f.values[32, 32, 3] = value
+        out = apply_multiplier(MultiplierProfile.heat(0.2), f, trunc)
+        assert len(transformed) == transforms
+        assert all(t.values.dtype == np.float64 for t in transformed)
+        assert np.iscomplexobj(out.values) == bool(np.imag(value))
 
     def test_xi_zero_evaluates_each_distinct_lambda_once(self):
         prime = support_grid()[0].prime
@@ -423,3 +507,18 @@ class TestWorkAndMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 3.2 * array_bytes
+
+    def test_real_column_holds_no_complex_grid_array(self):
+        # a real delta and a real profile: the delta, its half spectrum and
+        # the column are each half a complex grid array, and the spectrum for
+        # imaginary weights is never made
+        grid, tr = support_grid()
+        profile = MultiplierProfile.wave_cosine(1.0)
+        real_array_bytes = 8 * np.prod(grid.shape)
+        tracemalloc.start()
+        try:
+            schwartz_kernel_column(profile, grid, (0.0, 0.0), (0.0,), tr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * real_array_bytes
