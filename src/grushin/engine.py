@@ -23,6 +23,8 @@ Laplacian in x' alone, and the slice is handled by a zero-padded DFT multiplier.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ContractViolation, DomainError, TruncationError
@@ -106,6 +108,27 @@ def xi_groups(grid: GrushinGrid):
             for k, idx in zip(sorted_key[np.r_[0, starts]], np.split(order, starts))]
 
 
+@functools.lru_cache(maxsize=8)
+def _xi_zero_symbol(prime: PrimeGrid):
+    """Eigenvalues |zeta|^2 of the 2x padded real DFT of an x' slab.
+
+    Returns (distinct, inverse): the sorted distinct values, and for every
+    bin of the half spectrum (last axis 0 ... pad/2) the index of its value.
+    Both depend on the x' grid alone, so each grid builds them once.
+    """
+    d1, pad = prime.d1, 2 * prime.n_points
+    zeta2 = (2.0 * np.pi * np.fft.fftfreq(pad, d=prime.spacing)) ** 2
+    lam = np.zeros(())
+    for axis in range(d1):
+        lam = np.add.outer(lam, zeta2 if axis < d1 - 1 else zeta2[:pad // 2 + 1])
+    # lam takes far fewer distinct values than it has points (~29k of 262k
+    # on a 512^2 padded grid): the profile is evaluated once per value
+    distinct, inverse = np.unique(lam, return_inverse=True)
+    inverse = inverse.reshape(lam.shape)
+    distinct.flags.writeable = inverse.flags.writeable = False
+    return distinct, inverse
+
+
 def _apply_xi_zero(profile: MultiplierProfile, slab: np.ndarray,
                    prime: PrimeGrid) -> np.ndarray:
     """Euclidean functional calculus in x' on the zero-frequency slice.
@@ -115,28 +138,35 @@ def _apply_xi_zero(profile: MultiplierProfile, slab: np.ndarray,
     the policy's lambda_max is deliberately not imposed here, since a hard
     spectral edge on this slice would ring against the crop back to the window
     (the ceiling exists to bound oscillator levels, which this slice has none
-    of).
+    of).  The symbol depends on |zeta| only, so the DFT pair is real to
+    real: a slab whose imaginary part is nonzero takes one forward transform
+    per part, profile values whose imaginary part is nonzero one inverse
+    transform per part.  The zero slice of a real field's transform is real
+    and takes one pair.
     """
-    d1 = prime.d1
-    n = prime.n_points
+    d1, n = prime.d1, prime.n_points
     pad = 2 * n
-    fp = np.zeros((pad,) * d1 + slab.shape[d1:], dtype=complex)
-    fp[(slice(0, n),) * d1] = slab
-    spec_axes = tuple(range(d1))
-    spec = np.fft.fftn(fp, axes=spec_axes)
-    zeta = 2.0 * np.pi * np.fft.fftfreq(pad, d=prime.spacing)
-    lam = np.zeros((pad,) * d1)
-    for axis in range(d1):
-        shape = [1] * d1
-        shape[axis] = pad
-        lam = lam + (zeta ** 2).reshape(shape)
-    # lam takes far fewer distinct values than it has points (~29k of 262k
-    # on a 512^2 padded grid): evaluate the profile once per value
-    distinct, inverse = np.unique(lam, return_inverse=True)
-    w = np.asarray(profile(distinct), dtype=complex)[inverse].reshape(lam.shape)
-    spec *= w.reshape(w.shape + (1,) * (slab.ndim - d1))
-    out = np.fft.ifftn(spec, axes=spec_axes)
-    return out[(slice(0, n),) * d1]
+    axes = tuple(range(d1))
+    crop = (slice(0, n),) * d1
+    distinct, inverse = _xi_zero_symbol(prime)
+    w = np.asarray(profile(distinct))[inverse]
+    w = w.reshape(w.shape + (1,) * (slab.ndim - d1))
+
+    def real_pass(part):
+        fp = np.zeros((pad,) * d1 + part.shape[d1:])
+        fp[crop] = part
+        spec = np.fft.rfftn(fp, axes=axes)
+
+        def weighted(weights):
+            return np.fft.irfftn(spec * weights, s=(pad,) * d1, axes=axes)[crop]
+
+        if np.iscomplexobj(w) and w.imag.any():
+            return weighted(w.real) + 1j * weighted(w.imag)
+        return weighted(w.real)
+
+    if np.iscomplexobj(slab) and slab.imag.any():
+        return real_pass(slab.real) + 1j * real_pass(slab.imag)
+    return real_pass(slab.real)
 
 
 def slice_levels(profile: MultiplierProfile, prime: PrimeGrid, xi_mag: float,

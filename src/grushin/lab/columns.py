@@ -6,8 +6,9 @@ coordinate and both choosing their own discretizations:
 * an L^1 norm for multiplier kernel columns, split into a small core square
   in x' that carries every torus frequency and a wide bulk zone where only
   the low frequencies can reach (higher slabs die off inside the core); the
-  bulk's few bins are summed over the torus by one half-period cosine matrix
-  product, the core's many by irfft, and
+  bulk's few bins are summed over the torus by a half-period cosine matrix
+  product, the core's many by irfft, both a cache-sized chunk of lines at a
+  time, from Hermite tables built once per slab and call, and
 * a closed-form heat kernel evaluator built from the oscillator semigroup
   kernel per frequency, with no level truncation at all.
 
@@ -32,12 +33,19 @@ __all__ = [
     "heat_kernel_pointwise",
 ]
 
-# floats of one x1 block of the full-width spectrum (n_fft // 2 + 1 bins); it
-# fixes the block partition and so the order of the float sums.  The bulk
-# zone's cosine product buffer holds that many floats, the core zone's irfft
-# buffer n_fft / (n_fft // 2 + 1) times as many, the stored spectrum only the
-# bins up to the last slab
-_BLOCK_BUDGET = 6.0e6
+# floats of one tile of the stored spectrum (bins up to the last slab, times
+# the tile's lines); it fixes the tiling and so the order of the float sums.
+# 2 MiB keeps every buffer of a call small: glibc's malloc raises its mmap
+# threshold to the size of a freed mapped block (up to 32 MiB) and then
+# serves such blocks from the heap, whose pages it keeps, so x1 blocks of
+# tens of MB made a process's peak RSS depend on the order of its calls
+_BLOCK_BUDGET = float(1 << 18)
+# floats of the buffer that the torus samples of |K| go through, a chunk of
+# lines at a time (1 MiB, so it stays in cache): about 2 000 lines at the
+# bulk's n_fft = 128
+_CHUNK_SAMPLES = 1 << 17
+# values of one block of the zero slab's Bessel matrix J_0(r rho)
+_J0_BLOCK = 1 << 18
 
 
 def bochner_riesz_radial_kernel(scale: float, delta: float,
@@ -86,24 +94,29 @@ def planar_radial_kernel(profile, r: np.ndarray,
     w[0] = w[-1] = 1.0
     w *= (rho[1] - rho[0]) / 3.0
     fvals = np.asarray(profile(rho * rho)).real * rho * w
-    return (j0(np.multiply.outer(r, rho)) @ fvals) / (2.0 * np.pi)
+    # J_0(r rho) for a block of r at a time, at most _J0_BLOCK values
+    flat = r.reshape(-1)
+    out = np.empty(flat.size)
+    step = max(1, _J0_BLOCK // rho.size)
+    for i0 in range(0, flat.size, step):
+        out[i0:i0 + step] = j0(np.multiply.outer(flat[i0:i0 + step],
+                                                 rho)) @ fvals
+    return out.reshape(r.shape) / (2.0 * np.pi)
 
 
-def _kernel_slab_coeff(profile, xi: float, k_cap: int, u: float,
-                       lambda_max: float):
+def _kernel_slab_coeff(profile, xi: float, k_cap: int, h_u: np.ndarray,
+                       h_0: np.ndarray, lambda_max: float):
     """Even-column coefficient matrix of one frequency slab at y' = (u, 0).
 
     Returns (C, even_index) with C[m, n] = F((2(m + n_e) + 2) xi) h_m(s u)
     h_{n_e}(0) over levels m <= k_cap and even n_e; odd second indices drop
-    out because the axis eigenfunctions vanish at 0.
+    out because the axis eigenfunctions vanish at 0.  h_u and h_0 hold
+    h_m(s u) and h_m(0) for m = 0 .. k_cap at least.
     """
-    sq = np.sqrt(xi)
-    h_u = hermite_table(k_cap, np.array([sq * u]))[:, 0]
-    h_0 = hermite_zero_values(k_cap)
     even = np.arange(0, k_cap + 1, 2)
     lam = (2.0 * np.add.outer(np.arange(k_cap + 1), even) + 2.0) * xi
     F = np.asarray(profile(lam)).real * (lam <= lambda_max * (1.0 + 1e-12))
-    return F * h_u[:, None] * h_0[even][None, :], even
+    return F * h_u[:k_cap + 1, None] * h_0[even][None, :], even
 
 
 def _half_period_cosines(n_bins: int, n_fft: int) -> np.ndarray:
@@ -128,15 +141,23 @@ def _cosine_abs_sums(table: np.ndarray, spec: np.ndarray,
     spec holds the real bins 0..n_bins - 1 of spectra slab-major, shape
     (n_bins, *lines); table is _half_period_cosines(n_bins, n_fft).  The
     samples of a real spectrum's transform are even about k = 0 and
-    k = n_fft / 2, so only those n_fft // 2 + 1 are computed, into the flat
-    buffer out, and the others enter the sum twice.  Returns shape lines.
+    k = n_fft / 2, so only those n_fft // 2 + 1 are computed, and the others
+    enter the sum twice.  The lines go through the flat buffer out as many
+    at a time as it holds columns of samples, so product, |.| and weighted
+    sum of a chunk run while it is in cache.  Returns shape lines.
     """
-    lines = spec[0].size
-    vals = out[:table.shape[0] * lines].reshape(table.shape[0], lines)
-    np.matmul(table, spec.reshape(spec.shape[0], lines), out=vals)
-    weights = np.full(table.shape[0], 2.0)
+    n_rows = table.shape[0]
+    flat = spec.reshape(spec.shape[0], -1)
+    chunk = out.size // n_rows
+    weights = np.full(n_rows, 2.0)
     weights[0] = weights[-1] = 1.0
-    return (weights @ np.abs(vals, out=vals)).reshape(spec.shape[1:])
+    sums = np.empty(flat.shape[1])
+    for c0 in range(0, flat.shape[1], chunk):
+        c1 = min(flat.shape[1], c0 + chunk)
+        vals = out[:n_rows * (c1 - c0)].reshape(n_rows, c1 - c0)
+        np.matmul(table, flat[:, c0:c1], out=vals)
+        np.matmul(weights, np.abs(vals, out=vals), out=sums[c0:c1])
+    return sums.reshape(spec.shape[1:])
 
 
 def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
@@ -155,9 +176,13 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     own n_fft torus points per line: the core, whose bins grow like the
     square of the scale, by irfft; the bulk, whose bins grow only like the
     scale, by one product with a half-period cosine table, as per-line FFT
-    overhead would outweigh its few bins.  xi_zero_radial overrides the radial
-    profile used for the zero-frequency slab (closed forms beat quadrature
-    when available); default is the Hankel quadrature of the profile.
+    overhead would outweigh its few bins.  Each slab's Hermite table is
+    built once per call, on the x1 points of the widest zone that carries
+    the slab; its x1 >= 0 tail serves as the x2 table.  At u = 0 the column
+    is even in x1 as in x2, so both zones sum x1 >= 0 only, with the x2
+    weights.  xi_zero_radial overrides the radial profile used for the
+    zero-frequency slab (closed forms beat quadrature when available);
+    default is the Hankel quadrature of the profile.
 
     The modulus of a band-limited kernel is not band-limited, so the torus
     integral of |K| carries a residual resolution error; fft_oversample
@@ -210,10 +235,16 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     if abs(u) > extent / 2.0:
         raise DomainError("column foot u is outside the resolved region")
     n_half = int(np.ceil(extent / dx))
-    ax1 = dx * np.arange(-n_half, n_half + 1)
     ax2 = dx * np.arange(0, n_half + 1)  # even in x2: half grid, weight 2
     w2 = np.full(ax2.size, 2.0)
     w2[0] = 1.0
+    if u == 0.0:
+        # the column is even in x1 as well: the same half grid and weights
+        ax1, w1 = ax2, w2
+    else:
+        ax1 = dx * np.arange(-n_half, n_half + 1)
+        w1 = np.ones(ax1.size)
+    tail = ax1.size - ax2.size  # ax1[tail:] is ax2, bit for bit
     if core_half_width is None:
         core_half_width = max(1.5, 2.5 * abs(u) + 1.5)
     if fft_oversample < 1:
@@ -222,6 +253,9 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     j_split = min(j_max, int(np.ceil(1.35 * scale / core_half_width / dxi)) + 2)
     n_fft_core = over << int(np.ceil(np.log2(4 * j_max + 4)))
     n_fft_bulk = over << int(np.ceil(np.log2(4 * j_split + 4)))
+    # the core square is x1 in ax1[core], x2 in ax2[:n_core]
+    n_core = int(np.count_nonzero(ax2 <= core_half_width))
+    core = slice(max(0, tail - n_core + 1), tail + n_core)
 
     if xi_zero_radial is None:
         def xi_zero_radial(r, _p=profile, _t=top):
@@ -233,62 +267,86 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
                                                dtype=float))
 
     def slab_level(j):
+        # a slab without a level left gets a zero C from the cap mask
         xi = j * dxi
-        return int(np.floor((top / xi - 2.0) / 2.0 + 1e-12))
+        return max(0, int(np.floor((top / xi - 2.0) / 2.0 + 1e-12)))
 
-    def accumulate(x1, x2, wgt2, j_list, n_fft, by_cosines, keep=None):
-        if keep is not None and not keep.any():
+    # per slab, whatever no tile changes, from one Hermite table H1 on
+    # the x1 rows of the widest zone carrying it (the bulk up to j_split,
+    # the core past it): P = H1^T C (-1)^j xi, and T2, the even rows of H1 on
+    # the x1 >= 0 tail, which is the x2 axis.  The factor xi is the slab's
+    # weight in the torus transform; the alternating sign recenters the
+    # transform on [-S, S)
+    slabs = {}
+    h_0 = hermite_zero_values(slab_level(1))
+    h_u = hermite_table(slab_level(1),
+                        np.sqrt(dxi * np.arange(1, j_max + 1)) * u)
+    for j in range(1, j_max + 1):
+        k_cap, xi = slab_level(j), j * dxi
+        C, even = _kernel_slab_coeff(profile, xi, k_cap, h_u[:, j - 1], h_0,
+                                     top)
+        rows = slice(0, ax1.size) if j <= j_split else core
+        H1 = hermite_table(k_cap, np.sqrt(xi) * ax1[rows])
+        slabs[j] = (rows.start, H1.T @ (C * ((-1) ** j * xi)),
+                    H1[even, tail - rows.start:])
+
+    def accumulate(rows, n2, j_list, n_fft, by_cosines, wgt):
+        # the zone's lines are x1 in ax1[rows], x2 in ax2[:n2], with weights
+        # wgt; a zero weight leaves a line out
+        if not wgt.any():
             return 0.0
-        block = max(1, int(_BLOCK_BUDGET / (x2.size * (n_fft // 2 + 1))))
-        # per slab, whatever no x1 block changes: the level cap, the
-        # coefficient matrix and the x2 Hermite rows of its even columns
-        slabs = {}
-        for j in j_list:
-            k_cap = slab_level(j)
-            if k_cap >= 0:
-                C, even = _kernel_slab_coeff(profile, j * dxi, k_cap, u, top)
-                T2 = hermite_table(k_cap, np.sqrt(j * dxi) * x2)[even, :]
-                slabs[j] = (k_cap, C, T2)
-        # bins past the last slab are zero, so the stored spectrum stops
-        # there; one output buffer serves every block, the short last one
-        # as a prefix
+        x1, x2 = ax1[rows], ax2[:n2]
+        # bins past the last slab are zero, so the spectrum stops there.  The
+        # lines go by tiles of about as many x1 rows as x2 columns, so the
+        # P T2 products are thin in neither; one spectrum buffer serves every
+        # tile, a short one as a prefix
         n_bins = max(j_list, default=0) + 1
-        rows = min(block, x1.size)
+        tile = max(1, int(_BLOCK_BUDGET / n_bins))
+        n_cols = min(n2, max(1, int(np.sqrt(tile))))
+        n_rows = min(x1.size, max(1, tile // n_cols))
+        spec_buf = np.empty(n_bins * n_rows * n_cols)
         if by_cosines:
             table = _half_period_cosines(n_bins, n_fft)
-            out = np.empty(table.shape[0] * rows * x2.size)
+            out = np.empty(max(_CHUNK_SAMPLES, table.shape[0]))
         else:
-            out = np.empty((rows, x2.size, n_fft))
+            chunk = max(1, _CHUNK_SAMPLES // n_fft)
+            out = np.empty((chunk, n_fft))
         acc = 0.0
-        for i0 in range(0, x1.size, block):
-            i1 = min(x1.size, i0 + block)
-            spec = np.zeros((n_bins, i1 - i0, x2.size))
-            rr = np.sqrt((x1[i0:i1, None] - u) ** 2 + x2[None, :] ** 2)
-            spec[0] = zero_slab(rr)
-            for j, (k_cap, C, T2) in slabs.items():
-                xi = j * dxi
-                H1 = hermite_table(k_cap, np.sqrt(xi) * x1[i0:i1])
-                # alternating sign recenters the transform on [-S, S)
-                spec[j] = (-1) ** j * xi * (H1.T @ C @ T2)
-            if by_cosines:
-                sums = _cosine_abs_sums(table, spec, out)
-            else:
-                # irfft zero-pads the spectrum to n_fft // 2 + 1 bins itself
-                vals = np.fft.irfft(np.moveaxis(spec, 0, -1), n=n_fft,
-                                    axis=2, out=out[:i1 - i0])
-                sums = np.abs(vals, out=vals).sum(axis=2)
-            if keep is not None:
-                sums *= keep[i0:i1]  # 0/1 mask: the same as masking vals
-            acc += float((sums * wgt2[None, :]).sum())
+        for i0 in range(0, x1.size, n_rows):
+            i1 = min(x1.size, i0 + n_rows)
+            for c0 in range(0, n2, n_cols):
+                c1 = min(n2, c0 + n_cols)
+                spec = spec_buf[:n_bins * (i1 - i0) * (c1 - c0)]
+                spec = spec.reshape(n_bins, i1 - i0, c1 - c0)
+                rr = np.sqrt((x1[i0:i1, None] - u) ** 2
+                             + x2[None, c0:c1] ** 2)
+                spec[0] = zero_slab(rr)
+                for j in j_list:
+                    start, P, T2 = slabs[j]
+                    a = rows.start - start + i0
+                    np.matmul(P[a:a + i1 - i0], T2[:, c0:c1], out=spec[j])
+                if by_cosines:
+                    sums = _cosine_abs_sums(table, spec, out)
+                else:
+                    # irfft zero-pads the spectrum to n_fft // 2 + 1 bins
+                    lines = np.moveaxis(spec, 0, -1).reshape(-1, n_bins)
+                    sums = np.empty(lines.shape[0])
+                    for l0 in range(0, lines.shape[0], chunk):
+                        l1 = min(lines.shape[0], l0 + chunk)
+                        vals = np.fft.irfft(lines[l0:l1], n=n_fft,
+                                            out=out[:l1 - l0])
+                        np.abs(vals, out=vals).sum(axis=1, out=sums[l0:l1])
+                    sums = sums.reshape(i1 - i0, c1 - c0)
+                acc += float((sums * wgt[i0:i1, c0:c1]).sum())
         return acc
 
-    core1 = np.abs(ax1) <= core_half_width
-    core2 = ax2 <= core_half_width
-    outside = ~(core1[:, None] & core2[None, :])
-    total = accumulate(ax1, ax2, w2, range(1, j_split + 1), n_fft_bulk,
-                       by_cosines=True, keep=outside)
-    total += accumulate(ax1[core1], ax2[core2], w2[core2],
-                        range(1, j_max + 1), n_fft_core, by_cosines=False)
+    wgt = w1[:, None] * w2[None, :]
+    core_wgt = wgt[core, :n_core].copy()
+    wgt[core, :n_core] = 0.0  # the bulk zone is what the core leaves
+    total = accumulate(slice(0, ax1.size), ax2.size, range(1, j_split + 1),
+                       n_fft_bulk, by_cosines=True, wgt=wgt)
+    total += accumulate(core, n_core, range(1, j_max + 1), n_fft_core,
+                        by_cosines=False, wgt=core_wgt)
     return total * dx * dx
 
 

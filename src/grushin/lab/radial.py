@@ -41,6 +41,8 @@ _D1 = 2  # this fast path is specific to two prime coordinates
 # floats per block of l: lanes * (feet + 1), times at gamma > 0 the rows n of
 # the block's first lane (the stacked coefficients; T adds rows^2 more)
 _BLOCK_BUDGET = 1.25e5
+# from this angular momentum on, _radial_log_row0 uses Stirling's form
+_STIRLING_L = 20
 
 
 def _normalized_recurrence(n_max: np.ndarray, l: np.ndarray, x: np.ndarray,
@@ -89,10 +91,44 @@ def _normalized_recurrence(n_max: np.ndarray, l: np.ndarray, x: np.ndarray,
 
 
 def _radial_log_row0(l, s: np.ndarray) -> np.ndarray:
-    """log psi_{0,l}(s) = log(sqrt(2/l!) s^l exp(-s^2/2)), -inf at s = 0 for l > 0."""
+    """log psi_{0,l}(s) = log(sqrt(2/l!) s^l exp(-s^2/2)), -inf at s = 0 for l > 0.
+
+    Its terms log l!, l log s and s^2 each reach about l log l, far above
+    their sum, so lanes with l >= _STIRLING_L take the form of
+    _log_row0_stirling instead.
+    """
+    l = np.asarray(l, dtype=float)
+    small = l < _STIRLING_L
+    if small.all():
+        return _log_row0_direct(l, s)
+    if not small.any():
+        return _log_row0_stirling(l, s)
+    return np.where(small, _log_row0_direct(l, s),
+                    _log_row0_stirling(np.maximum(l, _STIRLING_L), s))
+
+
+def _log_row0_direct(l, s):
     l_log_s = np.where(s > 0, l * np.log(np.where(s > 0, s, 1.0)),
                        np.where(l > 0, -np.inf, 0.0))
     return 0.5 * (np.log(2.0) - gammaln(l + 1.0)) + l_log_s - 0.5 * (s * s)
+
+
+def _log_row0_stirling(l, s):
+    """log psi_{0,l}(s) for l > 0 as
+    1/2 log 2 - 1/4 log(2 pi l) - 1/2 b(l) + 1/2 l (log1p(x - 1) - (x - 1)),
+    x = s^2 / l, where b(l) = 1/(12 l) - 1/(360 l^3) + 1/(1260 l^5)
+    - 1/(1680 l^7) + 1/(1188 l^9) is Stirling's series of
+    log l! - (l log l - l + 1/2 log(2 pi l)).  Its next term,
+    691/(360360 l^11), is below 1e-17 from l = 20 on.
+    """
+    y = s * s / l - 1.0
+    with np.errstate(divide="ignore"):  # s = 0: log1p(-1) = -inf
+        gap = np.log1p(y) - y
+    inv2 = 1.0 / (l * l)
+    b = (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 * (
+        1.0 / 1680.0 - inv2 / 1188.0)))) / l
+    return (0.5 * np.log(2.0) - 0.25 * np.log(2.0 * np.pi * l) - 0.5 * b
+            + 0.5 * l * gap)
 
 
 def laguerre_radial_table(n_max: int, l: int, s: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Tests for the L^1 column evaluator and the pointwise heat kernel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -143,12 +145,15 @@ class TestL1MultiplierNorm:
         assert (l1_multiplier_norm(br_profile(4.0, 0.5), S, lambda_max=16.0)
                 == pytest.approx(3.418272941420816, rel=1e-12))
 
-    def test_block_partition_only_regroups_the_sums(self, monkeypatch):
-        # a small budget splits both zones into several x1 blocks with a
-        # short last one, which writes into a prefix of the zone's shared
-        # output buffer; only the grouping of the block sums changes
+    @staticmethod
+    def _block_rows(monkeypatch, u):
+        # a small budget splits both zones into several tiles of x1 rows by
+        # x2 columns with short last ones, which write into a prefix of the
+        # zone's shared buffers; returns the unsplit and split norms and,
+        # per tile, its (x1 rows, x2 columns) (cosine sums) or its lines
+        # (one irfft per tile: the core's lines fit one chunk)
         radius, delta = 8.0, 0.2
-        args = dict(lambda_max=radius ** 2, xi_zero_radial=lambda r:
+        args = dict(u=u, lambda_max=radius ** 2, xi_zero_radial=lambda r:
                     bochner_riesz_radial_kernel(radius, delta, r))
         whole = l1_multiplier_norm(br_profile(radius, delta), S, **args)
         rows = []
@@ -159,15 +164,32 @@ class TestL1MultiplierNorm:
             return irfft(spec, *a, **kw)
 
         def cosine_spy(table, spec, out):
-            rows.append(spec.shape[1])
+            rows.append(spec.shape[1:])
             return cosine_sums(table, spec, out)
 
         monkeypatch.setattr(np.fft, "irfft", irfft_spy)
         monkeypatch.setattr(columns, "_cosine_abs_sums", cosine_spy)
-        monkeypatch.setattr(columns, "_BLOCK_BUDGET", 4000.0)
+        monkeypatch.setattr(columns, "_BLOCK_BUDGET", 1000.0)
         split = l1_multiplier_norm(br_profile(radius, delta), S, **args)
-        # bulk zone (cosine product): 73 x1 rows; core zone (irfft): 15
-        assert rows == [6] * 12 + [1] + [7, 7, 1]
+        return whole, split, rows
+
+    def test_block_partition_only_regroups_the_sums(self, monkeypatch):
+        # at u = 0 the column is even in x1, and both zones keep x1 >= 0:
+        # bulk zone (cosine product, 7 bins) 37 x 37, core zone (irfft, 17
+        # bins) 8 x 8
+        whole, split, rows = self._block_rows(monkeypatch, 0.0)
+        assert rows == ([(r, c) for r in (12, 12, 12, 1)
+                         for c in (11, 11, 11, 4)] + [8 * 7, 8 * 1])
+        assert split == pytest.approx(whole, rel=1e-13)
+
+    def test_block_partition_off_axis_only_regroups_the_sums(self,
+                                                             monkeypatch):
+        # off the axis both zones keep the whole x1 range: bulk zone 73 x 37,
+        # core zone 19 x 10 (its half width is 1.8125 at u = 1/8)
+        whole, split, rows = self._block_rows(monkeypatch, 1.0 / 8.0)
+        assert rows == ([(r, c) for r in (13, 13, 13, 13, 13, 8)
+                         for c in (12, 12, 12, 1)]
+                        + [r * c for r in (8, 8, 3) for c in (7, 3)])
         assert split == pytest.approx(whole, rel=1e-13)
 
     @pytest.mark.parametrize("n_bins, n_fft", [
@@ -178,12 +200,14 @@ class TestL1MultiplierNorm:
         rng = np.random.default_rng(n_bins * n_fft)
         spec = rng.standard_normal((n_bins, 5, 7))
         table = columns._half_period_cosines(n_bins, n_fft)
-        # a buffer longer than needed, as for the short last block
-        out = np.empty(table.shape[0] * 40)
-        got = columns._cosine_abs_sums(table, spec, out)
         want = np.abs(np.fft.irfft(np.moveaxis(spec, 0, -1), n=n_fft)).sum(-1)
-        assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        # a buffer of 40 lines takes all 35 at once; one of 8 takes them in
+        # chunks, the last one short
+        for lines in (40, 8):
+            out = np.empty(table.shape[0] * lines)
+            got = columns._cosine_abs_sums(table, spec, out)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("delta, u, want", [
         (1.5, 0.0, 2.3126468002486367),
@@ -207,6 +231,66 @@ class TestL1MultiplierNorm:
         # as the padded full-period irfft gave it in both zones
         assert (l1_multiplier_norm(MultiplierProfile.heat(0.05), S)
                 == pytest.approx(1.0000213146517192, rel=1e-12))
+
+    def test_norm_at_radius_64_is_pinned(self):
+        # the R = 64, delta = 0.2, u = 0 column norm of the default
+        # bochner_riesz run
+        radius, delta = 64.0, 0.2
+        got = l1_multiplier_norm(
+            br_profile(radius, delta), S, lambda_max=radius ** 2,
+            xi_zero_radial=lambda r: bochner_riesz_radial_kernel(
+                radius, delta, r))
+        assert got == pytest.approx(70.45436972605509, rel=1e-12)
+
+    @pytest.mark.parametrize("delta", [0.2, 1.5])
+    def test_axis_mirror_matches_the_full_x1_axis(self, delta):
+        # at u = 0 only x1 >= 0 is summed, with the x2 weights; a foot of
+        # 1e-300 moves nothing but takes the whole x1 axis
+        radius = 8.0
+        args = dict(lambda_max=radius ** 2, xi_zero_radial=lambda r:
+                    bochner_riesz_radial_kernel(radius, delta, r))
+        half = l1_multiplier_norm(br_profile(radius, delta), S, u=0.0, **args)
+        full = l1_multiplier_norm(br_profile(radius, delta), S, u=1e-300,
+                                  **args)
+        assert half == pytest.approx(full, rel=1e-14)
+
+    def test_one_hermite_table_per_slab(self, monkeypatch):
+        # R = 8 has 16 torus slabs; one more table holds h_m at every
+        # slab's sqrt(xi) u
+        calls = []
+        table = columns.hermite_table
+        monkeypatch.setattr(columns, "hermite_table",
+                            lambda n, x: calls.append(n) or table(n, x))
+        l1_multiplier_norm(br_profile(8.0, 0.2), S, u=1.0 / 8.0,
+                           lambda_max=64.0)
+        assert len(calls) == 16 + 1
+
+    @pytest.mark.parametrize("radius, u, bound_mib", [
+        # closed-form zero slab: 10.7 MiB measured with spectrum tiles of
+        # 2 MiB; 33.0 with x1 blocks of up to 48 MB, of which the bulk
+        # zone's block (18 bins x 239 x 386 lines) was 13 MiB, and 84.8 when
+        # the samples of a whole block of lines went through one buffer
+        # (the core's 73 x 37 lines of 2 048 samples alone are 44 MiB)
+        (32.0, 4.0 / 32.0, 13.0),
+        # heat t = 0.05: the zero slab's Bessel matrix goes in blocks of
+        # rows; 5.5 MiB measured, 11.4 with x1 blocks of up to 48 MB and
+        # 62.3 with the whole matrix
+        (None, 0.0, 7.0),
+    ], ids=["br R=32 u=4/32", "heat t=0.05"])
+    def test_peak_memory(self, radius, u, bound_mib):
+        if radius is None:
+            profile, args = MultiplierProfile.heat(0.05), {}
+        else:
+            profile = br_profile(radius, 0.2)
+            args = dict(lambda_max=radius ** 2, xi_zero_radial=lambda r:
+                        bochner_riesz_radial_kernel(radius, 0.2, r))
+        tracemalloc.start()
+        try:
+            l1_multiplier_norm(profile, S, u=u, **args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2 ** 20
 
     def test_cap_below_first_torus_slab(self):
         # a support edge of 3 < 2 dxi leaves no torus slab (j_max = 0): the

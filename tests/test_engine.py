@@ -494,6 +494,29 @@ class TestWorkAndMemory:
         want = np.fft.ifftn(spec, axes=(0, 1))[:n, :n]
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
+    def test_xi_zero_real_slab_takes_one_real_pair(self, monkeypatch):
+        # the zero slice of a real field's transform is real: one rfftn /
+        # irfftn pair, a real result, and the symbol grid built once per x'
+        # grid
+        prime = support_grid()[0].prime
+        n, pad = prime.n_points, 2 * prime.n_points
+        slab = np.random.default_rng(6).standard_normal((n, n, 1)) + 0j
+        profile = MultiplierProfile.heat(0.3)
+        zeta2 = (2.0 * np.pi * np.fft.fftfreq(pad, d=prime.spacing)) ** 2
+        symbol = profile(zeta2[:, None] + zeta2[None, :])[:, :, None]
+        padded = np.zeros((pad, pad, 1), dtype=complex)
+        padded[:n, :n] = slab
+        want = np.fft.ifftn(np.fft.fftn(padded, axes=(0, 1)) * symbol,
+                            axes=(0, 1))[:n, :n].real
+        forward, calls = np.fft.rfftn, []
+        monkeypatch.setattr(np.fft, "rfftn",
+                            lambda *a, **kw: calls.append(1) or forward(*a, **kw))
+        got = engine._apply_xi_zero(profile, slab, prime)
+        assert calls == [1]
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        assert engine._xi_zero_symbol(prime) is engine._xi_zero_symbol(prime)
+
     def test_column_peak_memory_is_three_grid_arrays(self):
         # the delta, its transform and the inverse transform's buffer, which
         # becomes the column; everything else is per |xi| group

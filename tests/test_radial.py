@@ -139,6 +139,22 @@ class TestRadialModes:
         assert np.max(np.abs(psi[:, -1])) < 1e-200 or np.max(np.abs(psi[:, -1])) < 1.0
 
 
+    @pytest.mark.parametrize("l", [20, 200, 2000, 4000])
+    def test_large_angular_momentum_matches_mpmath(self, l):
+        # the start value psi_{0,l} takes Stirling's form from l = 20 on;
+        # log l! alone gave 5e-13 at l = 2 000 and 1e-12 at l = 4 000
+        s = np.sqrt(np.array([1.0, 1.3]) * l)
+        psi = laguerre_radial_table(3, l, s)
+        for j, sj in enumerate(s):
+            for n in (0, 3):
+                with mp.workdps(40):
+                    x = mp.mpf(float(sj))
+                    want = (mp.sqrt(2 * mp.factorial(n) / mp.factorial(n + l))
+                            * x ** l * mp.laguerre(n, l, x * x)
+                            * mp.exp(-x * x / 2))
+                    err = abs(float(mp.mpf(float(psi[n, j])) / want - 1))
+                assert err <= 2e-13
+
 class TestRadialGram:
     def test_unweighted_gram_is_identity(self):
         for l in (0, 2, 5):
