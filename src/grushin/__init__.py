@@ -9,12 +9,9 @@ grushin.lab layers quantitative estimate experiments on top of that engine.
 
 from .engine import (
     apply_multiplier,
-    bochner_riesz_apply,
-    heat_apply,
     inverse_partial_fourier,
     partial_fourier,
     schwartz_kernel_column,
-    wave_cosine_apply,
 )
 from .errors import (
     AliasingError,
@@ -58,16 +55,13 @@ __all__ = [
     "apply_multiplier",
     "ball_volume_mc",
     "ball_volume_model",
-    "bochner_riesz_apply",
     "delta_field",
     "doubling_ratio",
     "grushin_distance",
     "grushin_distance_arrays",
     "grushin_distance_field",
-    "heat_apply",
     "inverse_partial_fourier",
     "partial_fourier",
     "schwartz_kernel_column",
-    "wave_cosine_apply",
     "__version__",
 ]

@@ -193,9 +193,17 @@ def _fits(value, default) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _non_finite(value) -> bool:
+    """Whether a NaN or an infinity sits in a value, at any list depth.
+    json.loads reads NaN and Infinity, and 1e400 as inf."""
+    if isinstance(value, list):
+        return any(_non_finite(v) for v in value)
+    return isinstance(value, float) and not math.isfinite(value)
+
+
 def _resolve(raw: Dict[str, object]) -> Dict[str, object]:
     """Fill defaults for the configured kind; reject unknown, missing or
-    mistyped keys."""
+    mistyped keys and non-finite numbers."""
     if "experiment.kind" not in raw:
         raise ConfigError("experiment.kind", "missing required field")
     kind = raw["experiment.kind"]
@@ -209,6 +217,8 @@ def _resolve(raw: Dict[str, object]) -> Dict[str, object]:
             continue
         if key not in defaults:
             raise ConfigError(key, f"not a parameter of kind {kind!r}")
+        if _non_finite(value):
+            raise ConfigError(key, f"non-finite number in {_format_value(value)}")
         if not _fits(value, defaults[key]):
             raise ConfigError(key, f"expected the type of its default "
                               f"{_format_value(defaults[key])}, got "

@@ -7,15 +7,12 @@ oscillator eigenspace by the profile value at its eigenvalue, synthesize, and
 transform back.  Frequencies with equal magnitude share one eigenfunction
 table, so slices are processed in |xi| groups.
 
-The slice operators are real and depend on |xi| only, so a real profile maps
-real fields to real fields, and the xi and -xi slices carry conjugate data.
-The transform is therefore real-to-real: it keeps the half lattice whose last
-torus frequency is >= 0, and the inverse restores the other half.  The other
-cases go through that path by linearity.  A complex field is run as
-F(L) Re f + i F(L) Im f, skipping a part that is all zero.  A profile with
-complex values weights the half spectrum by its real part, and a second half
-spectrum by its imaginary part; that second spectrum is allocated at the
-first slice whose weights are not real.
+Profile values are real and the slice operators are real and depend on |xi|
+only, so F(L) maps real fields to real fields, and the xi and -xi slices
+carry conjugate data.  The transform is therefore real-to-real: it keeps the
+half lattice whose last torus frequency is >= 0, and the inverse restores
+the other half.  A complex field goes through that path by linearity, as
+F(L) Re f + i F(L) Im f, skipping a part that is all zero.
 
 The zero frequency is special: there the operator degenerates to the Euclidean
 Laplacian in x' alone, and the slice is handled by a zero-padded DFT multiplier.
@@ -138,31 +135,24 @@ def _apply_xi_zero(profile: MultiplierProfile, slab: np.ndarray,
     the policy's lambda_max is deliberately not imposed here, since a hard
     spectral edge on this slice would ring against the crop back to the window
     (the ceiling exists to bound oscillator levels, which this slice has none
-    of).  The symbol depends on |zeta| only, so the DFT pair is real to
-    real: a slab whose imaginary part is nonzero takes one forward transform
-    per part, profile values whose imaginary part is nonzero one inverse
-    transform per part.  The zero slice of a real field's transform is real
-    and takes one pair.
+    of).  The symbol is real and depends on |zeta| only, so the DFT pair is
+    real to real: a slab whose imaginary part is nonzero takes one pair per
+    part.  The zero slice of a real field's transform is real and takes one
+    pair.
     """
     d1, n = prime.d1, prime.n_points
     pad = 2 * n
     axes = tuple(range(d1))
     crop = (slice(0, n),) * d1
     distinct, inverse = _xi_zero_symbol(prime)
-    w = np.asarray(profile(distinct))[inverse]
+    w = profile(distinct)[inverse]
     w = w.reshape(w.shape + (1,) * (slab.ndim - d1))
 
     def real_pass(part):
         fp = np.zeros((pad,) * d1 + part.shape[d1:])
         fp[crop] = part
         spec = np.fft.rfftn(fp, axes=axes)
-
-        def weighted(weights):
-            return np.fft.irfftn(spec * weights, s=(pad,) * d1, axes=axes)[crop]
-
-        if np.iscomplexobj(w) and w.imag.any():
-            return weighted(w.real) + 1j * weighted(w.imag)
-        return weighted(w.real)
+        return np.fft.irfftn(spec * w, s=(pad,) * d1, axes=axes)[crop]
 
     if np.iscomplexobj(slab) and slab.imag.any():
         return real_pass(slab.real) + 1j * real_pass(slab.imag)
@@ -202,27 +192,10 @@ def apply_slice_multiplier(profile: MultiplierProfile, f: np.ndarray, prime: Pri
     d1 = prime.d1
     coef = oscillator_transform(f, prime, xi_mag, kept[-1])
     levels = _level_weights(coef.shape, d1)
-    weights = np.asarray(profile((2 * levels + d1) * xi_mag), dtype=complex)
+    weights = profile((2 * levels + d1) * xi_mag)
     weights[(levels < kept.start) | (levels >= kept.stop)] = 0.0
     weights = weights.reshape(weights.shape + (1,) * (coef.ndim - d1))
     return oscillator_synthesis(coef * weights, prime, xi_mag)
-
-
-class _ProfilePart:
-    """Re F or Im F of a profile, for the slice kernels.
-
-    `complex` records whether the last evaluation had a nonzero imaginary
-    part.
-    """
-
-    def __init__(self, profile: MultiplierProfile, part):
-        self.profile, self.part, self.support = profile, part, profile.support
-        self.complex = False
-
-    def __call__(self, lam) -> np.ndarray:
-        w = self.profile(lam)
-        self.complex = bool(w.imag.any())
-        return self.part(w)
 
 
 def apply_multiplier(profile: MultiplierProfile, field: Field,
@@ -231,8 +204,8 @@ def apply_multiplier(profile: MultiplierProfile, field: Field,
 
     Each nonzero |xi| group goes through apply_slice_multiplier, so the
     TruncationError conditions are those of slice_levels.  A field with a
-    NaN or infinite value raises DomainError.  The result is real when the
-    profile's values and the field's values are.
+    NaN or infinite value raises DomainError, and so does a profile value
+    with a nonzero imaginary part.  The result is real when the field is.
     """
     if not np.isfinite(field.values).all():
         raise DomainError("field has a NaN or infinite value")
@@ -259,50 +232,16 @@ def _apply_real(profile: MultiplierProfile, field: Field,
     # the groups are disjoint and each is read before it is written, so every
     # result goes back into the transform this call owns
     fh = fhat.reshape(fhat.shape[:prime.d1] + (-1,))
-    re_part = _ProfilePart(profile, np.real)
-    im_part, fh_im = _ProfilePart(profile, np.imag), None
-
-    def on_slice(part, f, xi_mag):
-        if xi_mag == 0.0:
-            return _apply_xi_zero(part, f, prime)
-        return apply_slice_multiplier(part, f, prime, xi_mag, trunc.k_max,
-                                      trunc.lambda_max)
-
     for xi_mag, idx in xi_groups(grid):
-        if xi_mag != 0.0 and not slice_levels(profile, prime, xi_mag, trunc.k_max,
-                                              trunc.lambda_max):
+        if xi_mag == 0.0:
+            fh[..., idx] = _apply_xi_zero(profile, fh[..., idx], prime)
+        elif slice_levels(profile, prime, xi_mag, trunc.k_max, trunc.lambda_max):
+            fh[..., idx] = apply_slice_multiplier(profile, fh[..., idx], prime, xi_mag,
+                                                  trunc.k_max, trunc.lambda_max)
+        else:
             # no kept level: skip the gather and the transform
             fh[..., idx] = 0.0
-            continue
-        f = fh[..., idx]
-        fh[..., idx] = on_slice(re_part, f, xi_mag)
-        if re_part.complex:
-            if fh_im is None:
-                fh_im = np.zeros_like(fh)
-            fh_im[..., idx] = on_slice(im_part, f, xi_mag)
-    out = inverse_partial_fourier(grid, fhat)
-    if fh_im is None:
-        return out
-    return Field(grid, out.values + 1j * inverse_partial_fourier(
-        grid, fh_im.reshape(fhat.shape)).values)
-
-
-def heat_apply(t: float, field: Field, trunc: SpectralTruncation) -> Field:
-    """Heat semigroup e^{-tL}; spectral support is ceiled where the symbol
-    drops below ~1e-14 so far-out levels are never requested."""
-    return apply_multiplier(MultiplierProfile.heat(t), field, trunc)
-
-
-def bochner_riesz_apply(t: float, delta: float, field: Field,
-                        trunc: SpectralTruncation) -> Field:
-    """(1 - tL)_+^delta."""
-    profile = MultiplierProfile.bochner_riesz(t, delta)
-    return apply_multiplier(profile, field, trunc)
-
-
-def wave_cosine_apply(s: float, field: Field, trunc: SpectralTruncation) -> Field:
-    """cos(s sqrt(L)), sharply band-limited by the policy's lambda_max."""
-    return apply_multiplier(MultiplierProfile.wave_cosine(s), field, trunc)
+    return inverse_partial_fourier(grid, fhat)
 
 
 def schwartz_kernel_column(profile: MultiplierProfile, grid: GrushinGrid,

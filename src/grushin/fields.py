@@ -2,10 +2,10 @@
 
 The degenerate-elliptic operator acts on functions of (x', x'') where x' lives
 in R^d1 and x'' on a flat torus [-S, S)^d2.  A field couples a real or
-complex value array to that product grid.  Multiplier profiles wrap a scalar
-function of the spectral parameter together with an authoritative support
-interval, and a truncation policy records how far the discrete spectral
-decomposition is trusted.
+complex value array to that product grid.  Multiplier profiles wrap a real
+scalar function of the spectral parameter together with an authoritative
+support interval, and a truncation policy records how far the discrete
+spectral decomposition is trusted.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class Field:
 
     Real values are kept as float64 and anything else as complex128.  The
     engine reads the dtype: it splits a complex field into its real and
-    imaginary parts, and maps a real field to a real one under a real profile.
+    imaginary parts, and maps a real field to a real one.
     """
 
     grid: GrushinGrid
@@ -173,12 +173,14 @@ def delta_field(grid: GrushinGrid, x_prime, x_second) -> Field:
 
 
 class MultiplierProfile:
-    """Scalar spectral profile F with an authoritative support interval.
+    """Real scalar spectral profile F with an authoritative support interval.
 
-    evaluate must accept numpy arrays.  Values are hard-zeroed outside the
-    declared support; at construction the evaluator is probed outside the
-    support and must already vanish there to within 1e-14, so the mask is a
-    guarantee rather than a modification.
+    evaluate must accept numpy arrays.  Values are float64 and hard-zeroed
+    outside the declared support; at construction the evaluator is probed
+    outside the support and must already vanish there to within 1e-14, so
+    the mask is a guarantee rather than a modification.  A call where the
+    evaluator returns a NaN, an infinity or a value with a nonzero imaginary
+    part raises DomainError naming the label and a lambda where it happens.
     """
 
     def __init__(self, evaluate: Callable[[np.ndarray], np.ndarray],
@@ -214,15 +216,24 @@ class MultiplierProfile:
         lam = np.asarray(lam, dtype=float)
         lo, hi = self.support
         inside = (lam >= lo) & (lam <= hi)
-        out = np.zeros(lam.shape, dtype=complex)
+        out = np.zeros(lam.shape)
         if np.any(inside):
-            out[inside] = self._evaluate(lam[inside])
-            bad = ~np.isfinite(out)
-            if np.any(bad):
-                raise DomainError(
-                    f"profile {self.label or '<anon>'} is not finite at "
-                    f"lambda = {float(lam[bad][0]):.6g}")
+            vals = self._evaluate(lam[inside])
+            if np.iscomplexobj(vals):
+                # before the assignment, which would drop the imaginary part
+                turned = np.zeros(lam.shape, dtype=bool)
+                turned[inside] = np.imag(vals) != 0
+                self._refuse(lam, turned, "not real")
+                vals = np.real(vals)
+            out[inside] = vals
+            self._refuse(lam, ~np.isfinite(out), "not finite")
         return out
+
+    def _refuse(self, lam, bad, what: str):
+        """DomainError naming the label and the first lambda where bad holds."""
+        if np.any(bad):
+            raise DomainError(f"profile {self.label or '<anon>'} is {what} at "
+                              f"lambda = {float(lam[bad][0]):.6g}")
 
     def __repr__(self):
         return f"MultiplierProfile(label={self.label!r}, support={self.support})"

@@ -93,7 +93,7 @@ def planar_radial_kernel(profile, r: np.ndarray,
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
     w *= (rho[1] - rho[0]) / 3.0
-    fvals = np.asarray(profile(rho * rho)).real * rho * w
+    fvals = profile(rho * rho) * rho * w
     # J_0(r rho) for a block of r at a time, at most _J0_BLOCK values
     flat = r.reshape(-1)
     out = np.empty(flat.size)
@@ -115,7 +115,7 @@ def _kernel_slab_coeff(profile, xi: float, k_cap: int, h_u: np.ndarray,
     """
     even = np.arange(0, k_cap + 1, 2)
     lam = (2.0 * np.add.outer(np.arange(k_cap + 1), even) + 2.0) * xi
-    F = np.asarray(profile(lam)).real * (lam <= lambda_max * (1.0 + 1e-12))
+    F = profile(lam) * (lam <= lambda_max * (1.0 + 1e-12))
     return F * h_u[:k_cap + 1, None] * h_0[even][None, :], even
 
 
@@ -211,7 +211,7 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
         # a cap where F has not vanished cuts the zero slab's Hankel integral
         # sharply: the planar kernel decays like r^(-3/2), is not integrable,
         # and the "norm" would grow with the integration window
-        edge = abs(complex(profile(np.array([top]))[0]))
+        edge = abs(float(profile(np.array([top]))[0]))
         if edge > 1e-14:
             raise DomainError(
                 f"lambda_max = {top:.6g} cuts the profile inside its support, "

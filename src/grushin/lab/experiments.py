@@ -449,11 +449,12 @@ def kernel_support_check(
     reported fractions are the relative L^2 mass beyond kappa times the
     support radius.
     """
-    if scale_time <= 0:
-        raise DomainError("scale_time must be positive")
+    if not 0 < scale_time < math.inf:
+        raise DomainError(f"scale_time must be positive and finite, "
+                          f"got {scale_time!r}")
     kappas = sorted(float(k) for k in kappas)
-    if not kappas or kappas[0] <= 0:
-        raise DomainError("kappas must be positive")
+    if not kappas or not all(0 < k < math.inf for k in kappas):
+        raise DomainError(f"kappas must be positive and finite, got {kappas!r}")
     support_radius = 2.0 ** piece.level * scale_time
     if support_radius ** 2 > 0.9 * grid.torus_half_period:
         raise AliasingError(

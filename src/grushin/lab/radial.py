@@ -211,13 +211,13 @@ def _frequency_slab(vals: np.ndarray, s_u: np.ndarray,
                 form[:len(row)] += np.abs(coef) ** 2
         else:
             e, t, ep_inv = _gauss_modes(n_max, l, gamma)
-            coef = np.zeros((rows, l1 - l0, s_u.size), dtype=vals.dtype)
+            coef = np.zeros((rows, l1 - l0, s_u.size))
             for n, row in enumerate(psi):  # a_n E[n], zero past a lane's end
                 coef[n, :len(row)] = vals[2 * n + l0:2 * n + l0 + len(row),
                                           None] * row * e[:len(row), n, None]
             mixed = (t.T @ coef.reshape(rows, -1)).reshape(coef.shape)
             mixed *= ep_inv.T[:, :, None]
-            form = np.einsum("nlu,nlu->lu", mixed, mixed.conj()).real
+            form = np.einsum("nlu,nlu->lu", mixed, mixed)
             del e, t, ep_inv, coef, mixed  # free them before the next block
         for l_i, row in enumerate(form, l0):
             slab += (2.0 if l_i > 0 else 1.0) * row
@@ -266,9 +266,7 @@ def weighted_column_norms(profile, u, gamma: float, torus_half_period: float,
             continue
         if k_hi > k_max:
             raise TruncationError(k_hi, xi, k_max)
-        vals = np.asarray(profile((2.0 * np.arange(k_hi + 1) + _D1) * xi))
-        if not vals.imag.any():
-            vals = vals.real
+        vals = profile((2.0 * np.arange(k_hi + 1) + _D1) * xi)
         slab = _frequency_slab(vals, np.sqrt(xi) * u, gamma)
         total += 2.0 * xi ** (1.0 - gamma) / (2.0 * np.pi) * slab
     return np.sqrt(total / (2.0 * torus_half_period))

@@ -10,9 +10,9 @@ it:
   gamma = 0 reference of the radial path), its Gaussian tail fit, and the
   exact p = 1 level-k restriction norm from its maximum;
 - the Hardy-type weight check on the oscillator transform;
-- the full-lattice complex multiplier path (complex FFT over the torus axes,
-  every +-xi bin weighted), against which the engine's half-lattice path is
-  checked;
+- the full-lattice multiplier path (complex FFT over the torus axes, every
+  +-xi bin weighted by the real profile values), against which the engine's
+  half-lattice path is checked;
 - the weighted radial Gram matrix M M^T from the radial path's closed-form
   factor (compared with quadrature and mpmath in the radial tests);
 - the discrete inner product and the sharp indicator profile.
@@ -275,9 +275,11 @@ def full_lattice_apply(profile: MultiplierProfile, field: Field,
                        trunc: SpectralTruncation) -> np.ndarray:
     """F(L) f through a complex FFT over the torus axes and every lattice bin.
 
-    The engine's slice kernels weight each |xi| group, as in the engine; only
-    the lattice handling differs: no real-input half spectrum, no split of a
-    complex field or profile into real parts.
+    The engine's slice kernels weight each |xi| group by the real profile
+    values, as in the engine; only the lattice handling differs: no
+    real-input half spectrum, no split of a complex field into its real and
+    imaginary parts.  The spectrum is complex, so the zero slice goes through
+    the complex-slab branch of _apply_xi_zero.
     """
     grid, prime = field.grid, field.grid.prime
     axes = tuple(range(prime.d1, prime.d1 + grid.d2))

@@ -69,6 +69,8 @@ class TestExitCodes:
         "experiment.kind = kernel_support\nexperiment.levels = [0, 1.5, 2]\n",
         "experiment.kind = distance_table\nexperiment.pairs = 5\n",
         "experiment.kind = distance_table\nexperiment.pairs = [[[0], [0], [1]]]\n",
+        "experiment.kind = kernel_support\nexperiment.kappas = [NaN, 1.5]\n",
+        "experiment.kind = kernel_support\nexperiment.times = [1.0, Infinity, 0.5]\n",
     ], ids=["unknown-kind", "unknown-key", "duplicate-key", "missing-pairs",
             "malformed-line", "missing-kind", "levels-times-mismatch",
             "non-integer-seed", "non-finite-sobolev-order", "nan-heat-time",
@@ -77,11 +79,16 @@ class TestExitCodes:
             "non-integer-n-prime", "string-gamma", "scalar-radii",
             "scalar-deltas", "scalar-kappas", "string-in-t-values",
             "string-y-fix", "bool-k-max", "non-integer-level",
-            "scalar-pairs", "three-part-pair"])
+            "scalar-pairs", "three-part-pair", "nan-kappa", "infinite-time"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, text):
         assert run(tmp_path, text) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_non_finite_number_names_its_key(self, tmp_path, capsys):
+        assert run(tmp_path, "experiment.kind = kernel_support\n"
+                             "experiment.kappas = [1.1, [NaN]]\n") == 2
+        assert "experiment.kappas: non-finite number" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "absent.cfg")]) == 2

@@ -237,6 +237,14 @@ class TestKernelSupport:
         with pytest.raises(DomainError):
             kernel_support_check(pieces[0], 0.0, self.kappas, *self.small)
 
+    @pytest.mark.parametrize("scale_time, kappas", [
+        (np.nan, (1.1, 1.5)), (1.0, (np.nan, 1.5)), (1.0, (1.1, np.inf))],
+        ids=["nan-time", "nan-kappa", "inf-kappa"])
+    def test_non_finite_time_or_kappa_is_refused(self, scale_time, kappas):
+        piece = dyadic_pieces(self.cs.eta, self.cs, n_levels=1)[0]
+        with pytest.raises(DomainError, match="finite"):
+            kernel_support_check(piece, scale_time, kappas, *self.small)
+
     def test_suite_collects_worst_case(self):
         res = kernel_support_suite(levels=(0, 1), times=(0.5, 0.5),
                                    **self.small_kwargs())

@@ -135,6 +135,7 @@ class TestMultiplierProfile:
         edge = p.support[1]
         lam = np.array([0.0, 0.5 * edge, 1.1 * edge, 2.0 * edge])
         vals = p(lam)
+        assert vals.dtype == np.float64
         assert np.exp(-lam[2]) > 0.0  # the unmasked tail is not zero
         assert vals[2] == 0.0 and vals[3] == 0.0
         assert vals[0] == 1.0  # lo = 0 leaves the bottom of the spectrum open
@@ -169,9 +170,9 @@ class TestMultiplierProfile:
         p = MultiplierProfile.bochner_riesz(0.25, 1.5)
         lam = np.array([0.0, 2.0, 4.0, 5.0])
         expect = np.array([1.0, 0.5 ** 1.5, 0.0, 0.0])
-        assert np.allclose(p(lam).real, expect)
+        assert np.allclose(p(lam), expect)
         sharp = MultiplierProfile.bochner_riesz(0.25, 0.0)
-        assert np.allclose(sharp(lam).real, [1.0, 1.0, 0.0, 0.0])
+        assert np.allclose(sharp(lam), [1.0, 1.0, 0.0, 0.0])
 
     def test_wave_profile(self):
         p = MultiplierProfile.wave_cosine(2.0)
@@ -235,6 +236,22 @@ def nan_inside_profile():
 def test_non_finite_profile_values_raise_domain_error(evaluate):
     with pytest.raises(DomainError, match="nan-inside"):
         evaluate(nan_inside_profile())
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda prof: engine.apply_multiplier(
+        prof, delta_field(small_grid(), (0.0, 0.0), (0.0,)),
+        SpectralTruncation(8, 12.0)),
+    lambda prof: weighted_column_norms(prof, [0.0, 1.0], 0.25, np.pi, 40, 12.0),
+    lambda prof: l1_multiplier_norm(prof, np.pi / 2.0, lambda_max=12.0),
+], ids=["engine", "radial", "columns"])
+def test_complex_profile_values_raise_domain_error(evaluate):
+    # profile values are real: a constant phase is refused, not dropped
+    turned = MultiplierProfile(
+        lambda lam: np.exp(0.3j) * np.maximum(0.0, 1.0 - lam / 12.0) ** 1.5,
+        (0.0, 12.0), label="turned")
+    with pytest.raises(DomainError, match="turned is not real at lambda"):
+        evaluate(turned)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

@@ -290,18 +290,6 @@ class TestWeightedColumnNorm:
             one = weighted_column_norm(prof, float(u), 0.25, np.pi / 2.0, 40, 24.0)
             assert vec[i] == one
 
-    @pytest.mark.parametrize("gamma", [0.0, 0.25])
-    def test_constant_phase_leaves_the_norm(self, gamma):
-        # a complex profile takes the complex path through the Gram factor
-        prof = ramp_profile()
-        turned = MultiplierProfile(lambda lam: np.exp(0.3j) * prof(lam),
-                                   prof.support)
-        us = np.array([0.0, 0.7, 2.3])
-        np.testing.assert_allclose(
-            weighted_column_norms(turned, us, gamma, np.pi / 2.0, 40, 24.0),
-            weighted_column_norms(prof, us, gamma, np.pi / 2.0, 40, 24.0),
-            rtol=1e-14, atol=0.0)
-
     def test_truncation_policy_enforced(self):
         # lambda_max = 24 at the lowest frequency xi = 2 needs oscillator
         # levels up to 5; a cap below that must refuse, not silently clip
