@@ -1,18 +1,18 @@
 """Spectral multiplier engine on the product grid.
 
-A partial Fourier transform in the torus variables block-diagonalizes the
+A partial Fourier transform in the torus variable block-diagonalizes the
 operator into a family of scaled harmonic oscillators indexed by the dual
 lattice.  Applying a multiplier profile then means: transform, weight each
 oscillator eigenspace by the profile value at its eigenvalue, synthesize, and
-transform back.  Frequencies with equal magnitude share one eigenfunction
-table, so slices are processed in |xi| groups.
+transform back.  The torus has one axis (GrushinGrid holds d2 = 1), so each
+lattice bin m is one slice, at |xi| = m xi_spacing.
 
 Profile values are real and the slice operators are real and depend on |xi|
 only, so F(L) maps real fields to real fields, and the xi and -xi slices
 carry conjugate data.  The transform is therefore real-to-real: it keeps the
-half lattice whose last torus frequency is >= 0, and the inverse restores
-the other half.  A complex field goes through that path by linearity, as
-F(L) Re f + i F(L) Im f, skipping a part that is all zero.
+bins m = 0 ... n/2, and the inverse restores the others.  A complex field
+goes through that path by linearity, as F(L) Re f + i F(L) Im f, skipping a
+part that is all zero.
 
 The zero frequency is special: there the operator degenerates to the Euclidean
 Laplacian in x' alone, and the slice is handled by a zero-padded DFT multiplier.
@@ -23,6 +23,10 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+# bound at import, not looked up as np.fft.irfft at call time: the benchmark
+# tracer wraps np.fft.irfft as the L^1 path's span, and the engine's torus
+# transforms belong to its engine.fft span
+from numpy.fft import irfft, rfft
 
 from .errors import ContractViolation, DomainError, TruncationError
 from .fields import Field, GrushinGrid, MultiplierProfile, SpectralTruncation, delta_field
@@ -35,43 +39,30 @@ from .oscillator import (
 )
 
 
-def _half_lattice(grid: GrushinGrid) -> list:
-    """Integer frequency labels of each torus axis of the half spectrum.
-
-    All axes but the last are in FFT order; the last keeps m = 0 ... n/2.
-    """
-    return [grid.xi_index] * (grid.d2 - 1) + [np.arange(grid.n_second // 2 + 1)]
-
-
 def _phase(grid: GrushinGrid) -> np.ndarray:
-    """Product of per-axis signs (-1)^m translating FFT phases to the torus origin.
+    """Signs (-1)^m over the bins m = 0 ... n/2 of the half spectrum.
 
     The torus axis starts at -S, not 0, so each FFT bin m picks up e^{i pi m}.
-    The same sign array serves both transform directions.
+    The same signs serve both transform directions.
     """
-    out = np.ones(())
-    for m in _half_lattice(grid):
-        out = np.multiply.outer(out, 1.0 - 2.0 * (np.abs(m) % 2))
-    return out
+    return 1.0 - 2.0 * (np.arange(grid.n_second // 2 + 1) % 2)
 
 
 def partial_fourier(field: Field) -> np.ndarray:
-    """Transform the torus axes of a real field onto the half lattice.
+    """Transform the torus axis of a real field onto the bins m = 0 ... n/2.
 
-    The bins are those of _half_lattice, in FFT order; each bin left out, with
-    a negative last frequency, is the conjugate of one kept.  Normalization is
-    (2 pi)^{-d2/2} times the Riemann sum with cell weight, so Parseval holds
-    with dual cell weight xi_spacing^d2 once the bins 0 < m < n/2 of the last
-    axis are counted twice.  A complex field raises ContractViolation: its
-    real and imaginary parts are transformed one at a time.
+    Each bin left out, -m, is the conjugate of bin m.  Normalization is
+    (2 pi)^{-1/2} times the Riemann sum with cell weight, so Parseval holds
+    with dual cell weight xi_spacing once the bins 0 < m < n/2 are counted
+    twice.  A complex field raises ContractViolation: its real and imaginary
+    parts are transformed one at a time.
     """
     if np.iscomplexobj(field.values):
         raise ContractViolation("partial_fourier takes a real field; transform "
                                 "the real and imaginary parts one at a time")
     g = field.grid
-    axes = tuple(range(g.d1, g.d1 + g.d2))
-    vals = np.fft.rfftn(field.values, axes=axes)
-    vals *= _phase(g) * (g.second_spacing / np.sqrt(2.0 * np.pi)) ** g.d2
+    vals = rfft(field.values)
+    vals *= _phase(g) * (g.second_spacing / np.sqrt(2.0 * np.pi))
     return vals
 
 
@@ -84,25 +75,8 @@ def inverse_partial_fourier(grid: GrushinGrid, fhat: np.ndarray) -> Field:
     if fhat.shape != half_shape:
         raise DomainError(f"fhat shape {fhat.shape} does not match the half "
                           f"lattice {half_shape} of the grid")
-    axes = tuple(range(grid.d1, grid.d1 + grid.d2))
-    fhat *= _phase(grid) * (np.sqrt(2.0 * np.pi) / grid.second_spacing) ** grid.d2
-    return Field(grid, np.fft.irfftn(fhat, s=(grid.n_second,) * grid.d2, axes=axes))
-
-
-def xi_groups(grid: GrushinGrid):
-    """[(xi_mag, flat_indices)] over the half lattice, grouped by |xi|, ascending.
-
-    flat_indices index the flattened torus axes of the half spectrum (C
-    order), matching fhat.reshape(prime_shape + (-1,)).  For d2 = 1 every
-    group is one bin.
-    """
-    labels = np.meshgrid(*_half_lattice(grid), indexing="ij")
-    key = sum(m.astype(np.int64) ** 2 for m in labels).reshape(-1)
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    starts = np.flatnonzero(np.diff(sorted_key)) + 1
-    return [(grid.xi_spacing * float(np.sqrt(k)), idx)
-            for k, idx in zip(sorted_key[np.r_[0, starts]], np.split(order, starts))]
+    fhat *= _phase(grid) * (np.sqrt(2.0 * np.pi) / grid.second_spacing)
+    return Field(grid, irfft(fhat, n=grid.n_second))
 
 
 @functools.lru_cache(maxsize=8)
@@ -202,7 +176,7 @@ def apply_multiplier(profile: MultiplierProfile, field: Field,
                      trunc: SpectralTruncation) -> Field:
     """Apply F(L) to a field under the given truncation policy.
 
-    Each nonzero |xi| group goes through apply_slice_multiplier, so the
+    Each nonzero bin goes through apply_slice_multiplier, so the
     TruncationError conditions are those of slice_levels.  A field with a
     NaN or infinite value raises DomainError, and so does a profile value
     with a nonzero imaginary part.  The result is real when the field is.
@@ -225,22 +199,23 @@ def apply_multiplier(profile: MultiplierProfile, field: Field,
 
 def _apply_real(profile: MultiplierProfile, field: Field,
                 trunc: SpectralTruncation) -> Field:
-    """apply_multiplier on a real field, over the half lattice."""
+    """apply_multiplier on a real field, over the bins m = 0 ... n/2."""
     grid = field.grid
     prime = grid.prime
     fhat = partial_fourier(field)
-    # the groups are disjoint and each is read before it is written, so every
-    # result goes back into the transform this call owns
-    fh = fhat.reshape(fhat.shape[:prime.d1] + (-1,))
-    for xi_mag, idx in xi_groups(grid):
-        if xi_mag == 0.0:
-            fh[..., idx] = _apply_xi_zero(profile, fh[..., idx], prime)
+    # each bin is read before it is written, so every result goes back into
+    # the transform this call owns
+    for m in range(fhat.shape[-1]):
+        xi_mag = m * grid.xi_spacing
+        bin_m = fhat[..., m]
+        if m == 0:
+            bin_m[...] = _apply_xi_zero(profile, bin_m, prime)
         elif slice_levels(profile, prime, xi_mag, trunc.k_max, trunc.lambda_max):
-            fh[..., idx] = apply_slice_multiplier(profile, fh[..., idx], prime, xi_mag,
-                                                  trunc.k_max, trunc.lambda_max)
+            bin_m[...] = apply_slice_multiplier(profile, bin_m, prime, xi_mag,
+                                                trunc.k_max, trunc.lambda_max)
         else:
-            # no kept level: skip the gather and the transform
-            fh[..., idx] = 0.0
+            # no kept level: skip the transform
+            bin_m[...] = 0.0
     return inverse_partial_fourier(grid, fhat)
 
 

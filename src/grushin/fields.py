@@ -1,11 +1,11 @@
 """Grids, fields, multiplier profiles, and truncation policies.
 
 The degenerate-elliptic operator acts on functions of (x', x'') where x' lives
-in R^d1 and x'' on a flat torus [-S, S)^d2.  A field couples a real or
-complex value array to that product grid.  Multiplier profiles wrap a real
-scalar function of the spectral parameter together with an authoritative
-support interval, and a truncation policy records how far the discrete
-spectral decomposition is trusted.
+in R^d1 and x'' on a flat torus [-S, S)^d2; grids sample d2 = 1.  A field
+couples a real or complex value array to that product grid.  Multiplier
+profiles wrap a real scalar function of the spectral parameter together with
+an authoritative support interval, and a truncation policy records how far
+the discrete spectral decomposition is trusted.
 """
 
 from __future__ import annotations
@@ -44,9 +44,11 @@ class Dims:
 class GrushinGrid:
     """Product grid: a symmetric x'-grid times a uniform torus grid in x''.
 
-    The torus is [-S, S)^d2 sampled at n_second points per axis, so the dual
-    lattice has spacing pi/S.  Frequencies are kept in FFT index order; use
-    xi_index to pair transform slots with frequencies.
+    The torus is one axis, [-S, S), sampled at n_second points, so the dual
+    lattice has spacing pi/S.  d2 is kept as a field so that callers can
+    pass it, but only d2 = 1 is built: the engine transforms one torus axis.
+    Frequencies are kept in FFT index order; use xi_index to pair transform
+    slots with frequencies.
     """
 
     prime: PrimeGrid
@@ -59,8 +61,8 @@ class GrushinGrid:
             raise DomainError("torus half period must be positive and finite")
         if self.n_second < 2 or self.n_second % 2:
             raise DomainError("n_second must be even and >= 2")
-        if self.d2 < 1 or self.d2 > 2:
-            raise DomainError("second-layer grids implemented for d2 in {1, 2}")
+        if self.d2 != 1:
+            raise DomainError(f"the torus has one axis: d2 must be 1, got {self.d2!r}")
 
     @property
     def d1(self) -> int:
@@ -68,7 +70,7 @@ class GrushinGrid:
 
     @property
     def shape(self) -> Tuple[int, ...]:
-        return (self.prime.n_points,) * self.prime.d1 + (self.n_second,) * self.d2
+        return (self.prime.n_points,) * self.prime.d1 + (self.n_second,)
 
     @property
     def second_spacing(self) -> float:
@@ -89,7 +91,7 @@ class GrushinGrid:
 
     @property
     def cell_volume(self) -> float:
-        return self.prime.cell * self.second_spacing ** self.d2
+        return self.prime.cell * self.second_spacing
 
     def meshgrid_prime(self) -> Tuple[np.ndarray, ...]:
         return np.meshgrid(*([self.prime.axis] * self.prime.d1), indexing="ij")

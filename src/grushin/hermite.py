@@ -18,7 +18,6 @@ from .errors import DomainError
 __all__ = [
     "PrimeGrid",
     "hermite_table",
-    "hermite_zero_values",
 ]
 
 # Grids narrower than the classical turning point plus this many units
@@ -45,15 +44,6 @@ def hermite_table(nmax: int, u: np.ndarray) -> np.ndarray:
     for n in range(1, nmax):
         out[n + 1] = np.sqrt(2.0 / (n + 1)) * u * out[n] - np.sqrt(n / (n + 1.0)) * out[n - 1]
     return out
-
-
-def hermite_zero_values(nmax: int) -> np.ndarray:
-    """h_n(0) for n = 0..nmax via the two-step recurrence; odd entries are 0."""
-    h = np.zeros(nmax + 1)
-    h[0] = np.pi ** -0.25
-    for n in range(2, nmax + 1, 2):
-        h[n] = -np.sqrt((n - 1.0) / n) * h[n - 2]
-    return h
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import j0, jv, gamma as _gamma_fn
 
 from ..errors import DomainError
-from ..hermite import hermite_table, hermite_zero_values
+from ..hermite import hermite_table
 
 __all__ = [
     "bochner_riesz_radial_kernel",
@@ -278,13 +278,13 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     # weight in the torus transform; the alternating sign recenters the
     # transform on [-S, S)
     slabs = {}
-    h_0 = hermite_zero_values(slab_level(1))
-    h_u = hermite_table(slab_level(1),
-                        np.sqrt(dxi * np.arange(1, j_max + 1)) * u)
+    # column 0 holds h_m(0), column j holds h_m at slab j's sqrt(xi) u
+    h_0u = hermite_table(slab_level(1),
+                         np.r_[0.0, np.sqrt(dxi * np.arange(1, j_max + 1)) * u])
     for j in range(1, j_max + 1):
         k_cap, xi = slab_level(j), j * dxi
-        C, even = _kernel_slab_coeff(profile, xi, k_cap, h_u[:, j - 1], h_0,
-                                     top)
+        C, even = _kernel_slab_coeff(profile, xi, k_cap, h_0u[:, j],
+                                     h_0u[:, 0], top)
         rows = slice(0, ax1.size) if j <= j_split else core
         H1 = hermite_table(k_cap, np.sqrt(xi) * ax1[rows])
         slabs[j] = (rows.start, H1.T @ (C * ((-1) ** j * xi)),

@@ -164,6 +164,8 @@ def localized_restriction_experiment(
     y_values = _increasing(y_values, "y_values")
     if ball_radius <= 0:
         raise DomainError("ball_radius must be positive")
+    if n_scan < 2:
+        raise DomainError(f"n_scan must be >= 2 to span the ball, got {n_scan}")
     bad = [y for y in y_values if not y > 4.0 * ball_radius]
     if bad:
         raise DomainError(
@@ -547,6 +549,8 @@ def geometry_suite(seed: int = 0, n_triples: int = 100000,
     d1, d2 = _D1, _D2
     if n_triples < 1 or mc_samples < 1:
         raise DomainError("sample budgets must be positive")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     q_hom = d1 + 2 * d2
     rng = np.random.default_rng(seed)
     rows: List[list] = []

@@ -274,24 +274,19 @@ def weighted_column_norms(profile, u, gamma: float, torus_half_period: float,
 
 def weighted_operator_norm(profile, gamma: float, torus_half_period: float,
                            k_max: int, lambda_max: float,
-                           u_range: Tuple[float, float] | None = None,
                            n_scan: int = 97) -> Tuple[float, float]:
     """max_u || |x'|^gamma K_F(., y(u)) ||_2 and the maximizing radius.
 
-    This is the L^1 -> L^2 operator norm of w_gamma F(L); restricting u_range
-    realizes a metric-ball cutoff on the input side.  The default range spans
-    the classically allowed reach of the lowest active torus frequency; the
-    search is a dense scan with extra density near the axis, then two local
-    grid-refinement rounds.
+    This is the L^1 -> L^2 operator norm of w_gamma F(L).  The scan spans
+    the classically allowed reach of the lowest active torus frequency, u
+    from 0 to sqrt(top) / dxi + 1; the search is a dense scan with extra
+    density near the axis, then two local grid-refinement rounds.  A ball
+    cutoff on the input side is a scan of weighted_column_norms over the
+    feet in the ball.
     """
     top = _eigenvalue_cap(profile, gamma, torus_half_period, k_max, lambda_max)
     dxi = np.pi / torus_half_period
-    if u_range is None:
-        u_range = (0.0, np.sqrt(top) / dxi + 1.0)
-    # np.maximum keeps a NaN lower end, which max() would drop
-    u_lo, u_hi = float(np.maximum(0.0, u_range[0])), float(u_range[1])
-    if not u_lo <= u_hi < np.inf:
-        raise DomainError(f"need a finite nonempty u range, got {u_range!r}")
+    u_hi = np.sqrt(top) / dxi + 1.0
     if n_scan < 5:
         raise DomainError("need at least 5 scan points")
 
@@ -299,13 +294,10 @@ def weighted_operator_norm(profile, gamma: float, torus_half_period: float,
         return weighted_column_norms(profile, us, gamma, torus_half_period,
                                      k_max, lambda_max)
 
-    if u_hi == u_lo:
-        return float(norms(np.array([u_lo]))[0]), u_lo
-    us = np.linspace(u_lo, u_hi, n_scan)
-    if u_hi - u_lo > 4.0:
+    us = np.linspace(0.0, u_hi, n_scan)
+    if u_hi > 4.0:
         # weighted peaks tend to sit near the axis; keep that region resolved
-        us = np.unique(np.concatenate(
-            [us, np.linspace(u_lo, u_lo + 2.0, 49)]))
+        us = np.unique(np.concatenate([us, np.linspace(0.0, 2.0, 49)]))
     vals = norms(us)
     best_i = int(np.argmax(vals))
     best_u, best = float(us[best_i]), float(vals[best_i])
@@ -314,7 +306,7 @@ def weighted_operator_norm(profile, gamma: float, torus_half_period: float,
     for _ in range(2):
         if half <= 0:
             break
-        local = np.linspace(max(u_lo, best_u - half),
+        local = np.linspace(max(0.0, best_u - half),
                             min(u_hi, best_u + half), 17)
         lvals = norms(local)
         i = int(np.argmax(lvals))

@@ -10,7 +10,7 @@ it:
   gamma = 0 reference of the radial path), its Gaussian tail fit, and the
   exact p = 1 level-k restriction norm from its maximum;
 - the Hardy-type weight check on the oscillator transform;
-- the full-lattice multiplier path (complex FFT over the torus axes, every
+- the full-lattice multiplier path (complex FFT over the torus axis, every
   +-xi bin weighted by the real profile values), against which the engine's
   half-lattice path is checked;
 - the weighted radial Gram matrix M M^T from the radial path's closed-form
@@ -30,7 +30,7 @@ from grushin.errors import (
 )
 from grushin.engine import _apply_xi_zero, apply_slice_multiplier, slice_levels
 from grushin.fields import Field, GrushinGrid, MultiplierProfile, SpectralTruncation
-from grushin.hermite import PrimeGrid, hermite_table, hermite_zero_values
+from grushin.hermite import PrimeGrid, hermite_table
 from grushin.lab.radial import _gauss_modes
 from grushin.oscillator import _level_weights, oscillator_synthesis, oscillator_transform
 
@@ -115,7 +115,7 @@ def level_sum_profile(k: int, d1: int, r: np.ndarray) -> np.ndarray:
     h2 = hermite_table(k, r) ** 2
     if d1 == 1:
         return h2[k]
-    w = hermite_zero_values(k) ** 2
+    w = hermite_table(k, np.zeros(1))[:, 0] ** 2
     W = w.copy()
     for _ in range(d1 - 2):
         W = np.convolve(W, w)[: k + 1]
@@ -250,17 +250,15 @@ def inner(f: Field, g: Field) -> complex:
 
 
 def _full_lattice_phase(grid: GrushinGrid) -> np.ndarray:
-    s = 1.0 - 2.0 * (np.abs(grid.xi_index) % 2)
-    out = s
-    for _ in range(grid.d2 - 1):
-        out = np.multiply.outer(out, s)
-    return out
+    return 1.0 - 2.0 * (np.abs(grid.xi_index) % 2)
 
 
 def full_lattice_groups(grid: GrushinGrid) -> list:
-    """[(xi_mag, flat_indices)] over the whole dual lattice, grouped by |xi|."""
-    m = grid.xi_index.astype(np.int64)
-    key = (m[:, None] ** 2 + m[None, :] ** 2).reshape(-1) if grid.d2 == 2 else m ** 2
+    """[(xi_mag, indices)] over the whole dual lattice, grouped by |xi|.
+
+    Each group but those of 0 and the Nyquist bin holds the pair +-m.
+    """
+    key = grid.xi_index.astype(np.int64) ** 2
     order = np.argsort(key, kind="stable")
     groups, start = [], 0
     for stop in range(1, order.size + 1):
@@ -273,7 +271,7 @@ def full_lattice_groups(grid: GrushinGrid) -> list:
 
 def full_lattice_apply(profile: MultiplierProfile, field: Field,
                        trunc: SpectralTruncation) -> np.ndarray:
-    """F(L) f through a complex FFT over the torus axes and every lattice bin.
+    """F(L) f through a complex FFT over the torus axis and every lattice bin.
 
     The engine's slice kernels weight each |xi| group by the real profile
     values, as in the engine; only the lattice handling differs: no
@@ -282,10 +280,8 @@ def full_lattice_apply(profile: MultiplierProfile, field: Field,
     the complex-slab branch of _apply_xi_zero.
     """
     grid, prime = field.grid, field.grid.prime
-    axes = tuple(range(prime.d1, prime.d1 + grid.d2))
     spacing = grid.second_spacing / np.sqrt(2.0 * np.pi)
-    fhat = np.fft.fftn(field.values, axes=axes) * _full_lattice_phase(grid) * spacing ** grid.d2
-    fh = fhat.reshape(fhat.shape[:prime.d1] + (-1,))
+    fh = np.fft.fft(field.values) * _full_lattice_phase(grid) * spacing
     for xi_mag, idx in full_lattice_groups(grid):
         if xi_mag == 0.0:
             fh[..., idx] = _apply_xi_zero(profile, fh[..., idx], prime)
@@ -294,5 +290,5 @@ def full_lattice_apply(profile: MultiplierProfile, field: Field,
                                                   trunc.k_max, trunc.lambda_max)
         else:
             fh[..., idx] = 0.0
-    fhat *= _full_lattice_phase(grid) / spacing ** grid.d2
-    return np.fft.ifftn(fhat, axes=axes)
+    fh *= _full_lattice_phase(grid) / spacing
+    return np.fft.ifft(fh)

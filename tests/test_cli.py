@@ -71,6 +71,10 @@ class TestExitCodes:
         "experiment.kind = distance_table\nexperiment.pairs = [[[0], [0], [1]]]\n",
         "experiment.kind = kernel_support\nexperiment.kappas = [NaN, 1.5]\n",
         "experiment.kind = kernel_support\nexperiment.times = [1.0, Infinity, 0.5]\n",
+        "experiment.kind = localized_restriction\nexperiment.n_scan = 1\n",
+        "experiment.kind = localized_restriction\nexperiment.n_scan = 0\n",
+        "experiment.kind = localized_restriction\nexperiment.n_scan = -1\n",
+        "experiment.kind = geometry_suite\nseed = -1\n",
     ], ids=["unknown-kind", "unknown-key", "duplicate-key", "missing-pairs",
             "malformed-line", "missing-kind", "levels-times-mismatch",
             "non-integer-seed", "non-finite-sobolev-order", "nan-heat-time",
@@ -79,7 +83,9 @@ class TestExitCodes:
             "non-integer-n-prime", "string-gamma", "scalar-radii",
             "scalar-deltas", "scalar-kappas", "string-in-t-values",
             "string-y-fix", "bool-k-max", "non-integer-level",
-            "scalar-pairs", "three-part-pair", "nan-kappa", "infinite-time"])
+            "scalar-pairs", "three-part-pair", "nan-kappa", "infinite-time",
+            "one-point-ball-scan", "zero-point-ball-scan",
+            "negative-ball-scan", "negative-seed"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, text):
         assert run(tmp_path, text) == 2
         assert "config error" in capsys.readouterr().err

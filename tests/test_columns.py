@@ -255,7 +255,7 @@ class TestL1MultiplierNorm:
         assert half == pytest.approx(full, rel=1e-14)
 
     def test_one_hermite_table_per_slab(self, monkeypatch):
-        # R = 8 has 16 torus slabs; one more table holds h_m at every
+        # R = 8 has 16 torus slabs; one more table holds h_m at 0 and at every
         # slab's sqrt(xi) u
         calls = []
         table = columns.hermite_table

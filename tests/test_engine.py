@@ -22,7 +22,6 @@ from grushin.engine import (
     inverse_partial_fourier,
     partial_fourier,
     schwartz_kernel_column,
-    xi_groups,
 )
 from grushin.errors import ContractViolation, TruncationError
 from grushin.fields import (
@@ -114,14 +113,6 @@ class TestPartialFourier:
     def test_complex_field_is_refused(self, rough_field):
         with pytest.raises(ContractViolation, match="real field"):
             partial_fourier(rough_field)
-
-    def test_xi_groups_cover_lattice_once(self, grid):
-        groups = xi_groups(grid)
-        all_idx = np.concatenate([idx for _, idx in groups])
-        assert sorted(all_idx.tolist()) == list(range(grid.n_second // 2 + 1))
-        mags = [m for m, _ in groups]
-        assert mags == sorted(mags)
-        assert mags[0] == 0.0
 
 
 class TestApplyMultiplier:
@@ -419,18 +410,6 @@ class TestHalfLatticeMatchesFullLattice:
         col = apply_multiplier(heat, delta, tr)
         assert col.values.dtype == np.float64
         assert rel_l2(col.values, full_lattice_apply(heat, delta, tr)) <= 1e-12
-
-    def test_two_torus_dimensions(self):
-        grid = GrushinGrid(PrimeGrid(6.0, 48, 2), 1.5, 16, 2)
-        tr = SpectralTruncation(k_max=10, lambda_max=24.0)
-        rng = np.random.default_rng(7)
-        x1, x2 = grid.meshgrid_prime()
-        f = Field(grid, np.exp(-(x1 ** 2 + x2 ** 2))[:, :, None, None]
-                  * rng.standard_normal(grid.shape))
-        heat = MultiplierProfile.heat(0.2)
-        out = apply_multiplier(heat, f, tr)
-        assert out.values.dtype == np.float64
-        assert rel_l2(out.values, full_lattice_apply(heat, f, tr)) <= 1e-12
 
     def test_complex_field(self, trunc, rough_field):
         heat = MultiplierProfile.heat(0.2)

@@ -209,10 +209,14 @@ class TestSpectralTruncation:
     lambda: heat_kernel_pointwise(((0.0, 0.0), (0.0,)), ((0.0, 0.0), (0.0,)),
                                   np.nan, 12.0),
     lambda: heat_gaussian_check(times=[np.nan]),
+    # out of domain, though finite
+    lambda: GrushinGrid(PrimeGrid(6.0, 32, 2), np.pi, 16, 2),
+    lambda: ball_volume_mc(MetricPoint((0.0, 0.0), (0.0,)), 1.0, 1000, seed=-1),
 ], ids=["prime-extent-nan", "torus-half-period-inf", "lambda-max-inf",
         "ball-radius-nan", "bochner-riesz-delta-nan", "ball-model-radius-nan",
         "ball-model-radius-inf", "scaling-fit-norm-nan", "dyadic-ds-nan",
-        "dyadic-ds-inf", "heat-kernel-time-nan", "heat-check-time-nan"])
+        "dyadic-ds-inf", "heat-kernel-time-nan", "heat-check-time-nan",
+        "grid-two-torus-axes", "ball-volume-seed-negative"])
 def test_non_finite_parameters_raise_domain_error(build):
     with pytest.raises(DomainError):
         build()

@@ -17,7 +17,7 @@ from oracles import (
 from scipy.integrate import simpson
 
 from grushin.errors import ContractViolation, DomainError, TruncationError
-from grushin.hermite import PrimeGrid, hermite_table, hermite_zero_values
+from grushin.hermite import PrimeGrid, hermite_table
 
 GRID = PrimeGrid(half_width=17.0, n_points=512, d1=1)
 
@@ -64,11 +64,6 @@ def test_hermite_rejects_nonfinite():
         hermite_eval(3, np.nan)
     with pytest.raises(DomainError):
         hermite_table(-1, np.array([0.0]))
-
-
-def test_zero_values_match_table():
-    tab = hermite_table(24, np.array([0.0]))[:, 0]
-    assert np.allclose(hermite_zero_values(24), tab, atol=1e-15)
 
 
 def test_multiindex_examples():

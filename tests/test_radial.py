@@ -322,12 +322,6 @@ BAD_RADIAL_INPUT = {
         lambda p: weighted_column_norms(p, [1.0], 0.25, 1.5, 40, NAN),
     "k_max=nan":
         lambda p: weighted_column_norms(p, [1.0], 0.25, 1.5, NAN, 24.0),
-    "u_range=(0,nan)": lambda p: weighted_operator_norm(
-        p, 0.25, 1.5, 40, 24.0, u_range=(0.0, NAN)),
-    "u_range=(nan,3)": lambda p: weighted_operator_norm(
-        p, 0.25, 1.5, 40, 24.0, u_range=(NAN, 3.0)),
-    "u_range=(0,inf)": lambda p: weighted_operator_norm(
-        p, 0.25, 1.5, 40, 24.0, u_range=(0.0, INF)),
     "radial_gram-gamma=nan": lambda p: radial_gram(5, 2, NAN),
     "radial_gram-gamma=inf": lambda p: radial_gram(5, 2, INF),
     "laguerre_radial_table-s=nan":
@@ -352,14 +346,6 @@ class TestWeightedOperatorNorm:
         assert val >= cols.max() - 1e-12
         at_star = weighted_column_norm(prof, u_star, 0.25, np.pi / 2.0, 40, 24.0)
         assert val == at_star
-
-    def test_restricted_range_is_dominated(self):
-        prof = ramp_profile()
-        full, _ = weighted_operator_norm(prof, 0.25, np.pi / 2.0, 40, 24.0)
-        part, u_star = weighted_operator_norm(prof, 0.25, np.pi / 2.0, 40, 24.0,
-                                              u_range=(2.0, 3.0), n_scan=17)
-        assert part <= full + 1e-12
-        assert 2.0 <= u_star <= 3.0
 
 
 def per_sector_norms(profile, u, gamma, torus_half_period, lambda_max):
