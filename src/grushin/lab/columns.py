@@ -14,7 +14,12 @@ coordinate and both choosing their own discretizations:
 
 Unlike the radial norm path, these include the zero torus frequency: its
 slab is the free-plane functional calculus of the multiplier, entering the
-lattice sum with the same weight as every other frequency.
+lattice sum with the same weight as every other frequency.  The kernel of
+F(L) on R^2 x torus is the x''-periodization of the kernel on R^2 x R, and
+the xi = 0 slab is part of that periodization, so it belongs in an L^1 norm.
+The radial path leaves it out of its L^2 norms, where its weight falls like
+1/S with the torus half period S; each convention is the right one for its
+own norm.
 """
 
 from __future__ import annotations

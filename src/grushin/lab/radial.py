@@ -8,16 +8,24 @@ Cartesian grid appears: the weighted radial Gram matrices factor exactly by
 the Laguerre connection formula (DLMF 18.18.18), so this path cross-validates
 the tensor-grid engine rather than reusing it.
 
-The zero torus frequency is excluded from the sum: the lattice sum is a
-Riemann approximation of the continuum xi-integral and the xi = 0 term is a
-measure-zero compactification artifact (its weight vanishes as the torus
-grows).  All norms here follow that convention.
+The zero torus frequency is left out of the sum.  The lattice sum over xi
+is a Riemann sum of the continuum xi-integral, in which the xi = 0 slab
+carries the weight 1 / (2S) of every slab, falling like 1/S as the torus of
+half period S grows: in these L^2 norms it is a compactification artifact.
+The L^1 path of lab.columns keeps that slab, because in an L^1 norm it is
+part of the x''-periodization of the kernel on R^2 x R.  Each convention is
+the right one for its own norm.
 
-Each torus frequency xi costs one profile evaluation at its levels and a few
-vectorised passes: consecutive l run side by side as lanes of one recurrence
-over n, a lane retiring after its last row n = (k_hi - l) // 2, and at
+One call evaluates the profile once, on the levels of all active torus
+frequencies, and runs every sector (xi, l) as a lane of one vectorised
+recurrence over n: lanes in decreasing order of their last row
+n_max = (k_hi - l) // 2, each retiring after it, so lanes of different
+frequencies share a pass.  _BLOCK_BUDGET bounds the lanes of one pass; at
 gamma > 0 the rows of a block meet the Gram factor in one matrix product.
-_BLOCK_BUDGET bounds the lanes of one pass, so its memory stays flat.
+So the passes of a call, each a Python loop over n, are bounded by its
+blocks, not by its frequencies.  The forms are summed per frequency in
+ascending l, and the frequencies in ascending order, so at gamma = 0 every
+norm has the arithmetic of a frequency-by-frequency sum.
 """
 
 from __future__ import annotations
@@ -38,9 +46,13 @@ __all__ = [
 ]
 
 _D1 = 2  # this fast path is specific to two prime coordinates
-# floats per block of l: lanes * (feet + 1), times at gamma > 0 the rows n of
-# the block's first lane (the stacked coefficients; T adds rows^2 more)
-_BLOCK_BUDGET = 1.25e5
+# floats a pass holds, about lanes * (feet + 1) * depth: seven arrays of
+# lanes * feet (x, log psi_0, the unscale factor, three recurrence buffers and
+# the forms) and, at gamma > 0, two of rows * lanes * feet (the stacked
+# coefficients and their product with T) for the rows n of the block's first
+# lane; T adds rows^2 more.  This keeps the peak of a 144-foot scan at R = 32
+# at that of a pass per frequency
+_BLOCK_BUDGET = 5.6e5
 # from this angular momentum on, _radial_log_row0 uses Stirling's form
 _STIRLING_L = 20
 
@@ -55,38 +67,48 @@ def _normalized_recurrence(n_max: np.ndarray, l: np.ndarray, x: np.ndarray,
     threshold can still climb back to order one by the time n reaches the
     classically allowed range, which plain arithmetic would lose to a hard
     zero.  Emitted rows are unscaled; entries whose true size is below the
-    double floor come out as exact zeros.
+    double floor come out as exact zeros.  Each row is a work buffer that the
+    caller may overwrite and that the next row reuses.
 
     The leading axis holds lanes: n_max has one entry per lane, in
-    nonincreasing order, and l is a matching column.  Row n holds the leading
-    lanes with n_max >= n, so a lane costs no work past its own last row.
-    Every entry sees the same arithmetic as in a run of its lane alone.
+    nonincreasing order, and l is a matching column; x may differ per lane.
+    Row n holds the leading lanes with n_max >= n, so a lane costs no work
+    past its own last row.  Every entry sees the same arithmetic as in a run
+    of its lane alone.
     """
     shape = np.broadcast_shapes(l.shape, np.shape(x), np.shape(log_row0))
-    expo = np.array(np.broadcast_to(log_row0, shape), dtype=float)
+    x = np.broadcast_to(x, shape)  # read-only views, sliced as lanes retire
+    expo = np.broadcast_to(log_row0, shape)
     # orthonormal-scaled rows are O(1) where the modes live, so capping the
     # emission exponent only suppresses values already below the double floor
     unscale = np.exp(np.minimum(expo, 709.0))
-    yield unscale
-    alive = np.count_nonzero(n_max[:, None] > np.arange(n_max[0]), axis=0)
+    work = unscale.copy()
+    yield work
+    # alive[n]: the lanes with n_max > n, which take the step n -> n + 1
+    alive = np.searchsorted(-n_max, -np.arange(n_max[0]), side="left")
     prev = np.zeros(shape)
     cur = np.ones(shape)  # scaled row 0 mantissa
     for n, m in enumerate(alive.tolist()):
         if m < len(cur):
-            l, prev, cur, expo, unscale = (
-                a[:m] for a in (l, prev, cur, expo, unscale))
+            l, x, prev, cur, work, expo, unscale = (
+                a[:m] for a in (l, x, prev, cur, work, expo, unscale))
+        # nxt = ((2n + 1 + l - x) cur - sqrt(n (n + l)) prev)
+        #       / sqrt((n + 1)(n + 1 + l)), built in prev, which is spent;
         # at n = 0 the prev term vanishes and the divisor is sqrt(1 + l)
-        nxt = ((2.0 * n + 1.0 + l - x) * cur
-               - np.sqrt(n * (n + l)) * prev) \
-            / np.sqrt((n + 1.0) * (n + 1.0 + l))
-        big = np.abs(nxt) > 1e200
-        if np.any(big):
-            scale = np.where(big, np.abs(nxt), 1.0)
-            nxt = nxt / scale
-            cur = cur / scale
-            expo = expo + np.log(scale)
-            unscale = np.exp(np.minimum(expo, 709.0))
-        yield nxt * unscale
+        np.subtract(2.0 * n + 1.0 + l, x, out=work)
+        work *= cur
+        prev *= np.sqrt(n * (n + l))
+        np.subtract(work, prev, out=prev)
+        prev /= np.sqrt((n + 1.0) * (n + 1.0 + l))
+        nxt = prev
+        if nxt.max(initial=0.0) > 1e200 or nxt.min(initial=0.0) < -1e200:
+            scale = np.abs(nxt)
+            np.copyto(scale, 1.0, where=~(scale > 1e200))
+            nxt /= scale
+            cur /= scale
+            expo = np.add(expo, np.log(scale, out=scale), out=scale)
+            np.exp(np.minimum(expo, 709.0, out=unscale), out=unscale)
+        yield np.multiply(nxt, unscale, out=work)
         prev, cur = cur, nxt
 
 
@@ -103,8 +125,13 @@ def _radial_log_row0(l, s: np.ndarray) -> np.ndarray:
         return _log_row0_direct(l, s)
     if not small.any():
         return _log_row0_stirling(l, s)
-    return np.where(small, _log_row0_direct(l, s),
-                    _log_row0_stirling(np.maximum(l, _STIRLING_L), s))
+    # lanes of both kinds (l a column over the lanes of s): each subset of
+    # lanes by its own form
+    small = small[:, 0]
+    out = np.empty(s.shape)
+    out[small] = _log_row0_direct(l[small], s[small])
+    out[~small] = _log_row0_stirling(l[~small], s[~small])
+    return out
 
 
 def _log_row0_direct(l, s):
@@ -144,7 +171,7 @@ def laguerre_radial_table(n_max: int, l: int, s: np.ndarray) -> np.ndarray:
     if not np.all((s >= 0) & (s < np.inf)):
         raise DomainError("s is a radial coordinate; need finite s >= 0")
     lane = np.full((1,) * (s.ndim + 1), float(l))
-    return np.stack([row[0] for row in _normalized_recurrence(
+    return np.stack([row[0].copy() for row in _normalized_recurrence(
         np.array([n_max]), lane, s * s, _radial_log_row0(lane, s))])
 
 
@@ -170,7 +197,7 @@ def _gauss_modes(n_max: np.ndarray, l: np.ndarray, gamma: float):
     log_e = np.zeros((len(n_max), width))
     np.cumsum(0.5 * np.log(k[1:] / (k[1:] + l)), axis=1, out=log_e[:, 1:])
     rho = gammaln(1.0 + gamma) + np.concatenate(
-        ([0.0], np.cumsum(np.log1p(gamma / np.arange(1.0, l[-1, 0] + width)))))
+        ([0.0], np.cumsum(np.log1p(gamma / np.arange(1.0, l.max() + width)))))
     log_e_prime = log_e - 0.5 * rho[l.astype(int) + np.arange(width)]
     real = k <= n_max[:, None]
     shift = 0.5 * log_e[np.arange(len(n_max)), n_max, None]
@@ -179,50 +206,42 @@ def _gauss_modes(n_max: np.ndarray, l: np.ndarray, gamma: float):
             np.exp(np.where(real, shift - log_e_prime, -np.inf)))
 
 
-def _frequency_slab(vals: np.ndarray, s_u: np.ndarray,
-                    gamma: float) -> np.ndarray:
-    """Sum over l of the weighted quadratic forms of one torus frequency.
+def _block_forms(vals: np.ndarray, base: np.ndarray, n_max: np.ndarray,
+                 l: np.ndarray, root_xi: np.ndarray, u: np.ndarray,
+                 gamma: float) -> np.ndarray:
+    """The weighted quadratic form of each lane of one block, at each foot u.
 
-    vals[k] is the profile at level k = 2n + l.  The form of sector l,
-    || s^gamma sum_n a_n psi_{n,l}(s) ||^2 with a_n = vals[2n + l]
-    psi_{n,l}(s_u), is sum_k |sum_n a_n M[n, k]|^2 for the Gram factor M of
-    _gauss_modes, counted twice for l > 0 (the two signs of the angular
-    momentum).  The l axis runs in blocks of consecutive l, as many as
-    _BLOCK_BUDGET allows; a block takes one pass of the psi recurrence and,
-    at gamma > 0, one product with T.  At gamma = 0 each (l, u) entry sees
-    the same arithmetic in any block; at gamma > 0 BLAS may group the sums
-    of the product by the block's shape.
+    Lane i is a sector (xi, l) with the radial argument s_u = root_xi[i] u.
+    vals lists the profile at the levels of each frequency in turn, and
+    vals[base[i]] is the lane's level l, so its mode n has the level
+    k = 2n + l at vals[base[i] + 2n].  The form
+    || s^gamma sum_n a_n psi_{n,l} ||^2 with a_n = vals[base + 2n]
+    psi_{n,l}(s_u) is sum_k |sum_n a_n M[n, k]|^2 for the Gram factor M of
+    _gauss_modes.  The block takes one pass of the psi recurrence and, at
+    gamma > 0, one product with T.  At gamma = 0 each (lane, u) entry sees
+    the same arithmetic in any block; at gamma > 0 BLAS may group the sums of
+    the product by the block's shape.
     """
-    k_hi = vals.size - 1
-    slab = np.zeros(s_u.shape)
-    l0 = 0
-    while l0 <= k_hi:
-        rows = (k_hi - l0) // 2 + 1 if gamma > 0 else 1
-        lanes = int(_BLOCK_BUDGET / ((s_u.size + 1) * rows))
-        l1 = min(k_hi + 1, l0 + max(1, lanes))
-        l = np.arange(l0, l1, dtype=float)[:, None]
-        n_max = (k_hi - np.arange(l0, l1)) // 2
-        psi = _normalized_recurrence(n_max, l, s_u * s_u,
-                                     _radial_log_row0(l, s_u))
-        if gamma == 0.0:  # orthonormal modes: the Gram is the identity
-            form = np.zeros((l1 - l0, s_u.size))
-            for n, row in enumerate(psi):
-                coef = vals[2 * n + l0:2 * n + l0 + len(row), None] * row
-                form[:len(row)] += np.abs(coef) ** 2
-        else:
-            e, t, ep_inv = _gauss_modes(n_max, l, gamma)
-            coef = np.zeros((rows, l1 - l0, s_u.size))
-            for n, row in enumerate(psi):  # a_n E[n], zero past a lane's end
-                coef[n, :len(row)] = vals[2 * n + l0:2 * n + l0 + len(row),
-                                          None] * row * e[:len(row), n, None]
-            mixed = (t.T @ coef.reshape(rows, -1)).reshape(coef.shape)
-            mixed *= ep_inv.T[:, :, None]
-            form = np.einsum("nlu,nlu->lu", mixed, mixed)
-            del e, t, ep_inv, coef, mixed  # free them before the next block
-        for l_i, row in enumerate(form, l0):
-            slab += (2.0 if l_i > 0 else 1.0) * row
-        l0 = l1
-    return slab
+    s_u = root_xi[:, None] * u
+    log_row0 = _radial_log_row0(l, s_u)
+    psi = _normalized_recurrence(n_max, l, np.multiply(s_u, s_u, out=s_u),
+                                 log_row0)
+    del s_u, log_row0  # the recurrence alone holds them, so a rescale frees
+    if gamma == 0.0:  # orthonormal modes: the Gram is the identity
+        form = np.zeros((l.size, u.size))
+        for n, row in enumerate(psi):
+            row *= vals[base[:len(row)] + 2 * n, None]
+            form[:len(row)] += np.square(row, out=row)
+        return form
+    rows = int(n_max[0]) + 1
+    e, t, ep_inv = _gauss_modes(n_max, l, gamma)
+    coef = np.zeros((rows, l.size, u.size))
+    for n, row in enumerate(psi):  # a_n E[n], zero past a lane's end
+        row *= vals[base[:len(row)] + 2 * n, None]
+        np.multiply(row, e[:len(row), n, None], out=coef[n, :len(row)])
+    mixed = (t.T @ coef.reshape(rows, -1)).reshape(coef.shape)
+    mixed *= ep_inv.T[:, :, None]
+    return np.einsum("nlu,nlu->lu", mixed, mixed)
 
 
 def _eigenvalue_cap(profile, gamma: float, torus_half_period: float,
@@ -258,7 +277,7 @@ def weighted_column_norms(profile, u, gamma: float, torus_half_period: float,
     top = _eigenvalue_cap(profile, gamma, torus_half_period, k_max, lambda_max)
     dxi = np.pi / torus_half_period
     j_top = int(np.floor(top / (_D1 * dxi) + 1e-12))
-    total = np.zeros(u.shape)
+    xis, k_his = [], []  # the active torus frequencies, ascending
     for j in range(1, j_top + 1):
         xi = j * dxi
         k_lo, k_hi = active_level_range(profile, xi, _D1, lambda_max)
@@ -266,9 +285,35 @@ def weighted_column_norms(profile, u, gamma: float, torus_half_period: float,
             continue
         if k_hi > k_max:
             raise TruncationError(k_hi, xi, k_max)
-        vals = profile((2.0 * np.arange(k_hi + 1) + _D1) * xi)
-        slab = _frequency_slab(vals, np.sqrt(xi) * u, gamma)
-        total += 2.0 * xi ** (1.0 - gamma) / (2.0 * np.pi) * slab
+        xis.append(xi)
+        k_his.append(k_hi)
+    # one lane per sector (xi, l), l = 0..k_hi, frequency by frequency; lane
+    # i holds the profile at level l, and level 2n + l of its frequency is
+    # lane i + 2n
+    k_his = np.array(k_his, dtype=int)
+    freq = np.repeat(np.arange(k_his.size), k_his + 1)
+    l = np.arange(freq.size) - (np.cumsum(k_his + 1) - k_his - 1)[freq]
+    xi = np.array(xis)[freq]
+    vals = profile((2.0 * l + _D1) * xi)
+    n_max = (k_his[freq] - l) // 2
+    # lanes by decreasing n_max, as the recurrence takes them; the sort is
+    # stable, so within a frequency l still ascends
+    order = np.argsort(-n_max, kind="stable")
+    slabs = np.zeros((k_his.size, u.size))
+    i = 0
+    while i < order.size:
+        depth = 7 + (2 * (n_max[order[i]] + 1) if gamma > 0 else 0)
+        block = order[i:i + max(1, int(_BLOCK_BUDGET / ((u.size + 1) * depth)))]
+        i += block.size
+        form = _block_forms(vals, block, n_max[block],
+                            l[block, None].astype(float), np.sqrt(xi[block]),
+                            u, gamma)
+        form *= np.where(l[block] > 0, 2.0, 1.0)[:, None]  # the two signs of l
+        np.add.at(slabs, freq[block], form)  # in lane order: l ascends
+        del form  # before the next block allocates its own
+    total = np.zeros(u.shape)
+    for xi_j, slab in zip(xis, slabs):
+        total += 2.0 * xi_j ** (1.0 - gamma) / (2.0 * np.pi) * slab
     return np.sqrt(total / (2.0 * torus_half_period))
 
 

@@ -9,8 +9,11 @@ from scipy.linalg import eigvalsh_tridiagonal
 from grushin.errors import DomainError, TruncationError
 from grushin.fields import MultiplierProfile
 from grushin.lab.experiments import band_profile
+from grushin.lab import radial
 from grushin.lab.radial import (
     _gauss_modes,
+    _normalized_recurrence,
+    _radial_log_row0,
     laguerre_radial_table,
     weighted_column_norms,
     weighted_operator_norm,
@@ -228,7 +231,7 @@ class TestDefaultRunSizes:
     # over one lane there; l ~ 0.45 k_hi is where that span is widest
     @pytest.mark.parametrize("k_hi", [2047, 3999])
     def test_block_factor_is_finite(self, k_hi):
-        # blocks of consecutive lanes, as _frequency_slab forms them
+        # blocks of consecutive l of one frequency
         for l0 in (0, int(0.45 * k_hi), k_hi - 9):
             l = np.arange(l0, min(k_hi + 1, l0 + 12))
             e, t, ep_inv = _gauss_modes((k_hi - l) // 2,
@@ -289,6 +292,12 @@ class TestWeightedColumnNorm:
         for i, u in enumerate(us):
             one = weighted_column_norm(prof, float(u), 0.25, np.pi / 2.0, 40, 24.0)
             assert vec[i] == one
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.25])
+    def test_no_feet_gives_no_norms(self, gamma):
+        got = weighted_column_norms(ramp_profile(), [], gamma, np.pi / 2.0, 40,
+                                    24.0)
+        assert got.shape == (0,)
 
     def test_truncation_policy_enforced(self):
         # lambda_max = 24 at the lowest frequency xi = 2 needs oscillator
@@ -385,7 +394,7 @@ class TestBlockRecurrence:
             assert weighted_column_norm(prof, u, gamma, np.pi, 4000,
                                         256.0) == got[i]
 
-    def test_profile_is_evaluated_once_per_torus_frequency(self, monkeypatch):
+    def test_profile_is_evaluated_once_per_call(self, monkeypatch):
         prof = band_profile(8.0)
         calls = []
         evaluate = MultiplierProfile.__call__
@@ -396,5 +405,86 @@ class TestBlockRecurrence:
 
         monkeypatch.setattr(MultiplierProfile, "__call__", counted)
         weighted_column_norms(prof, [0.0, 3.0], 0.25, np.pi, 4000, 64.0)
-        # lambda_max = 64 on S = pi: frequencies xi = 1..32 are all active
-        assert len(calls) == 32
+        # lambda_max = 64 on S = pi: frequencies xi = 1..32 are all active,
+        # and one call takes the levels k = 0..k_hi of every one of them
+        assert len(calls) == 1
+        want = np.concatenate([(2.0 * np.arange((64 // j - 2) // 2 + 1) + 2.0)
+                               * j for j in range(1, 33)])
+        assert np.array_equal(calls[0], want)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.25])
+    def test_passes_are_bounded_by_blocks_not_frequencies(self, gamma,
+                                                          monkeypatch):
+        passes, gauss = [], []
+        recurrence, modes = _normalized_recurrence, _gauss_modes
+        monkeypatch.setattr(radial, "_normalized_recurrence",
+                            lambda *a: passes.append(a[0]) or recurrence(*a))
+        monkeypatch.setattr(radial, "_gauss_modes",
+                            lambda *a: gauss.append(a[0]) or modes(*a))
+        feet = np.linspace(0.0, 6.0, 97)
+        weighted_column_norms(band_profile(16.0), feet, gamma, np.pi, 4000,
+                              256.0)
+        # lambda_max = 256 on S = pi: 128 active frequencies, k_hi = 127 at
+        # xi = 1 down to 0 at xi = 128, one lane per level
+        lanes = sum((256 // j - 2) // 2 + 1 for j in range(1, 129))
+        assert sum(n.size for n in passes) == lanes
+        if gamma == 0.0:
+            per_block = int(radial._BLOCK_BUDGET / (7 * (feet.size + 1)))
+            assert len(passes) == -(-lanes // per_block) == 1
+        else:
+            assert len(gauss) == len(passes) < 128 // 4
+        # every pass takes its lanes longest first
+        assert all(np.all(np.diff(n) <= 0) for n in passes)
+
+
+class TestMixedLanes:
+    # lanes of several frequencies in one block: x = xi u^2 differs per lane,
+    # l is in no order, and lanes with l < 20 and l >= 20 take the two forms
+    # of the start value; the far feet need rescaling on the way
+    XI = np.array([1.0, 2.0, 1.0, 3.0])
+    L = np.array([0, 7, 40, 25])
+    N_MAX = np.array([500, 480, 480, 300])
+    U = np.array([0.0, 3.0, 30.0, 40.0])
+
+    def rows(self, lanes):
+        l = self.L[lanes, None].astype(float)
+        s = np.sqrt(self.XI[lanes])[:, None] * self.U
+        return [row.copy() for row in _normalized_recurrence(
+            self.N_MAX[lanes], l, s * s, _radial_log_row0(l, s))]
+
+    def test_recurrence_lanes_equal_each_lane_alone(self):
+        block = self.rows(np.arange(4))
+        for i in range(4):
+            alone = self.rows(np.array([i]))
+            assert len(alone) == self.N_MAX[i] + 1
+            for n, row in enumerate(alone):
+                assert np.array_equal(block[n][i], row[0]), (i, n)
+
+    def test_gram_factor_lanes_equal_each_lane_alone(self):
+        l = self.L[:, None].astype(float)
+        e, t, ep_inv = _gauss_modes(self.N_MAX, l, 0.25)
+        for i in range(4):
+            e1, t1, ep1 = _gauss_modes(self.N_MAX[i:i + 1], l[i:i + 1], 0.25)
+            width = self.N_MAX[i] + 1
+            assert np.array_equal(e[i, :width], e1[0])
+            assert np.array_equal(ep_inv[i, :width], ep1[0])
+            assert not np.any(e[i, width:]) and not np.any(ep_inv[i, width:])
+            assert np.array_equal(t[:width, :width], t1)
+
+
+class TestFeetAreIndependent:
+    # a scan relies on this: weighted_operator_norm returns the value the
+    # vector call gave at its maximizer, which must be the single-foot norm
+    FEET = np.linspace(0.0, 4.0, 9)
+
+    @pytest.mark.parametrize("budget", [None, 3e3])
+    @pytest.mark.parametrize("gamma", [0.0, 0.25])
+    def test_each_foot_equals_its_single_foot_call(self, gamma, budget,
+                                                   monkeypatch):
+        if budget is not None:  # several blocks at gamma = 0 as well
+            monkeypatch.setattr(radial, "_BLOCK_BUDGET", budget)
+        prof = band_profile(16.0)
+        got = weighted_column_norms(prof, self.FEET, gamma, np.pi, 4000, 256.0)
+        for i, u in enumerate(self.FEET):
+            assert weighted_column_norm(prof, u, gamma, np.pi, 4000,
+                                        256.0) == got[i], u
