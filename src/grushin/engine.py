@@ -7,12 +7,11 @@ oscillator eigenspace by the profile value at its eigenvalue, synthesize, and
 transform back.  The torus has one axis (GrushinGrid holds d2 = 1), so each
 lattice bin m is one slice, at |xi| = m xi_spacing.
 
-Profile values are real and the slice operators are real and depend on |xi|
-only, so F(L) maps real fields to real fields, and the xi and -xi slices
-carry conjugate data.  The transform is therefore real-to-real: it keeps the
-bins m = 0 ... n/2, and the inverse restores the others.  A complex field
-goes through that path by linearity, as F(L) Re f + i F(L) Im f, skipping a
-part that is all zero.
+Fields are real (Field enforces it), profile values are real, and the slice
+operators are real and depend on |xi| only, so F(L) maps a field to a real
+field, and the xi and -xi slices carry conjugate data.  The transform is
+therefore real-to-real: it keeps the bins m = 0 ... n/2, and the inverse
+restores the others.
 
 The zero frequency is special: there the operator degenerates to the Euclidean
 Laplacian in x' alone, and the slice is handled by a zero-padded DFT multiplier.
@@ -28,7 +27,7 @@ import numpy as np
 # transforms belong to its engine.fft span
 from numpy.fft import irfft, rfft
 
-from .errors import ContractViolation, DomainError, TruncationError
+from .errors import DomainError, TruncationError
 from .fields import Field, GrushinGrid, MultiplierProfile, SpectralTruncation, delta_field
 from .hermite import PrimeGrid
 from .oscillator import (
@@ -49,17 +48,13 @@ def _phase(grid: GrushinGrid) -> np.ndarray:
 
 
 def partial_fourier(field: Field) -> np.ndarray:
-    """Transform the torus axis of a real field onto the bins m = 0 ... n/2.
+    """Transform the torus axis of a field onto the bins m = 0 ... n/2.
 
-    Each bin left out, -m, is the conjugate of bin m.  Normalization is
-    (2 pi)^{-1/2} times the Riemann sum with cell weight, so Parseval holds
-    with dual cell weight xi_spacing once the bins 0 < m < n/2 are counted
-    twice.  A complex field raises ContractViolation: its real and imaginary
-    parts are transformed one at a time.
+    The field is real, so each bin left out, -m, is the conjugate of bin m,
+    and bins 0 and n/2 are real.  Normalization is (2 pi)^{-1/2} times the
+    Riemann sum with cell weight, so Parseval holds with dual cell weight
+    xi_spacing once the bins 0 < m < n/2 are counted twice.
     """
-    if np.iscomplexobj(field.values):
-        raise ContractViolation("partial_fourier takes a real field; transform "
-                                "the real and imaginary parts one at a time")
     g = field.grid
     vals = rfft(field.values)
     vals *= _phase(g) * (g.second_spacing / np.sqrt(2.0 * np.pi))
@@ -102,17 +97,15 @@ def _xi_zero_symbol(prime: PrimeGrid):
 
 def _apply_xi_zero(profile: MultiplierProfile, slab: np.ndarray,
                    prime: PrimeGrid) -> np.ndarray:
-    """Euclidean functional calculus in x' on the zero-frequency slice.
+    """Euclidean functional calculus in x' on the real zero-frequency slice.
 
     Uses a 2x zero-padded DFT so the implicit periodization does not fold the
     kernel back into the window.  The profile's own support masks the symbol;
     the policy's lambda_max is deliberately not imposed here, since a hard
     spectral edge on this slice would ring against the crop back to the window
     (the ceiling exists to bound oscillator levels, which this slice has none
-    of).  The symbol is real and depends on |zeta| only, so the DFT pair is
-    real to real: a slab whose imaginary part is nonzero takes one pair per
-    part.  The zero slice of a real field's transform is real and takes one
-    pair.
+    of).  The slab is the zero bin of a real field's transform, so it is real;
+    the symbol is real and depends on |zeta| only, so one real DFT pair does.
     """
     d1, n = prime.d1, prime.n_points
     pad = 2 * n
@@ -121,16 +114,10 @@ def _apply_xi_zero(profile: MultiplierProfile, slab: np.ndarray,
     distinct, inverse = _xi_zero_symbol(prime)
     w = profile(distinct)[inverse]
     w = w.reshape(w.shape + (1,) * (slab.ndim - d1))
-
-    def real_pass(part):
-        fp = np.zeros((pad,) * d1 + part.shape[d1:])
-        fp[crop] = part
-        spec = np.fft.rfftn(fp, axes=axes)
-        return np.fft.irfftn(spec * w, s=(pad,) * d1, axes=axes)[crop]
-
-    if np.iscomplexobj(slab) and slab.imag.any():
-        return real_pass(slab.real) + 1j * real_pass(slab.imag)
-    return real_pass(slab.real)
+    fp = np.zeros((pad,) * d1 + slab.shape[d1:])
+    fp[crop] = slab
+    spec = np.fft.rfftn(fp, axes=axes)
+    return np.fft.irfftn(spec * w, s=(pad,) * d1, axes=axes)[crop]
 
 
 def slice_levels(profile: MultiplierProfile, prime: PrimeGrid, xi_mag: float,
@@ -174,32 +161,15 @@ def apply_slice_multiplier(profile: MultiplierProfile, f: np.ndarray, prime: Pri
 
 def apply_multiplier(profile: MultiplierProfile, field: Field,
                      trunc: SpectralTruncation) -> Field:
-    """Apply F(L) to a field under the given truncation policy.
+    """Apply F(L) to a field under the given truncation policy; the result is real.
 
-    Each nonzero bin goes through apply_slice_multiplier, so the
-    TruncationError conditions are those of slice_levels.  A field with a
-    NaN or infinite value raises DomainError, and so does a profile value
-    with a nonzero imaginary part.  The result is real when the field is.
+    Each nonzero bin m = 1 ... n/2 goes through apply_slice_multiplier, so
+    the TruncationError conditions are those of slice_levels.  A field with
+    a NaN or infinite value raises DomainError, and so does a profile value
+    with a nonzero imaginary part.
     """
     if not np.isfinite(field.values).all():
         raise DomainError("field has a NaN or infinite value")
-    if not np.iscomplexobj(field.values):
-        return _apply_real(profile, field, trunc)
-    grid = field.grid
-    re, im = field.values.real, field.values.imag
-    out = 0.0
-    # the real part also runs when both parts are zero, so that the
-    # truncation checks still apply
-    if re.any() or not im.any():
-        out = _apply_real(profile, Field(grid, re), trunc).values
-    if im.any():
-        out = out + 1j * _apply_real(profile, Field(grid, im), trunc).values
-    return Field(grid, out)
-
-
-def _apply_real(profile: MultiplierProfile, field: Field,
-                trunc: SpectralTruncation) -> Field:
-    """apply_multiplier on a real field, over the bins m = 0 ... n/2."""
     grid = field.grid
     prime = grid.prime
     fhat = partial_fourier(field)
@@ -209,7 +179,7 @@ def _apply_real(profile: MultiplierProfile, field: Field,
         xi_mag = m * grid.xi_spacing
         bin_m = fhat[..., m]
         if m == 0:
-            bin_m[...] = _apply_xi_zero(profile, bin_m, prime)
+            bin_m[...] = _apply_xi_zero(profile, bin_m.real, prime)
         elif slice_levels(profile, prime, xi_mag, trunc.k_max, trunc.lambda_max):
             bin_m[...] = apply_slice_multiplier(profile, bin_m, prime, xi_mag,
                                                 trunc.k_max, trunc.lambda_max)
@@ -224,6 +194,7 @@ def schwartz_kernel_column(profile: MultiplierProfile, grid: GrushinGrid,
                            trunc: SpectralTruncation) -> Field:
     """Kernel column K_F(., y): the profile applied to a unit-mass node delta.
 
-    y must be a grid node; off-grid points raise ContractViolation.
+    y must be a grid node: an off-grid point raises ContractViolation, and a
+    NaN or infinite coordinate DomainError.
     """
     return apply_multiplier(profile, delta_field(grid, y_prime, y_second), trunc)

@@ -2,7 +2,7 @@
 
 The degenerate-elliptic operator acts on functions of (x', x'') where x' lives
 in R^d1 and x'' on a flat torus [-S, S)^d2; grids sample d2 = 1.  A field
-couples a real or complex value array to that product grid.  Multiplier
+couples a real float64 value array to that product grid.  Multiplier
 profiles wrap a real scalar function of the spectral parameter together with
 an authoritative support interval, and a truncation policy records how far
 the discrete spectral decomposition is trusted.
@@ -47,8 +47,6 @@ class GrushinGrid:
     The torus is one axis, [-S, S), sampled at n_second points, so the dual
     lattice has spacing pi/S.  d2 is kept as a field so that callers can
     pass it, but only d2 = 1 is built: the engine transforms one torus axis.
-    Frequencies are kept in FFT index order; use xi_index to pair transform
-    slots with frequencies.
     """
 
     prime: PrimeGrid
@@ -85,11 +83,6 @@ class GrushinGrid:
         return np.pi / self.torus_half_period
 
     @property
-    def xi_index(self) -> np.ndarray:
-        """Integer frequency labels in FFT order (one axis)."""
-        return np.rint(np.fft.fftfreq(self.n_second) * self.n_second).astype(int)
-
-    @property
     def cell_volume(self) -> float:
         return self.prime.cell * self.second_spacing
 
@@ -100,7 +93,7 @@ class GrushinGrid:
         return np.meshgrid(*([self.second_axis] * self.d2), indexing="ij")
 
     def locate(self, x_prime, x_second) -> Tuple[int, ...]:
-        """Index of a grid node, or ContractViolation if off-grid."""
+        """Index of a grid node; ContractViolation off-grid, DomainError if not finite."""
         x_prime = np.atleast_1d(np.asarray(x_prime, dtype=float))
         x_second = np.atleast_1d(np.asarray(x_second, dtype=float))
         if x_prime.shape != (self.prime.d1,) or x_second.shape != (self.d2,):
@@ -109,6 +102,9 @@ class GrushinGrid:
                 f"({x_prime.shape[0]}, {x_second.shape[0]}), grid is "
                 f"({self.prime.d1}, {self.d2})"
             )
+        if not np.isfinite(np.r_[x_prime, x_second]).all():
+            raise DomainError(f"point ({x_prime}, {x_second}) has a NaN or "
+                              "infinite coordinate")
         idx = []
         for value, axis, h in (
             *((v, self.prime.axis, self.prime.spacing) for v in x_prime),
@@ -123,51 +119,34 @@ class GrushinGrid:
 
 @dataclass
 class Field:
-    """Function sampled on a GrushinGrid.
+    """Real function sampled on a GrushinGrid; values are kept as float64.
 
-    Real values are kept as float64 and anything else as complex128.  The
-    engine reads the dtype: it splits a complex field into its real and
-    imaginary parts, and maps a real field to a real one.
+    F(L) maps real functions to real functions, since profile values are
+    real.  Complex values, and values that do not convert to float, raise
+    DomainError.
     """
 
     grid: GrushinGrid
     values: np.ndarray
 
     def __post_init__(self):
-        dtype = np.float64 if np.isrealobj(self.values) else np.complex128
-        self.values = np.ascontiguousarray(self.values, dtype=dtype)
+        if np.iscomplexobj(self.values):
+            raise DomainError("field values must be real, got a complex array")
+        try:
+            self.values = np.ascontiguousarray(self.values, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"field values must be real numbers: {exc}") from None
         if self.values.shape != self.grid.shape:
             raise ContractViolation(
                 f"value array shape {self.values.shape} does not match grid "
                 f"shape {self.grid.shape}"
             )
 
-    @classmethod
-    def zeros(cls, grid: GrushinGrid) -> "Field":
-        return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
-
-    @classmethod
-    def from_function(cls, grid: GrushinGrid, fn) -> "Field":
-        """Sample fn(*x_prime_coords, *x_second_coords) on the grid."""
-        xp = np.meshgrid(
-            *([grid.prime.axis] * grid.prime.d1 + [grid.second_axis] * grid.d2),
-            indexing="ij",
-        )
-        return cls(grid, fn(*xp))
-
-    def norm_lp(self, p: float) -> float:
-        if p == np.inf:
-            return float(np.max(np.abs(self.values)))
-        if p <= 0:
-            raise DomainError("p must be positive or inf")
-        w = self.grid.cell_volume
-        return float((np.sum(np.abs(self.values) ** p) * w) ** (1.0 / p))
-
 
 def delta_field(grid: GrushinGrid, x_prime, x_second) -> Field:
     """Unit-mass discrete delta: indicator of one node divided by cell volume.
 
-    The values are real.
+    The node is found by GrushinGrid.locate, whose errors apply.
     """
     values = np.zeros(grid.shape)
     values[grid.locate(x_prime, x_second)] = 1.0 / grid.cell_volume
@@ -270,8 +249,8 @@ class MultiplierProfile:
     @classmethod
     def wave_cosine(cls, s: float) -> "MultiplierProfile":
         """cos(s sqrt(lam)); unbounded support, band-limited only by policy."""
-        if s < 0:
-            raise DomainError("propagation time must be >= 0")
+        if not 0 <= s < math.inf:
+            raise DomainError(f"propagation time must be finite and >= 0, got {s!r}")
         return cls(lambda lam: np.cos(s * np.sqrt(np.maximum(lam, 0.0))),
                    (0.0, np.inf), label=f"wave_cosine(s={s:g})")
 
@@ -280,18 +259,20 @@ class MultiplierProfile:
 class SpectralTruncation:
     """How far the discrete spectral decomposition is trusted.
 
-    k_max bounds the oscillator level used on every nonzero-frequency slice;
-    lambda_max caps the spectral support of any profile applied under this
-    policy on those slices.  The zero-frequency slice, where the operator
-    degenerates to a Euclidean Laplacian in x' only, has no levels and keeps
-    the profile's own support.
+    k_max, an integer >= 0, bounds the oscillator level used on every
+    nonzero-frequency slice; lambda_max caps the spectral support of any
+    profile applied under this policy on those slices.  The zero-frequency
+    slice, where the operator degenerates to a Euclidean Laplacian in x'
+    only, has no levels and keeps the profile's own support.
     """
 
     k_max: int
     lambda_max: float
 
     def __post_init__(self):
-        if self.k_max < 0:
-            raise DomainError("k_max must be >= 0")
+        # k > nan is always false: a NaN k_max would switch the level check off
+        if (not isinstance(self.k_max, (int, np.integer))
+                or isinstance(self.k_max, bool) or self.k_max < 0):
+            raise DomainError(f"k_max must be an integer >= 0, got {self.k_max!r}")
         if not 0 < self.lambda_max < math.inf:
             raise DomainError("lambda_max must be positive and finite")

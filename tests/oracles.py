@@ -15,7 +15,9 @@ it:
   half-lattice path is checked;
 - the weighted radial Gram matrix M M^T from the radial path's closed-form
   factor (compared with quadrature and mpmath in the radial tests);
-- the discrete inner product and the sharp indicator profile.
+- the discrete inner product and L^p norm of fields, fields sampled from a
+  function, the torus frequency labels in FFT order, and the sharp
+  indicator profile.
 """
 
 from __future__ import annotations
@@ -242,15 +244,37 @@ def indicator(lo: float, hi: float) -> MultiplierProfile:
                              (lo, hi), label=f"indicator[{lo:g},{hi:g}]")
 
 
-def inner(f: Field, g: Field) -> complex:
-    """<f, g> on the grid: linear in f, conjugate-linear in g."""
+def inner(f: Field, g: Field) -> float:
+    """<f, g> on the grid."""
     if g.grid != f.grid:
         raise ContractViolation("fields live on different grids")
-    return complex(np.vdot(g.values, f.values) * f.grid.cell_volume)
+    return float(np.vdot(g.values, f.values) * f.grid.cell_volume)
+
+
+def norm_lp(field: Field, p: float) -> float:
+    """Discrete L^p norm of a field, with the grid's cell volume; p may be inf."""
+    if p == np.inf:
+        return float(np.max(np.abs(field.values)))
+    if p <= 0:
+        raise DomainError("p must be positive or inf")
+    w = field.grid.cell_volume
+    return float((np.sum(np.abs(field.values) ** p) * w) ** (1.0 / p))
+
+
+def field_from_function(grid: GrushinGrid, fn) -> Field:
+    """Sample fn(*x_prime_coords, *x_second_coords) on the grid."""
+    xp = np.meshgrid(*([grid.prime.axis] * grid.prime.d1 + [grid.second_axis]),
+                     indexing="ij")
+    return Field(grid, fn(*xp))
+
+
+def xi_index(grid: GrushinGrid) -> np.ndarray:
+    """Integer torus frequency labels in FFT order."""
+    return np.rint(np.fft.fftfreq(grid.n_second) * grid.n_second).astype(int)
 
 
 def _full_lattice_phase(grid: GrushinGrid) -> np.ndarray:
-    return 1.0 - 2.0 * (np.abs(grid.xi_index) % 2)
+    return 1.0 - 2.0 * (np.abs(xi_index(grid)) % 2)
 
 
 def full_lattice_groups(grid: GrushinGrid) -> list:
@@ -258,7 +282,7 @@ def full_lattice_groups(grid: GrushinGrid) -> list:
 
     Each group but those of 0 and the Nyquist bin holds the pair +-m.
     """
-    key = grid.xi_index.astype(np.int64) ** 2
+    key = xi_index(grid).astype(np.int64) ** 2
     order = np.argsort(key, kind="stable")
     groups, start = [], 0
     for stop in range(1, order.size + 1):
@@ -275,16 +299,17 @@ def full_lattice_apply(profile: MultiplierProfile, field: Field,
 
     The engine's slice kernels weight each |xi| group by the real profile
     values, as in the engine; only the lattice handling differs: no
-    real-input half spectrum, no split of a complex field into its real and
-    imaginary parts.  The spectrum is complex, so the zero slice goes through
-    the complex-slab branch of _apply_xi_zero.
+    real-input half spectrum, and each +-xi pair goes through the slice
+    kernel together.  The zero bin of the real field's spectrum is real, and
+    its real part goes to _apply_xi_zero as the engine passes it.  The result
+    is complex; its imaginary part is rounding.
     """
     grid, prime = field.grid, field.grid.prime
     spacing = grid.second_spacing / np.sqrt(2.0 * np.pi)
     fh = np.fft.fft(field.values) * _full_lattice_phase(grid) * spacing
     for xi_mag, idx in full_lattice_groups(grid):
         if xi_mag == 0.0:
-            fh[..., idx] = _apply_xi_zero(profile, fh[..., idx], prime)
+            fh[..., idx] = _apply_xi_zero(profile, fh[..., idx].real, prime)
         elif slice_levels(profile, prime, xi_mag, trunc.k_max, trunc.lambda_max):
             fh[..., idx] = apply_slice_multiplier(profile, fh[..., idx], prime, xi_mag,
                                                   trunc.k_max, trunc.lambda_max)
