@@ -15,6 +15,23 @@ restores the others.
 
 The zero frequency is special: there the operator degenerates to the Euclidean
 Laplacian in x' alone, and the slice is handled by a zero-padded DFT multiplier.
+
+Kernel columns take no torus transform.  The half spectrum of a unit-mass
+delta at the node (y', k0) is known in closed form: bin m is one real x' slab
+D, 1/cell_volume at y' and 0 elsewhere, times e^{-2 pi i m k0 / n}.  So the
+column is
+
+    K(x', k) = (1/n) sum_m c_m cos(2 pi m (k - k0) / n) G_m(x'),
+
+G_m = F(L_{xi_m}) D, c_m = 1 at m = 0 and m = n/2 and 2 otherwise, and every
+slab G_m is real.  A nonzero bin keeps G_m factored as H_m^T Q_m: H_m is the
+bin's Hermite table along the first x' axis and Q_m holds the weighted
+coefficients with the other x' axes already synthesized.  The column is then
+filled one block of first-axis rows at a time: the rows of every G_m go into
+one buffer of at most _ROW_BLOCK_BYTES, and one real matrix product with the
+cosine waves writes that block of the column.  The full stack of slabs G_m
+(up to n/2 + 1 of them) is never formed: held at once it would stay resident
+in the heap beside the column.
 """
 
 from __future__ import annotations
@@ -23,19 +40,25 @@ import functools
 
 import numpy as np
 # bound at import, not looked up as np.fft.irfft at call time: the benchmark
-# tracer wraps np.fft.irfft as the L^1 path's span, and the engine's torus
-# transforms belong to its engine.fft span
+# tracer wraps np.fft.irfft as the L^1 path's span, and the torus transforms
+# of apply_multiplier (the only caller of partial_fourier and its inverse in
+# the program) belong to its engine.fft span
 from numpy.fft import irfft, rfft
 
 from .errors import DomainError, TruncationError
-from .fields import Field, GrushinGrid, MultiplierProfile, SpectralTruncation, delta_field
+from .fields import Field, GrushinGrid, MultiplierProfile, SpectralTruncation
 from .hermite import PrimeGrid
 from .oscillator import (
     _level_weights,
+    _tables,
     active_level_range,
     oscillator_synthesis,
     oscillator_transform,
 )
+
+# bound on each buffer of a kernel column besides the column itself, as on
+# the L^1 path's tiles
+_ROW_BLOCK_BYTES = 2 * 2 ** 20
 
 
 def _phase(grid: GrushinGrid) -> np.ndarray:
@@ -139,6 +162,19 @@ def slice_levels(profile: MultiplierProfile, prime: PrimeGrid, xi_mag: float,
     return range(k_lo, k_hi + 1)
 
 
+def _slice_weights(profile: MultiplierProfile, kept: range, xi_mag: float,
+                   d1: int) -> np.ndarray:
+    """Profile values over the coefficient tensor of one |xi| slice.
+
+    Entry nu is F((2|nu| + d1)|xi|) for the kept levels and 0 for the others;
+    the tensor has kept.stop entries along each of its d1 axes.
+    """
+    levels = _level_weights((kept.stop,), d1)
+    weights = profile((2 * levels + d1) * xi_mag)
+    weights[(levels < kept.start) | (levels >= kept.stop)] = 0.0
+    return weights
+
+
 def apply_slice_multiplier(profile: MultiplierProfile, f: np.ndarray, prime: PrimeGrid,
                            xi_mag: float, k_max: int, lambda_max: float) -> np.ndarray:
     """F(L_xi) f on one nonzero |xi| slice via the truncated eigenfunction expansion.
@@ -149,12 +185,10 @@ def apply_slice_multiplier(profile: MultiplierProfile, f: np.ndarray, prime: Pri
     """
     kept = slice_levels(profile, prime, xi_mag, k_max, lambda_max)
     if not kept:
-        return np.zeros(np.shape(f), dtype=complex)
+        return np.zeros_like(f)
     d1 = prime.d1
     coef = oscillator_transform(f, prime, xi_mag, kept[-1])
-    levels = _level_weights(coef.shape, d1)
-    weights = profile((2 * levels + d1) * xi_mag)
-    weights[(levels < kept.start) | (levels >= kept.stop)] = 0.0
+    weights = _slice_weights(profile, kept, xi_mag, d1)
     weights = weights.reshape(weights.shape + (1,) * (coef.ndim - d1))
     return oscillator_synthesis(coef * weights, prime, xi_mag)
 
@@ -162,6 +196,9 @@ def apply_slice_multiplier(profile: MultiplierProfile, f: np.ndarray, prime: Pri
 def apply_multiplier(profile: MultiplierProfile, field: Field,
                      trunc: SpectralTruncation) -> Field:
     """Apply F(L) to a field under the given truncation policy; the result is real.
+
+    This is the operator on general fields; on a delta it is the reference
+    that schwartz_kernel_column's closed-form path is tested against.
 
     Each nonzero bin m = 1 ... n/2 goes through apply_slice_multiplier, so
     the TruncationError conditions are those of slice_levels.  A field with
@@ -194,7 +231,56 @@ def schwartz_kernel_column(profile: MultiplierProfile, grid: GrushinGrid,
                            trunc: SpectralTruncation) -> Field:
     """Kernel column K_F(., y): the profile applied to a unit-mass node delta.
 
+    Equal, up to rounding, to apply_multiplier on delta_field(grid, y', y''),
+    with the same TruncationError raised at the same bin, but without a torus
+    transform.  The delta's half spectrum is the real x' slab D times
+    e^{-2 pi i m k0 / n} in bin m (module docstring), so the xi = 0 slab is
+    _apply_xi_zero of D, and each bin that slice_levels keeps takes
+    oscillator_transform of D, the level weights of apply_slice_multiplier
+    and a synthesis along every x' axis but the first.  Rows of the first x'
+    axis then go through one buffer of at most _ROW_BLOCK_BYTES (one row at
+    least): the first-axis synthesis of every bin fills it, and one real
+    product with the bins' cosine waves writes that block of the column.  No
+    complex array is made, and no grid-sized one but the column.
+
     y must be a grid node: an off-grid point raises ContractViolation, and a
     NaN or infinite coordinate DomainError.
     """
-    return apply_multiplier(profile, delta_field(grid, y_prime, y_second), trunc)
+    *foot, k0 = grid.locate(y_prime, y_second)
+    prime, n = grid.prime, grid.n_second
+    d1, n_rows = prime.d1, prime.n_points
+    row_size = n_rows ** (d1 - 1)
+    delta = np.zeros((n_rows,) * d1)
+    delta[tuple(foot)] = 1.0 / grid.cell_volume
+    zero = _apply_xi_zero(profile, delta, prime).reshape(n_rows, row_size)
+    bins, factors = [0], []
+    for m in range(1, n // 2 + 1):
+        xi_mag = m * grid.xi_spacing
+        kept = slice_levels(profile, prime, xi_mag, trunc.k_max, trunc.lambda_max)
+        if not kept:
+            continue
+        coef = oscillator_transform(delta, prime, xi_mag, kept[-1])
+        coef *= _slice_weights(profile, kept, xi_mag, d1)
+        table = _tables(prime, xi_mag, kept[-1])
+        for axis in range(1, d1):
+            coef = np.moveaxis(np.tensordot(table, coef, axes=(0, axis)), 0, axis)
+        bins.append(m)
+        factors.append((table, coef.reshape(kept.stop, row_size)))
+
+    bins = np.array(bins)
+    phase = np.outer(bins, np.arange(n) - k0) % n
+    weight = np.where((bins == 0) | (2 * bins == n), 1.0, 2.0) / n
+    waves = weight[:, None] * np.cos((2.0 * np.pi / n) * phase)
+
+    column = np.empty(grid.shape)
+    block = max(1, _ROW_BLOCK_BYTES // (8 * bins.size * row_size))
+    buffer = np.empty(min(block, n_rows) * bins.size * row_size)
+    for start in range(0, n_rows, block):
+        rows = slice(start, min(start + block, n_rows))
+        size = (rows.stop - start) * row_size
+        stack = buffer[:bins.size * size].reshape(bins.size, size)
+        stack[0] = zero[rows].ravel()
+        for slab, (table, coef) in zip(stack[1:], factors):
+            np.matmul(table[:, rows].T, coef, out=slab.reshape(-1, row_size))
+        np.matmul(stack.T, waves, out=column[rows].reshape(size, n))
+    return Field(grid, column)

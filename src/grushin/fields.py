@@ -255,6 +255,18 @@ class MultiplierProfile:
                    (0.0, np.inf), label=f"wave_cosine(s={s:g})")
 
 
+def check_k_max(k_max) -> None:
+    """DomainError unless k_max is an integer >= 0 (a bool is not one).
+
+    k > nan and k > inf are always false: a NaN or infinite k_max would
+    switch the level checks off, and a fractional one would be printed as a
+    level.
+    """
+    if (not isinstance(k_max, (int, np.integer))
+            or isinstance(k_max, bool) or k_max < 0):
+        raise DomainError(f"k_max must be an integer >= 0, got {k_max!r}")
+
+
 @dataclass(frozen=True)
 class SpectralTruncation:
     """How far the discrete spectral decomposition is trusted.
@@ -270,9 +282,6 @@ class SpectralTruncation:
     lambda_max: float
 
     def __post_init__(self):
-        # k > nan is always false: a NaN k_max would switch the level check off
-        if (not isinstance(self.k_max, (int, np.integer))
-                or isinstance(self.k_max, bool) or self.k_max < 0):
-            raise DomainError(f"k_max must be an integer >= 0, got {self.k_max!r}")
+        check_k_max(self.k_max)
         if not 0 < self.lambda_max < math.inf:
             raise DomainError("lambda_max must be positive and finite")

@@ -37,6 +37,7 @@ from scipy.linalg import toeplitz
 from scipy.special import gammaln
 
 from ..errors import DomainError, TruncationError
+from ..fields import check_k_max
 from ..oscillator import active_level_range
 
 __all__ = [
@@ -251,8 +252,7 @@ def _eigenvalue_cap(profile, gamma: float, torus_half_period: float,
         raise DomainError(f"gamma must be finite and >= 0, got {gamma!r}")
     if not 0.0 < torus_half_period < np.inf:
         raise DomainError("torus half period must be finite and positive")
-    if not k_max >= 0:
-        raise DomainError(f"k_max must be >= 0, got {k_max!r}")
+    check_k_max(k_max)
     if np.isnan(lambda_max):
         raise DomainError("lambda_max is NaN; pass inf for no cap")
     top = min(profile.support[1], lambda_max)

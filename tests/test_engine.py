@@ -388,7 +388,8 @@ def rel_l2(got, want):
 
 
 class TestHalfLatticeMatchesFullLattice:
-    """The half-lattice engine against the full-lattice complex FFT path."""
+    """The column path and the half-lattice engine against the full-lattice
+    complex FFT path."""
 
     def test_default_kernel_support_column(self):
         grid, tr = support_grid()
@@ -397,19 +398,87 @@ class TestHalfLatticeMatchesFullLattice:
         # as kernel_support_check builds it at level 0, t = 1
         profile = MultiplierProfile(
             lambda lam: piece(np.sqrt(np.maximum(lam, 0.0))), (0.0, np.inf))
-        delta = delta_field(grid, (0.0, 0.0), (0.0,))
-        col = apply_multiplier(profile, delta, tr)
-        assert col.values.dtype == np.float64
-        assert rel_l2(col.values, full_lattice_apply(profile, delta, tr)) <= 1e-12
+        assert_column_matches(profile, grid, (0.0, 0.0), (0.0,), tr,
+                              full_lattice=True)
 
     def test_benchmark_heat_column_off_axis(self, col_setup):
         grid, tr = col_setup
         ax = grid.prime.axis
-        delta = delta_field(grid, (ax[110], ax[83]), (grid.second_axis[37],))
-        heat = MultiplierProfile.heat(0.1)
-        col = apply_multiplier(heat, delta, tr)
-        assert col.values.dtype == np.float64
-        assert rel_l2(col.values, full_lattice_apply(heat, delta, tr)) <= 1e-12
+        assert_column_matches(MultiplierProfile.heat(0.1), grid,
+                              (ax[110], ax[83]), (grid.second_axis[37],), tr,
+                              full_lattice=True)
+
+
+def assert_column_matches(profile, grid, y_prime, y_second, tr,
+                          full_lattice=False):
+    """The column path against apply_multiplier on the delta, within 1e-12.
+
+    Each side is real; with full_lattice, both also match full_lattice_apply.
+    """
+    delta = delta_field(grid, y_prime, y_second)
+    col = schwartz_kernel_column(profile, grid, y_prime, y_second, tr).values
+    via_fft = apply_multiplier(profile, delta, tr).values
+    assert col.dtype == via_fft.dtype == np.float64
+    assert rel_l2(col, via_fft) <= 1e-12
+    if full_lattice:
+        full = full_lattice_apply(profile, delta, tr)
+        assert rel_l2(col, full) <= 1e-12
+        assert rel_l2(via_fft, full) <= 1e-12
+
+
+def nyquist_grid():
+    """d1 = 2, 16 torus points: the Nyquist bin m = 8 (|xi| = 16) keeps level 0."""
+    return (GrushinGrid(PrimeGrid(7.0, 64, 2), np.pi / 2, 16, 1),
+            SpectralTruncation(k_max=12, lambda_max=40.0))
+
+
+COLUMN_CASES = {
+    # unbounded profile: every bin up to lambda_max / d1 is active
+    "wave-off-axis": lambda: (MultiplierProfile.wave_cosine(1.0), *support_grid(),
+                              (140, 97), 5),
+    "d1=1": lambda: (MultiplierProfile.heat(0.1),
+                     GrushinGrid(PrimeGrid(8.0, 64, 1), np.pi / 2, 32, 1),
+                     SpectralTruncation(k_max=30, lambda_max=40.0), (37,), 5),
+    "d1=3": lambda: (MultiplierProfile.heat(0.05),
+                     GrushinGrid(PrimeGrid(7.0, 32, 3), np.pi / 2, 16, 1),
+                     SpectralTruncation(k_max=12, lambda_max=30.0),
+                     (19, 14, 11), 3),
+    "nyquist-active": lambda: (MultiplierProfile.wave_cosine(0.5), *nyquist_grid(),
+                               (40, 27), 11),
+}
+
+
+@pytest.mark.parametrize("case", COLUMN_CASES.values(), ids=COLUMN_CASES.keys())
+def test_column_matches_apply_multiplier(case):
+    profile, grid, tr, foot, k0 = case()
+    y_prime = tuple(grid.prime.axis[i] for i in foot)
+    assert_column_matches(profile, grid, y_prime, (grid.second_axis[k0],), tr)
+
+
+def test_nyquist_case_keeps_the_nyquist_bin():
+    grid, tr = nyquist_grid()
+    xi_top = grid.n_second // 2 * grid.xi_spacing
+    assert engine.slice_levels(MultiplierProfile.wave_cosine(0.5), grid.prime,
+                               xi_top, tr.k_max, tr.lambda_max)
+
+
+@pytest.mark.parametrize("grid, tr", [
+    # lambda_max high enough that the smallest slice needs k > k_max
+    (GrushinGrid(PrimeGrid(7.0, 64, 2), np.pi / 2, 128, 1),
+     SpectralTruncation(k_max=3, lambda_max=26.0)),
+    # wide profile on a narrow window: the grid cap trips first
+    (GrushinGrid(PrimeGrid(5.0, 64, 2), np.pi / 2, 32, 1),
+     SpectralTruncation(k_max=40, lambda_max=60.0)),
+], ids=["k-max", "grid-cap"])
+def test_column_truncation_error_matches_apply_multiplier(grid, tr):
+    foot = (grid.prime.axis[32], grid.prime.axis[32]), (grid.second_axis[3],)
+    heat = MultiplierProfile.heat(0.05)
+    with pytest.raises(TruncationError) as via_fft:
+        apply_multiplier(heat, delta_field(grid, *foot), tr)
+    with pytest.raises(TruncationError) as column:
+        schwartz_kernel_column(heat, grid, *foot, tr)
+    got, want = column.value, via_fft.value
+    assert (got.level, got.xi_mag, got.k_max) == (want.level, want.xi_mag, want.k_max)
 
 
 class TestWorkAndMemory:
@@ -480,8 +549,8 @@ class TestWorkAndMemory:
         assert engine._xi_zero_symbol(prime) is engine._xi_zero_symbol(prime)
 
     def test_real_column_holds_no_complex_grid_array(self):
-        # a real delta: the delta, its half spectrum and the column are each
-        # half a complex grid array
+        # the column is the only grid-sized array: no delta, no half
+        # spectrum, and every other buffer at most 2 MiB
         grid, tr = support_grid()
         profile = MultiplierProfile.wave_cosine(1.0)
         real_array_bytes = 8 * np.prod(grid.shape)
@@ -491,4 +560,23 @@ class TestWorkAndMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.2 * real_array_bytes
+        assert peak <= 1.25 * real_array_bytes
+
+    def test_column_takes_no_torus_transform(self, grid, trunc, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("torus transform called")
+
+        monkeypatch.setattr(engine, "rfft", refuse)
+        monkeypatch.setattr(engine, "irfft", refuse)
+        col = schwartz_kernel_column(MultiplierProfile.heat(0.2), grid,
+                                     (0.0, 0.0), (0.0,), trunc)
+        assert col.values.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_empty_slice_keeps_the_input_dtype(self, grid, dtype):
+        # no level of the band lies under lambda_max = 16 at |xi| = 2
+        f = np.ones(grid.prime.axis.shape * 2 + (3,), dtype=dtype)
+        out = engine.apply_slice_multiplier(indicator(1000.0, 2000.0), f,
+                                            grid.prime, 2.0, 12, 16.0)
+        assert out.dtype == dtype
+        assert out.shape == f.shape and not out.any()

@@ -331,6 +331,16 @@ BAD_RADIAL_INPUT = {
         lambda p: weighted_column_norms(p, [1.0], 0.25, 1.5, 40, NAN),
     "k_max=nan":
         lambda p: weighted_column_norms(p, [1.0], 0.25, 1.5, NAN, 24.0),
+    # k > inf never holds, so an infinite k_max would switch the level check
+    # off; a fractional one is no level
+    "k_max=inf":
+        lambda p: weighted_column_norms(p, [1.0], 0.25, 1.5, INF, 24.0),
+    "k_max=fractional":
+        lambda p: weighted_column_norms(p, [1.0], 0.25, 1.5, 3.5, 24.0),
+    "opnorm-k_max=inf":
+        lambda p: weighted_operator_norm(p, 0.25, 1.5, INF, 24.0),
+    "opnorm-k_max=fractional":
+        lambda p: weighted_operator_norm(p, 0.25, 1.5, 3.5, 24.0),
     "radial_gram-gamma=nan": lambda p: radial_gram(5, 2, NAN),
     "radial_gram-gamma=inf": lambda p: radial_gram(5, 2, INF),
     "laguerre_radial_table-s=nan":
