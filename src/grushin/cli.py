@@ -3,12 +3,14 @@
 Config format: UTF-8 text, one ``section.key = value`` entry per line, blank
 lines and ``#`` comment lines ignored.  Values are JSON fragments (numbers,
 strings, booleans, lists); a bare word parses as a string, and each value
-must have the type of its key's default.  Every kind fills unset keys from
-its runner's defaults and echoes the fully resolved configuration, so a
-report is reproducible from its own header alone.
+must have the type of its key's default.  The keys of a kind derive from its
+runner's signature, one key per keyword parameter, and an unset key takes
+the keyword's default.  Every run echoes the fully resolved configuration,
+so a report is reproducible from its own header alone.
 
-Exit codes: 0 success; 2 invalid configuration (the message names the
-offending field); 3 truncation or aliasing violation with diagnostics.
+Exit codes: 0 success; 2 invalid configuration or any other library error
+the configured values raise (the message names the cause); 3 truncation or
+aliasing violation with diagnostics.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .errors import AliasingError, ConfigError, DomainError, TruncationError
+from .errors import AliasingError, ConfigError, GrushinError, TruncationError
 from .lab.experiments import (
     ExperimentResult,
     bochner_riesz_sweep,
@@ -42,12 +44,21 @@ __all__ = ["main", "run_config", "parse_config_text", "CATALOG"]
 
 
 # ---------------------------------------------------------------------------
-# catalog: every experiment kind, what it verifies, its runner, and the runner
-# keyword each config key sets.  A key's default is its keyword's default in
-# the runner's signature; a keyword without one makes a required key.
+# catalog: every experiment kind, what it verifies, and its runner.  The
+# config keys of a kind are its runner's keywords, in signature order: the
+# keywords of _SECTION_KEYS take the key named there, every other keyword X
+# the key experiment.X.  A key's default is its keyword's default; a keyword
+# without one makes a required key.
 
 _COMMON_KEYS = {
     "output.dir": "runs",
+}
+
+_SECTION_KEYS = {
+    "torus_half_period": "grid.S", "prime_extent": "grid.X",
+    "n_prime": "grid.n_prime", "n_second": "grid.n_second",
+    "k_max": "truncation.k_max", "lambda_max": "truncation.lambda_max",
+    "d1": "dims.d1", "seed": "seed",
 }
 
 CATALOG: Dict[str, dict] = {
@@ -55,83 +66,43 @@ CATALOG: Dict[str, dict] = {
         "verifies": "norms of |x'|^gamma-weighted spectral bands grow as "
                     "R^((2 d2 + d1)(1/p - 1/2) - gamma)",
         "run": weighted_restriction_experiment,
-        "params": {
-            "experiment.gamma": "gamma", "experiment.radii": "radii",
-            "experiment.n_scan": "n_scan", "grid.S": "torus_half_period",
-            "truncation.k_max": "k_max",
-        },
     },
     "localized_restriction": {
         "verifies": "band norms on inputs confined to a small metric ball "
                     "scale as R^((d2 + d1)(1/p - 1/2)) times "
                     "|y'|^(gamma - d2 (1/p - 1/2))",
         "run": localized_restriction_experiment,
-        "params": {
-            "experiment.gamma": "gamma", "experiment.radii": "radii",
-            "experiment.y_values": "y_values",
-            "experiment.ball_radius": "ball_radius",
-            "experiment.y_fix": "y_fix", "experiment.r_fix": "r_fix",
-            "experiment.n_scan": "n_scan", "grid.S": "torus_half_period",
-            "truncation.k_max": "k_max",
-        },
     },
     "bochner_riesz": {
         "verifies": "uniform boundedness of the means (1 - L/R^2)_+^delta "
                     "above the critical exponent and blow-up below it",
         "run": bochner_riesz_sweep,
-        "params": {
-            "experiment.deltas": "deltas", "experiment.radii": "radii",
-            "experiment.points_per_wavelength": "points_per_wavelength",
-            "grid.S": "torus_half_period",
-        },
     },
     "multiplier_norm": {
         "verifies": "norms of the dilated family F(t L) stay within a fixed "
                     "multiple of a Sobolev norm of the profile, uniformly in t",
         "run": multiplier_norm_experiment,
-        "params": {
-            "experiment.sobolev_orders": "sobolev_orders",
-            "experiment.t_values": "t_values", "grid.S": "torus_half_period",
-        },
     },
     "heat_gaussian": {
         "verifies": "Gaussian-type decay of the heat kernel in the "
                     "quasi-distance with volume-normalized on-diagonal values",
         "run": heat_gaussian_check,
-        "params": {
-            "dims.d1": "d1", "experiment.times": "times",
-            "grid.S": "torus_half_period",
-        },
     },
     "kernel_support": {
         "verifies": "kernel columns of dyadic wave pieces keep at least 99% "
                     "of their L^2 mass inside kappa = 1.5 times the "
                     "propagation radius",
         "run": kernel_support_suite,
-        "params": {
-            "experiment.levels": "levels", "experiment.times": "times",
-            "experiment.kappas": "kappas", "grid.X": "prime_extent",
-            "grid.n_prime": "n_prime", "grid.S": "torus_half_period",
-            "grid.n_second": "n_second", "truncation.k_max": "k_max",
-            "truncation.lambda_max": "lambda_max",
-        },
     },
     "geometry_suite": {
         "verifies": "quasi-metric measure structure: branch-interface "
                     "continuity, quasi-triangle constant, ball-volume model "
                     "comparability, and doubling growth",
         "run": geometry_suite,
-        "params": {
-            "experiment.n_triples": "n_triples",
-            "experiment.mc_samples": "mc_samples", "seed": "seed",
-        },
     },
     "distance_table": {
         "verifies": "explicit quasi-distance values for chosen point pairs",
-        "run": distance_table,
-        "params": {
-            "experiment.pairs": "pairs",  # [[x', x'', y', y''], ...]
-        },
+        "run": distance_table,  # experiment.pairs = [[x', x'', y', y''], ...]
     },
 }
 
@@ -139,17 +110,22 @@ CATALOG: Dict[str, dict] = {
 _REQUIRED = inspect.Parameter.empty
 
 
-def _signature_defaults(entry: dict) -> Dict[str, object]:
-    parameters = inspect.signature(entry["run"]).parameters
-    defaults = {}
-    for key, arg in entry["params"].items():
-        default = parameters[arg].default
-        defaults[key] = list(default) if isinstance(default, tuple) else default
+def _derive_keys() -> Dict[str, Dict[str, object]]:
+    """Set each entry's "params", its config keys mapped to runner keywords,
+    from the runner's signature, and return each kind's key defaults."""
+    defaults: Dict[str, Dict[str, object]] = {}
+    for kind, entry in CATALOG.items():
+        entry["params"], defaults[kind] = {}, {}
+        for arg, parameter in inspect.signature(entry["run"]).parameters.items():
+            key = _SECTION_KEYS.get(arg, f"experiment.{arg}")
+            entry["params"][key] = arg
+            default = parameter.default
+            defaults[kind][key] = list(default) if isinstance(default, tuple) else default
     return defaults
 
 
-# read once, so that a runner replaced later keeps its kind's defaults
-_DEFAULTS = {kind: _signature_defaults(entry) for kind, entry in CATALOG.items()}
+# read once, so that a runner replaced later keeps its kind's keys and defaults
+_DEFAULTS = _derive_keys()
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +330,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"resolution violation ({type(exc).__name__}): {exc}",
               file=sys.stderr)
         return 3
-    except (ConfigError, DomainError) as exc:
+    except GrushinError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -255,16 +255,16 @@ class MultiplierProfile:
                    (0.0, np.inf), label=f"wave_cosine(s={s:g})")
 
 
-def check_k_max(k_max) -> None:
-    """DomainError unless k_max is an integer >= 0 (a bool is not one).
+def check_integer(value, name: str, minimum: int = 0) -> None:
+    """DomainError unless value is an integer >= minimum (a bool is not one).
 
     k > nan and k > inf are always false: a NaN or infinite k_max would
     switch the level checks off, and a fractional one would be printed as a
-    level.
+    level.  A fractional seed would fail inside numpy with a bare TypeError.
     """
-    if (not isinstance(k_max, (int, np.integer))
-            or isinstance(k_max, bool) or k_max < 0):
-        raise DomainError(f"k_max must be an integer >= 0, got {k_max!r}")
+    if (not isinstance(value, (int, np.integer))
+            or isinstance(value, bool) or value < minimum):
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -282,6 +282,6 @@ class SpectralTruncation:
     lambda_max: float
 
     def __post_init__(self):
-        check_k_max(self.k_max)
+        check_integer(self.k_max, "k_max")
         if not 0 < self.lambda_max < math.inf:
             raise DomainError("lambda_max must be positive and finite")

@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ContractViolation, DegenerateInputError, DomainError
-from .fields import GrushinGrid
+from .fields import GrushinGrid, check_integer
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,7 @@ def ball_volume_mc(x: MetricPoint, r: float, n_samples: int = 1_000_000,
         raise DomainError("radius must be positive and finite")
     if n_samples <= 0:
         raise DegenerateInputError("Monte-Carlo sample budget must be positive")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    check_integer(seed, "seed")
     d1, d2 = x.d1, x.d2
     a = max(r * r, r * (2.0 * x.prime_norm + r))
     box_vol = (2.0 * r) ** d1 * (2.0 * a) ** d2
@@ -175,6 +174,7 @@ def doubling_ratio(x: MetricPoint, r: float, lam: float,
     """Measured |B(x, lam r)| / |B(x, r)| by Monte Carlo."""
     if lam < 1:
         raise DomainError("doubling factor must be >= 1")
+    check_integer(seed, "seed")
     big, _ = ball_volume_mc(x, lam * r, n_samples, seed=seed * 2 + 1)
     small, _ = ball_volume_mc(x, r, n_samples, seed=seed * 2 + 2)
     return big / small

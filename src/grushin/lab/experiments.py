@@ -22,7 +22,13 @@ import numpy as np
 
 from ..engine import schwartz_kernel_column
 from ..errors import AliasingError, ContractViolation, DomainError
-from ..fields import GrushinGrid, MultiplierProfile, SpectralTruncation
+from ..fields import (
+    Dims,
+    GrushinGrid,
+    MultiplierProfile,
+    SpectralTruncation,
+    check_integer,
+)
 from ..geometry import (
     MetricPoint,
     ball_volume_mc,
@@ -70,7 +76,8 @@ class ExperimentResult:
 # The experiments measure the exact p = 1 endpoint (norms are exact column
 # maxima) for (d1, d2) = (2, 1); no experiment computes p > 1.  The slope
 # predictions keep the paper's general formulas.
-_D1, _D2, _P = 2, 1, 1.0
+_DIMS = Dims(2, 1)
+_D1, _D2, _P = _DIMS.d1, _DIMS.d2, 1.0
 
 
 def _restriction_precondition(gamma: float) -> None:
@@ -108,8 +115,8 @@ def band_profile(radius: float) -> MultiplierProfile:
 def weighted_restriction_experiment(
         gamma: float = 0.0,
         radii: Sequence[float] = (4.0, 8.0, 16.0, 32.0), *,
-        torus_half_period: float = math.pi, k_max: int = 4000,
-        n_scan: int = 97) -> ExperimentResult:
+        n_scan: int = 97, torus_half_period: float = math.pi,
+        k_max: int = 4000) -> ExperimentResult:
     """Fit the norm of |x'|^gamma-weighted band multipliers against R.
 
     For each R the exact 1 -> 2 norm of w_gamma F_R(sqrt(L)) is the supremum
@@ -119,7 +126,7 @@ def weighted_restriction_experiment(
     """
     _restriction_precondition(gamma)
     radii = _increasing(radii, "radii")
-    predicted = (2.0 * _D2 + _D1) * (1.0 / _P - 0.5) - gamma
+    predicted = _DIMS.homogeneous * (1.0 / _P - 0.5) - gamma
 
     rows: List[list] = []
     norms: List[float] = []
@@ -147,17 +154,18 @@ def localized_restriction_experiment(
         radii: Sequence[float] = (8.0, 16.0, 32.0),
         y_values: Sequence[float] = (1.5, 3.0, 6.0),
         ball_radius: float = 0.1875, *,
-        torus_half_period: float = math.pi, k_max: int = 4000,
-        n_scan: int = 17, y_fix: Optional[float] = None,
-        r_fix: Optional[float] = None) -> ExperimentResult:
+        y_fix: Optional[float] = None, r_fix: Optional[float] = None,
+        n_scan: int = 17, torus_half_period: float = math.pi,
+        k_max: int = 4000) -> ExperimentResult:
     """Two slopes for band multipliers localized to a small metric ball.
 
     The input is restricted to the ball of the given radius around a foot at
     prime height y; the exact 1 -> 2 norm is then the maximum weighted column
     norm over feet inside the ball, scanned along the prime radius.  Fitted
     are the slope in R at fixed y (prediction (d2 + d1)(1/p - 1/2)) and the
-    slope in y at fixed R (prediction gamma - d2 (1/p - 1/2)).  Every y must
-    satisfy y > 4 ball_radius to keep the ball away from the degenerate axis.
+    slope in y at fixed R (prediction gamma - d2 (1/p - 1/2)).  Every y,
+    y_fix among them, must satisfy y > 4 ball_radius to keep the ball away
+    from the degenerate axis.
     """
     _restriction_precondition(gamma)
     radii = _increasing(radii, "radii")
@@ -166,12 +174,12 @@ def localized_restriction_experiment(
         raise DomainError("ball_radius must be positive")
     if n_scan < 2:
         raise DomainError(f"n_scan must be >= 2 to span the ball, got {n_scan}")
-    bad = [y for y in y_values if not y > 4.0 * ball_radius]
+    y_fix = float(y_values[len(y_values) // 2] if y_fix is None else y_fix)
+    bad = [y for y in (*y_values, y_fix) if not y > 4.0 * ball_radius]
     if bad:
         raise DomainError(
             f"every ball center must satisfy y > 4 ball_radius = "
             f"{4 * ball_radius}; violated by y={bad[0]}")
-    y_fix = float(y_values[len(y_values) // 2] if y_fix is None else y_fix)
     r_fix = float(radii[-1] if r_fix is None else r_fix)
 
     def ball_norm(radius: float, y: float) -> float:
@@ -217,8 +225,8 @@ def localized_restriction_experiment(
 def bochner_riesz_sweep(
         deltas: Sequence[float] = (1.5, 0.2),
         radii: Sequence[float] = (4.0, 8.0, 16.0, 32.0, 64.0), *,
-        torus_half_period: float = math.pi / 2.0,
-        points_per_wavelength: float = 4.0) -> ExperimentResult:
+        points_per_wavelength: float = 4.0,
+        torus_half_period: float = math.pi / 2.0) -> ExperimentResult:
     """Uniformity of (1 - L/R^2)_+^delta norms across R, per delta.
 
     The exact 1 -> 1 norm of each mean is the largest column L^1 norm; by
@@ -238,10 +246,8 @@ def bochner_riesz_sweep(
     for delta in deltas:
         per_radius = []
         for radius in radii:
-            profile = MultiplierProfile(
-                lambda lam, R=radius, d=delta:
-                    np.maximum(0.0, 1.0 - np.asarray(lam) / (R * R)) ** d,
-                (0.0, radius * radius))
+            profile = MultiplierProfile.bochner_riesz(1.0 / (radius * radius),
+                                                      delta)
             best, best_u = 0.0, 0.0
             for u in (0.0, 1.0 / radius, 4.0 / radius):
                 val = l1_multiplier_norm(
@@ -371,7 +377,8 @@ def heat_gaussian_check(
     products p_t(y, y) V_model(y, sqrt(t)), whose spread across t and y is
     the two-sided comparability indicator.
     """
-    if not (isinstance(d1, int) and 1 <= d1 <= 3):
+    check_integer(d1, "d1", minimum=1)
+    if d1 > 3:
         raise DomainError(f"d1={d1!r} not supported; the heat kernel is "
                           "implemented for d1 = 1, 2, 3")
     times = [float(t) for t in times]
@@ -536,8 +543,8 @@ def kernel_support_suite(
                  "worst_fraction_outside": worst})
 
 
-def geometry_suite(seed: int = 0, n_triples: int = 100000,
-                   mc_samples: int = 1000000) -> ExperimentResult:
+def geometry_suite(n_triples: int = 100000, mc_samples: int = 1000000,
+                   seed: int = 0) -> ExperimentResult:
     """Bundle of quasi-metric measure checks at (d1, d2) = (2, 1).
 
     Four parts: exact equality of the two quasi-distance branches on the
@@ -547,11 +554,10 @@ def geometry_suite(seed: int = 0, n_triples: int = 100000,
     homogeneous-dimension growth (1 + lambda)^Q.
     """
     d1, d2 = _D1, _D2
-    if n_triples < 1 or mc_samples < 1:
-        raise DomainError("sample budgets must be positive")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    q_hom = d1 + 2 * d2
+    check_integer(n_triples, "n_triples", minimum=1)
+    check_integer(mc_samples, "mc_samples", minimum=1)
+    check_integer(seed, "seed")
+    q_hom = _DIMS.homogeneous
     rng = np.random.default_rng(seed)
     rows: List[list] = []
 

@@ -37,7 +37,7 @@ from scipy.linalg import toeplitz
 from scipy.special import gammaln
 
 from ..errors import DomainError, TruncationError
-from ..fields import check_k_max
+from ..fields import check_integer
 from ..oscillator import active_level_range
 
 __all__ = [
@@ -252,7 +252,7 @@ def _eigenvalue_cap(profile, gamma: float, torus_half_period: float,
         raise DomainError(f"gamma must be finite and >= 0, got {gamma!r}")
     if not 0.0 < torus_half_period < np.inf:
         raise DomainError("torus half period must be finite and positive")
-    check_k_max(k_max)
+    check_integer(k_max, "k_max")
     if np.isnan(lambda_max):
         raise DomainError("lambda_max is NaN; pass inf for no cap")
     top = min(profile.support[1], lambda_max)

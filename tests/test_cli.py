@@ -75,6 +75,7 @@ class TestExitCodes:
         "experiment.kind = localized_restriction\nexperiment.n_scan = 0\n",
         "experiment.kind = localized_restriction\nexperiment.n_scan = -1\n",
         "experiment.kind = geometry_suite\nseed = -1\n",
+        "experiment.kind = kernel_support\ngrid.n_prime = 255\n",
     ], ids=["unknown-kind", "unknown-key", "duplicate-key", "missing-pairs",
             "malformed-line", "missing-kind", "levels-times-mismatch",
             "non-integer-seed", "non-finite-sobolev-order", "nan-heat-time",
@@ -85,7 +86,7 @@ class TestExitCodes:
             "string-y-fix", "bool-k-max", "non-integer-level",
             "scalar-pairs", "three-part-pair", "nan-kappa", "infinite-time",
             "one-point-ball-scan", "zero-point-ball-scan",
-            "negative-ball-scan", "negative-seed"])
+            "negative-ball-scan", "negative-seed", "foot-off-the-grid"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, text):
         assert run(tmp_path, text) == 2
         assert "config error" in capsys.readouterr().err

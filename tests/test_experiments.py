@@ -102,6 +102,11 @@ class TestLocalizedRestriction:
         with pytest.raises(DomainError):
             localized_restriction_experiment(ball_radius=0.0)
 
+    def test_y_fix_must_stay_off_the_axis(self):
+        # the rule of y_values: 0.5 is below 4 ball_radius = 0.75
+        with pytest.raises(DomainError, match="violated by y=0.5"):
+            localized_restriction_experiment(y_fix=0.5, ball_radius=0.1875)
+
 
 class TestBochnerRiesz:
     def test_small_sweep_shape_and_ratio(self):
@@ -112,6 +117,14 @@ class TestBochnerRiesz:
         assert res.summary["ratios"]["1.5"] < 4.0
         # a multiplier with F(0) = 1 has L1 norm at least 1 (mass bound)
         assert all(row[2] >= 1.0 for row in res.rows)
+
+    def test_sharp_cutoff_runs_and_grows(self):
+        # delta = 0 is the sharp spectral cutoff 1[lambda < R^2], whose
+        # L1 norms grow without bound in R
+        res = bochner_riesz_sweep(deltas=(0.0,), radii=(4.0, 8.0, 16.0))
+        assert_well_formed(res, "bochner_riesz")
+        norms = [row[2] for row in res.rows]
+        assert all(b > 1.5 * a for a, b in zip(norms, norms[1:]))
 
     def test_rejects_negative_delta(self):
         with pytest.raises(DomainError):

@@ -15,10 +15,15 @@ from grushin.fields import (
     SpectralTruncation,
     delta_field,
 )
-from grushin.geometry import MetricPoint, ball_volume_mc, ball_volume_model
+from grushin.geometry import (
+    MetricPoint,
+    ball_volume_mc,
+    ball_volume_model,
+    doubling_ratio,
+)
 from grushin.hermite import PrimeGrid
 from grushin.lab.columns import heat_kernel_pointwise, l1_multiplier_norm
-from grushin.lab.experiments import heat_gaussian_check
+from grushin.lab.experiments import geometry_suite, heat_gaussian_check
 from grushin.lab.profiles import CutoffSpec, dyadic_pieces
 from grushin.lab.radial import weighted_column_norms
 from grushin.lab.reports import ScalingReport
@@ -229,6 +234,33 @@ class TestSpectralTruncation:
         "kernel-column-foot-nan"])
 def test_non_finite_parameters_raise_domain_error(build):
     with pytest.raises(DomainError):
+        build()
+
+
+@pytest.mark.parametrize("name,build", [
+    ("k_max", lambda: SpectralTruncation(True, 26.0)),
+    ("k_max", lambda: SpectralTruncation(2.0, 26.0)),
+    ("seed", lambda: geometry_suite(n_triples=10, mc_samples=10, seed=1.5)),
+    ("seed", lambda: geometry_suite(n_triples=10, mc_samples=10, seed=True)),
+    ("n_triples", lambda: geometry_suite(n_triples=2.5, mc_samples=10)),
+    ("mc_samples", lambda: geometry_suite(n_triples=10, mc_samples=10.5)),
+    ("seed", lambda: ball_volume_mc(MetricPoint((0.0, 0.0), (0.0,)), 1.0, 1000,
+                                    seed=1.5)),
+    ("seed", lambda: ball_volume_mc(MetricPoint((0.0, 0.0), (0.0,)), 1.0, 1000,
+                                    seed=True)),
+    ("seed", lambda: doubling_ratio(MetricPoint((0.0, 0.0), (0.0,)), 1.0, 2.0,
+                                    1000, seed=1.5)),
+    ("seed", lambda: doubling_ratio(MetricPoint((0.0, 0.0), (0.0,)), 1.0, 2.0,
+                                    1000, seed=True)),
+    ("d1", lambda: heat_gaussian_check(d1=True)),
+    ("d1", lambda: heat_gaussian_check(d1=2.0)),
+    ("d1", lambda: heat_gaussian_check(d1=0)),
+], ids=["k-max-bool", "k-max-float", "suite-seed-fractional", "suite-seed-bool",
+        "suite-triples-fractional", "suite-samples-fractional",
+        "ball-seed-fractional", "ball-seed-bool", "doubling-seed-fractional",
+        "doubling-seed-bool", "heat-d1-bool", "heat-d1-float", "heat-d1-zero"])
+def test_integer_parameters_refuse_other_values(name, build):
+    with pytest.raises(DomainError, match=f"{name} must be an integer >= "):
         build()
 
 
