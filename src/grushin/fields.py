@@ -106,13 +106,16 @@ class GrushinGrid:
             raise DomainError(f"point ({x_prime}, {x_second}) has a NaN or "
                               "infinite coordinate")
         idx = []
-        for value, axis, h in (
-            *((v, self.prime.axis, self.prime.spacing) for v in x_prime),
-            *((v, self.second_axis, self.second_spacing) for v in x_second),
+        for value, name, axis, h in (
+            *((v, "prime", self.prime.axis, self.prime.spacing)
+              for v in x_prime),
+            *((v, "torus", self.second_axis, self.second_spacing)
+              for v in x_second),
         ):
             j = int(np.rint((value - axis[0]) / h))
             if j < 0 or j >= axis.size or abs(axis[j] - value) > 1e-9 * h:
-                raise ContractViolation(f"coordinate {value!r} is not a grid node")
+                raise ContractViolation(f"{name} coordinate {float(value)!r} "
+                                        "is not a grid node")
             idx.append(j)
         return tuple(idx)
 

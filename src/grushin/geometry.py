@@ -147,6 +147,7 @@ def ball_volume_mc(x: MetricPoint, r: float, n_samples: int = 1_000_000,
         raise DomainError("radius must be positive and finite")
     if n_samples <= 0:
         raise DegenerateInputError("Monte-Carlo sample budget must be positive")
+    check_integer(n_samples, "n_samples", minimum=1)
     check_integer(seed, "seed")
     d1, d2 = x.d1, x.d2
     a = max(r * r, r * (2.0 * x.prime_norm + r))

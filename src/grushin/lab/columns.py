@@ -3,14 +3,17 @@
 Two tools live here, both specialized to two prime coordinates and one torus
 coordinate and both choosing their own discretizations:
 
-* an L^1 norm for multiplier kernel columns, split into a small core square
-  in x' that carries every torus frequency and a wide bulk zone where only
-  the low frequencies can reach (higher slabs die off inside the core); the
-  bulk's few bins are summed over the torus by a half-period cosine matrix
-  product, the core's many by irfft, both a cache-sized chunk of lines at a
-  time, from Hermite tables built once per slab and call, and
+* an L^1 norm for multiplier kernel columns over nested square frames in
+  x': slab j of the torus transform dies past its reach r_j from the
+  origin, so the innermost square carries every slab and each frame past it
+  only the slabs that reach past its inner edge, at its own torus sampling;
+  a frame of few slabs is summed over the torus by a half-period cosine
+  matrix product, the innermost square and a frame of many by irfft, both a
+  cache-sized chunk of lines at a time, from Hermite tables built once per
+  slab and call, and
 * a closed-form heat kernel evaluator built from the oscillator semigroup
-  kernel per frequency, with no level truncation at all.
+  kernel per frequency, with no level truncation at all, over scalar points
+  or arrays of them.
 
 Unlike the radial norm path, these include the zero torus frequency: its
 slab is the free-plane functional calculus of the multiplier, entering the
@@ -46,9 +49,12 @@ __all__ = [
 # tens of MB made a process's peak RSS depend on the order of its calls
 _BLOCK_BUDGET = float(1 << 18)
 # floats of the buffer that the torus samples of |K| go through, a chunk of
-# lines at a time (1 MiB, so it stays in cache): about 2 000 lines at the
-# bulk's n_fft = 128
+# lines at a time (1 MiB, so it stays in cache): about 2 000 lines at
+# n_fft = 128
 _CHUNK_SAMPLES = 1 << 17
+# a frame past the innermost square with at most this many torus slabs sums
+# |K| by the half-period cosine product, a larger one by irfft
+_COSINE_MAX_BINS = 64
 # values of one block of the zero slab's Bessel matrix J_0(r rho)
 _J0_BLOCK = 1 << 18
 
@@ -165,6 +171,33 @@ def _cosine_abs_sums(table: np.ndarray, spec: np.ndarray,
     return sums.reshape(spec.shape[1:])
 
 
+def _reach(top: float, xi):
+    """Half width in x' past which the slab at torus frequency xi has died.
+
+    The slab's levels stop at eigenvalue top, so its Hermite functions turn
+    inside the classical radius sqrt(top + 2 xi) / xi; 4 / sqrt(xi) past it
+    their sub-Gaussian tails are spent.  Decreasing in xi.
+    """
+    return np.sqrt(top + 2.0 * xi) / xi + 4.0 / np.sqrt(xi)
+
+
+def _frames(reach: np.ndarray, inner: float, extent: float):
+    """Nested square frames of the x' domain as (w_in, w_out, bins).
+
+    reach[j - 1] is the reach of slab j.  The innermost square, from 0 to
+    half width inner, carries every slab; past it the half widths double out
+    to extent, and the frame from w_in to w_out carries the slabs 1..bins
+    that reach past w_in.
+    """
+    frames = [(0.0, inner, reach.size)]
+    w = inner
+    while w < extent:
+        frames.append((w, min(2.0 * w, extent),
+                       int(np.count_nonzero(reach > w))))
+        w *= 2.0
+    return frames
+
+
 def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
                        lambda_max: float | None = None,
                        points_per_wavelength: float = 4.0,
@@ -173,28 +206,36 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
                        extent: float | None = None) -> float:
     """L^1 norm of the multiplier kernel column based at ((u, 0), 0).
 
-    The x' integration splits at a core square of half width core_half_width:
-    inside, every torus frequency contributes and the frequency count sets
-    the FFT size; outside, only frequencies reaching past the core survive
-    (the rest are cut off exponentially at their classical radius), which
-    keeps the wide zone's torus samples few.  Each zone samples |K| at its
-    own n_fft torus points per line: the core, whose bins grow like the
-    square of the scale, by irfft; the bulk, whose bins grow only like the
-    scale, by one product with a half-period cosine table, as per-line FFT
-    overhead would outweigh its few bins.  Each slab's Hermite table is
-    built once per call, on the x1 points of the widest zone that carries
-    the slab; its x1 >= 0 tail serves as the x2 table.  At u = 0 the column
-    is even in x1 as in x2, so both zones sum x1 >= 0 only, with the x2
-    weights.  xi_zero_radial overrides the radial profile used for the
-    zero-frequency slab (closed forms beat quadrature when available);
-    default is the Hankel quadrature of the profile.
+    Slab j of the torus transform, at frequency xi_j = j pi / S, dies past
+    its reach r_j = sqrt(lambda + 2 xi_j) / xi_j + 4 / sqrt(xi_j) from the
+    origin of x', with lambda the eigenvalue cap.  So the x' domain is tiled
+    by nested square frames: the innermost square, of half width
+    core_half_width (default r_{j_max}, the reach of the last slab), carries
+    every slab, and the frames past it, of half widths doubling out to the
+    extent (default r_1), carry only the slabs that reach past their inner
+    edge.  Each frame samples |K| at its own n_fft torus points per line,
+    4 (bins + 1) rounded up to a power of 2.  The innermost square goes by
+    irfft, so the dense reference below stays apart from the cosine
+    product; a frame past it goes by one product with a half-period cosine
+    table when it carries at most _COSINE_MAX_BINS slabs, where per-line FFT
+    overhead would outweigh the few bins, and by irfft past that.  A frame
+    is summed as its strips (the top strip over its full width, the side
+    strips below it), so no line is computed twice or left out.  Each
+    slab's Hermite table is built once per call, on the x1 rows of the
+    widest frame that carries the slab; its x1 >= 0 tail serves as the x2
+    table.  At u = 0 the column is even in x1 as in x2, so only x1 >= 0 is
+    summed, with the x2 weights.  xi_zero_radial overrides the radial
+    profile used for the zero-frequency slab (closed forms beat quadrature
+    when available); default is the Hankel quadrature of the profile.  With
+    no torus slab below the cap (j_max = 0) the default is one frame holding
+    the zero slab alone.
 
     The modulus of a band-limited kernel is not band-limited, so the torus
     integral of |K| carries a residual resolution error; fft_oversample
-    doubles the bin count that many times for convergence studies.  Setting
-    core_half_width beyond the resolved region degenerates the split into a
-    dense all-frequency evaluation, useful as a reference.  extent overrides
-    the integration half width in x'.  Non-finite arguments raise
+    doubles the bin count that many times for convergence studies.  A
+    core_half_width past the extent makes the innermost square the whole
+    domain, a dense all-frequency evaluation useful as a reference.  extent
+    overrides the integration half width in x'.  Non-finite arguments raise
     DomainError; lambda_max None or inf leaves the support edge as the cap,
     and a cap below the edge where |F| > 1e-14 raises DomainError.
     """
@@ -227,18 +268,22 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     if points_per_wavelength < 2.0:
         raise DomainError("need at least 2 points per wavelength")
     dxi = np.pi / torus_half_period
-    scale = np.sqrt(top)
-    dx = 2.0 * np.pi / (points_per_wavelength * scale)
+    dx = 2.0 * np.pi / (points_per_wavelength * np.sqrt(top))
     j_max = int(np.floor(top / (2.0 * dxi) + 1e-12))
+    reach = _reach(top, dxi * np.arange(1, j_max + 1))
     if extent is None:
-        # classical radius of the last slab plus a sub-Gaussian tail margin;
         # too narrow when the spectrum sits far below the first slab, so
         # slowly decaying near-planar kernels should pass extent explicitly
-        extent = np.sqrt(top + 2.0 * dxi) / dxi + 4.0 / np.sqrt(dxi)
+        extent = float(_reach(top, dxi))
     elif extent <= 0 or not np.isfinite(extent):
         raise DomainError("extent must be finite and positive")
     if abs(u) > extent / 2.0:
         raise DomainError("column foot u is outside the resolved region")
+    if core_half_width is None:
+        core_half_width = reach[-1] if j_max else extent
+    if fft_oversample < 1:
+        raise DomainError("fft_oversample must be >= 1")
+    over = 1 << max(0, int(np.ceil(np.log2(fft_oversample))))
     n_half = int(np.ceil(extent / dx))
     ax2 = dx * np.arange(0, n_half + 1)  # even in x2: half grid, weight 2
     w2 = np.full(ax2.size, 2.0)
@@ -250,23 +295,28 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
         ax1 = dx * np.arange(-n_half, n_half + 1)
         w1 = np.ones(ax1.size)
     tail = ax1.size - ax2.size  # ax1[tail:] is ax2, bit for bit
-    if core_half_width is None:
-        core_half_width = max(1.5, 2.5 * abs(u) + 1.5)
-    if fft_oversample < 1:
-        raise DomainError("fft_oversample must be >= 1")
-    over = 1 << max(0, int(np.ceil(np.log2(fft_oversample))))
-    j_split = min(j_max, int(np.ceil(1.35 * scale / core_half_width / dxi)) + 2)
-    n_fft_core = over << int(np.ceil(np.log2(4 * j_max + 4)))
-    n_fft_bulk = over << int(np.ceil(np.log2(4 * j_split + 4)))
-    # the core square is x1 in ax1[core], x2 in ax2[:n_core]
-    n_core = int(np.count_nonzero(ax2 <= core_half_width))
-    core = slice(max(0, tail - n_core + 1), tail + n_core)
+
+    def nodes(w):
+        # x2 nodes below half width w; the last frame takes the grid's edge
+        return ax2.size if w >= extent else int(np.count_nonzero(ax2 < w))
+
+    def span(n):
+        # the x1 rows within the n nodes of half width
+        return slice(max(0, tail - n + 1), tail + n)
+
+    frames = [(nodes(w_in), nodes(w_out), bins)
+              for w_in, w_out, bins in _frames(reach, core_half_width, extent)]
+    # slab j's tables cover the widest frame that carries it
+    widest = np.zeros(j_max + 1, dtype=int)
+    for _, n_out, bins in frames:
+        widest[1:bins + 1] = n_out
 
     if xi_zero_radial is None:
         def xi_zero_radial(r, _p=profile, _t=top):
             return planar_radial_kernel(_p, r, _t)
     # cubic spline of the radial zero slab at 16 samples per wavelength:
-    # interpolation error ~(scale dr)^4 stays below the zone-split error
+    # interpolation error ~(sqrt(top) dr)^4 stays below the torus sampling
+    # error
     r_grid = np.arange(0.0, extent * 2.83 + 2.0 * dx, 0.25 * dx)
     zero_slab = CubicSpline(r_grid, np.asarray(xi_zero_radial(r_grid),
                                                dtype=float))
@@ -276,12 +326,11 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
         xi = j * dxi
         return max(0, int(np.floor((top / xi - 2.0) / 2.0 + 1e-12)))
 
-    # per slab, whatever no tile changes, from one Hermite table H1 on
-    # the x1 rows of the widest zone carrying it (the bulk up to j_split,
-    # the core past it): P = H1^T C (-1)^j xi, and T2, the even rows of H1 on
-    # the x1 >= 0 tail, which is the x2 axis.  The factor xi is the slab's
-    # weight in the torus transform; the alternating sign recenters the
-    # transform on [-S, S)
+    # per slab, whatever no tile changes, from one Hermite table H1 on the
+    # x1 rows of its widest frame: P = H1^T C (-1)^j xi, and T2, the even
+    # rows of H1 on the x1 >= 0 tail, which is the x2 axis.  The factor xi
+    # is the slab's weight in the torus transform; the alternating sign
+    # recenters the transform on [-S, S)
     slabs = {}
     # column 0 holds h_m(0), column j holds h_m at slab j's sqrt(xi) u
     h_0u = hermite_table(slab_level(1),
@@ -290,97 +339,118 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
         k_cap, xi = slab_level(j), j * dxi
         C, even = _kernel_slab_coeff(profile, xi, k_cap, h_0u[:, j],
                                      h_0u[:, 0], top)
-        rows = slice(0, ax1.size) if j <= j_split else core
+        rows = span(widest[j])
         H1 = hermite_table(k_cap, np.sqrt(xi) * ax1[rows])
         slabs[j] = (rows.start, H1.T @ (C * ((-1) ** j * xi)),
                     H1[even, tail - rows.start:])
 
-    def accumulate(rows, n2, j_list, n_fft, by_cosines, wgt):
-        # the zone's lines are x1 in ax1[rows], x2 in ax2[:n2], with weights
-        # wgt; a zero weight leaves a line out
-        if not wgt.any():
-            return 0.0
-        x1, x2 = ax1[rows], ax2[:n2]
-        # bins past the last slab are zero, so the spectrum stops there.  The
-        # lines go by tiles of about as many x1 rows as x2 columns, so the
-        # P T2 products are thin in neither; one spectrum buffer serves every
-        # tile, a short one as a prefix
-        n_bins = max(j_list, default=0) + 1
+    def strip_sum(rows, cols, bins, n_fft, table, out):
+        # weighted sum of the torus sums of |K| over the lines x1 in
+        # ax1[rows], x2 in ax2[cols].  Bins past the frame's last slab are
+        # zero, so the spectrum stops there.  The lines go by tiles of about
+        # as many x1 rows as x2 columns, so the P T2 products are thin in
+        # neither; one spectrum buffer serves every tile, a short one as a
+        # prefix
+        x1, x2, v1, v2 = ax1[rows], ax2[cols], w1[rows], w2[cols]
+        n_bins = bins + 1
         tile = max(1, int(_BLOCK_BUDGET / n_bins))
-        n_cols = min(n2, max(1, int(np.sqrt(tile))))
+        n_cols = min(x2.size, max(1, int(np.sqrt(tile))))
         n_rows = min(x1.size, max(1, tile // n_cols))
         spec_buf = np.empty(n_bins * n_rows * n_cols)
-        if by_cosines:
-            table = _half_period_cosines(n_bins, n_fft)
-            out = np.empty(max(_CHUNK_SAMPLES, table.shape[0]))
-        else:
-            chunk = max(1, _CHUNK_SAMPLES // n_fft)
-            out = np.empty((chunk, n_fft))
         acc = 0.0
         for i0 in range(0, x1.size, n_rows):
             i1 = min(x1.size, i0 + n_rows)
-            for c0 in range(0, n2, n_cols):
-                c1 = min(n2, c0 + n_cols)
+            for c0 in range(0, x2.size, n_cols):
+                c1 = min(x2.size, c0 + n_cols)
                 spec = spec_buf[:n_bins * (i1 - i0) * (c1 - c0)]
                 spec = spec.reshape(n_bins, i1 - i0, c1 - c0)
                 rr = np.sqrt((x1[i0:i1, None] - u) ** 2
                              + x2[None, c0:c1] ** 2)
                 spec[0] = zero_slab(rr)
-                for j in j_list:
+                for j in range(1, n_bins):
                     start, P, T2 = slabs[j]
                     a = rows.start - start + i0
-                    np.matmul(P[a:a + i1 - i0], T2[:, c0:c1], out=spec[j])
-                if by_cosines:
+                    np.matmul(P[a:a + i1 - i0],
+                              T2[:, cols.start + c0:cols.start + c1],
+                              out=spec[j])
+                if table is not None:
                     sums = _cosine_abs_sums(table, spec, out)
                 else:
                     # irfft zero-pads the spectrum to n_fft // 2 + 1 bins
                     lines = np.moveaxis(spec, 0, -1).reshape(-1, n_bins)
                     sums = np.empty(lines.shape[0])
+                    chunk = out.shape[0]
                     for l0 in range(0, lines.shape[0], chunk):
                         l1 = min(lines.shape[0], l0 + chunk)
                         vals = np.fft.irfft(lines[l0:l1], n=n_fft,
                                             out=out[:l1 - l0])
                         np.abs(vals, out=vals).sum(axis=1, out=sums[l0:l1])
                     sums = sums.reshape(i1 - i0, c1 - c0)
-                acc += float((sums * wgt[i0:i1, c0:c1]).sum())
+                acc += float(v1[i0:i1] @ sums @ v2[c0:c1])
         return acc
 
-    wgt = w1[:, None] * w2[None, :]
-    core_wgt = wgt[core, :n_core].copy()
-    wgt[core, :n_core] = 0.0  # the bulk zone is what the core leaves
-    total = accumulate(slice(0, ax1.size), ax2.size, range(1, j_split + 1),
-                       n_fft_bulk, by_cosines=True, wgt=wgt)
-    total += accumulate(core, n_core, range(1, j_max + 1), n_fft_core,
-                        by_cosines=False, wgt=core_wgt)
+    total = 0.0
+    for n_in, n_out, bins in frames:
+        if n_out <= n_in:
+            continue
+        n_fft = over << int(np.ceil(np.log2(4 * bins + 4)))
+        if n_in and bins <= _COSINE_MAX_BINS:
+            table = _half_period_cosines(bins + 1, n_fft)
+            out = np.empty(max(_CHUNK_SAMPLES, table.shape[0]))
+        else:
+            table = None
+            out = np.empty((max(1, _CHUNK_SAMPLES // n_fft), n_fft))
+        # the top strip over the frame's full width, then the side strips
+        # below it: x1 past the inner edge, and at u != 0 before it
+        strips = [(span(n_out), slice(n_in, n_out))]
+        if n_in:
+            strips.append((slice(tail + n_in, tail + n_out), slice(0, n_in)))
+            if tail:
+                strips.append((slice(tail - n_out + 1, tail - n_in + 1),
+                               slice(0, n_in)))
+        for rows, cols in strips:
+            total += strip_sum(rows, cols, bins, n_fft, table, out)
     return total * dx * dx
 
 
 _HEAT_MAX_TERMS = 10 ** 6  # each term array then holds at most 8 MB
+# terms of one block of points: the points go through the frequency sum as
+# many at a time as keep each term array at 1 MiB, or one at a time
+_HEAT_BLOCK_TERMS = 1 << 17
 
 
-def heat_kernel_pointwise(x, y, t: float, torus_half_period: float) -> float:
+def heat_kernel_pointwise(x, y, t: float, torus_half_period: float):
     """Heat kernel p_t(x, y) on the torus-compactified model, closed form.
 
     Per torus frequency the prime-coordinate factor is the oscillator
     semigroup kernel (a Gaussian in disguise), so there is no level
     truncation anywhere: the frequency sum is cut only where its terms fall
-    below machine noise.  Points are (x_prime_tuple, x_second_tuple) with
-    one torus coordinate; any prime dimension up to 3.  A sum of more than
-    _HEAT_MAX_TERMS terms raises DomainError.
+    below machine noise.  Points are (x_prime, x_second) pairs with the
+    coordinates along the last axis: any prime dimension up to 3 and one
+    torus coordinate.  Scalar points such as ((a, b), (c,)) give a float;
+    arrays of points give an array, their leading axes broadcast against
+    each other.  A sum of more than _HEAT_MAX_TERMS terms raises DomainError.
     """
     if not 0 < t < np.inf:
         raise DomainError("time must be positive and finite")
     if not 0 < torus_half_period < np.inf:
         raise DomainError("torus half period must be positive and finite")
-    xp = np.asarray(x[0], dtype=float)
-    yp = np.asarray(y[0], dtype=float)
-    if xp.shape != yp.shape or xp.ndim != 1 or not (1 <= xp.size <= 3):
+    xp, xs, yp, ys = (np.asarray(v, dtype=float)
+                      for v in (x[0], x[1], y[0], y[1]))
+    if (xp.ndim == 0 or yp.ndim == 0 or xp.shape[-1] != yp.shape[-1]
+            or not 1 <= xp.shape[-1] <= 3):
         raise DomainError("prime parts must match with dimension 1..3")
-    if len(x[1]) != 1 or len(y[1]) != 1:
+    if xs.ndim == 0 or ys.ndim == 0 or xs.shape[-1] != 1 or ys.shape[-1] != 1:
         raise DomainError("exactly one torus coordinate is supported")
-    d1 = xp.size
-    ds = float(x[1][0]) - float(y[1][0])
-    dp2 = float(np.sum((xp - yp) ** 2))
+    try:
+        shape = np.broadcast_shapes(*(v.shape[:-1] for v in (xp, xs, yp, ys)))
+    except ValueError:
+        raise DomainError("the points' leading axes do not broadcast") from None
+    d1 = xp.shape[-1]
+    xp, yp = (np.broadcast_to(v, shape + (d1,)).reshape(-1, d1)
+              for v in (xp, yp))
+    ds = np.broadcast_to(xs - ys, shape + (1,)).reshape(-1)
+    dp2 = np.sum((xp - yp) ** 2, axis=-1)
     # the sum runs until e^{-2 t xi} reaches e^{-46}: 46 S / (2 pi t) terms
     terms = 23.0 * torus_half_period / (np.pi * t)
     if terms > _HEAT_MAX_TERMS:
@@ -397,10 +467,16 @@ def heat_kernel_pointwise(x, y, t: float, torus_half_period: float) -> float:
     one_m = 1.0 - rho * rho
     factor = xi ** (d1 / 2.0) * np.exp(-d1 * t * xi) \
         * (np.pi * one_m) ** (-d1 / 2.0)
-    expo = np.zeros_like(xi)
-    for a in range(d1):
-        sa, sb = xi ** 0.5 * xp[a], xi ** 0.5 * yp[a]
-        ss = sa * sa + sb * sb
-        expo += (2.0 * sa * sb * rho - ss * rho * rho) / one_m - 0.5 * ss
-    total += 2.0 * float(np.sum(np.cos(xi * ds) * factor * np.exp(expo)))
-    return total / (2.0 * torus_half_period)
+    root = xi ** 0.5
+    step = max(1, _HEAT_BLOCK_TERMS // j_max)
+    for p0 in range(0, ds.size, step):
+        p1 = min(ds.size, p0 + step)
+        expo = np.zeros((p1 - p0, j_max))
+        for a in range(d1):
+            sa, sb = root * xp[p0:p1, a, None], root * yp[p0:p1, a, None]
+            ss = sa * sa + sb * sb
+            expo += (2.0 * sa * sb * rho - ss * rho * rho) / one_m - 0.5 * ss
+        total[p0:p1] += 2.0 * np.sum(np.cos(xi * ds[p0:p1, None]) * factor
+                                     * np.exp(expo), axis=-1)
+    total /= 2.0 * torus_half_period
+    return float(total[0]) if shape == () else total.reshape(shape)

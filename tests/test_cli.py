@@ -92,6 +92,14 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_foot_off_the_grid_names_the_axis(self, tmp_path, capsys):
+        # 255 prime nodes on [-22, 22] leave 0, the foot's coordinate, between
+        # two nodes
+        assert run(tmp_path, "experiment.kind = kernel_support\n"
+                             "grid.n_prime = 255\n") == 2
+        assert ("config error: prime coordinate 0.0 is not a grid node"
+                in capsys.readouterr().err)
+
     def test_non_finite_number_names_its_key(self, tmp_path, capsys):
         assert run(tmp_path, "experiment.kind = kernel_support\n"
                              "experiment.kappas = [1.1, [NaN]]\n") == 2

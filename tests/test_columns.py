@@ -83,8 +83,8 @@ class TestL1MultiplierNorm:
         assert norm == pytest.approx(1.0, abs=1e-4)
 
     def test_zone_split_matches_dense_evaluation(self):
-        # the split core/bulk accounting must agree with the dense reference
-        # (core zone covering the whole domain) on the same discretization
+        # the nested frames must agree with the dense reference (an innermost
+        # square covering the whole domain) on the same discretization
         for radius, delta, u in ((4.0, 0.5, 0.1), (8.0, 0.2, 0.0)):
             closed = lambda r: bochner_riesz_radial_kernel(radius, delta, r)
             split = l1_multiplier_norm(br_profile(radius, delta), S, u=u,
@@ -95,6 +95,68 @@ class TestL1MultiplierNorm:
                                        xi_zero_radial=closed,
                                        core_half_width=1e9)
             assert abs(split - dense) / dense < 1e-4
+
+    @pytest.mark.parametrize("radius", [4.0, 8.0, 16.0])
+    @pytest.mark.parametrize("delta", [1.5, 0.2])
+    @pytest.mark.parametrize("foot", [0.0, 1.0, 4.0], ids=["u=0", "u=1/R",
+                                                          "u=4/R"])
+    def test_frames_match_dense_evaluation(self, radius, delta, foot):
+        # a frame leaves out the slabs that have died inside its inner edge;
+        # the dense reference keeps every slab everywhere, at the n_fft of
+        # the whole spectrum
+        args = dict(u=foot / radius, lambda_max=radius ** 2,
+                    xi_zero_radial=lambda r: bochner_riesz_radial_kernel(
+                        radius, delta, r))
+        framed = l1_multiplier_norm(br_profile(radius, delta), S, **args)
+        dense = l1_multiplier_norm(br_profile(radius, delta), S,
+                                   core_half_width=1e9, **args)
+        assert abs(framed - dense) / dense < 1e-4
+
+    @pytest.mark.parametrize("delta", [1.5, 0.2])
+    def test_dilation_identity(self, delta):
+        # (x', x'') -> (r x', r^2 x'') maps L to L / r^2 and the torus of
+        # half period S to r^2 S, so the norm at (R, S, u) is the norm at
+        # (2R, S / 4, u / 2); the reaches, the grid step and the extent all
+        # halve, so the frames map node for node
+        def norm(radius, half_period, u):
+            return l1_multiplier_norm(
+                br_profile(radius, delta), half_period, u=u,
+                lambda_max=radius ** 2, xi_zero_radial=lambda r:
+                    bochner_riesz_radial_kernel(radius, delta, r))
+        for radius in (4.0, 8.0):
+            for foot in (0.0, 1.0):
+                assert (norm(2.0 * radius, S / 4.0, foot / (2.0 * radius))
+                        == pytest.approx(norm(radius, S, foot / radius),
+                                         rel=1e-12))
+
+    @staticmethod
+    def _reach(radius, j):
+        # r_j = sqrt(R^2 + 2 xi_j) / xi_j + 4 / sqrt(xi_j), xi_j = j pi / S
+        xi = j * np.pi / S
+        return np.sqrt(radius ** 2 + 2.0 * xi) / xi + 4.0 / np.sqrt(xi)
+
+    def test_default_extent_is_the_reach_of_the_first_slab(self):
+        prof = br_profile(8.0, 0.2)
+        assert (l1_multiplier_norm(prof, S, u=0.5, extent=self._reach(8.0, 1))
+                == l1_multiplier_norm(prof, S, u=0.5))
+
+    @pytest.mark.parametrize("radius", [4.0, 32.0])
+    def test_frame_bins_are_the_slabs_reaching_past_its_inner_edge(
+            self, radius):
+        # R^2 / (2 pi / S) = R^2 / 4 slabs; the innermost square, of half
+        # width r_{j_max}, carries all of them, and the half widths double
+        # out to r_1
+        j_max = int(radius ** 2 / 4.0)
+        reach = self._reach(radius, np.arange(1, j_max + 1))
+        frames = columns._frames(reach, reach[-1], reach[0])
+        assert frames[0] == (0.0, reach[-1], j_max)
+        assert frames[-1][1] == reach[0]
+        for (_, w_out, _), (w_in, _, bins) in zip(frames, frames[1:]):
+            assert w_in == w_out
+            assert bins == sum(r > w_in for r in reach)
+        widths = [w_out for _, w_out, _ in frames[:-1]]
+        assert widths == [reach[-1] * 2 ** k for k in range(len(widths))]
+        assert widths[-1] < reach[0] <= 2.0 * widths[-1]
 
     def test_rejects_bad_arguments(self):
         prof = br_profile(4.0, 0.5)
@@ -141,62 +203,84 @@ class TestL1MultiplierNorm:
         # extent, 7.86 at extent 40)
         with pytest.raises(DomainError, match=r"lambda_max = 3 .*\|F\(3\)\| = 9\.014e-01"):
             l1_multiplier_norm(br_profile(4.0, 0.5), S, lambda_max=3.0)
-        # at the support edge the value is as before
+        # at the support edge the value is as without a cap
         assert (l1_multiplier_norm(br_profile(4.0, 0.5), S, lambda_max=16.0)
-                == pytest.approx(3.418272941420816, rel=1e-12))
+                == pytest.approx(3.4182713925421906, rel=1e-12))
 
     @staticmethod
     def _block_rows(monkeypatch, u):
-        # a small budget splits both zones into several tiles of x1 rows by
-        # x2 columns with short last ones, which write into a prefix of the
-        # zone's shared buffers; returns the unsplit and split norms and,
-        # per tile, its (x1 rows, x2 columns) (cosine sums) or its lines
-        # (one irfft per tile: the core's lines fit one chunk)
+        # a small budget splits every strip of every frame into several
+        # tiles of x1 rows by x2 columns with short last ones, which write
+        # into a prefix of the strip's spectrum buffer.  The innermost square
+        # (16 slabs) goes by irfft, and a route threshold of 8 sends the next
+        # frame (15 slabs) by irfft too.  Returns the unsplit and split norms
+        # and, per tile, its bins and (x1 rows, x2 columns) (cosine sums) or
+        # its lines (one irfft per tile: a tile's lines fit one chunk)
         radius, delta = 8.0, 0.2
         args = dict(u=u, lambda_max=radius ** 2, xi_zero_radial=lambda r:
                     bochner_riesz_radial_kernel(radius, delta, r))
         whole = l1_multiplier_norm(br_profile(radius, delta), S, **args)
-        rows = []
+        tiles = []
         irfft, cosine_sums = np.fft.irfft, columns._cosine_abs_sums
 
         def irfft_spy(spec, *a, **kw):
-            rows.append(spec.shape[0])
+            tiles.append(spec.shape[::-1])
             return irfft(spec, *a, **kw)
 
         def cosine_spy(table, spec, out):
-            rows.append(spec.shape[1:])
+            tiles.append(spec.shape)
             return cosine_sums(table, spec, out)
 
         monkeypatch.setattr(np.fft, "irfft", irfft_spy)
         monkeypatch.setattr(columns, "_cosine_abs_sums", cosine_spy)
-        monkeypatch.setattr(columns, "_BLOCK_BUDGET", 1000.0)
+        monkeypatch.setattr(columns, "_BLOCK_BUDGET", 300.0)
+        monkeypatch.setattr(columns, "_COSINE_MAX_BINS", 8)
         split = l1_multiplier_norm(br_profile(radius, delta), S, **args)
-        return whole, split, rows
+        return whole, split, tiles
+
+    @staticmethod
+    def _strip(n_bins, rows, cols, irfft):
+        # the tiles of one strip, tiled rows first
+        if irfft:
+            return [(n_bins, r * c) for r in rows for c in cols]
+        return [(n_bins, r, c) for r in rows for c in cols]
 
     def test_block_partition_only_regroups_the_sums(self, monkeypatch):
-        # at u = 0 the column is even in x1, and both zones keep x1 >= 0:
-        # bulk zone (cosine product, 7 bins) 37 x 37, core zone (irfft, 17
-        # bins) 8 x 8
-        whole, split, rows = self._block_rows(monkeypatch, 0.0)
-        assert rows == ([(r, c) for r in (12, 12, 12, 1)
-                         for c in (11, 11, 11, 4)] + [8 * 7, 8 * 1])
+        # R = 8 has 16 slabs and four frames, of outer half widths 6, 11, 22
+        # and 37 x2 nodes, carrying 16, 15, 5 and 1 slabs.  At u = 0 the
+        # column is even in x1, and each frame keeps x1 >= 0: its top strip
+        # (all x1 rows to its outer edge) and one side strip
+        whole, split, tiles = self._block_rows(monkeypatch, 0.0)
+        strip = self._strip
+        assert tiles == (strip(17, (4, 2), (4, 2), True)
+                         + strip(16, (4, 4, 3), (4, 1), True)
+                         + strip(16, (4, 1), (4, 2), True)
+                         + strip(6, (7, 7, 7, 1), (7, 4), False)
+                         + strip(6, (7, 4), (7, 4), False)
+                         + strip(2, (12, 12, 12, 1), (12, 3), False)
+                         + strip(2, (12, 3), (12, 10), False))
         assert split == pytest.approx(whole, rel=1e-13)
 
     def test_block_partition_off_axis_only_regroups_the_sums(self,
                                                              monkeypatch):
-        # off the axis both zones keep the whole x1 range: bulk zone 73 x 37,
-        # core zone 19 x 10 (its half width is 1.8125 at u = 1/8)
-        whole, split, rows = self._block_rows(monkeypatch, 1.0 / 8.0)
-        assert rows == ([(r, c) for r in (13, 13, 13, 13, 13, 8)
-                         for c in (12, 12, 12, 1)]
-                        + [r * c for r in (8, 8, 3) for c in (7, 3)])
+        # off the axis each frame keeps the whole x1 range: its top strip and
+        # two side strips, one on each side of the inner square
+        whole, split, tiles = self._block_rows(monkeypatch, 1.0 / 8.0)
+        strip = self._strip
+        assert tiles == (strip(17, (4, 4, 3), (4, 2), True)
+                         + strip(16, (4,) * 5 + (1,), (4, 1), True)
+                         + 2 * strip(16, (4, 1), (4, 2), True)
+                         + strip(6, (7,) * 6 + (1,), (7, 4), False)
+                         + 2 * strip(6, (7, 4), (7, 4), False)
+                         + strip(2, (12,) * 6 + (1,), (12, 3), False)
+                         + 2 * strip(2, (12, 3), (12, 10), False))
         assert split == pytest.approx(whole, rel=1e-13)
 
     @pytest.mark.parametrize("n_bins, n_fft", [
         (18, 128), (17, 128), (15, 64), (32, 128), (30, 128)])
     def test_cosine_sums_match_full_period_irfft(self, n_bins, n_fft):
-        # the bulk shapes of the runs: R = 32 at u = 0, 1/32 and 4/32, and
-        # R = 64 at u = 0 and 4/64 (S = pi/2, 4 points per wavelength)
+        # spectra of 15 to 32 bins, each at the n_fft a frame of that many
+        # bins uses: the power of 2 at or above 4 bins
         rng = np.random.default_rng(n_bins * n_fft)
         spec = rng.standard_normal((n_bins, 5, 7))
         table = columns._half_period_cosines(n_bins, n_fft)
@@ -210,16 +294,17 @@ class TestL1MultiplierNorm:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("delta, u, want", [
-        (1.5, 0.0, 2.3126468002486367),
-        (1.5, 1.0 / 32.0, 2.30085762109572),
-        (1.5, 4.0 / 32.0, 2.2208563569526545),
-        (0.2, 0.0, 36.63057503261611),
-        (0.2, 1.0 / 32.0, 37.18609546784522),
-        (0.2, 4.0 / 32.0, 36.042940273915306),
-    ])
+        (1.5, 0.0, 2.312744052956305),
+        (1.5, 1.0 / 32.0, 2.300867002226547),
+        (1.5, 4.0 / 32.0, 2.220892552874158),
+        (0.2, 0.0, 36.630236119739564),
+        (0.2, 1.0 / 32.0, 37.18809506774524),
+        (0.2, 4.0 / 32.0, 36.04367367678283),
+    ], ids=["1.5-u=0", "1.5-u=1/32", "1.5-u=4/32", "0.2-u=0", "0.2-u=1/32",
+            "0.2-u=4/32"])
     def test_norms_at_radius_32_are_pinned(self, delta, u, want):
         # the R = 32 column norms of the default bochner_riesz run, as the
-        # padded full-period irfft gave them in both zones
+        # nested frames give them
         radius = 32.0
         got = l1_multiplier_norm(
             br_profile(radius, delta), S, u=u, lambda_max=radius ** 2,
@@ -228,7 +313,8 @@ class TestL1MultiplierNorm:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_heat_norm_is_pinned(self):
-        # as the padded full-period irfft gave it in both zones
+        # the kernel is positive, so the torus sums of |K| are the zero
+        # bin's and do not depend on which slabs a frame carries
         assert (l1_multiplier_norm(MultiplierProfile.heat(0.05), S)
                 == pytest.approx(1.0000213146517192, rel=1e-12))
 
@@ -240,7 +326,7 @@ class TestL1MultiplierNorm:
             br_profile(radius, delta), S, lambda_max=radius ** 2,
             xi_zero_radial=lambda r: bochner_riesz_radial_kernel(
                 radius, delta, r))
-        assert got == pytest.approx(70.45436972605509, rel=1e-12)
+        assert got == pytest.approx(70.45539883336819, rel=1e-12)
 
     @pytest.mark.parametrize("delta", [0.2, 1.5])
     def test_axis_mirror_matches_the_full_x1_axis(self, delta):
@@ -266,15 +352,14 @@ class TestL1MultiplierNorm:
         assert len(calls) == 16 + 1
 
     @pytest.mark.parametrize("radius, u, bound_mib", [
-        # closed-form zero slab: 10.7 MiB measured with spectrum tiles of
-        # 2 MiB; 33.0 with x1 blocks of up to 48 MB, of which the bulk
-        # zone's block (18 bins x 239 x 386 lines) was 13 MiB, and 84.8 when
-        # the samples of a whole block of lines went through one buffer
-        # (the core's 73 x 37 lines of 2 048 samples alone are 44 MiB)
+        # closed-form zero slab: 8.1 MiB measured with nested frames, 10.7
+        # with a core square and one bulk zone carrying 17 slabs out to the
+        # extent; 33.0 with x1 blocks of up to 48 MB, and 84.8 when the
+        # samples of a whole block of lines went through one buffer
         (32.0, 4.0 / 32.0, 13.0),
         # heat t = 0.05: the zero slab's Bessel matrix goes in blocks of
-        # rows; 5.5 MiB measured, 11.4 with x1 blocks of up to 48 MB and
-        # 62.3 with the whole matrix
+        # rows; 4.1 MiB measured (5.5 with the core and bulk zones), 11.4
+        # with x1 blocks of up to 48 MB and 62.3 with the whole matrix
         (None, 0.0, 7.0),
     ], ids=["br R=32 u=4/32", "heat t=0.05"])
     def test_peak_memory(self, radius, u, bound_mib):
@@ -354,11 +439,30 @@ class TestHeatKernelPointwise:
         n1, n2 = 400, 256
         x1 = np.linspace(-10.0, 10.0, n1)
         x2 = (np.arange(n2) - n2 // 2) * (2.0 * half / n2)
-        vals = np.array([[heat_kernel_pointwise(((a,), (b,)), ((0.5,), (0.0,)),
-                                                t, half)
-                          for b in x2] for a in x1])
+        vals = heat_kernel_pointwise((x1[:, None, None], x2[None, :, None]),
+                                     ((0.5,), (0.0,)), t, half)
+        assert vals.shape == (n1, n2)
         mass = vals.sum() * (x1[1] - x1[0]) * (2.0 * half / n2)
         assert mass == pytest.approx(1.0, rel=1e-3)
+
+    @pytest.mark.parametrize("d1", [1, 2, 3])
+    def test_arrays_of_points_match_scalar_points(self, d1):
+        # one call over arrays of points, leading axes broadcast, gives each
+        # point's scalar value
+        rng = np.random.default_rng(d1)
+        xp = rng.uniform(-2.0, 2.0, (3, 4, d1))
+        xs = rng.uniform(-1.0, 1.0, (1, 4, 1))
+        yp = rng.uniform(-2.0, 2.0, (3, 1, d1))
+        ys = np.array([0.25])
+        got = heat_kernel_pointwise((xp, xs), (yp, ys), 0.1, 2.0)
+        assert got.shape == (3, 4)
+        for i in range(3):
+            for k in range(4):
+                want = heat_kernel_pointwise(
+                    (tuple(xp[i, k]), tuple(xs[0, k])),
+                    (tuple(yp[i, 0]), tuple(ys)), 0.1, 2.0)
+                assert isinstance(want, float)
+                assert got[i, k] == pytest.approx(want, rel=1e-14)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -368,6 +472,10 @@ class TestHeatKernelPointwise:
                                   0.1, 1.0)
         with pytest.raises(DomainError):
             heat_kernel_pointwise(((0.0,), (0.0, 0.0)), ((0.0,), (0.0, 0.0)),
+                                  0.1, 1.0)
+        with pytest.raises(DomainError, match="broadcast"):
+            heat_kernel_pointwise((np.zeros((3, 1)), np.zeros((3, 1))),
+                                  (np.zeros((2, 1)), np.zeros((2, 1))),
                                   0.1, 1.0)
 
     @pytest.mark.parametrize("half_period,t", [(1e15, 0.05), (6.0, 1e-9)])

@@ -88,6 +88,12 @@ class TestGrushinGrid:
         with pytest.raises(ContractViolation):
             g.locate((0.1234, 0.0), (0.0,))
 
+    def test_locate_names_the_axis_of_an_off_grid_coordinate(self):
+        g = small_grid()
+        with pytest.raises(ContractViolation,
+                           match=r"^torus coordinate 0\.1234 is not a grid node"):
+            g.locate((0.0, 0.0), (np.float64(0.1234),))
+
     def test_locate_wrong_dims(self):
         g = small_grid()
         with pytest.raises(ContractViolation):

@@ -159,6 +159,16 @@ class TestBallVolume:
         with pytest.raises(DegenerateInputError):
             ball_volume_mc(MetricPoint((0.0,), (0.0,)), 1.0, n_samples=0)
 
+    @pytest.mark.parametrize("n_samples", [True, 100.5])
+    def test_mc_budget_must_be_an_integer(self, n_samples):
+        with pytest.raises(DomainError, match="n_samples must be an integer"):
+            ball_volume_mc(MetricPoint((0.0,), (0.0,)), 1.0,
+                           n_samples=n_samples)
+
+    def test_mc_negative_budget_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            ball_volume_mc(MetricPoint((0.0,), (0.0,)), 1.0, n_samples=-5)
+
     def test_mc_deterministic(self):
         x = MetricPoint((1.0, 0.0), (0.0,))
         v1, s1 = ball_volume_mc(x, 1.0, 50_000, seed=9)
