@@ -23,7 +23,7 @@ from .errors import (
     TruncationError,
     WindowingError,
 )
-from .fields import Field, GrushinGrid, MultiplierProfile, SpectralTruncation, delta_field
+from .fields import Field, GrushinGrid, MultiplierProfile, SpectralTruncation
 from .geometry import (
     MetricPoint,
     ball_volume_mc,
@@ -55,7 +55,6 @@ __all__ = [
     "apply_multiplier",
     "ball_volume_mc",
     "ball_volume_model",
-    "delta_field",
     "doubling_ratio",
     "grushin_distance",
     "grushin_distance_arrays",

@@ -147,18 +147,15 @@ def slice_levels(profile: MultiplierProfile, prime: PrimeGrid, xi_mag: float,
                  k_max: int, lambda_max: float) -> range:
     """Levels k that F(L_xi) keeps on one nonzero |xi| slice; possibly empty.
 
-    A level is kept when its eigenvalue (2k + d1)|xi| lies in supp(F) and at
-    or below lambda_max.  Raises TruncationError, naming the first offending
-    level, if a kept level is beyond k_max or beyond what the x' grid can
-    represent reliably at this |xi|.
+    The levels, and the TruncationError past k_max, are those of
+    oscillator.active_level_range.  A kept level beyond what the x' grid
+    represents reliably at this |xi| raises TruncationError too.
     """
-    k_lo, k_hi = active_level_range(profile, xi_mag, prime.d1, lambda_max)
-    if k_hi >= k_lo:
-        if k_hi > k_max:
-            raise TruncationError(k_hi, xi_mag, k_max)
-        cap = prime.reliable_level_cap(xi_mag)
-        if k_hi > cap:
-            raise TruncationError(k_hi, xi_mag, cap)
+    k_lo, k_hi = active_level_range(profile, xi_mag, prime.d1, lambda_max,
+                                    k_max)
+    cap = prime.reliable_level_cap(xi_mag)
+    if k_lo <= k_hi and k_hi > cap:
+        raise TruncationError(k_hi, xi_mag, cap)
     return range(k_lo, k_hi + 1)
 
 
@@ -212,17 +209,11 @@ def apply_multiplier(profile: MultiplierProfile, field: Field,
     fhat = partial_fourier(field)
     # each bin is read before it is written, so every result goes back into
     # the transform this call owns
-    for m in range(fhat.shape[-1]):
-        xi_mag = m * grid.xi_spacing
-        bin_m = fhat[..., m]
-        if m == 0:
-            bin_m[...] = _apply_xi_zero(profile, bin_m.real, prime)
-        elif slice_levels(profile, prime, xi_mag, trunc.k_max, trunc.lambda_max):
-            bin_m[...] = apply_slice_multiplier(profile, bin_m, prime, xi_mag,
-                                                trunc.k_max, trunc.lambda_max)
-        else:
-            # no kept level: skip the transform
-            bin_m[...] = 0.0
+    fhat[..., 0] = _apply_xi_zero(profile, fhat[..., 0].real, prime)
+    for m in range(1, fhat.shape[-1]):
+        fhat[..., m] = apply_slice_multiplier(
+            profile, fhat[..., m], prime, m * grid.xi_spacing, trunc.k_max,
+            trunc.lambda_max)
     return inverse_partial_fourier(grid, fhat)
 
 
@@ -231,7 +222,7 @@ def schwartz_kernel_column(profile: MultiplierProfile, grid: GrushinGrid,
                            trunc: SpectralTruncation) -> Field:
     """Kernel column K_F(., y): the profile applied to a unit-mass node delta.
 
-    Equal, up to rounding, to apply_multiplier on delta_field(grid, y', y''),
+    Equal, up to rounding, to apply_multiplier on the unit-mass delta at y,
     with the same TruncationError raised at the same bin, but without a torus
     transform.  The delta's half spectrum is the real x' slab D times
     e^{-2 pi i m k0 / n} in bin m (module docstring), so the xi = 0 slab is

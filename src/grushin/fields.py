@@ -146,16 +146,6 @@ class Field:
             )
 
 
-def delta_field(grid: GrushinGrid, x_prime, x_second) -> Field:
-    """Unit-mass discrete delta: indicator of one node divided by cell volume.
-
-    The node is found by GrushinGrid.locate, whose errors apply.
-    """
-    values = np.zeros(grid.shape)
-    values[grid.locate(x_prime, x_second)] = 1.0 / grid.cell_volume
-    return Field(grid, values)
-
-
 class MultiplierProfile:
     """Real scalar spectral profile F with an authoritative support interval.
 

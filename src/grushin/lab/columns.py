@@ -3,14 +3,15 @@
 Two tools live here, both specialized to two prime coordinates and one torus
 coordinate and both choosing their own discretizations:
 
-* an L^1 norm for multiplier kernel columns over nested square frames in
-  x': slab j of the torus transform dies past its reach r_j from the
-  origin, so the innermost square carries every slab and each frame past it
-  only the slabs that reach past its inner edge, at its own torus sampling;
-  a frame of few slabs is summed over the torus by a half-period cosine
-  matrix product, the innermost square and a frame of many by irfft, both a
-  cache-sized chunk of lines at a time, from Hermite tables built once per
-  slab and call, and
+* an L^1 norm for multiplier kernel columns, in the engine's spectral
+  window (oscillator.eigenvalue_cap and oscillator.torus_slabs), over nested
+  square frames in x': slab j of the torus transform dies past its reach
+  r_j from the origin, so the innermost square carries every slab and each
+  frame past it only the slabs that reach past its inner edge, at its own
+  torus sampling; a frame of few slabs is summed over the torus by a
+  half-period cosine matrix product, the innermost square and a frame of
+  many by irfft, both a cache-sized chunk of lines at a time, from Hermite
+  tables built once per slab and call, and
 * a closed-form heat kernel evaluator built from the oscillator semigroup
   kernel per frequency, with no level truncation at all, over scalar points
   or arrays of them.
@@ -32,7 +33,8 @@ from scipy.interpolate import CubicSpline
 from scipy.special import j0, jv, gamma as _gamma_fn
 
 from ..errors import DomainError
-from ..hermite import hermite_table
+from ..hermite import MIN_TURNING_MARGIN, hermite_table
+from ..oscillator import eigenvalue_cap, torus_slabs
 
 __all__ = [
     "bochner_riesz_radial_kernel",
@@ -83,17 +85,14 @@ def planar_radial_kernel(profile, r: np.ndarray,
     """Radial kernel profile of F(-Laplacian) in the plane, by quadrature.
 
     Hankel form (2 pi)^{-1} int F(rho^2) J_0(rho r) rho drho over the
-    support of F capped at lambda_max.  Quadrature density follows the
-    fastest oscillation J_0(rho r_max).  The rule is Simpson's: the integrand
-    starts with slope F(0) at rho = 0, where the trapezoid rule would leave
-    the same O(h^2) offset on every r.
+    support of F capped at lambda_max by oscillator.eigenvalue_cap.
+    Quadrature density follows the fastest oscillation J_0(rho r_max).  The
+    rule is Simpson's: the integrand starts with slope F(0) at rho = 0, where
+    the trapezoid rule would leave the same O(h^2) offset on every r.
     """
     r = np.asarray(r, dtype=float)
-    lo, hi = profile.support
-    top = min(hi, lambda_max)
-    if not np.isfinite(top) or top <= 0:
-        raise DomainError("need a finite positive eigenvalue cap")
-    rho_lo = np.sqrt(max(lo, 0.0))
+    top = eigenvalue_cap(profile, lambda_max)
+    rho_lo = np.sqrt(max(profile.support[0], 0.0))
     rho_hi = np.sqrt(top)
     r_max = float(np.max(np.abs(r))) if r.size else 1.0
     n_rho = max(512, int(np.ceil(4.0 * (rho_hi - rho_lo)
@@ -175,10 +174,10 @@ def _reach(top: float, xi):
     """Half width in x' past which the slab at torus frequency xi has died.
 
     The slab's levels stop at eigenvalue top, so its Hermite functions turn
-    inside the classical radius sqrt(top + 2 xi) / xi; 4 / sqrt(xi) past it
-    their sub-Gaussian tails are spent.  Decreasing in xi.
+    inside the classical radius sqrt(top + 2 xi) / xi; MIN_TURNING_MARGIN
+    / sqrt(xi) past it their sub-Gaussian tails are spent.  Decreasing in xi.
     """
-    return np.sqrt(top + 2.0 * xi) / xi + 4.0 / np.sqrt(xi)
+    return np.sqrt(top + 2.0 * xi) / xi + MIN_TURNING_MARGIN / np.sqrt(xi)
 
 
 def _frames(reach: np.ndarray, inner: float, extent: float):
@@ -236,24 +235,19 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     core_half_width past the extent makes the innermost square the whole
     domain, a dense all-frequency evaluation useful as a reference.  extent
     overrides the integration half width in x'.  Non-finite arguments raise
-    DomainError; lambda_max None or inf leaves the support edge as the cap,
-    and a cap below the edge where |F| > 1e-14 raises DomainError.
+    DomainError.  The cap is oscillator.eigenvalue_cap's: lambda_max None
+    and inf both mean no cap, and a cap below the support edge where
+    |F| > 1e-14 raises DomainError.
     """
     for name, value in (("torus_half_period", torus_half_period), ("u", u),
                         ("points_per_wavelength", points_per_wavelength),
                         ("fft_oversample", fft_oversample)):
         if not np.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value!r}")
-    if lambda_max is not None and np.isnan(lambda_max):
-        raise DomainError("lambda_max is NaN; pass None or inf for no cap")
+    top = eigenvalue_cap(profile, lambda_max)
     if core_half_width is not None and not core_half_width > 0:
         raise DomainError("core_half_width must be positive")
-    lo, hi = profile.support
-    top = min(hi, lambda_max) if lambda_max is not None else hi
-    if not np.isfinite(top) or top <= 0:
-        raise DomainError("need a finite positive eigenvalue cap; pass "
-                          "lambda_max or use a compactly supported profile")
-    if top < hi:
+    if top < profile.support[1]:
         # a cap where F has not vanished cuts the zero slab's Hankel integral
         # sharply: the planar kernel decays like r^(-3/2), is not integrable,
         # and the "norm" would grow with the integration window
@@ -262,14 +256,16 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
             raise DomainError(
                 f"lambda_max = {top:.6g} cuts the profile inside its support, "
                 f"where |F({top:.6g})| = {edge:.3e} > 1e-14; pass the support "
-                f"edge {hi:.6g} or a cap where F vanishes")
+                f"edge {profile.support[1]:.6g} or a cap where F vanishes")
     if torus_half_period <= 0:
         raise DomainError("torus half period must be positive")
     if points_per_wavelength < 2.0:
         raise DomainError("need at least 2 points per wavelength")
     dxi = np.pi / torus_half_period
     dx = 2.0 * np.pi / (points_per_wavelength * np.sqrt(top))
-    j_max = int(np.floor(top / (2.0 * dxi) + 1e-12))
+    # every slab below the cap: one without an active level gets a zero C
+    k_caps = [max(0, k_hi) for _, _, k_hi in torus_slabs(profile, top, dxi, 2)]
+    j_max = len(k_caps)
     reach = _reach(top, dxi * np.arange(1, j_max + 1))
     if extent is None:
         # too narrow when the spectrum sits far below the first slab, so
@@ -321,11 +317,6 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     zero_slab = CubicSpline(r_grid, np.asarray(xi_zero_radial(r_grid),
                                                dtype=float))
 
-    def slab_level(j):
-        # a slab without a level left gets a zero C from the cap mask
-        xi = j * dxi
-        return max(0, int(np.floor((top / xi - 2.0) / 2.0 + 1e-12)))
-
     # per slab, whatever no tile changes, from one Hermite table H1 on the
     # x1 rows of its widest frame: P = H1^T C (-1)^j xi, and T2, the even
     # rows of H1 on the x1 >= 0 tail, which is the x2 axis.  The factor xi
@@ -333,10 +324,10 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     # recenters the transform on [-S, S)
     slabs = {}
     # column 0 holds h_m(0), column j holds h_m at slab j's sqrt(xi) u
-    h_0u = hermite_table(slab_level(1),
+    h_0u = hermite_table(max(k_caps, default=0),
                          np.r_[0.0, np.sqrt(dxi * np.arange(1, j_max + 1)) * u])
-    for j in range(1, j_max + 1):
-        k_cap, xi = slab_level(j), j * dxi
+    for j, k_cap in enumerate(k_caps, 1):
+        xi = j * dxi
         C, even = _kernel_slab_coeff(profile, xi, k_cap, h_0u[:, j],
                                      h_0u[:, 0], top)
         rows = span(widest[j])

@@ -40,6 +40,7 @@ from ..geometry import (
 )
 from ..hermite import PrimeGrid
 from .columns import (
+    _reach,
     bochner_riesz_radial_kernel,
     heat_kernel_pointwise,
     l1_multiplier_norm,
@@ -172,8 +173,7 @@ def localized_restriction_experiment(
     y_values = _increasing(y_values, "y_values")
     if ball_radius <= 0:
         raise DomainError("ball_radius must be positive")
-    if n_scan < 2:
-        raise DomainError(f"n_scan must be >= 2 to span the ball, got {n_scan}")
+    check_integer(n_scan, "n_scan", minimum=2)
     y_fix = float(y_values[len(y_values) // 2] if y_fix is None else y_fix)
     bad = [y for y in (*y_values, y_fix) if not y > 4.0 * ball_radius]
     if bad:
@@ -297,10 +297,8 @@ def multiplier_norm_experiment(
     samples = np.asarray(profile_fn(lam_s), dtype=float)
     sob = {s: sobolev_norm(samples, lam_s[1] - lam_s[0], s) for s in orders}
 
-    dxi = math.pi / torus_half_period
-
     def extent_at(t: float) -> float:
-        return max(math.sqrt(1.0 / t + 2.0 * dxi) / dxi + 4.0 / math.sqrt(dxi),
+        return max(_reach(1.0 / t, math.pi / torus_half_period),
                    _PLANAR_EXTENT_FACTOR * math.sqrt(t))
 
     def foot_norms(t: float) -> List[float]:

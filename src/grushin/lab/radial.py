@@ -6,7 +6,8 @@ radial Laguerre modes psi_{n,l} (k = 2n + l), which turns the weighted L^2
 norm of a multiplier column into small per-(xi, l) quadratic forms.  No
 Cartesian grid appears: the weighted radial Gram matrices factor exactly by
 the Laguerre connection formula (DLMF 18.18.18), so this path cross-validates
-the tensor-grid engine rather than reusing it.
+the tensor-grid engine rather than reusing it.  Its spectral window is the
+engine's: oscillator.eigenvalue_cap and oscillator.torus_slabs.
 
 The zero torus frequency is left out of the sum.  The lattice sum over xi
 is a Riemann sum of the continuum xi-integral, in which the xi = 0 slab
@@ -36,9 +37,9 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.special import gammaln
 
-from ..errors import DomainError, TruncationError
+from ..errors import DomainError
 from ..fields import check_integer
-from ..oscillator import active_level_range
+from ..oscillator import eigenvalue_cap, torus_slabs
 
 __all__ = [
     "laguerre_radial_table",
@@ -253,13 +254,7 @@ def _eigenvalue_cap(profile, gamma: float, torus_half_period: float,
     if not 0.0 < torus_half_period < np.inf:
         raise DomainError("torus half period must be finite and positive")
     check_integer(k_max, "k_max")
-    if np.isnan(lambda_max):
-        raise DomainError("lambda_max is NaN; pass inf for no cap")
-    top = min(profile.support[1], lambda_max)
-    if not np.isfinite(top) or top <= 0:
-        raise DomainError("need a finite positive eigenvalue cap; lower "
-                          "lambda_max or use a compactly supported profile")
-    return top
+    return eigenvalue_cap(profile, lambda_max)
 
 
 def weighted_column_norms(profile, u, gamma: float, torus_half_period: float,
@@ -275,22 +270,14 @@ def weighted_column_norms(profile, u, gamma: float, torus_half_period: float,
     if not np.all((u >= 0) & (u < np.inf)):
         raise DomainError("u is a radius; need finite u >= 0")
     top = _eigenvalue_cap(profile, gamma, torus_half_period, k_max, lambda_max)
-    dxi = np.pi / torus_half_period
-    j_top = int(np.floor(top / (_D1 * dxi) + 1e-12))
-    xis, k_his = [], []  # the active torus frequencies, ascending
-    for j in range(1, j_top + 1):
-        xi = j * dxi
-        k_lo, k_hi = active_level_range(profile, xi, _D1, lambda_max)
-        if k_hi < k_lo:
-            continue
-        if k_hi > k_max:
-            raise TruncationError(k_hi, xi, k_max)
-        xis.append(xi)
-        k_his.append(k_hi)
+    # the active torus frequencies, ascending
+    active = [(xi, k_hi) for xi, k_lo, k_hi in torus_slabs(
+        profile, top, np.pi / torus_half_period, _D1, k_max) if k_hi >= k_lo]
+    xis = [xi for xi, _ in active]
+    k_his = np.array([k_hi for _, k_hi in active], dtype=int)
     # one lane per sector (xi, l), l = 0..k_hi, frequency by frequency; lane
     # i holds the profile at level l, and level 2n + l of its frequency is
     # lane i + 2n
-    k_his = np.array(k_his, dtype=int)
     freq = np.repeat(np.arange(k_his.size), k_his + 1)
     l = np.arange(freq.size) - (np.cumsum(k_his + 1) - k_his - 1)[freq]
     xi = np.array(xis)[freq]
@@ -332,8 +319,7 @@ def weighted_operator_norm(profile, gamma: float, torus_half_period: float,
     top = _eigenvalue_cap(profile, gamma, torus_half_period, k_max, lambda_max)
     dxi = np.pi / torus_half_period
     u_hi = np.sqrt(top) / dxi + 1.0
-    if n_scan < 5:
-        raise DomainError("need at least 5 scan points")
+    check_integer(n_scan, "n_scan", minimum=5)
 
     def norms(us):
         return weighted_column_norms(profile, us, gamma, torus_half_period,

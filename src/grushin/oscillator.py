@@ -2,35 +2,77 @@
 
 Eigenfunctions are the dilated products Phi_nu^xi(x') = |xi|^{d1/4} Phi_nu(sqrt(|xi|) x')
 with eigenvalues (2|nu| + d1)|xi|.  All operations evaluate Hermite tables at the
-dilated argument directly; nothing is resampled or interpolated.
+dilated argument directly; nothing is resampled or interpolated.  Every
+evaluator keeps the spectral window decided here: eigenvalue_cap, torus_slabs.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, TruncationError
 from .hermite import PrimeGrid, hermite_table
 
 __all__ = [
     "active_level_range",
+    "eigenvalue_cap",
     "oscillator_transform",
     "oscillator_synthesis",
+    "torus_slabs",
 ]
 
 
-def active_level_range(profile, xi_mag: float, d1: int, lambda_max: float):
-    """Levels k whose eigenvalue lies in supp(profile) intersected with [0, lambda_max].
+def eigenvalue_cap(profile, lambda_max) -> float:
+    """The top eigenvalue that F(L) keeps: min(support edge, lambda_max).
 
-    Returns (k_lo, k_hi), possibly an empty range (k_lo > k_hi).
+    lambda_max None and inf both mean no cap.  A NaN or non-number
+    lambda_max, or a top that is not finite and positive, raises DomainError.
     """
-    a, b = profile.support
-    top = min(b, lambda_max)
+    lambda_max = np.inf if lambda_max is None else lambda_max
+    if (not isinstance(lambda_max, (float, int, np.floating, np.integer))
+            or isinstance(lambda_max, bool) or lambda_max != lambda_max):  # NaN
+        raise DomainError(f"lambda_max must be a number, or None or inf for "
+                          f"no cap; got {lambda_max!r}")
+    top = min(profile.support[1], lambda_max)
+    if not 0.0 < top <= sys.float_info.max:  # an int past the float range too
+        raise DomainError("need a finite positive eigenvalue cap; pass a finite "
+                          "lambda_max or use a compactly supported profile")
+    return top
+
+
+def active_level_range(profile, xi_mag: float, d1: int, lambda_max,
+                       k_max: int | None = None):
+    """Levels k with eigenvalue (2k + d1) xi_mag in supp(F), at most the cap.
+
+    The cap is eigenvalue_cap's.  Returns (k_lo, k_hi), possibly an empty
+    range (k_lo > k_hi).  Given k_max, a non-empty range with k_hi past it
+    raises TruncationError(k_hi, xi_mag, k_max).
+    """
+    a = profile.support[0]
+    top = eigenvalue_cap(profile, lambda_max)
     if top < a:
         return 0, -1
     k_lo = max(0, int(np.ceil((a / xi_mag - d1) / 2.0 - 1e-12)))
     k_hi = int(np.floor((top / xi_mag - d1) / 2.0 + 1e-12))
+    if k_max is not None and k_lo <= k_hi and k_hi > k_max:
+        raise TruncationError(k_hi, xi_mag, k_max)
     return k_lo, k_hi
+
+
+def torus_slabs(profile, top: float, dxi: float, d1: int,
+                k_max: int | None = None):
+    """(xi_j, k_lo, k_hi) of the slabs j = 1 ... floor(top / (d1 dxi) + 1e-12).
+
+    top is an eigenvalue_cap, and xi_j = j dxi.  These are the slabs whose
+    lowest eigenvalue d1 xi_j is at most top; each level range is that of
+    active_level_range and may be empty.  Given k_max, the first non-empty
+    slab past it raises TruncationError.
+    """
+    j_top = int(np.floor(top / (d1 * dxi) + 1e-12))
+    return [(j * dxi, *active_level_range(profile, j * dxi, d1, top, k_max))
+            for j in range(1, j_top + 1)]
 
 
 def _tables(grid: PrimeGrid, xi_mag: float, k_hi: int) -> np.ndarray:

@@ -16,8 +16,8 @@ it:
 - the weighted radial Gram matrix M M^T from the radial path's closed-form
   factor (compared with quadrature and mpmath in the radial tests);
 - the discrete inner product and L^p norm of fields, fields sampled from a
-  function, the torus frequency labels in FFT order, and the sharp
-  indicator profile.
+  function, the unit-mass node delta, the torus frequency labels in FFT
+  order, the sharp indicator profile and a smooth bump profile.
 """
 
 from __future__ import annotations
@@ -244,6 +244,12 @@ def indicator(lo: float, hi: float) -> MultiplierProfile:
                              (lo, hi), label=f"indicator[{lo:g},{hi:g}]")
 
 
+def bump(lo: float, hi: float) -> MultiplierProfile:
+    """(lambda - lo)(hi - lambda) on [lo, hi], vanishing at both edges."""
+    return MultiplierProfile(
+        lambda lam: np.maximum(0.0, (lam - lo) * (hi - lam)), (lo, hi))
+
+
 def inner(f: Field, g: Field) -> float:
     """<f, g> on the grid."""
     if g.grid != f.grid:
@@ -266,6 +272,16 @@ def field_from_function(grid: GrushinGrid, fn) -> Field:
     xp = np.meshgrid(*([grid.prime.axis] * grid.prime.d1 + [grid.second_axis]),
                      indexing="ij")
     return Field(grid, fn(*xp))
+
+
+def delta_field(grid: GrushinGrid, x_prime, x_second) -> Field:
+    """Unit-mass discrete delta: indicator of one node divided by cell volume.
+
+    The node is found by GrushinGrid.locate, whose errors apply.
+    """
+    values = np.zeros(grid.shape)
+    values[grid.locate(x_prime, x_second)] = 1.0 / grid.cell_volume
+    return Field(grid, values)
 
 
 def xi_index(grid: GrushinGrid) -> np.ndarray:

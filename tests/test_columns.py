@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import bump
 
 from grushin.engine import schwartz_kernel_column
 from grushin.errors import DomainError
@@ -376,6 +377,23 @@ class TestL1MultiplierNorm:
         finally:
             tracemalloc.stop()
         assert peak <= bound_mib * 2 ** 20
+
+    def test_slab_without_an_active_level_is_carried_with_a_zero_c(
+            self, monkeypatch):
+        # on S = pi/2 the slab eigenvalues are 4j(k + 1): those of slab 2,
+        # 8 and 16, miss [9, 13], so its level range is empty, yet the slab
+        # stays in the frames (oscillator.torus_slabs)
+        coeff, slabs = columns._kernel_slab_coeff, []
+
+        def spy(profile, xi, *args):
+            C, even = coeff(profile, xi, *args)
+            slabs.append((xi, C))
+            return C, even
+
+        monkeypatch.setattr(columns, "_kernel_slab_coeff", spy)
+        assert np.isfinite(l1_multiplier_norm(bump(9.0, 13.0), S, u=0.25))
+        assert [xi for xi, _ in slabs] == [2.0, 4.0, 6.0]
+        assert [bool(C.any()) for _, C in slabs] == [True, False, True]
 
     def test_cap_below_first_torus_slab(self):
         # a support edge of 3 < 2 dxi leaves no torus slab (j_max = 0): the

@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracles import (
+    delta_field,
     field_from_function,
     full_lattice_apply,
     indicator,
@@ -37,7 +38,6 @@ from grushin.fields import (
     GrushinGrid,
     MultiplierProfile,
     SpectralTruncation,
-    delta_field,
 )
 from grushin.hermite import PrimeGrid
 from grushin.lab.profiles import CutoffSpec, dyadic_pieces
@@ -479,6 +479,40 @@ def test_column_truncation_error_matches_apply_multiplier(grid, tr):
         schwartz_kernel_column(heat, grid, *foot, tr)
     got, want = column.value, via_fft.value
     assert (got.level, got.xi_mag, got.k_max) == (want.level, want.xi_mag, want.k_max)
+
+
+class TestSharedWindow:
+    # slice_levels takes its levels and its k_max check from
+    # oscillator.active_level_range; only the grid cap is its own
+
+    def test_cap_on_an_eigenvalue_keeps_its_level(self):
+        prime, xi = PrimeGrid(12.0, 128, 2), 3 * np.pi / 1.3
+        for k in range(6):
+            kept = engine.slice_levels(indicator(0.0, 1e6), prime, xi, 40,
+                                       (2 * k + 2) * xi)
+            assert kept == range(0, k + 1)
+
+    def test_support_floor_between_eigenvalues_gives_an_empty_range(self):
+        # the eigenvalues 8 and 16 at |xi| = 4 miss [9, 13]
+        kept = engine.slice_levels(indicator(9.0, 13.0), PrimeGrid(7.0, 64, 2),
+                                   4.0, 40, 13.0)
+        assert kept == range(1, 1)
+
+    @pytest.mark.parametrize("path", ["apply_multiplier",
+                                      "schwartz_kernel_column"])
+    def test_k_max_error_names_the_first_non_empty_slab(self, path):
+        # d1 = 1 and xi_m = m: eigenvalues (2k + 1) m; bin 1 has none in
+        # [5.5, 6.5], bin 2 has 6 at k = 1, past k_max = 0
+        grid = GrushinGrid(PrimeGrid(8.0, 64, 1), np.pi, 16, 1)
+        tr = SpectralTruncation(k_max=0, lambda_max=100.0)
+        foot = (grid.prime.axis[32],), (grid.second_axis[3],)
+        band = indicator(5.5, 6.5)
+        with pytest.raises(TruncationError) as err:
+            if path == "apply_multiplier":
+                apply_multiplier(band, delta_field(grid, *foot), tr)
+            else:
+                schwartz_kernel_column(band, grid, *foot, tr)
+        assert (err.value.level, err.value.xi_mag, err.value.k_max) == (1, 2.0, 0)
 
 
 class TestWorkAndMemory:

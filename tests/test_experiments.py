@@ -81,6 +81,9 @@ class TestWeightedRestriction:
             weighted_restriction_experiment(radii=(4.0, 2.0, 8.0))
         with pytest.raises(DomainError):
             weighted_restriction_experiment(radii=(4.0, 8.0))
+        for n_scan in (5.5, 4):
+            with pytest.raises(DomainError, match="n_scan"):
+                weighted_restriction_experiment(n_scan=n_scan)
 
 
 class TestLocalizedRestriction:
@@ -101,6 +104,11 @@ class TestLocalizedRestriction:
                                              ball_radius=0.1875)
         with pytest.raises(DomainError):
             localized_restriction_experiment(ball_radius=0.0)
+
+    @pytest.mark.parametrize("n_scan", [2.5, 1])
+    def test_n_scan_must_be_an_integer_of_at_least_two(self, n_scan):
+        with pytest.raises(DomainError, match="n_scan"):
+            localized_restriction_experiment(n_scan=n_scan)
 
     def test_y_fix_must_stay_off_the_axis(self):
         # the rule of y_values: 0.5 is below 4 ball_radius = 0.75

@@ -2,7 +2,14 @@
 
 import numpy as np
 import pytest
-from oracles import field_from_function, indicator, inner, norm_lp, xi_index
+from oracles import (
+    delta_field,
+    field_from_function,
+    indicator,
+    inner,
+    norm_lp,
+    xi_index,
+)
 
 from grushin import engine
 from grushin.engine import schwartz_kernel_column
@@ -13,7 +20,6 @@ from grushin.fields import (
     GrushinGrid,
     MultiplierProfile,
     SpectralTruncation,
-    delta_field,
 )
 from grushin.geometry import (
     MetricPoint,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    bump,
     indicator,
     phi_xi_eval,
     restriction_norm_level,
@@ -14,10 +15,14 @@ from grushin.engine import apply_slice_multiplier
 from grushin.errors import DegenerateInputError, DomainError, TruncationError
 from grushin.fields import MultiplierProfile
 from grushin.hermite import PrimeGrid, hermite_table
+from grushin.lab.columns import l1_multiplier_norm, planar_radial_kernel
+from grushin.lab.radial import weighted_column_norms, weighted_operator_norm
 from grushin.oscillator import (
     active_level_range,
+    eigenvalue_cap,
     oscillator_synthesis,
     oscillator_transform,
+    torus_slabs,
 )
 
 
@@ -85,6 +90,88 @@ class TestActiveLevelRange:
         prof = indicator(1000.0, 2000.0)
         k_lo, k_hi = active_level_range(prof, 1.0, 1, 100.0)
         assert k_hi < k_lo
+
+
+class TestEigenvalueCap:
+    def test_none_and_inf_leave_the_support_edge(self):
+        prof = indicator(3.0, 10.0)
+        assert eigenvalue_cap(prof, None) == eigenvalue_cap(prof, np.inf) == 10.0
+        assert eigenvalue_cap(prof, 7.0) == 7.0
+        assert eigenvalue_cap(prof, 12) == 10.0
+
+    @pytest.mark.parametrize("lambda_max", [np.nan, "16", True, 0.0, -1.0],
+                             ids=["nan", "string", "bool", "zero", "negative"])
+    def test_refuses_a_bad_cap(self, lambda_max):
+        with pytest.raises(DomainError):
+            eigenvalue_cap(indicator(3.0, 10.0), lambda_max)
+
+    @pytest.mark.parametrize("lambda_max", [None, np.inf, 10 ** 400])
+    def test_refuses_no_cap_on_an_unbounded_support(self, lambda_max):
+        with pytest.raises(DomainError, match="finite positive eigenvalue cap"):
+            eigenvalue_cap(MultiplierProfile.wave_cosine(1.0), lambda_max)
+
+
+S_HALF = np.pi / 2.0  # torus slabs at xi_j = 2 j
+LAMBDA_MAX_CALLERS = {
+    "weighted_column_norms": lambda p, cap: weighted_column_norms(
+        p, [0.0, 0.5], 0.25, S_HALF, 40, cap),
+    "weighted_operator_norm": lambda p, cap: weighted_operator_norm(
+        p, 0.25, S_HALF, 40, cap),
+    "planar_radial_kernel": lambda p, cap: planar_radial_kernel(
+        p, np.linspace(0.0, 3.0, 7), cap),
+    "l1_multiplier_norm": lambda p, cap: l1_multiplier_norm(
+        p, S_HALF, lambda_max=cap),
+}
+
+
+@pytest.mark.parametrize("call", LAMBDA_MAX_CALLERS.values(),
+                         ids=LAMBDA_MAX_CALLERS.keys())
+def test_every_path_reads_lambda_max_alike(call):
+    # the one window: None is no cap, as inf is; NaN or a non-number is
+    # refused up front, never a bare TypeError or a silent no-cap
+    prof = bump(0.0, 16.0)
+    assert np.array_equal(call(prof, None), call(prof, np.inf))
+    for bad in (np.nan, "16"):
+        with pytest.raises(DomainError, match="^lambda_max "):
+            call(prof, bad)
+
+
+class TestTorusSlabs:
+    @pytest.mark.parametrize("d1", [1, 2])
+    @pytest.mark.parametrize("half_period", [1.0, 1.3, np.pi / 2.0])
+    def test_cap_on_an_eigenvalue_keeps_its_level(self, d1, half_period):
+        dxi = np.pi / half_period
+        for j in range(1, 7):
+            for k in range(13):
+                top = (2 * k + d1) * (j * dxi)
+                slabs = torus_slabs(indicator(0.0, 1e6), top, dxi, d1)
+                assert slabs[j - 1] == (j * dxi, 0, k), (j, k)
+
+    @pytest.mark.parametrize("d1", [1, 2])
+    @pytest.mark.parametrize("half_period", [1.0, 1.3, np.pi / 2.0])
+    def test_cap_on_the_lowest_eigenvalue_of_a_slab_ends_the_list(
+            self, d1, half_period):
+        dxi = np.pi / half_period
+        for j in range(1, 41):
+            slabs = torus_slabs(indicator(0.0, 1e6), d1 * j * dxi, dxi, d1)
+            assert len(slabs) == j
+            assert slabs[-1] == (j * dxi, 0, 0)
+
+    def test_support_floor_between_eigenvalues_gives_an_empty_range(self):
+        # eigenvalues 4j(k + 1) at xi_j = 2j: slab 2 has 8 and 16, both
+        # outside [9, 13]
+        slabs = torus_slabs(bump(9.0, 13.0), 13.0, 2.0, 2)
+        assert slabs == [(2.0, 2, 2), (4.0, 1, 0), (6.0, 0, 0)]
+
+    def test_k_max_names_the_first_non_empty_slab_past_it(self):
+        # d1 = 1, xi_j = j: eigenvalues (2k + 1) j; slab 1 has none in
+        # [5.5, 6.5], slab 2 has 6 at k = 1
+        prof = indicator(5.5, 6.5)
+        assert torus_slabs(prof, 6.5, 1.0, 1, k_max=1)[:2] == [
+            (1.0, 3, 2), (2.0, 1, 1)]
+        with pytest.raises(TruncationError) as err:
+            torus_slabs(prof, 6.5, 1.0, 1, k_max=0)
+        assert (err.value.level, err.value.xi_mag, err.value.k_max) == (1, 2.0, 0)
 
 
 @pytest.fixture(scope="module")

@@ -6,9 +6,10 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import delta_field
 
 from grushin.engine import inverse_partial_fourier, partial_fourier
-from grushin.fields import Field, GrushinGrid, delta_field
+from grushin.fields import Field, GrushinGrid
 from grushin.geometry import MetricPoint, grushin_distance, grushin_distance_arrays
 from grushin.hermite import PrimeGrid
 

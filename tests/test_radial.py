@@ -3,11 +3,13 @@
 import mpmath as mp
 import numpy as np
 import pytest
-from oracles import level_sum_profile, radial_gram
+from oracles import bump, level_sum_profile, radial_gram
 from scipy.linalg import eigvalsh_tridiagonal
 
+from grushin import engine
 from grushin.errors import DomainError, TruncationError
 from grushin.fields import MultiplierProfile
+from grushin.hermite import PrimeGrid
 from grushin.lab.experiments import band_profile
 from grushin.lab import radial
 from grushin.lab.radial import (
@@ -341,6 +343,11 @@ BAD_RADIAL_INPUT = {
         lambda p: weighted_operator_norm(p, 0.25, 1.5, INF, 24.0),
     "opnorm-k_max=fractional":
         lambda p: weighted_operator_norm(p, 0.25, 1.5, 3.5, 24.0),
+    # np.linspace would raise a bare TypeError on a fractional count
+    "opnorm-n_scan=fractional":
+        lambda p: weighted_operator_norm(p, 0.25, 1.5, 40, 24.0, n_scan=5.5),
+    "opnorm-n_scan=4":
+        lambda p: weighted_operator_norm(p, 0.25, 1.5, 40, 24.0, n_scan=4),
     "radial_gram-gamma=nan": lambda p: radial_gram(5, 2, NAN),
     "radial_gram-gamma=inf": lambda p: radial_gram(5, 2, INF),
     "laguerre_radial_table-s=nan":
@@ -354,6 +361,36 @@ def test_bad_radial_input_raises_domain_error(case):
     # refused up front, before NaN reaches a comparison that lets it through
     with pytest.raises(DomainError):
         case(ramp_profile())
+
+
+class TestSharedWindow:
+    # the slabs and levels are oscillator.torus_slabs' (test_oscillator); on
+    # S = pi/2 the slab eigenvalues are 4j(k + 1), and those of slab 2,
+    # 8 and 16, miss [9, 13]
+    @pytest.mark.parametrize("gamma", [0.0, 0.25])
+    def test_slab_without_an_active_level_is_skipped(self, monkeypatch, gamma):
+        forms, lanes = radial._block_forms, []
+
+        def spy(vals, base, n_max, l, root_xi, u, gamma):
+            lanes.extend(root_xi.tolist())
+            return forms(vals, base, n_max, l, root_xi, u, gamma)
+
+        monkeypatch.setattr(radial, "_block_forms", spy)
+        norms = weighted_column_norms(bump(9.0, 13.0), [0.0, 0.5], gamma,
+                                      np.pi / 2.0, 40, 13.0)
+        assert np.all(norms > 0)
+        # slab 1 at level 2 (three sectors l = 0, 1, 2), slab 3 at level 0
+        assert sorted(lanes) == sorted([np.sqrt(2.0)] * 3 + [np.sqrt(6.0)])
+
+    def test_k_max_error_names_the_slab_as_the_engine_does(self):
+        # slab 1 keeps level 2 (eigenvalue 12), past k_max = 1
+        band = bump(9.0, 13.0)
+        with pytest.raises(TruncationError) as err:
+            weighted_column_norms(band, [0.0], 0.0, np.pi / 2.0, 1, 13.0)
+        with pytest.raises(TruncationError) as via_engine:
+            engine.slice_levels(band, PrimeGrid(12.0, 128, 2), 2.0, 1, 13.0)
+        for e in (err.value, via_engine.value):
+            assert (e.level, e.xi_mag, e.k_max) == (2, 2.0, 1)
 
 
 class TestWeightedOperatorNorm:
