@@ -45,7 +45,7 @@ import numpy as np
 # the program) belong to its engine.fft span
 from numpy.fft import irfft, rfft
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, TruncationError, check_real
 from .fields import Field, GrushinGrid, MultiplierProfile, SpectralTruncation
 from .hermite import PrimeGrid
 from .oscillator import (
@@ -198,12 +198,11 @@ def apply_multiplier(profile: MultiplierProfile, field: Field,
     that schwartz_kernel_column's closed-form path is tested against.
 
     Each nonzero bin m = 1 ... n/2 goes through apply_slice_multiplier, so
-    the TruncationError conditions are those of slice_levels.  A field with
-    a NaN or infinite value raises DomainError, and so does a profile value
-    with a nonzero imaginary part.
+    the TruncationError conditions are those of slice_levels.  Field values
+    follow the number rule of grushin.errors, and a profile value with a
+    nonzero imaginary part raises DomainError.
     """
-    if not np.isfinite(field.values).all():
-        raise DomainError("field has a NaN or infinite value")
+    check_real(field.values, "field value")
     grid = field.grid
     prime = grid.prime
     fhat = partial_fourier(field)
@@ -234,8 +233,8 @@ def schwartz_kernel_column(profile: MultiplierProfile, grid: GrushinGrid,
     product with the bins' cosine waves writes that block of the column.  No
     complex array is made, and no grid-sized one but the column.
 
-    y must be a grid node: an off-grid point raises ContractViolation, and a
-    NaN or infinite coordinate DomainError.
+    y must be a grid node: an off-grid point raises ContractViolation, and
+    its coordinates follow the number rule of grushin.errors.
     """
     *foot, k0 = grid.locate(y_prime, y_second)
     prime, n = grid.prime, grid.n_second

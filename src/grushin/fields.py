@@ -10,13 +10,12 @@ the discrete spectral decomposition is trusted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError
+from .errors import ContractViolation, DomainError, check_integer, check_real
 from .hermite import PrimeGrid
 
 
@@ -28,8 +27,8 @@ class Dims:
     d2: int
 
     def __post_init__(self):
-        if self.d1 < 1 or self.d2 < 1:
-            raise DomainError("both dimension counts must be >= 1")
+        check_integer(self.d1, "d1", minimum=1)
+        check_integer(self.d2, "d2", minimum=1)
 
     @property
     def homogeneous(self) -> int:
@@ -55,10 +54,10 @@ class GrushinGrid:
     d2: int
 
     def __post_init__(self):
-        if not 0 < self.torus_half_period < math.inf:
-            raise DomainError("torus half period must be positive and finite")
-        if self.n_second < 2 or self.n_second % 2:
-            raise DomainError("n_second must be even and >= 2")
+        check_real(self.torus_half_period, "torus half period", 0.0, strict=True)
+        check_integer(self.n_second, "n_second", minimum=2)
+        if self.n_second % 2:
+            raise DomainError(f"n_second must be even, got {self.n_second!r}")
         if self.d2 != 1:
             raise DomainError(f"the torus has one axis: d2 must be 1, got {self.d2!r}")
 
@@ -93,7 +92,12 @@ class GrushinGrid:
         return np.meshgrid(*([self.second_axis] * self.d2), indexing="ij")
 
     def locate(self, x_prime, x_second) -> Tuple[int, ...]:
-        """Index of a grid node; ContractViolation off-grid, DomainError if not finite."""
+        """Index of a grid node; ContractViolation off-grid.
+
+        The coordinates follow the number rule of grushin.errors.
+        """
+        check_real(x_prime, "prime coordinate")
+        check_real(x_second, "torus coordinate")
         x_prime = np.atleast_1d(np.asarray(x_prime, dtype=float))
         x_second = np.atleast_1d(np.asarray(x_second, dtype=float))
         if x_prime.shape != (self.prime.d1,) or x_second.shape != (self.d2,):
@@ -102,9 +106,6 @@ class GrushinGrid:
                 f"({x_prime.shape[0]}, {x_second.shape[0]}), grid is "
                 f"({self.prime.d1}, {self.d2})"
             )
-        if not np.isfinite(np.r_[x_prime, x_second]).all():
-            raise DomainError(f"point ({x_prime}, {x_second}) has a NaN or "
-                              "infinite coordinate")
         idx = []
         for value, name, axis, h in (
             *((v, "prime", self.prime.axis, self.prime.spacing)
@@ -159,8 +160,9 @@ class MultiplierProfile:
 
     def __init__(self, evaluate: Callable[[np.ndarray], np.ndarray],
                  support: Tuple[float, float], label: str = ""):
+        check_real(support[0], "support lower edge", 0.0)
         lo, hi = float(support[0]), float(support[1])
-        if not (lo >= 0.0) or not (hi > lo):
+        if not hi > lo:
             raise DomainError("support must satisfy 0 <= lo < hi")
         self._evaluate = evaluate
         self.support = (lo, hi)
@@ -221,18 +223,15 @@ class MultiplierProfile:
         The support edge is the natural decay edge log(1e14)/t; any harder
         spectral cap is the truncation policy's business, applied at use time.
         """
-        if t <= 0:
-            raise DomainError("heat time must be positive")
+        check_real(t, "heat time", 0.0, strict=True)
         hi = np.log(1e14) / t
         return cls(lambda lam: np.exp(-t * lam), (0.0, hi), label=f"heat(t={t:g})")
 
     @classmethod
     def bochner_riesz(cls, t: float, delta: float) -> "MultiplierProfile":
         """(1 - t lam)_+^delta.  delta = 0 gives the sharp spectral cutoff."""
-        if t <= 0:
-            raise DomainError("scale parameter t must be positive")
-        if not (np.isfinite(delta) and delta >= 0):
-            raise DomainError("order delta must be finite and >= 0")
+        check_real(t, "scale parameter t", 0.0, strict=True)
+        check_real(delta, "order delta", 0.0)
         if delta == 0:
             ev = lambda lam: (t * lam < 1.0).astype(float)
         else:
@@ -242,22 +241,9 @@ class MultiplierProfile:
     @classmethod
     def wave_cosine(cls, s: float) -> "MultiplierProfile":
         """cos(s sqrt(lam)); unbounded support, band-limited only by policy."""
-        if not 0 <= s < math.inf:
-            raise DomainError(f"propagation time must be finite and >= 0, got {s!r}")
+        check_real(s, "propagation time", 0.0)
         return cls(lambda lam: np.cos(s * np.sqrt(np.maximum(lam, 0.0))),
                    (0.0, np.inf), label=f"wave_cosine(s={s:g})")
-
-
-def check_integer(value, name: str, minimum: int = 0) -> None:
-    """DomainError unless value is an integer >= minimum (a bool is not one).
-
-    k > nan and k > inf are always false: a NaN or infinite k_max would
-    switch the level checks off, and a fractional one would be printed as a
-    level.  A fractional seed would fail inside numpy with a bare TypeError.
-    """
-    if (not isinstance(value, (int, np.integer))
-            or isinstance(value, bool) or value < minimum):
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -276,5 +262,4 @@ class SpectralTruncation:
 
     def __post_init__(self):
         check_integer(self.k_max, "k_max")
-        if not 0 < self.lambda_max < math.inf:
-            raise DomainError("lambda_max must be positive and finite")
+        check_real(self.lambda_max, "lambda_max", 0.0, strict=True)

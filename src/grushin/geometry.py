@@ -15,8 +15,14 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ContractViolation, DegenerateInputError, DomainError
-from .fields import GrushinGrid, check_integer
+from .errors import (
+    ContractViolation,
+    DegenerateInputError,
+    DomainError,
+    check_integer,
+    check_real,
+)
+from .fields import GrushinGrid
 
 
 @dataclass(frozen=True)
@@ -33,8 +39,7 @@ class MetricPoint:
         except (TypeError, ValueError) as exc:
             raise DomainError(
                 f"metric point has a non-numeric coordinate: {exc}") from exc
-        if not all(math.isfinite(v) for v in self.x_prime + self.x_second):
-            raise DomainError("metric point has non-finite coordinates")
+        check_real(self.x_prime + self.x_second, "metric point coordinate")
 
     @property
     def d1(self) -> int:
@@ -81,10 +86,11 @@ def grushin_distance_arrays(x_prime: np.ndarray, x_second: np.ndarray,
                             y_prime: np.ndarray, y_second: np.ndarray) -> np.ndarray:
     """Vectorized quasi-distance; the last axis of each input is the coordinate
     axis, leading axes broadcast."""
-    x_prime = np.asarray(x_prime, dtype=float)
-    y_prime = np.asarray(y_prime, dtype=float)
-    x_second = np.asarray(x_second, dtype=float)
-    y_second = np.asarray(y_second, dtype=float)
+    points = (x_prime, x_second, y_prime, y_second)
+    for coords in points:
+        check_real(coords, "point coordinate")
+    x_prime, x_second, y_prime, y_second = (np.asarray(v, dtype=float)
+                                            for v in points)
     dp = np.linalg.norm(x_prime - y_prime, axis=-1)
     ds = np.linalg.norm(x_second - y_second, axis=-1)
     ax = np.linalg.norm(x_prime, axis=-1)
@@ -105,6 +111,8 @@ def grushin_distance_field(grid: GrushinGrid, y_prime, y_second,
     With wrap=True the second-layer difference is taken on the torus
     (minimal image per axis), matching the periodic discretization.
     """
+    check_real(y_prime, "prime coordinate")
+    check_real(y_second, "torus coordinate")
     y_prime = np.atleast_1d(np.asarray(y_prime, dtype=float))
     y_second = np.atleast_1d(np.asarray(y_second, dtype=float))
     if y_prime.shape != (grid.prime.d1,) or y_second.shape != (grid.d2,):
@@ -125,8 +133,7 @@ def grushin_distance_field(grid: GrushinGrid, y_prime, y_second,
 
 def ball_volume_model(x: MetricPoint, r: float) -> float:
     """Comparability representative r^{d1+d2} max{r, |x'|}^{d2}."""
-    if not 0 < r < math.inf:
-        raise DomainError("radius must be positive and finite")
+    check_real(r, "radius", 0.0, strict=True)
     return r ** (x.d1 + x.d2) * max(r, x.prime_norm) ** x.d2
 
 
@@ -143,8 +150,7 @@ def ball_volume_mc(x: MetricPoint, r: float, n_samples: int = 1_000_000,
     deterministic shards so the result is reproducible regardless of any
     parallel scheduling.
     """
-    if not 0 < r < math.inf:
-        raise DomainError("radius must be positive and finite")
+    check_real(r, "radius", 0.0, strict=True)
     if n_samples <= 0:
         raise DegenerateInputError("Monte-Carlo sample budget must be positive")
     check_integer(n_samples, "n_samples", minimum=1)
@@ -173,8 +179,8 @@ def ball_volume_mc(x: MetricPoint, r: float, n_samples: int = 1_000_000,
 def doubling_ratio(x: MetricPoint, r: float, lam: float,
                    n_samples: int = 1_000_000, seed: int = 0) -> float:
     """Measured |B(x, lam r)| / |B(x, r)| by Monte Carlo."""
-    if lam < 1:
-        raise DomainError("doubling factor must be >= 1")
+    check_real(r, "radius", 0.0, strict=True)
+    check_real(lam, "doubling factor", 1.0)
     check_integer(seed, "seed")
     big, _ = ball_volume_mc(x, lam * r, n_samples, seed=seed * 2 + 1)
     small, _ = ball_volume_mc(x, r, n_samples, seed=seed * 2 + 2)

@@ -8,12 +8,11 @@ grushin.oscillator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import check_integer, check_real
 
 __all__ = [
     "PrimeGrid",
@@ -32,11 +31,9 @@ def hermite_table(nmax: int, u: np.ndarray) -> np.ndarray:
     h_{n+1} = sqrt(2/(n+1)) u h_n - sqrt(n/(n+1)) h_{n-1}, which is stable and
     overflow-free for every n reachable at desk scale.
     """
-    if nmax < 0:
-        raise DomainError("nmax must be >= 0")
+    check_integer(nmax, "nmax")
+    check_real(u, "hermite evaluation point")
     u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise DomainError("hermite evaluation points must be finite")
     out = np.empty((nmax + 1,) + u.shape)
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * u * u)
     if nmax >= 1:
@@ -60,9 +57,9 @@ class PrimeGrid:
     d1: int
 
     def __post_init__(self):
-        if not 0 < self.half_width < math.inf or self.n_points < 2 or self.d1 < 1:
-            raise DomainError(
-                "PrimeGrid needs finite positive extent, >=2 points, d1 >= 1")
+        check_real(self.half_width, "half_width", 0.0, strict=True)
+        check_integer(self.n_points, "n_points", minimum=2)
+        check_integer(self.d1, "d1", minimum=1)
 
     @property
     def spacing(self) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import j0, jv, gamma as _gamma_fn
 
-from ..errors import DomainError
+from ..errors import DomainError, check_integer, check_real
 from ..hermite import MIN_TURNING_MARGIN, hermite_table
 from ..oscillator import eigenvalue_cap, torus_slabs
 
@@ -68,10 +68,9 @@ def bochner_riesz_radial_kernel(scale: float, delta: float,
     Closed form via the Bessel function of order delta + 1; the removable
     r = 0 singularity is filled with its limit.
     """
-    if scale <= 0:
-        raise DomainError("scale must be positive")
-    if delta < 0:
-        raise DomainError("delta must be >= 0")
+    check_real(scale, "scale", 0.0, strict=True)
+    check_real(delta, "delta", 0.0)
+    check_real(r, "r")
     z = scale * np.asarray(r, dtype=float)
     small = z < 1e-8
     zz = np.where(small, 1.0, z)
@@ -90,6 +89,7 @@ def planar_radial_kernel(profile, r: np.ndarray,
     rule is Simpson's: the integrand starts with slope F(0) at rho = 0, where
     the trapezoid rule would leave the same O(h^2) offset on every r.
     """
+    check_real(r, "r")
     r = np.asarray(r, dtype=float)
     top = eigenvalue_cap(profile, lambda_max)
     rho_lo = np.sqrt(max(profile.support[0], 0.0))
@@ -230,23 +230,27 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     the zero slab alone.
 
     The modulus of a band-limited kernel is not band-limited, so the torus
-    integral of |K| carries a residual resolution error; fft_oversample
-    doubles the bin count that many times for convergence studies.  A
+    integral of |K| carries a residual resolution error; fft_oversample,
+    the torus sampling factor, a power of 2, serves convergence studies.  A
     core_half_width past the extent makes the innermost square the whole
     domain, a dense all-frequency evaluation useful as a reference.  extent
-    overrides the integration half width in x'.  Non-finite arguments raise
-    DomainError.  The cap is oscillator.eigenvalue_cap's: lambda_max None
-    and inf both mean no cap, and a cap below the support edge where
+    overrides the integration half width in x'.  Numbers follow the rule of
+    grushin.errors.  The cap is oscillator.eigenvalue_cap's: lambda_max
+    None and inf both mean no cap, and a cap below the support edge where
     |F| > 1e-14 raises DomainError.
     """
-    for name, value in (("torus_half_period", torus_half_period), ("u", u),
-                        ("points_per_wavelength", points_per_wavelength),
-                        ("fft_oversample", fft_oversample)):
-        if not np.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
+    check_real(torus_half_period, "torus_half_period", 0.0, strict=True)
+    check_real(u, "u")
+    check_real(points_per_wavelength, "points_per_wavelength", 2.0)
+    check_integer(fft_oversample, "fft_oversample", minimum=1)
+    if fft_oversample & (fft_oversample - 1):
+        raise DomainError(f"fft_oversample must be a power of 2, got "
+                          f"{fft_oversample!r}")
+    if core_half_width is not None:
+        check_real(core_half_width, "core_half_width", 0.0, strict=True)
+    if extent is not None:
+        check_real(extent, "extent", 0.0, strict=True)
     top = eigenvalue_cap(profile, lambda_max)
-    if core_half_width is not None and not core_half_width > 0:
-        raise DomainError("core_half_width must be positive")
     if top < profile.support[1]:
         # a cap where F has not vanished cuts the zero slab's Hankel integral
         # sharply: the planar kernel decays like r^(-3/2), is not integrable,
@@ -257,10 +261,6 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
                 f"lambda_max = {top:.6g} cuts the profile inside its support, "
                 f"where |F({top:.6g})| = {edge:.3e} > 1e-14; pass the support "
                 f"edge {profile.support[1]:.6g} or a cap where F vanishes")
-    if torus_half_period <= 0:
-        raise DomainError("torus half period must be positive")
-    if points_per_wavelength < 2.0:
-        raise DomainError("need at least 2 points per wavelength")
     dxi = np.pi / torus_half_period
     dx = 2.0 * np.pi / (points_per_wavelength * np.sqrt(top))
     # every slab below the cap: one without an active level gets a zero C
@@ -271,15 +271,10 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
         # too narrow when the spectrum sits far below the first slab, so
         # slowly decaying near-planar kernels should pass extent explicitly
         extent = float(_reach(top, dxi))
-    elif extent <= 0 or not np.isfinite(extent):
-        raise DomainError("extent must be finite and positive")
     if abs(u) > extent / 2.0:
         raise DomainError("column foot u is outside the resolved region")
     if core_half_width is None:
         core_half_width = reach[-1] if j_max else extent
-    if fft_oversample < 1:
-        raise DomainError("fft_oversample must be >= 1")
-    over = 1 << max(0, int(np.ceil(np.log2(fft_oversample))))
     n_half = int(np.ceil(extent / dx))
     ax2 = dx * np.arange(0, n_half + 1)  # even in x2: half grid, weight 2
     w2 = np.full(ax2.size, 2.0)
@@ -384,7 +379,7 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     for n_in, n_out, bins in frames:
         if n_out <= n_in:
             continue
-        n_fft = over << int(np.ceil(np.log2(4 * bins + 4)))
+        n_fft = fft_oversample << int(np.ceil(np.log2(4 * bins + 4)))
         if n_in and bins <= _COSINE_MAX_BINS:
             table = _half_period_cosines(bins + 1, n_fft)
             out = np.empty(max(_CHUNK_SAMPLES, table.shape[0]))
@@ -422,12 +417,12 @@ def heat_kernel_pointwise(x, y, t: float, torus_half_period: float):
     arrays of points give an array, their leading axes broadcast against
     each other.  A sum of more than _HEAT_MAX_TERMS terms raises DomainError.
     """
-    if not 0 < t < np.inf:
-        raise DomainError("time must be positive and finite")
-    if not 0 < torus_half_period < np.inf:
-        raise DomainError("torus half period must be positive and finite")
-    xp, xs, yp, ys = (np.asarray(v, dtype=float)
-                      for v in (x[0], x[1], y[0], y[1]))
+    check_real(t, "time", 0.0, strict=True)
+    check_real(torus_half_period, "torus half period", 0.0, strict=True)
+    points = (x[0], x[1], y[0], y[1])
+    for coords in points:
+        check_real(coords, "point coordinate")
+    xp, xs, yp, ys = (np.asarray(v, dtype=float) for v in points)
     if (xp.ndim == 0 or yp.ndim == 0 or xp.shape[-1] != yp.shape[-1]
             or not 1 <= xp.shape[-1] <= 3):
         raise DomainError("prime parts must match with dimension 1..3")

@@ -21,14 +21,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..engine import schwartz_kernel_column
-from ..errors import AliasingError, ContractViolation, DomainError
-from ..fields import (
-    Dims,
-    GrushinGrid,
-    MultiplierProfile,
-    SpectralTruncation,
+from ..errors import (
+    AliasingError,
+    ContractViolation,
+    DomainError,
     check_integer,
+    check_real,
 )
+from ..fields import Dims, GrushinGrid, MultiplierProfile, SpectralTruncation
 from ..geometry import (
     MetricPoint,
     ball_volume_mc,
@@ -83,19 +83,27 @@ _D1, _D2, _P = _DIMS.d1, _DIMS.d2, 1.0
 
 def _restriction_precondition(gamma: float) -> None:
     slack = _D2 * (1.0 / _P - 0.5)
-    if not 0.0 <= gamma < slack:
+    check_real(gamma, "gamma", 0.0)
+    if not gamma < slack:
         raise DomainError(
             f"gamma={gamma} must satisfy 0 <= gamma < d2 (1/p - 1/2) = {slack}")
 
 
-def _increasing(values, name: str, minimum: int = 3) -> List[float]:
+def _numbers(values, name: str, strict: bool = True) -> List[float]:
+    """values, positive (or >= 0 if not strict), as a non-empty float list."""
+    check_real(values, name, 0.0, strict)
     vals = [float(v) for v in values]
+    if not vals:
+        raise DomainError(f"{name} needs at least one entry")
+    return vals
+
+
+def _increasing(values, name: str, minimum: int = 3) -> List[float]:
+    vals = _numbers(values, name)
     if len(vals) < minimum:
         raise DomainError(f"{name} needs at least {minimum} entries")
-    if (not all(map(math.isfinite, vals)) or vals[0] <= 0
-            or any(b <= a for a, b in zip(vals, vals[1:]))):
-        raise DomainError(f"{name} must be finite, positive and strictly "
-                          "increasing")
+    if any(b <= a for a, b in zip(vals, vals[1:])):
+        raise DomainError(f"{name} must be strictly increasing")
     return vals
 
 
@@ -105,8 +113,7 @@ def band_profile(radius: float) -> MultiplierProfile:
     eta is the standard dyadic cutoff, so the band family is a single profile
     dilated through R and the sweep isolates the R-exponent.
     """
-    if radius <= 0:
-        raise DomainError("band radius must be positive")
+    check_real(radius, "band radius", 0.0, strict=True)
     eta = CutoffSpec.standard().eta
     return MultiplierProfile(
         lambda lam, R=radius: eta(np.sqrt(np.maximum(lam, 0.0)) / R),
@@ -171,16 +178,16 @@ def localized_restriction_experiment(
     _restriction_precondition(gamma)
     radii = _increasing(radii, "radii")
     y_values = _increasing(y_values, "y_values")
-    if ball_radius <= 0:
-        raise DomainError("ball_radius must be positive")
+    check_real(ball_radius, "ball_radius", 0.0, strict=True)
     check_integer(n_scan, "n_scan", minimum=2)
-    y_fix = float(y_values[len(y_values) // 2] if y_fix is None else y_fix)
+    y_fix, r_fix = _numbers(
+        [y_values[len(y_values) // 2] if y_fix is None else y_fix,
+         radii[-1] if r_fix is None else r_fix], "y_fix and r_fix")
     bad = [y for y in (*y_values, y_fix) if not y > 4.0 * ball_radius]
     if bad:
         raise DomainError(
             f"every ball center must satisfy y > 4 ball_radius = "
             f"{4 * ball_radius}; violated by y={bad[0]}")
-    r_fix = float(radii[-1] if r_fix is None else r_fix)
 
     def ball_norm(radius: float, y: float) -> float:
         feet = np.linspace(y - ball_radius, y + ball_radius, n_scan)
@@ -237,9 +244,7 @@ def bochner_riesz_sweep(
     divergent one.
     """
     radii = _increasing(radii, "radii")
-    deltas = [float(d) for d in deltas]
-    if not deltas or not all(math.isfinite(d) and d >= 0 for d in deltas):
-        raise DomainError("deltas must be finite and non-negative")
+    deltas = _numbers(deltas, "deltas", strict=False)
 
     rows: List[list] = []
     ratios = {}
@@ -286,12 +291,9 @@ def multiplier_norm_experiment(
     two must agree to rounding.
     """
     profile_fn = CutoffSpec.standard().eta
-    t_values = [float(t) for t in t_values]
-    if not t_values or any(t <= 0 for t in t_values):
-        raise DomainError("t_values must be positive")
-    orders = [float(s) for s in sobolev_orders]
-    if not orders:
-        raise DomainError("need at least one Sobolev order")
+    t_values = _numbers(t_values, "t_values")
+    orders = _numbers(sobolev_orders, "sobolev_orders", strict=False)
+    check_real(torus_half_period, "torus half period", 0.0, strict=True)
 
     lam_s = np.linspace(-2.0, 3.0, 4001)
     samples = np.asarray(profile_fn(lam_s), dtype=float)
@@ -376,18 +378,15 @@ def heat_gaussian_check(
     the two-sided comparability indicator.
     """
     check_integer(d1, "d1", minimum=1)
-    if d1 > 3:
-        raise DomainError(f"d1={d1!r} not supported; the heat kernel is "
-                          "implemented for d1 = 1, 2, 3")
-    times = [float(t) for t in times]
-    if not times or not all(0 < t < math.inf for t in times):
-        raise DomainError("times must be positive and finite")
-    if not 0 < torus_half_period < math.inf:
-        raise DomainError("torus half period must be positive and finite, "
-                          f"got {torus_half_period!r}")
+    times = _numbers(times, "times")
+    check_real(torus_half_period, "torus half period", 0.0, strict=True)
     if max(_HEAT_SECOND_OFFSETS) > torus_half_period / 2.0:
         raise DomainError("pair outside the aliasing-safe half of the torus")
     pairs = _heat_pairs(d1)
+    # the (x', x'') arrays of the first and of the second points, one row
+    # per pair, so each time takes one heat_kernel_pointwise call
+    ends = [(np.array([p.x_prime for p in side]),
+             np.array([p.x_second for p in side])) for side in zip(*pairs)]
 
     rows: List[list] = []
     abscissa, ordinate = [], []
@@ -395,11 +394,9 @@ def heat_gaussian_check(
     min_kernel = math.inf
     max_kernel = 0.0
     for t in times:
-        for x, y in pairs:
+        kernel = heat_kernel_pointwise(*ends, t, torus_half_period).tolist()
+        for (x, y), p_val in zip(pairs, kernel):
             rho = grushin_distance(x, y)
-            p_val = heat_kernel_pointwise(
-                (x.x_prime, x.x_second), (y.x_prime, y.x_second),
-                t, torus_half_period)
             v_model = ball_volume_model(y, math.sqrt(t))
             min_kernel = min(min_kernel, p_val)
             max_kernel = max(max_kernel, p_val)
@@ -456,12 +453,8 @@ def kernel_support_check(
     reported fractions are the relative L^2 mass beyond kappa times the
     support radius.
     """
-    if not 0 < scale_time < math.inf:
-        raise DomainError(f"scale_time must be positive and finite, "
-                          f"got {scale_time!r}")
-    kappas = sorted(float(k) for k in kappas)
-    if not kappas or not all(0 < k < math.inf for k in kappas):
-        raise DomainError(f"kappas must be positive and finite, got {kappas!r}")
+    check_real(scale_time, "scale_time", 0.0, strict=True)
+    kappas = sorted(_numbers(kappas, "kappas"))
     support_radius = 2.0 ** piece.level * scale_time
     if support_radius ** 2 > 0.9 * grid.torus_half_period:
         raise AliasingError(
@@ -516,6 +509,8 @@ def kernel_support_suite(
                           f"{len(levels)} and {len(times)}")
     if not levels:
         raise DomainError("need at least one (level, time) pair")
+    for level in levels:
+        check_integer(level, "level")
     grid = GrushinGrid(PrimeGrid(prime_extent, n_prime, 2),
                        torus_half_period, n_second, 1)
     trunc = SpectralTruncation(k_max=k_max, lambda_max=lambda_max)
@@ -525,8 +520,6 @@ def kernel_support_suite(
     worst = {}
     header = None
     for level, t in zip(levels, times):
-        if not 0 <= level < len(pieces):
-            raise DomainError(f"no dyadic piece at level {level}")
         res = kernel_support_check(pieces[level], t, kappas, grid, trunc)
         header = res.header
         rows.extend(res.rows)

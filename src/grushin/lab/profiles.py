@@ -12,7 +12,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from ..errors import DomainError, WindowingError
+from ..errors import DomainError, WindowingError, check_integer, check_real
 
 __all__ = [
     "smoothstep",
@@ -73,16 +73,12 @@ def sobolev_norm(values: np.ndarray, spacing: float, s: float) -> float:
     The window must already contain the profile: samples at both edges have to
     be below 1e-12 or the periodization would contaminate the spectrum.
     """
-    if not 0 <= s < np.inf:
-        raise DomainError(f"Sobolev order must be finite and >= 0, got {s!r}")
-    if not 0 < spacing < np.inf:
-        raise DomainError(
-            f"sample spacing must be finite and positive, got {spacing!r}")
+    check_real(s, "Sobolev order", 0.0)
+    check_real(spacing, "sample spacing", 0.0, strict=True)
+    check_real(values, "profile sample")
     v = np.asarray(values, dtype=complex)
     if v.ndim != 1 or v.size < 8:
         raise DomainError("need a 1-D profile with at least 8 samples")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("profile samples must be finite")
     edge = max(abs(v[0]), abs(v[-1]))
     if edge > 1e-12:
         raise WindowingError(
@@ -143,10 +139,8 @@ def dyadic_pieces(profile: Callable[[np.ndarray], np.ndarray],
     cosine inversion.  ds controls the time quadrature spacing; the default
     resolves arguments mu up to ~pi/(8 ds) ~ 8.
     """
-    if n_levels < 1:
-        raise DomainError("need at least one dyadic level")
-    if not 0 < ds < np.inf:
-        raise DomainError("quadrature spacing must be finite and positive")
+    check_integer(n_levels, "n_levels", minimum=1)
+    check_real(ds, "quadrature spacing", 0.0, strict=True)
     # support contract: the profile must live inside [1/4, 1]
     lam_probe = np.concatenate([np.linspace(0.0, 0.25, 200, endpoint=False),
                                 np.linspace(1.0, 8.0, 400)[1:]])

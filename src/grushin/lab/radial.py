@@ -37,8 +37,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.special import gammaln
 
-from ..errors import DomainError
-from ..fields import check_integer
+from ..errors import check_integer, check_real
 from ..oscillator import eigenvalue_cap, torus_slabs
 
 __all__ = [
@@ -167,11 +166,10 @@ def laguerre_radial_table(n_max: int, l: int, s: np.ndarray) -> np.ndarray:
     modes vanish at s = 0; the l = 0 modes take the value sqrt(2) (n even
     sign convention of L_n(0) = 1).
     """
-    if n_max < 0 or l < 0:
-        raise DomainError("need n_max >= 0 and l >= 0")
+    check_integer(n_max, "n_max")
+    check_integer(l, "l")
+    check_real(s, "radial coordinate s", 0.0)
     s = np.asarray(s, dtype=float)
-    if not np.all((s >= 0) & (s < np.inf)):
-        raise DomainError("s is a radial coordinate; need finite s >= 0")
     lane = np.full((1,) * (s.ndim + 1), float(l))
     return np.stack([row[0].copy() for row in _normalized_recurrence(
         np.array([n_max]), lane, s * s, _radial_log_row0(lane, s))])
@@ -246,30 +244,21 @@ def _block_forms(vals: np.ndarray, base: np.ndarray, n_max: np.ndarray,
     return np.einsum("nlu,nlu->lu", mixed, mixed)
 
 
-def _eigenvalue_cap(profile, gamma: float, torus_half_period: float,
-                    k_max: int, lambda_max: float) -> float:
-    """Validate the shared arguments; return the eigenvalue cap."""
-    if not 0.0 <= gamma < np.inf:
-        raise DomainError(f"gamma must be finite and >= 0, got {gamma!r}")
-    if not 0.0 < torus_half_period < np.inf:
-        raise DomainError("torus half period must be finite and positive")
-    check_integer(k_max, "k_max")
-    return eigenvalue_cap(profile, lambda_max)
-
-
 def weighted_column_norms(profile, u, gamma: float, torus_half_period: float,
                           k_max: int, lambda_max: float) -> np.ndarray:
     """|| |x'|^gamma K_F(., y) ||_2 for columns at |y'| = u, vectorized in u.
 
     The column norm depends on y only through u = |y'| by rotation invariance
     in x' and translation invariance on the torus.  Levels beyond the k_max
-    policy raise TruncationError naming the offending frequency; non-finite
-    or out-of-domain arguments raise DomainError.
+    policy raise TruncationError naming the offending frequency; numbers
+    follow the rule of grushin.errors.
     """
+    check_real(u, "radius u", 0.0)
+    check_real(gamma, "gamma", 0.0)
+    check_real(torus_half_period, "torus half period", 0.0, strict=True)
+    check_integer(k_max, "k_max")
+    top = eigenvalue_cap(profile, lambda_max)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if not np.all((u >= 0) & (u < np.inf)):
-        raise DomainError("u is a radius; need finite u >= 0")
-    top = _eigenvalue_cap(profile, gamma, torus_half_period, k_max, lambda_max)
     # the active torus frequencies, ascending
     active = [(xi, k_hi) for xi, k_lo, k_hi in torus_slabs(
         profile, top, np.pi / torus_half_period, _D1, k_max) if k_hi >= k_lo]
@@ -314,12 +303,13 @@ def weighted_operator_norm(profile, gamma: float, torus_half_period: float,
     from 0 to sqrt(top) / dxi + 1; the search is a dense scan with extra
     density near the axis, then two local grid-refinement rounds.  A ball
     cutoff on the input side is a scan of weighted_column_norms over the
-    feet in the ball.
+    feet in the ball.  gamma and k_max are checked by the first scan.
     """
-    top = _eigenvalue_cap(profile, gamma, torus_half_period, k_max, lambda_max)
+    check_real(torus_half_period, "torus half period", 0.0, strict=True)
+    check_integer(n_scan, "n_scan", minimum=5)
+    top = eigenvalue_cap(profile, lambda_max)
     dxi = np.pi / torus_half_period
     u_hi = np.sqrt(top) / dxi + 1.0
-    check_integer(n_scan, "n_scan", minimum=5)
 
     def norms(us):
         return weighted_column_norms(profile, us, gamma, torus_half_period,

@@ -7,7 +7,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, check_real
 
 __all__ = ["ScalingReport", "rows_to_csv"]
 
@@ -26,14 +26,14 @@ class ScalingReport:
     @classmethod
     def fit(cls, abscissae: Sequence[float], norms: Sequence[float],
             predicted_slope: float) -> "ScalingReport":
+        check_real(abscissae, "abscissa", 0.0, strict=True)
+        check_real(norms, "norm", 0.0, strict=True)
         x = np.asarray(abscissae, dtype=float)
         y = np.asarray(norms, dtype=float)
         if x.size < 3:
             raise DomainError("scaling fit needs at least 3 abscissae")
         if np.any(np.diff(x) <= 0):
             raise DomainError("abscissae must be strictly increasing")
-        if not (np.all((x > 0) & (x < np.inf)) and np.all((y > 0) & (y < np.inf))):
-            raise DomainError("log-log fit needs finite positive data")
         lx, ly = np.log(x), np.log(y)
         design = np.stack([lx, np.ones_like(lx)], axis=1)
         coef, *_ = np.linalg.lstsq(design, ly, rcond=None)

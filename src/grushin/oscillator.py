@@ -8,11 +8,12 @@ evaluator keeps the spectral window decided here: eigenvalue_cap, torus_slabs.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, TruncationError, check_real
 from .hermite import PrimeGrid, hermite_table
 
 __all__ = [
@@ -27,16 +28,17 @@ __all__ = [
 def eigenvalue_cap(profile, lambda_max) -> float:
     """The top eigenvalue that F(L) keeps: min(support edge, lambda_max).
 
-    lambda_max None and inf both mean no cap.  A NaN or non-number
-    lambda_max, or a top that is not finite and positive, raises DomainError.
+    lambda_max None and inf both mean no cap; any other lambda_max must be
+    one positive number (grushin.errors), and a top that is not a finite
+    float raises DomainError.
     """
-    lambda_max = np.inf if lambda_max is None else lambda_max
-    if (not isinstance(lambda_max, (float, int, np.floating, np.integer))
-            or isinstance(lambda_max, bool) or lambda_max != lambda_max):  # NaN
-        raise DomainError(f"lambda_max must be a number, or None or inf for "
-                          f"no cap; got {lambda_max!r}")
-    top = min(profile.support[1], lambda_max)
-    if not 0.0 < top <= sys.float_info.max:  # an int past the float range too
+    if np.ndim(lambda_max):
+        raise DomainError(f"lambda_max must be one number, got {lambda_max!r}")
+    top = profile.support[1]
+    if lambda_max is not None and lambda_max != math.inf:
+        check_real(lambda_max, "lambda_max", 0.0, strict=True)
+        top = min(top, lambda_max)
+    if not top <= sys.float_info.max:  # an int past the float range too
         raise DomainError("need a finite positive eigenvalue cap; pass a finite "
                           "lambda_max or use a compactly supported profile")
     return top
@@ -50,8 +52,13 @@ def active_level_range(profile, xi_mag: float, d1: int, lambda_max,
     range (k_lo > k_hi).  Given k_max, a non-empty range with k_hi past it
     raises TruncationError(k_hi, xi_mag, k_max).
     """
+    return _level_range(profile, xi_mag, d1, eigenvalue_cap(profile, lambda_max),
+                        k_max)
+
+
+def _level_range(profile, xi_mag: float, d1: int, top: float, k_max):
+    """active_level_range under the cap top, which eigenvalue_cap has checked."""
     a = profile.support[0]
-    top = eigenvalue_cap(profile, lambda_max)
     if top < a:
         return 0, -1
     k_lo = max(0, int(np.ceil((a / xi_mag - d1) / 2.0 - 1e-12)))
@@ -71,11 +78,13 @@ def torus_slabs(profile, top: float, dxi: float, d1: int,
     slab past it raises TruncationError.
     """
     j_top = int(np.floor(top / (d1 * dxi) + 1e-12))
-    return [(j * dxi, *active_level_range(profile, j * dxi, d1, top, k_max))
+    return [(j * dxi, *_level_range(profile, j * dxi, d1, top, k_max))
             for j in range(1, j_top + 1)]
 
 
 def _tables(grid: PrimeGrid, xi_mag: float, k_hi: int) -> np.ndarray:
+    if grid.d1 > 3:
+        raise DomainError("oscillator transforms implemented for d1 <= 3")
     # per-axis normalization xi^{1/4} keeps the quadrature-orthonormality of rows
     return xi_mag ** 0.25 * hermite_table(k_hi, np.sqrt(xi_mag) * grid.axis)
 
@@ -86,15 +95,11 @@ def oscillator_transform(f: np.ndarray, grid: PrimeGrid, xi_mag: float, k_hi: in
     The first d1 axes of f are spatial; any trailing axes are carried along as a
     batch, so one call transforms a whole family of slices.
     """
-    if grid.d1 > 3:
-        raise DomainError("oscillator transforms implemented for d1 <= 3")
     return _contract(_tables(grid, xi_mag, k_hi), f, grid.d1) * grid.cell
 
 
 def oscillator_synthesis(coef: np.ndarray, grid: PrimeGrid, xi_mag: float) -> np.ndarray:
     """Inverse of oscillator_transform on the represented span."""
-    if grid.d1 > 3:
-        raise DomainError("oscillator transforms implemented for d1 <= 3")
     k_hi = coef.shape[0] - 1
     return _contract(_tables(grid, xi_mag, k_hi).T, coef, grid.d1)
 

@@ -66,6 +66,32 @@ class TestRadialKernels:
             bochner_riesz_radial_kernel(2.0, -0.5, np.array([0.5]))
 
 
+BAD_COLUMN_INPUT = {
+    "planar-r=nan": lambda: planar_radial_kernel(
+        br_profile(4.0, 1.5), np.array([np.nan]), 16.0),
+    "planar-r=inf": lambda: planar_radial_kernel(
+        br_profile(4.0, 1.5), np.array([np.inf]), 16.0),
+    "bochner-riesz-scale=nan": lambda: bochner_riesz_radial_kernel(
+        np.nan, 1.5, np.array([0.5])),
+    "bochner-riesz-delta=nan": lambda: bochner_riesz_radial_kernel(
+        4.0, np.nan, np.array([0.5])),
+    "bochner-riesz-r=nan": lambda: bochner_riesz_radial_kernel(
+        4.0, 1.5, np.array([0.5, np.nan])),
+    "heat-t=string": lambda: heat_kernel_pointwise(
+        ((0.0,), (0.0,)), ((0.0,), (0.0,)), "a", 1.0),
+    "heat-point=nan": lambda: heat_kernel_pointwise(
+        ((np.nan,), (0.0,)), ((0.0,), (0.0,)), 0.1, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", BAD_COLUMN_INPUT.values(),
+                         ids=BAD_COLUMN_INPUT.keys())
+def test_bad_column_input_raises_domain_error(case):
+    # each was a bare error or a silent NaN
+    with pytest.raises(DomainError):
+        case()
+
+
 class TestL1MultiplierNorm:
     def test_resolution_convergence(self):
         # doubling the second-layer bins moves the value at the 1e-3 level
@@ -185,6 +211,12 @@ class TestL1MultiplierNorm:
         {"points_per_wavelength": np.inf},
         {"core_half_width": np.nan},
         {"fft_oversample": np.nan},
+        {"u": None},
+        {"torus_half_period": "a"},
+        {"extent": "a"},
+        # a torus sampling factor that is no power of 2 ran as the next one
+        {"fft_oversample": 2.5},
+        {"fft_oversample": 3},
     ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
     def test_rejects_non_finite_arguments(self, kwargs):
         # checked up front, before any grid size is derived from them

@@ -41,6 +41,21 @@ def test_increasing_rejects_non_finite_entries(values):
         _increasing(values, "radii")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: bochner_riesz_sweep(deltas=[None]),
+    lambda: kernel_support_suite(levels=[1.5], times=[1.0]),
+    lambda: kernel_support_suite(levels=["a"], times=[1.0]),
+    lambda: weighted_restriction_experiment(gamma="a"),
+    lambda: localized_restriction_experiment(y_fix="abc"),
+    lambda: multiplier_norm_experiment(torus_half_period=0.0),
+], ids=["deltas-none", "level-fractional", "level-string", "gamma-string",
+        "y-fix-string", "multiplier-torus-half-period-zero"])
+def test_bad_numbers_raise_domain_error(call):
+    # each was a bare TypeError, ValueError or ZeroDivisionError
+    with pytest.raises(DomainError):
+        call()
+
+
 class TestBandProfile:
     def test_support_matches_scale(self):
         prof = band_profile(8.0)

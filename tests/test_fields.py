@@ -237,13 +237,19 @@ class TestSpectralTruncation:
     lambda: schwartz_kernel_column(
         MultiplierProfile.heat(0.1), GrushinGrid(PrimeGrid(7.0, 64, 2), np.pi / 2, 32, 1),
         (np.nan, 0.0), (0.0,), SpectralTruncation(3, 26.0)),
+    # not a number: each was a bare TypeError
+    lambda: MultiplierProfile.heat("a"),
+    lambda: SpectralTruncation(4, "16"),
+    lambda: SpectralTruncation(4, None),
+    lambda: GrushinGrid(PrimeGrid(6.0, 32, 2), "a", 4, 1),
 ], ids=["prime-extent-nan", "torus-half-period-inf", "lambda-max-inf",
         "ball-radius-nan", "bochner-riesz-delta-nan", "ball-model-radius-nan",
         "ball-model-radius-inf", "scaling-fit-norm-nan", "dyadic-ds-nan",
         "dyadic-ds-inf", "heat-kernel-time-nan", "heat-check-time-nan",
         "grid-two-torus-axes", "ball-volume-seed-negative", "k-max-nan",
         "k-max-fractional", "wave-time-nan", "locate-foot-nan",
-        "kernel-column-foot-nan"])
+        "kernel-column-foot-nan", "heat-time-string", "lambda-max-string",
+        "lambda-max-none", "torus-half-period-string"])
 def test_non_finite_parameters_raise_domain_error(build):
     with pytest.raises(DomainError):
         build()
@@ -267,10 +273,18 @@ def test_non_finite_parameters_raise_domain_error(build):
     ("d1", lambda: heat_gaussian_check(d1=True)),
     ("d1", lambda: heat_gaussian_check(d1=2.0)),
     ("d1", lambda: heat_gaussian_check(d1=0)),
+    ("n_points", lambda: PrimeGrid(4.0, 2.5, 2)),
+    ("n_points", lambda: PrimeGrid(4.0, "a", 2)),
+    ("d1", lambda: PrimeGrid(4.0, 8, 1.5)),
+    ("n_second", lambda: GrushinGrid(PrimeGrid(6.0, 32, 2), np.pi, 4.0, 1)),
+    ("d1", lambda: Dims(1.5, 1)),
+    ("d1", lambda: Dims("a", 1)),
 ], ids=["k-max-bool", "k-max-float", "suite-seed-fractional", "suite-seed-bool",
         "suite-triples-fractional", "suite-samples-fractional",
         "ball-seed-fractional", "ball-seed-bool", "doubling-seed-fractional",
-        "doubling-seed-bool", "heat-d1-bool", "heat-d1-float", "heat-d1-zero"])
+        "doubling-seed-bool", "heat-d1-bool", "heat-d1-float", "heat-d1-zero",
+        "prime-points-fractional", "prime-points-string", "prime-d1-fractional",
+        "torus-points-float", "dims-d1-fractional", "dims-d1-string"])
 def test_integer_parameters_refuse_other_values(name, build):
     with pytest.raises(DomainError, match=f"{name} must be an integer >= "):
         build()

@@ -22,6 +22,20 @@ def small_grid():
     return GrushinGrid(PrimeGrid(2.0, 16, 2), 2.0, 16, 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ball_volume_model(MetricPoint((0.0, 0.0), (0.0,)), "a"),
+    lambda: doubling_ratio(MetricPoint((0.0, 0.0), (0.0,)), 1.0, "a"),
+    lambda: grushin_distance_arrays(np.array([np.nan, 0.0]), np.zeros(1),
+                                    np.zeros(2), np.zeros(1)),
+    lambda: grushin_distance_field(small_grid(), (np.nan, 0.0), (0.0,)),
+], ids=["model-radius-string", "doubling-factor-string", "arrays-nan",
+        "field-foot-nan"])
+def test_bad_numbers_raise_domain_error(call):
+    # each was a bare TypeError or a silent NaN
+    with pytest.raises(DomainError):
+        call()
+
+
 class TestDistance:
     def test_coincident_points(self):
         x = MetricPoint((1.0, -0.5), (0.25,))

@@ -66,6 +66,15 @@ def test_hermite_rejects_nonfinite():
         hermite_table(-1, np.array([0.0]))
 
 
+@pytest.mark.parametrize("nmax, u", [(2.5, [0.0]), (True, [0.0]), (2, ["a"])],
+                         ids=["nmax-fractional", "nmax-bool", "u-string"])
+def test_hermite_table_refuses_bad_numbers(nmax, u):
+    # a fractional nmax or a string point failed inside numpy, a bool nmax
+    # ran as 1
+    with pytest.raises(DomainError):
+        hermite_table(nmax, u)
+
+
 def test_multiindex_examples():
     assert multiindex_enum(2, 3) == [(0, 3), (1, 2), (2, 1), (3, 0)]
     assert multiindex_enum(1, 5) == [(5,)]

@@ -122,6 +122,20 @@ class TestSobolevNorm:
             sobolev_norm(g, 0.1, 1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: sobolev_norm(np.zeros(16), 0.1, "a"),
+    lambda: sobolev_norm(np.zeros(16), "a", 1.0),
+    lambda: dyadic_pieces(CutoffSpec.standard().eta, CutoffSpec.standard(),
+                          n_levels=1.5),
+    lambda: dyadic_pieces(CutoffSpec.standard().eta, CutoffSpec.standard(),
+                          n_levels=True),
+], ids=["sobolev-order-string", "sobolev-spacing-string",
+        "dyadic-levels-fractional", "dyadic-levels-bool"])
+def test_bad_numbers_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 class TestDyadicPieces:
     cs = CutoffSpec.standard()
 

@@ -352,6 +352,14 @@ BAD_RADIAL_INPUT = {
     "radial_gram-gamma=inf": lambda p: radial_gram(5, 2, INF),
     "laguerre_radial_table-s=nan":
         lambda p: laguerre_radial_table(5, 2, np.array([0.5, NAN])),
+    # not a number, or a fractional level: a bare error or a silent table
+    "gamma=string":
+        lambda p: weighted_column_norms(p, [1.0], "a", 1.5, 40, 24.0),
+    "u=string": lambda p: weighted_column_norms(p, ["a"], 0.25, 1.5, 40, 24.0),
+    "laguerre_radial_table-n_max=fractional":
+        lambda p: laguerre_radial_table(2.5, 0, np.array([0.5])),
+    "laguerre_radial_table-l=fractional":
+        lambda p: laguerre_radial_table(2, 1.5, np.array([0.5])),
 }
 
 
