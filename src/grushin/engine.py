@@ -45,7 +45,7 @@ import numpy as np
 # the program) belong to its engine.fft span
 from numpy.fft import irfft, rfft
 
-from .errors import DomainError, TruncationError, check_real
+from .errors import DomainError, TruncationError, real_array
 from .fields import Field, GrushinGrid, MultiplierProfile, SpectralTruncation
 from .hermite import PrimeGrid
 from .oscillator import (
@@ -202,7 +202,7 @@ def apply_multiplier(profile: MultiplierProfile, field: Field,
     follow the number rule of grushin.errors, and a profile value with a
     nonzero imaginary part raises DomainError.
     """
-    check_real(field.values, "field value")
+    real_array(field.values, "field value")
     grid = field.grid
     prime = grid.prime
     fhat = partial_fourier(field)

@@ -1,10 +1,11 @@
 """Exception types shared across the package, and the domain rule for numbers.
 
-Every entry point states the domain of each numeric argument with one call
-to check_integer or check_real, which raise DomainError.  A number is an
-int (finite at any size), a float or a numpy scalar, never a bool, and never
-NaN or infinite.  An array, list or tuple is checked elementwise and needs
-an integer or float dtype.  Checks that relate two arguments stay with
+Every numeric argument of an entry point is checked by one call, which
+raises DomainError.  A number is an int (finite at any size), a float or a
+numpy scalar, never a bool, and never NaN or infinite.  check_integer and
+check_real take one number and refuse a list, tuple or array, a 0-d one
+too; real_array takes an array of numbers (integer or float dtype) and
+returns it as float64.  Checks that relate arguments, and shapes, stay with
 their function.
 """
 
@@ -74,29 +75,35 @@ def check_integer(value, name: str, minimum: int = 0) -> None:
 
 def check_real(value, name: str, minimum: float = -math.inf,
                strict: bool = False) -> None:
-    """DomainError unless value is a finite real number at least minimum
-    (above it, if strict), or an array of them; the message names the first
-    value that fails."""
-    scalar = (int, float, np.integer, np.floating)
-    if isinstance(value, scalar) and not isinstance(value, bool):
-        # an int is finite at any size; math.isfinite would overflow on it
-        bad = not ((isinstance(value, (int, np.integer)) or math.isfinite(value))
-                   and (value > minimum if strict else value >= minimum))
-    else:  # a bool goes here, and its dtype is refused
-        try:
-            array = np.asarray(value)
-        except ValueError:  # a ragged nest of lists
-            array = np.asarray(None)
-        bad = array.dtype.kind not in "iuf"
-        if not bad:
-            ok = np.isfinite(array)
-            if minimum > -math.inf:
-                ok &= array > minimum if strict else array >= minimum
-            bad = not ok.all()
-            if bad:
-                value = array[~ok][0].item()
-    if bad:
-        bound = ("" if minimum == -math.inf
-                 else f" {'>' if strict else '>='} {minimum:g}")
-        raise DomainError(f"{name} must be a real number{bound}, not NaN or "
-                          f"infinite; got {value!r}")
+    """DomainError unless value is one finite real number at least minimum
+    (above it, if strict)."""
+    if (not isinstance(value, (int, float, np.integer, np.floating))
+            or isinstance(value, bool)
+            # an int is finite at any size; math.isfinite would overflow on it
+            or not (isinstance(value, (int, np.integer)) or math.isfinite(value))
+            or not (value > minimum if strict else value >= minimum)):
+        _refuse(value, name, minimum, strict)
+
+
+def real_array(values, name: str, minimum: float = -math.inf,
+               strict: bool = False) -> np.ndarray:
+    """values as a float64 array, each entry under check_real's rule; the
+    message names the first entry that fails."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged nest of lists
+        array = np.asarray(None)
+    if array.dtype.kind not in "iuf":  # bools, strings, objects, complex
+        _refuse(values, name, minimum, strict)
+    ok = np.isfinite(array)
+    if minimum > -math.inf:  # skips a pass on the hot unbounded calls
+        ok &= array > minimum if strict else array >= minimum
+    if not ok.all():
+        _refuse(array[~ok][0].item(), name, minimum, strict)
+    return np.asarray(array, dtype=float)
+
+
+def _refuse(value, name: str, minimum: float, strict: bool):
+    bound = "" if minimum == -math.inf else f" {'>' if strict else '>='} {minimum:g}"
+    raise DomainError(f"{name} must be a real number{bound}, not NaN or "
+                      f"infinite; got {value!r}")

@@ -15,7 +15,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError, check_integer, check_real
+from .errors import ContractViolation, DomainError, check_integer, check_real, real_array
 from .hermite import PrimeGrid
 
 
@@ -96,10 +96,8 @@ class GrushinGrid:
 
         The coordinates follow the number rule of grushin.errors.
         """
-        check_real(x_prime, "prime coordinate")
-        check_real(x_second, "torus coordinate")
-        x_prime = np.atleast_1d(np.asarray(x_prime, dtype=float))
-        x_second = np.atleast_1d(np.asarray(x_second, dtype=float))
+        x_prime = np.atleast_1d(real_array(x_prime, "prime coordinate"))
+        x_second = np.atleast_1d(real_array(x_second, "torus coordinate"))
         if x_prime.shape != (self.prime.d1,) or x_second.shape != (self.d2,):
             raise ContractViolation(
                 "point has wrong dimensions for this grid: got "
@@ -160,12 +158,17 @@ class MultiplierProfile:
 
     def __init__(self, evaluate: Callable[[np.ndarray], np.ndarray],
                  support: Tuple[float, float], label: str = ""):
-        check_real(support[0], "support lower edge", 0.0)
-        lo, hi = float(support[0]), float(support[1])
+        if not isinstance(support, (tuple, list)) or len(support) != 2:
+            raise DomainError(f"support must be a pair (lo, hi), got {support!r}")
+        lo, hi = support
+        check_real(lo, "support lower edge", 0.0)
+        # inf means no upper edge, as lambda_max inf means no cap
+        if not (isinstance(hi, (float, np.floating)) and hi == np.inf):
+            check_real(hi, "support upper edge")
         if not hi > lo:
             raise DomainError("support must satisfy 0 <= lo < hi")
         self._evaluate = evaluate
-        self.support = (lo, hi)
+        self.support = (float(lo), float(hi))
         self.label = label
         self._validate_outside()
 

@@ -21,6 +21,7 @@ from .errors import (
     DomainError,
     check_integer,
     check_real,
+    real_array,
 )
 from .fields import GrushinGrid
 
@@ -33,13 +34,12 @@ class MetricPoint:
     x_second: Tuple[float, ...]
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "x_prime", tuple(float(v) for v in self.x_prime))
-            object.__setattr__(self, "x_second", tuple(float(v) for v in self.x_second))
-        except (TypeError, ValueError) as exc:
-            raise DomainError(
-                f"metric point has a non-numeric coordinate: {exc}") from exc
-        check_real(self.x_prime + self.x_second, "metric point coordinate")
+        for part in ("x_prime", "x_second"):
+            coords = real_array(getattr(self, part), "metric point coordinate")
+            if coords.ndim != 1:
+                raise DomainError(f"metric point {part} must be a flat list of "
+                                  f"numbers, got {getattr(self, part)!r}")
+            object.__setattr__(self, part, tuple(coords.tolist()))
 
     @property
     def d1(self) -> int:
@@ -86,11 +86,9 @@ def grushin_distance_arrays(x_prime: np.ndarray, x_second: np.ndarray,
                             y_prime: np.ndarray, y_second: np.ndarray) -> np.ndarray:
     """Vectorized quasi-distance; the last axis of each input is the coordinate
     axis, leading axes broadcast."""
-    points = (x_prime, x_second, y_prime, y_second)
-    for coords in points:
-        check_real(coords, "point coordinate")
-    x_prime, x_second, y_prime, y_second = (np.asarray(v, dtype=float)
-                                            for v in points)
+    x_prime, x_second, y_prime, y_second = (
+        real_array(v, "point coordinate")
+        for v in (x_prime, x_second, y_prime, y_second))
     dp = np.linalg.norm(x_prime - y_prime, axis=-1)
     ds = np.linalg.norm(x_second - y_second, axis=-1)
     ax = np.linalg.norm(x_prime, axis=-1)
@@ -111,10 +109,8 @@ def grushin_distance_field(grid: GrushinGrid, y_prime, y_second,
     With wrap=True the second-layer difference is taken on the torus
     (minimal image per axis), matching the periodic discretization.
     """
-    check_real(y_prime, "prime coordinate")
-    check_real(y_second, "torus coordinate")
-    y_prime = np.atleast_1d(np.asarray(y_prime, dtype=float))
-    y_second = np.atleast_1d(np.asarray(y_second, dtype=float))
+    y_prime = np.atleast_1d(real_array(y_prime, "prime coordinate"))
+    y_second = np.atleast_1d(real_array(y_second, "torus coordinate"))
     if y_prime.shape != (grid.prime.d1,) or y_second.shape != (grid.d2,):
         raise ContractViolation("point has wrong dimensions for this grid")
     xp = np.stack(grid.meshgrid_prime(), axis=-1)
@@ -151,7 +147,7 @@ def ball_volume_mc(x: MetricPoint, r: float, n_samples: int = 1_000_000,
     parallel scheduling.
     """
     check_real(r, "radius", 0.0, strict=True)
-    if n_samples <= 0:
+    if isinstance(n_samples, (int, np.integer)) and n_samples <= 0:
         raise DegenerateInputError("Monte-Carlo sample budget must be positive")
     check_integer(n_samples, "n_samples", minimum=1)
     check_integer(seed, "seed")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_integer, check_real
+from .errors import check_integer, check_real, real_array
 
 __all__ = [
     "PrimeGrid",
@@ -32,8 +32,7 @@ def hermite_table(nmax: int, u: np.ndarray) -> np.ndarray:
     overflow-free for every n reachable at desk scale.
     """
     check_integer(nmax, "nmax")
-    check_real(u, "hermite evaluation point")
-    u = np.asarray(u, dtype=float)
+    u = real_array(u, "hermite evaluation point")
     out = np.empty((nmax + 1,) + u.shape)
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * u * u)
     if nmax >= 1:

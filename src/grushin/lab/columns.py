@@ -32,7 +32,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import j0, jv, gamma as _gamma_fn
 
-from ..errors import DomainError, check_integer, check_real
+from ..errors import DomainError, check_integer, check_real, real_array
 from ..hermite import MIN_TURNING_MARGIN, hermite_table
 from ..oscillator import eigenvalue_cap, torus_slabs
 
@@ -70,8 +70,7 @@ def bochner_riesz_radial_kernel(scale: float, delta: float,
     """
     check_real(scale, "scale", 0.0, strict=True)
     check_real(delta, "delta", 0.0)
-    check_real(r, "r")
-    z = scale * np.asarray(r, dtype=float)
+    z = scale * real_array(r, "r")
     small = z < 1e-8
     zz = np.where(small, 1.0, z)
     vals = (scale ** 2 / (2.0 * np.pi) * 2.0 ** delta * _gamma_fn(delta + 1.0)
@@ -89,8 +88,7 @@ def planar_radial_kernel(profile, r: np.ndarray,
     rule is Simpson's: the integrand starts with slope F(0) at rho = 0, where
     the trapezoid rule would leave the same O(h^2) offset on every r.
     """
-    check_real(r, "r")
-    r = np.asarray(r, dtype=float)
+    r = real_array(r, "r")
     top = eigenvalue_cap(profile, lambda_max)
     rho_lo = np.sqrt(max(profile.support[0], 0.0))
     rho_hi = np.sqrt(top)
@@ -419,10 +417,8 @@ def heat_kernel_pointwise(x, y, t: float, torus_half_period: float):
     """
     check_real(t, "time", 0.0, strict=True)
     check_real(torus_half_period, "torus half period", 0.0, strict=True)
-    points = (x[0], x[1], y[0], y[1])
-    for coords in points:
-        check_real(coords, "point coordinate")
-    xp, xs, yp, ys = (np.asarray(v, dtype=float) for v in points)
+    xp, xs, yp, ys = (real_array(v, "point coordinate")
+                      for v in (x[0], x[1], y[0], y[1]))
     if (xp.ndim == 0 or yp.ndim == 0 or xp.shape[-1] != yp.shape[-1]
             or not 1 <= xp.shape[-1] <= 3):
         raise DomainError("prime parts must match with dimension 1..3")

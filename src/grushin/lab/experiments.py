@@ -27,6 +27,7 @@ from ..errors import (
     DomainError,
     check_integer,
     check_real,
+    real_array,
 )
 from ..fields import Dims, GrushinGrid, MultiplierProfile, SpectralTruncation
 from ..geometry import (
@@ -90,12 +91,11 @@ def _restriction_precondition(gamma: float) -> None:
 
 
 def _numbers(values, name: str, strict: bool = True) -> List[float]:
-    """values, positive (or >= 0 if not strict), as a non-empty float list."""
-    check_real(values, name, 0.0, strict)
-    vals = [float(v) for v in values]
-    if not vals:
-        raise DomainError(f"{name} needs at least one entry")
-    return vals
+    """values, a non-empty list of numbers > 0 (>= 0 if not strict), as floats."""
+    vals = real_array(values, name, 0.0, strict)
+    if vals.ndim != 1 or not vals.size:
+        raise DomainError(f"{name} needs a non-empty list of numbers, got {values!r}")
+    return vals.tolist()
 
 
 def _increasing(values, name: str, minimum: int = 3) -> List[float]:
@@ -504,11 +504,11 @@ def kernel_support_suite(
     large enough that the truncated piece tail cannot pollute the fractions.
     The keyword arguments set the engine grid and truncation of every check.
     """
-    if len(levels) != len(times):
+    n_levels = len(_numbers(levels, "levels", strict=False))
+    times = _numbers(times, "times")
+    if n_levels != len(times):
         raise DomainError(f"levels and times must have equal length, got "
                           f"{len(levels)} and {len(times)}")
-    if not levels:
-        raise DomainError("need at least one (level, time) pair")
     for level in levels:
         check_integer(level, "level")
     grid = GrushinGrid(PrimeGrid(prime_extent, n_prime, 2),
@@ -529,7 +529,7 @@ def kernel_support_suite(
         kind="kernel_support",
         header=header,
         rows=rows,
-        summary={"level_times": [[int(l), float(t)]
+        summary={"level_times": [[int(l), t]
                                  for l, t in zip(levels, times)],
                  "worst_fraction_outside": worst})
 

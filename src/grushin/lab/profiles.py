@@ -12,7 +12,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from ..errors import DomainError, WindowingError, check_integer, check_real
+from ..errors import DomainError, WindowingError, check_integer, check_real, real_array
 
 __all__ = [
     "smoothstep",
@@ -75,8 +75,7 @@ def sobolev_norm(values: np.ndarray, spacing: float, s: float) -> float:
     """
     check_real(s, "Sobolev order", 0.0)
     check_real(spacing, "sample spacing", 0.0, strict=True)
-    check_real(values, "profile sample")
-    v = np.asarray(values, dtype=complex)
+    v = real_array(values, "profile sample")
     if v.ndim != 1 or v.size < 8:
         raise DomainError("need a 1-D profile with at least 8 samples")
     edge = max(abs(v[0]), abs(v[-1]))

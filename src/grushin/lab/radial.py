@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.special import gammaln
 
-from ..errors import check_integer, check_real
+from ..errors import check_integer, check_real, real_array
 from ..oscillator import eigenvalue_cap, torus_slabs
 
 __all__ = [
@@ -168,8 +168,7 @@ def laguerre_radial_table(n_max: int, l: int, s: np.ndarray) -> np.ndarray:
     """
     check_integer(n_max, "n_max")
     check_integer(l, "l")
-    check_real(s, "radial coordinate s", 0.0)
-    s = np.asarray(s, dtype=float)
+    s = real_array(s, "radial coordinate s", 0.0)
     lane = np.full((1,) * (s.ndim + 1), float(l))
     return np.stack([row[0].copy() for row in _normalized_recurrence(
         np.array([n_max]), lane, s * s, _radial_log_row0(lane, s))])
@@ -253,12 +252,11 @@ def weighted_column_norms(profile, u, gamma: float, torus_half_period: float,
     policy raise TruncationError naming the offending frequency; numbers
     follow the rule of grushin.errors.
     """
-    check_real(u, "radius u", 0.0)
+    u = np.atleast_1d(real_array(u, "radius u", 0.0))
     check_real(gamma, "gamma", 0.0)
     check_real(torus_half_period, "torus half period", 0.0, strict=True)
     check_integer(k_max, "k_max")
     top = eigenvalue_cap(profile, lambda_max)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
     # the active torus frequencies, ascending
     active = [(xi, k_hi) for xi, k_lo, k_hi in torus_slabs(
         profile, top, np.pi / torus_half_period, _D1, k_max) if k_hi >= k_lo]

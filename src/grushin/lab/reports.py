@@ -7,7 +7,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..errors import DomainError, check_real
+from ..errors import DomainError, real_array
 
 __all__ = ["ScalingReport", "rows_to_csv"]
 
@@ -26,10 +26,8 @@ class ScalingReport:
     @classmethod
     def fit(cls, abscissae: Sequence[float], norms: Sequence[float],
             predicted_slope: float) -> "ScalingReport":
-        check_real(abscissae, "abscissa", 0.0, strict=True)
-        check_real(norms, "norm", 0.0, strict=True)
-        x = np.asarray(abscissae, dtype=float)
-        y = np.asarray(norms, dtype=float)
+        x = real_array(abscissae, "abscissa", 0.0, strict=True)
+        y = real_array(norms, "norm", 0.0, strict=True)
         if x.size < 3:
             raise DomainError("scaling fit needs at least 3 abscissae")
         if np.any(np.diff(x) <= 0):
@@ -42,8 +40,8 @@ class ScalingReport:
         dof = max(x.size - 2, 1)
         sxx = float(np.sum((lx - lx.mean()) ** 2))
         stderr = float(np.sqrt(np.sum(resid ** 2) / dof / sxx)) if sxx > 0 else np.inf
-        return cls(abscissae=[float(v) for v in x],
-                   norms=[float(v) for v in y],
+        return cls(abscissae=x.tolist(),
+                   norms=y.tolist(),
                    fitted_slope=slope,
                    slope_stderr=stderr,
                    predicted_slope=float(predicted_slope),

@@ -32,10 +32,9 @@ def eigenvalue_cap(profile, lambda_max) -> float:
     one positive number (grushin.errors), and a top that is not a finite
     float raises DomainError.
     """
-    if np.ndim(lambda_max):
-        raise DomainError(f"lambda_max must be one number, got {lambda_max!r}")
     top = profile.support[1]
-    if lambda_max is not None and lambda_max != math.inf:
+    if not (lambda_max is None or isinstance(lambda_max, (float, np.floating))
+            and lambda_max == math.inf):  # inf is a float: no array reaches ==
         check_real(lambda_max, "lambda_max", 0.0, strict=True)
         top = min(top, lambda_max)
     if not top <= sys.float_info.max:  # an int past the float range too

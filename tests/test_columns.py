@@ -81,6 +81,17 @@ BAD_COLUMN_INPUT = {
         ((0.0,), (0.0,)), ((0.0,), (0.0,)), "a", 1.0),
     "heat-point=nan": lambda: heat_kernel_pointwise(
         ((np.nan,), (0.0,)), ((0.0,), (0.0,)), 0.1, 1.0),
+    # one number given a list or an array
+    "l1-u=list": lambda: l1_multiplier_norm(
+        br_profile(4.0, 1.5), S, u=[0.0, 0.1]),
+    "l1-points-per-wavelength=list": lambda: l1_multiplier_norm(
+        br_profile(4.0, 1.5), S, points_per_wavelength=[4.0, 4.0]),
+    "l1-torus-half-period=array": lambda: l1_multiplier_norm(
+        br_profile(4.0, 1.5), np.array([np.pi / 2.0])),
+    "bochner-riesz-scale=list": lambda: bochner_riesz_radial_kernel(
+        [4.0, 2.0], 1.5, np.array([0.5])),
+    "heat-t=list": lambda: heat_kernel_pointwise(
+        ((0.0,), (0.0,)), ((0.0,), (0.0,)), [0.1, 0.2], 1.0),
 }
 
 

@@ -48,8 +48,17 @@ def test_increasing_rejects_non_finite_entries(values):
     lambda: weighted_restriction_experiment(gamma="a"),
     lambda: localized_restriction_experiment(y_fix="abc"),
     lambda: multiplier_norm_experiment(torus_half_period=0.0),
+    lambda: localized_restriction_experiment(ball_radius=[0.1875, 0.2]),
+    # one number where a list is asked for
+    lambda: weighted_restriction_experiment(radii=5.0),
+    lambda: bochner_riesz_sweep(deltas=1.5),
+    lambda: heat_gaussian_check(times=0.1),
+    lambda: multiplier_norm_experiment(t_values=0.5),
+    lambda: kernel_support_suite(levels=0, times=1.0),
 ], ids=["deltas-none", "level-fractional", "level-string", "gamma-string",
-        "y-fix-string", "multiplier-torus-half-period-zero"])
+        "y-fix-string", "multiplier-torus-half-period-zero", "ball-radius-list",
+        "radii-scalar", "deltas-scalar", "times-scalar", "t-values-scalar",
+        "levels-and-times-scalar"])
 def test_bad_numbers_raise_domain_error(call):
     # each was a bare TypeError, ValueError or ZeroDivisionError
     with pytest.raises(DomainError):

@@ -242,6 +242,16 @@ class TestSpectralTruncation:
     lambda: SpectralTruncation(4, "16"),
     lambda: SpectralTruncation(4, None),
     lambda: GrushinGrid(PrimeGrid(6.0, 32, 2), "a", 4, 1),
+    # one number given a list or an array: a bare error or taken silently
+    lambda: MultiplierProfile.heat(np.array([0.1, 0.2])),
+    lambda: MultiplierProfile.heat([0.1]),
+    lambda: PrimeGrid([4.0], 8, 2),
+    lambda: GrushinGrid(PrimeGrid(4.0, 8, 2), [2.0, 3.0], 8, 1),
+    lambda: SpectralTruncation(4, [16.0, 2.0]),
+    # a support edge that is not a number, or a third edge
+    lambda: MultiplierProfile(lambda lam: 0.0 * lam, (0.0, "a")),
+    lambda: MultiplierProfile(lambda lam: 0.0 * lam, (0.0, "5")),
+    lambda: MultiplierProfile(lambda lam: 0.0 * lam, (0.0, 1.0, 2.0)),
 ], ids=["prime-extent-nan", "torus-half-period-inf", "lambda-max-inf",
         "ball-radius-nan", "bochner-riesz-delta-nan", "ball-model-radius-nan",
         "ball-model-radius-inf", "scaling-fit-norm-nan", "dyadic-ds-nan",
@@ -249,7 +259,10 @@ class TestSpectralTruncation:
         "grid-two-torus-axes", "ball-volume-seed-negative", "k-max-nan",
         "k-max-fractional", "wave-time-nan", "locate-foot-nan",
         "kernel-column-foot-nan", "heat-time-string", "lambda-max-string",
-        "lambda-max-none", "torus-half-period-string"])
+        "lambda-max-none", "torus-half-period-string", "heat-time-array",
+        "heat-time-list", "prime-extent-list", "torus-half-period-list",
+        "lambda-max-list", "support-edge-string", "support-edge-digits",
+        "support-three-edges"])
 def test_non_finite_parameters_raise_domain_error(build):
     with pytest.raises(DomainError):
         build()

@@ -28,8 +28,12 @@ def small_grid():
     lambda: grushin_distance_arrays(np.array([np.nan, 0.0]), np.zeros(1),
                                     np.zeros(2), np.zeros(1)),
     lambda: grushin_distance_field(small_grid(), (np.nan, 0.0), (0.0,)),
+    lambda: ball_volume_model(MetricPoint((0.0, 0.0), (0.0,)), [1.0, 2.0]),
+    lambda: doubling_ratio(MetricPoint((0.0, 0.0), (0.0,)), 1.0, [2.0, 3.0]),
+    lambda: ball_volume_mc(MetricPoint((0.0, 0.0), (0.0,)), 1.0, n_samples="a"),
 ], ids=["model-radius-string", "doubling-factor-string", "arrays-nan",
-        "field-foot-nan"])
+        "field-foot-nan", "model-radius-list", "doubling-factor-list",
+        "mc-budget-string"])
 def test_bad_numbers_raise_domain_error(call):
     # each was a bare TypeError or a silent NaN
     with pytest.raises(DomainError):
@@ -78,6 +82,12 @@ class TestDistance:
     def test_non_finite_point_rejected(self):
         with pytest.raises(DomainError):
             MetricPoint((np.inf, 0.0), (0.0,))
+
+    @pytest.mark.parametrize("x_prime", [1.0, ((1.0, 0.0),), ("1.0",)],
+                             ids=["scalar", "nested", "string"])
+    def test_point_parts_are_flat_lists_of_numbers(self, x_prime):
+        with pytest.raises(DomainError, match="^metric point"):
+            MetricPoint(x_prime, (0.0,))
 
     def test_quasi_triangle_constant_at_most_four(self):
         rng = np.random.default_rng(77)

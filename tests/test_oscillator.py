@@ -99,8 +99,10 @@ class TestEigenvalueCap:
         assert eigenvalue_cap(prof, 7.0) == 7.0
         assert eigenvalue_cap(prof, 12) == 10.0
 
-    @pytest.mark.parametrize("lambda_max", [np.nan, "16", True, 0.0, -1.0],
-                             ids=["nan", "string", "bool", "zero", "negative"])
+    @pytest.mark.parametrize("lambda_max", [np.nan, "16", True, 0.0, -1.0,
+                                            np.array([16.0, 2.0])],
+                             ids=["nan", "string", "bool", "zero", "negative",
+                                  "array"])
     def test_refuses_a_bad_cap(self, lambda_max):
         with pytest.raises(DomainError):
             eigenvalue_cap(indicator(3.0, 10.0), lambda_max)

@@ -129,8 +129,12 @@ class TestSobolevNorm:
                           n_levels=1.5),
     lambda: dyadic_pieces(CutoffSpec.standard().eta, CutoffSpec.standard(),
                           n_levels=True),
+    lambda: dyadic_pieces(CutoffSpec.standard().eta, CutoffSpec.standard(),
+                          n_levels=1, ds=[0.05, 0.1]),
+    lambda: sobolev_norm(np.zeros(16), 0.1, [1.0, 2.0]),
 ], ids=["sobolev-order-string", "sobolev-spacing-string",
-        "dyadic-levels-fractional", "dyadic-levels-bool"])
+        "dyadic-levels-fractional", "dyadic-levels-bool", "dyadic-ds-list",
+        "sobolev-order-list"])
 def test_bad_numbers_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -356,6 +356,11 @@ BAD_RADIAL_INPUT = {
     "gamma=string":
         lambda p: weighted_column_norms(p, [1.0], "a", 1.5, 40, 24.0),
     "u=string": lambda p: weighted_column_norms(p, ["a"], 0.25, 1.5, 40, 24.0),
+    # one number given a list
+    "gamma=list":
+        lambda p: weighted_column_norms(p, [1.0], [0.0, 0.1], 1.5, 40, 24.0),
+    "opnorm-torus_half_period=list":
+        lambda p: weighted_operator_norm(p, 0.25, [np.pi], 40, 24.0),
     "laguerre_radial_table-n_max=fractional":
         lambda p: laguerre_radial_table(2.5, 0, np.array([0.5])),
     "laguerre_radial_table-l=fractional":
