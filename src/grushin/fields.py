@@ -10,6 +10,7 @@ the discrete spectral decomposition is trusted.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -162,11 +163,15 @@ class MultiplierProfile:
             raise DomainError(f"support must be a pair (lo, hi), got {support!r}")
         lo, hi = support
         check_real(lo, "support lower edge", 0.0)
-        # inf means no upper edge, as lambda_max inf means no cap
+        # inf, or an int past the float range, means no upper edge, as in
+        # oscillator.eigenvalue_cap
         if not (isinstance(hi, (float, np.floating)) and hi == np.inf):
             check_real(hi, "support upper edge")
-        if not hi > lo:
-            raise DomainError("support must satisfy 0 <= lo < hi")
+            if not hi <= sys.float_info.max:
+                hi = np.inf
+        if not (hi > lo and lo <= sys.float_info.max):
+            raise DomainError("support must satisfy 0 <= lo < hi with lo in the "
+                              "float range")
         self._evaluate = evaluate
         self.support = (float(lo), float(hi))
         self.label = label

@@ -36,9 +36,9 @@ class MetricPoint:
     def __post_init__(self):
         for part in ("x_prime", "x_second"):
             coords = real_array(getattr(self, part), "metric point coordinate")
-            if coords.ndim != 1:
-                raise DomainError(f"metric point {part} must be a flat list of "
-                                  f"numbers, got {getattr(self, part)!r}")
+            if coords.ndim != 1 or coords.size == 0:
+                raise DomainError(f"metric point {part} must be a non-empty flat "
+                                  f"list of numbers, got {getattr(self, part)!r}")
             object.__setattr__(self, part, tuple(coords.tolist()))
 
     @property

@@ -11,7 +11,9 @@ coordinate and both choosing their own discretizations:
   torus sampling; a frame of few slabs is summed over the torus by a
   half-period cosine matrix product, the innermost square and a frame of
   many by irfft, both a cache-sized chunk of lines at a time, from Hermite
-  tables built once per slab and call, and
+  tables built once per slab and call; the zero slab is a cubic spline of
+  its radial profile, a closed form or a composite Gauss-Legendre Hankel
+  quadrature, over the radii the frames evaluate and no further, and
 * a closed-form heat kernel evaluator built from the oscillator semigroup
   kernel per frequency, with no level truncation at all, over scalar points
   or arrays of them.
@@ -32,7 +34,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import j0, jv, gamma as _gamma_fn
 
-from ..errors import DomainError, check_integer, check_real, real_array
+from ..errors import DomainError, GrushinError, check_integer, check_real, real_array
 from ..hermite import MIN_TURNING_MARGIN, hermite_table
 from ..oscillator import eigenvalue_cap, torus_slabs
 
@@ -59,6 +61,34 @@ _CHUNK_SAMPLES = 1 << 17
 _COSINE_MAX_BINS = 64
 # values of one block of the zero slab's Bessel matrix J_0(r rho)
 _J0_BLOCK = 1 << 18
+# the zero slab's Hankel quadrature: Gauss-Legendre panels of 32 nodes, each
+# spanning at most _PANEL_RADIANS of J_0(rho r_max), at least _MIN_PANELS,
+# the last one split at these fractions of its width from the support edge
+_PANEL_RADIANS = 50.0
+_MIN_PANELS = 4
+_EDGE_SPLITS = 8.0 ** -np.arange(1, 4)
+
+
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1].
+
+    Newton's method on the Legendre recurrence from Tricomi's starting
+    values; at n = 32 the fourth of its 8 steps already moves no node by
+    1e-16.  Unlike numpy's leggauss it calls no LAPACK, whose first use
+    added 0.5 MB to the peak resident memory of a process that needs no
+    LAPACK otherwise (a bochner_l1 benchmark round).
+    """
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * dp * dp)
+
+
+_PANEL_NODES, _PANEL_WEIGHTS = _gauss_legendre(32)
 
 
 def bochner_riesz_radial_kernel(scale: float, delta: float,
@@ -83,25 +113,29 @@ def planar_radial_kernel(profile, r: np.ndarray,
     """Radial kernel profile of F(-Laplacian) in the plane, by quadrature.
 
     Hankel form (2 pi)^{-1} int F(rho^2) J_0(rho r) rho drho over the
-    support of F capped at lambda_max by oscillator.eigenvalue_cap.
-    Quadrature density follows the fastest oscillation J_0(rho r_max).  The
-    rule is Simpson's: the integrand starts with slope F(0) at rho = 0, where
-    the trapezoid rule would leave the same O(h^2) offset on every r.
+    support of F capped at lambda_max by oscillator.eigenvalue_cap.  The
+    rule is composite Gauss-Legendre: equal panels of 32 nodes, as many as
+    keep each within _PANEL_RADIANS of the fastest oscillation
+    J_0(rho r_max), and at least _MIN_PANELS.  No node sits at rho = 0,
+    where the integrand starts with slope F(0), so no endpoint error grows
+    with r: on a smooth F the error is at rounding level for every r up to
+    r_max.  A rough support edge, as (1 - v)_+^delta, converges only like a
+    power of the width of the panel next to it, so the last panel is split
+    geometrically toward the edge, down to 1/512 of its width.
     """
     r = real_array(r, "r")
     top = eigenvalue_cap(profile, lambda_max)
     rho_lo = np.sqrt(max(profile.support[0], 0.0))
     rho_hi = np.sqrt(top)
-    r_max = float(np.max(np.abs(r))) if r.size else 1.0
-    n_rho = max(512, int(np.ceil(4.0 * (rho_hi - rho_lo)
-                                 * max(r_max, 1.0) / np.pi)))
-    n_rho += n_rho % 2  # Simpson needs an even interval count
-    rho = np.linspace(rho_lo, rho_hi, n_rho + 1)
-    w = np.full(rho.size, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    w *= (rho[1] - rho[0]) / 3.0
-    fvals = profile(rho * rho) * rho * w
+    r_max = float(np.max(np.abs(r))) if r.size else 0.0
+    n_panels = max(_MIN_PANELS, int(np.ceil((rho_hi - rho_lo) * r_max
+                                            / _PANEL_RADIANS)))
+    edges = np.linspace(rho_lo, rho_hi, n_panels + 1)
+    edges = np.r_[edges[:-1], rho_hi - (rho_hi - edges[-2]) * _EDGE_SPLITS,
+                  rho_hi]
+    width = np.diff(edges)[:, None]
+    rho = (edges[:-1, None] + width * _PANEL_NODES).reshape(-1)
+    fvals = profile(rho * rho) * rho * (width * _PANEL_WEIGHTS).reshape(-1)
     # J_0(r rho) for a block of r at a time, at most _J0_BLOCK values
     flat = r.reshape(-1)
     out = np.empty(flat.size)
@@ -221,11 +255,14 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     slab's Hermite table is built once per call, on the x1 rows of the
     widest frame that carries the slab; its x1 >= 0 tail serves as the x2
     table.  At u = 0 the column is even in x1 as in x2, so only x1 >= 0 is
-    summed, with the x2 weights.  xi_zero_radial overrides the radial
-    profile used for the zero-frequency slab (closed forms beat quadrature
-    when available); default is the Hankel quadrature of the profile.  With
-    no torus slab below the cap (j_max = 0) the default is one frame holding
-    the zero slab alone.
+    summed, with the x2 weights.  The zero-frequency slab is a cubic spline
+    of its radial profile at 16 samples per wavelength, from r = 0 to 2 dx
+    past the farthest line, hypot(max |x1 - u|, extent); the spline does not
+    extrapolate.  xi_zero_radial overrides that profile (closed forms save
+    the quadrature); default is planar_radial_kernel, the Gauss-Legendre
+    Hankel quadrature of the profile, whose panel count follows from the
+    same farthest radius.  With no torus slab below the cap (j_max = 0) the
+    default is one frame holding the zero slab alone.
 
     The modulus of a band-limited kernel is not band-limited, so the torus
     integral of |K| carries a residual resolution error; fft_oversample,
@@ -233,9 +270,10 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     core_half_width past the extent makes the innermost square the whole
     domain, a dense all-frequency evaluation useful as a reference.  extent
     overrides the integration half width in x'.  Numbers follow the rule of
-    grushin.errors.  The cap is oscillator.eigenvalue_cap's: lambda_max
-    None and inf both mean no cap, and a cap below the support edge where
-    |F| > 1e-14 raises DomainError.
+    grushin.errors, and xi_zero_radial must return finite values.  The cap
+    is oscillator.eigenvalue_cap's: lambda_max None and inf both mean no
+    cap, and a cap below the support edge where |F| > 1e-14 raises
+    DomainError.
     """
     check_real(torus_half_period, "torus_half_period", 0.0, strict=True)
     check_real(u, "u")
@@ -305,10 +343,13 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
             return planar_radial_kernel(_p, r, _t)
     # cubic spline of the radial zero slab at 16 samples per wavelength:
     # interpolation error ~(sqrt(top) dr)^4 stays below the torus sampling
-    # error
-    r_grid = np.arange(0.0, extent * 2.83 + 2.0 * dx, 0.25 * dx)
-    zero_slab = CubicSpline(r_grid, np.asarray(xi_zero_radial(r_grid),
-                                               dtype=float))
+    # error.  It runs past the farthest line strip_sum evaluates by 2 dx and
+    # never extrapolates
+    r_far = np.hypot(np.max(np.abs(ax1 - u)), ax2[-1])
+    r_grid = np.arange(0.0, r_far + 2.0 * dx, 0.25 * dx)
+    zero_slab = CubicSpline(
+        r_grid, real_array(xi_zero_radial(r_grid), "xi_zero_radial value"),
+        extrapolate=False)
 
     # per slab, whatever no tile changes, from one Hermite table H1 on the
     # x1 rows of its widest frame: P = H1^T C (-1)^j xi, and T2, the even
@@ -394,6 +435,10 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
                                slice(0, n_in)))
         for rows, cols in strips:
             total += strip_sum(rows, cols, bins, n_fft, table, out)
+    if not np.isfinite(total):
+        raise GrushinError(f"the L^1 norm came out {total}: a line lies past "
+                           f"the zero slab's spline grid, which ends at "
+                           f"r = {r_grid[-1]:g}")
     return total * dx * dx
 
 

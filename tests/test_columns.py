@@ -7,7 +7,7 @@ import pytest
 from oracles import bump
 
 from grushin.engine import schwartz_kernel_column
-from grushin.errors import DomainError
+from grushin.errors import DomainError, GrushinError
 from grushin.fields import GrushinGrid, MultiplierProfile, SpectralTruncation
 from grushin.hermite import PrimeGrid
 from grushin.lab import columns
@@ -31,24 +31,37 @@ def br_profile(radius, delta):
 class TestRadialKernels:
     def test_closed_form_matches_quadrature(self):
         # the compactly-supported mean has an explicit Bessel form; the
-        # generic Hankel quadrature must reproduce it (the endpoint error
-        # scales with the smoothness of (1 - v)^delta at v = 1)
+        # generic Hankel quadrature must reproduce it (the edge error scales
+        # with the smoothness of (1 - v)^delta at v = 1 and with the width of
+        # the panel next to it, the smallest of the graded last panel)
         r = np.linspace(0.0, 6.0, 301)
-        for radius, delta, tol in ((5.0, 0.7, 1e-4), (5.0, 2.0, 1e-5)):
+        for radius, delta, tol in ((5.0, 0.7, 1e-10), (5.0, 2.0, 1e-12)):
             prof = br_profile(radius, delta)
             closed = bochner_riesz_radial_kernel(radius, delta, r)
             quad = planar_radial_kernel(prof, r, radius * radius)
             assert np.max(np.abs(closed - quad)) < tol * np.max(np.abs(closed))
 
     def test_heat_quadrature_matches_gaussian(self):
-        # the integrand starts with slope F(0) = 1 at rho = 0, which a
-        # trapezoid rule turns into a constant offset of h^2 / (24 pi)
-        t = 0.1
-        prof = MultiplierProfile.heat(t)
-        r = np.linspace(0.0, 4.0, 41)
-        want = np.exp(-r ** 2 / (4.0 * t)) / (4.0 * np.pi * t)
-        got = planar_radial_kernel(prof, r, prof.support[1])
-        assert np.max(np.abs(got - want)) <= 1e-7
+        # the integrand starts with slope F(0) = 1 at rho = 0; the
+        # Gauss-Legendre panels have no node there, so unlike a trapezoid
+        # rule (a constant offset of h^2 / (24 pi)) or Simpson's (an error
+        # growing like h^4 r^2) they leave no endpoint bias.  A default
+        # t = 0.05 call evaluates the zero slab out to r = 22 at u = 0 and
+        # 28 at u = extent / 2
+        for t, r_far in ((0.1, 4.0), (0.05, 45.0)):
+            prof = MultiplierProfile.heat(t)
+            r = np.linspace(0.0, r_far, 901)
+            want = np.exp(-r ** 2 / (4.0 * t)) / (4.0 * np.pi * t)
+            got = planar_radial_kernel(prof, r, prof.support[1])
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_panel_rule_is_gauss_legendre(self):
+        # numpy's rule, moved from [-1, 1] to [0, 1]
+        x, w = np.polynomial.legendre.leggauss(32)
+        assert np.allclose(columns._PANEL_NODES, 0.5 * (x + 1.0),
+                           rtol=0.0, atol=1e-15)
+        assert np.allclose(columns._PANEL_WEIGHTS, 0.5 * w, rtol=0.0,
+                           atol=1e-15)
 
     def test_origin_value_is_total_symbol_mass(self):
         # K(0) = (1/2 pi) int_0^inf F(s^2) s ds in the planar normalization
@@ -92,6 +105,9 @@ BAD_COLUMN_INPUT = {
         [4.0, 2.0], 1.5, np.array([0.5])),
     "heat-t=list": lambda: heat_kernel_pointwise(
         ((0.0,), (0.0,)), ((0.0,), (0.0,)), [0.1, 0.2], 1.0),
+    "l1-xi-zero-radial=nan": lambda: l1_multiplier_norm(
+        br_profile(4.0, 1.5), S, xi_zero_radial=lambda r: np.full(r.shape,
+                                                                  np.nan)),
 }
 
 
@@ -119,6 +135,42 @@ class TestL1MultiplierNorm:
         # the heat kernel is positive with unit mass, so its L^1 norm is 1
         norm = l1_multiplier_norm(MultiplierProfile.heat(0.1), S)
         assert norm == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("profile, closed", [
+        *[(MultiplierProfile.heat(t), lambda r, t=t:
+           np.exp(-r ** 2 / (4.0 * t)) / (4.0 * np.pi * t))
+          for t in (0.05, 0.1, 0.2)],
+        (br_profile(8.0, 1.5),
+         lambda r: bochner_riesz_radial_kernel(8.0, 1.5, r)),
+    ], ids=["heat-0.05", "heat-0.1", "heat-0.2", "br-1.5-R=8"])
+    def test_quadrature_zero_slab_matches_its_closed_form(self, profile,
+                                                          closed):
+        # the default zero slab goes by planar_radial_kernel; the norm must
+        # be the one the closed-form radial profile gives
+        top = profile.support[1]
+        quad = l1_multiplier_norm(profile, S, lambda_max=top)
+        want = l1_multiplier_norm(profile, S, lambda_max=top,
+                                  xi_zero_radial=closed)
+        assert quad == pytest.approx(want, rel=1e-9)
+
+    def test_foot_at_half_the_extent_stays_on_the_spline_grid(self):
+        # the zero slab's spline never extrapolates, so a line past its grid
+        # would raise; the farthest feet allowed give one finite norm
+        extent = 6.0
+        right, left = (l1_multiplier_norm(br_profile(4.0, 1.5), S, u=u,
+                                          lambda_max=16.0, extent=extent)
+                       for u in (extent / 2, -extent / 2))
+        assert np.isfinite(right)
+        assert left == pytest.approx(right, rel=1e-12)
+
+    def test_line_past_the_spline_grid_raises(self, monkeypatch):
+        # a spline cut to half its grid gives NaN past its end, which must
+        # not leave as the norm
+        spline = columns.CubicSpline
+        monkeypatch.setattr(columns, "CubicSpline", lambda x, y, **kw:
+                            spline(x[:x.size // 2], y[:y.size // 2], **kw))
+        with pytest.raises(GrushinError, match="past the zero slab's spline"):
+            l1_multiplier_norm(br_profile(4.0, 1.5), S, lambda_max=16.0)
 
     def test_zone_split_matches_dense_evaluation(self):
         # the nested frames must agree with the dense reference (an innermost
@@ -249,7 +301,7 @@ class TestL1MultiplierNorm:
             l1_multiplier_norm(br_profile(4.0, 0.5), S, lambda_max=3.0)
         # at the support edge the value is as without a cap
         assert (l1_multiplier_norm(br_profile(4.0, 0.5), S, lambda_max=16.0)
-                == pytest.approx(3.4182713925421906, rel=1e-12))
+                == pytest.approx(3.4180919932642917, rel=1e-12))
 
     @staticmethod
     def _block_rows(monkeypatch, u):
@@ -360,7 +412,7 @@ class TestL1MultiplierNorm:
         # the kernel is positive, so the torus sums of |K| are the zero
         # bin's and do not depend on which slabs a frame carries
         assert (l1_multiplier_norm(MultiplierProfile.heat(0.05), S)
-                == pytest.approx(1.0000213146517192, rel=1e-12))
+                == pytest.approx(1.0000000118574321, rel=1e-12))
 
     def test_norm_at_radius_64_is_pinned(self):
         # the R = 64, delta = 0.2, u = 0 column norm of the default
@@ -396,13 +448,13 @@ class TestL1MultiplierNorm:
         assert len(calls) == 16 + 1
 
     @pytest.mark.parametrize("radius, u, bound_mib", [
-        # closed-form zero slab: 8.1 MiB measured with nested frames, 10.7
+        # closed-form zero slab: 8.0 MiB measured with nested frames, 10.7
         # with a core square and one bulk zone carrying 17 slabs out to the
         # extent; 33.0 with x1 blocks of up to 48 MB, and 84.8 when the
         # samples of a whole block of lines went through one buffer
         (32.0, 4.0 / 32.0, 13.0),
         # heat t = 0.05: the zero slab's Bessel matrix goes in blocks of
-        # rows; 4.1 MiB measured (5.5 with the core and bulk zones), 11.4
+        # rows; 4.0 MiB measured (5.5 with the core and bulk zones), 11.4
         # with x1 blocks of up to 48 MB and 62.3 with the whole matrix
         (None, 0.0, 7.0),
     ], ids=["br R=32 u=4/32", "heat t=0.05"])

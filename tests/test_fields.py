@@ -200,6 +200,13 @@ class TestMultiplierProfile:
         with pytest.raises(DomainError):
             MultiplierProfile(lambda lam: lam, (2.0, 1.0))
 
+    def test_int_edge_past_the_float_range_means_no_upper_edge(self):
+        # as in eigenvalue_cap; float(10 ** 400) would overflow
+        p = MultiplierProfile(lambda lam: np.exp(-lam), (0.0, 10 ** 400))
+        assert p.support == (0.0, np.inf)
+        with pytest.raises(DomainError):
+            MultiplierProfile(lambda lam: lam, (10 ** 400, 10 ** 401))
+
 
 class TestSpectralTruncation:
     def test_bad_params(self):

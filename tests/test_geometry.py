@@ -89,6 +89,14 @@ class TestDistance:
         with pytest.raises(DomainError, match="^metric point"):
             MetricPoint(x_prime, (0.0,))
 
+    @pytest.mark.parametrize("parts", [((), (0.0,)), ((0.0,), ())],
+                             ids=["prime", "second"])
+    def test_empty_point_parts_are_refused(self, parts):
+        # they reached ball_volume_model and grushin_distance, which raised
+        # a bare IndexError
+        with pytest.raises(DomainError, match="^metric point"):
+            MetricPoint(*parts)
+
     def test_quasi_triangle_constant_at_most_four(self):
         rng = np.random.default_rng(77)
         n = 100_000
