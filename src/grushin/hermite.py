@@ -8,6 +8,7 @@ grushin.oscillator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,16 +30,42 @@ def hermite_table(nmax: int, u: np.ndarray) -> np.ndarray:
 
     Upward three-term recurrence on the normalized functions themselves,
     h_{n+1} = sqrt(2/(n+1)) u h_n - sqrt(n/(n+1)) h_{n-1}, which is stable and
-    overflow-free for every n reachable at desk scale.
+    overflow-free for every n reachable at desk scale.  This is the one-lane
+    case of hermite_lanes.
     """
     check_integer(nmax, "nmax")
     u = real_array(u, "hermite evaluation point")
-    out = np.empty((nmax + 1,) + u.shape)
+    return hermite_lanes([nmax], u.reshape(-1), [u.size]).reshape(
+        (nmax + 1,) + u.shape)
+
+
+def hermite_lanes(tops, u: np.ndarray, ends) -> np.ndarray:
+    """Hermite tables of several lanes of points from one recurrence.
+
+    Lane i holds the points u[ends[i - 1]:ends[i]] (from 0 for the first)
+    and needs rows n = 0..tops[i].  tops is non-increasing, so the lanes
+    that reach level n hold a prefix of the flat vector u, and one vector
+    step per level serves them all.  Returns out of shape
+    (tops[0] + 1, u.size): lane i's table is the view
+    out[:tops[i] + 1, ends[i - 1]:ends[i]], equal bit for bit to
+    hermite_table(tops[i], its points); the entries past a lane's top are
+    unset.  tops and ends are trusted, as hermite_table and the L^1 column
+    path build them.
+    """
+    tops = np.asarray(tops)
+    # live[n]: the points of the lanes that reach level n
+    live = np.asarray(ends)[np.searchsorted(
+        -tops, -np.arange(tops[0] + 1), side="right") - 1].tolist()
+    out = np.empty((tops[0] + 1, u.size))
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * u * u)
-    if nmax >= 1:
-        out[1] = np.sqrt(2.0) * u * out[0]
-    for n in range(1, nmax):
-        out[n + 1] = np.sqrt(2.0 / (n + 1)) * u * out[n] - np.sqrt(n / (n + 1.0)) * out[n - 1]
+    if tops[0] >= 1:
+        p = live[1]
+        out[1, :p] = np.sqrt(2.0) * u[:p] * out[0, :p]
+    for n in range(1, tops[0]):
+        p = live[n + 1]
+        row = np.multiply(math.sqrt(2.0 / (n + 1)), u[:p], out=out[n + 1, :p])
+        row *= out[n, :p]
+        row -= math.sqrt(n / (n + 1.0)) * out[n - 1, :p]
     return out
 
 

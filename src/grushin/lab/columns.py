@@ -10,10 +10,12 @@ coordinate and both choosing their own discretizations:
   frame past it only the slabs that reach past its inner edge, at its own
   torus sampling; a frame of few slabs is summed over the torus by a
   half-period cosine matrix product, the innermost square and a frame of
-  many by irfft, both a cache-sized chunk of lines at a time, from Hermite
-  tables built once per slab and call; the zero slab is a cubic spline of
-  its radial profile, a closed form or a composite Gauss-Legendre Hankel
-  quadrature, over the radii the frames evaluate and no further, and
+  many by irfft, both a cache-sized chunk of lines at a time; every slab's
+  set-up is built once per call for all slabs together, from one profile
+  call and one Hermite recurrence per group of slabs; the zero slab is a
+  cubic spline of its radial profile, a closed form or a composite
+  Gauss-Legendre Hankel quadrature, over the radii the frames evaluate and
+  no further, read by direct index into its uniform breakpoints, and
 * a closed-form heat kernel evaluator built from the oscillator semigroup
   kernel per frequency, with no level truncation at all, over scalar points
   or arrays of them.
@@ -35,8 +37,13 @@ from scipy.interpolate import CubicSpline
 from scipy.special import j0, jv, gamma as _gamma_fn
 
 from ..errors import DomainError, GrushinError, check_integer, check_real, real_array
-from ..hermite import MIN_TURNING_MARGIN, hermite_table
+from ..hermite import MIN_TURNING_MARGIN, hermite_lanes, hermite_table
 from ..oscillator import eigenvalue_cap, torus_slabs
+
+# benchmark/tracer.py times _kernel_slab_coeff, hermite_table,
+# planar_radial_kernel, bochner_riesz_radial_kernel and np.fft.irfft by
+# replacing them where this module looks them up: they stay module
+# attributes, called by name at call time
 
 __all__ = [
     "bochner_riesz_radial_kernel",
@@ -59,6 +66,18 @@ _CHUNK_SAMPLES = 1 << 17
 # a frame past the innermost square with at most this many torus slabs sums
 # |K| by the half-period cosine product, a larger one by irfft
 _COSINE_MAX_BINS = 64
+# floats of the Hermite tables of one group of torus slabs, one
+# hermite_lanes recurrence each (512 KiB); a slab past it makes its own group
+_TABLE_BUDGET = 1 << 16
+# points of one chunk of the zero slab's spline evaluation (128 KiB per
+# temporary)
+_SPLINE_CHUNK = 1 << 14
+# the cheapest refusals of a grid no run could finish: x' lines (ax1 by ax2
+# nodes; 2e6 to 4e6 at the default R = 64 run), and torus samples per line
+# of the innermost frame, fft_oversample (4 j_max + 4), before rounding up
+# to a power of 2
+_MAX_LINES = 10 ** 10
+_MAX_TORUS_SAMPLES = 1 << 22
 # values of one block of the zero slab's Bessel matrix J_0(r rho)
 _J0_BLOCK = 1 << 18
 # the zero slab's Hankel quadrature: Gauss-Legendre panels of 32 nodes, each
@@ -146,19 +165,83 @@ def planar_radial_kernel(profile, r: np.ndarray,
     return out.reshape(r.shape) / (2.0 * np.pi)
 
 
-def _kernel_slab_coeff(profile, xi: float, k_cap: int, h_u: np.ndarray,
-                       h_0: np.ndarray, lambda_max: float):
-    """Even-column coefficient matrix of one frequency slab at y' = (u, 0).
+def _kernel_slab_coeff(profile, xi: np.ndarray, k_caps: np.ndarray,
+                       h_u: np.ndarray, h_0: np.ndarray, lambda_max: float):
+    """Even-column coefficient matrices of the torus slabs at y' = (u, 0).
 
-    Returns (C, even_index) with C[m, n] = F((2(m + n_e) + 2) xi) h_m(s u)
+    Returns, for slab j at frequency xi[j] with top level k_caps[j], the
+    pair (C, even) with C[m, n] = F((2(m + n_e) + 2) xi_j) h_m(s_j u)
     h_{n_e}(0) over levels m <= k_cap and even n_e; odd second indices drop
-    out because the axis eigenfunctions vanish at 0.  h_u and h_0 hold
-    h_m(s u) and h_m(0) for m = 0 .. k_cap at least.
+    out because the axis eigenfunctions vanish at 0.  h_u[:, j] holds
+    h_m(s_j u) and h_0 holds h_m(0), for m = 0 .. k_caps[j] at least.  F
+    goes through one profile call, at the eigenvalues (2L + 2) xi_j,
+    L <= 2 k_cap_j, of every slab in turn, and each C is a Hankel gather of
+    its slab's stretch.
     """
-    even = np.arange(0, k_cap + 1, 2)
-    lam = (2.0 * np.add.outer(np.arange(k_cap + 1), even) + 2.0) * xi
+    sizes = 2 * k_caps + 1
+    starts = np.cumsum(sizes) - sizes
+    L = np.arange(sizes.sum()) - np.repeat(starts, sizes)
+    lam = (2.0 * L + 2.0) * np.repeat(xi, sizes)
     F = profile(lam) * (lam <= lambda_max * (1.0 + 1e-12))
-    return F * h_u[:k_cap + 1, None] * h_0[even][None, :], even
+    coeffs = []
+    for j, (k_cap, start) in enumerate(zip(k_caps.tolist(), starts.tolist())):
+        even = np.arange(0, k_cap + 1, 2)
+        hankel = F[start + np.add.outer(np.arange(k_cap + 1), even)]
+        coeffs.append((hankel * h_u[:k_cap + 1, j, None]
+                       * h_0[even][None, :], even))
+    return coeffs
+
+
+def _slab_tables(k_caps: np.ndarray, roots: np.ndarray, ax1: np.ndarray,
+                 spans):
+    """Slab j's table hermite_table(k_caps[j], roots[j] * ax1[spans[j]]),
+    for each slab in turn.
+
+    k_caps and the span lengths are non-increasing, so the slabs go in
+    groups through hermite_lanes, one recurrence per group: a group takes
+    slabs while its first slab's levels times its points stay within
+    _TABLE_BUDGET floats.  Each table is a view of its group's buffer.
+    """
+    tops = k_caps.tolist()
+    sizes = [rows.stop - rows.start for rows in spans]
+    j = 0
+    while j < len(sizes):
+        first, width = j, sizes[j]
+        j += 1
+        while (j < len(sizes)
+               and (tops[first] + 1) * (width + sizes[j]) <= _TABLE_BUDGET):
+            width += sizes[j]
+            j += 1
+        ends = np.cumsum(sizes[first:j])
+        out = hermite_lanes(tops[first:j], np.concatenate(
+            [roots[i] * ax1[spans[i]] for i in range(first, j)]), ends)
+        for i, end in zip(range(first, j), ends.tolist()):
+            yield out[:tops[i] + 1, end - sizes[i]:end]
+
+
+def _spline_values(spline, x1: np.ndarray, x2: np.ndarray, u: float,
+                   out: np.ndarray) -> None:
+    """The zero slab's spline at r = hypot(x1 - u, x2), into out.
+
+    out has shape (x1.size, x2.size).  The breakpoints spline.x are uniform
+    from 0, so r lies in the interval floor(r / h), the last one closed as
+    in CubicSpline; past the last knot the value is NaN, as
+    extrapolate=False gives.  Horner goes in place, rows of about
+    _SPLINE_CHUNK points at a time, so no temporary is larger than that.
+    """
+    knots, coef = spline.x, spline.c
+    h, last = knots[1], knots[-1]
+    step = max(1, _SPLINE_CHUNK // x2.size)
+    for i0 in range(0, x1.size, step):
+        vals = out[i0:i0 + step]
+        r = np.sqrt((x1[i0:i0 + step, None] - u) ** 2 + x2[None, :] ** 2)
+        interval = np.minimum((r / h).astype(np.intp), knots.size - 2)
+        s = r - knots.take(interval)
+        coef[0].take(interval, out=vals)
+        for c in coef[1:]:
+            vals *= s
+            vals += c.take(interval)
+        np.copyto(vals, np.nan, where=r > last)
 
 
 def _half_period_cosines(n_bins: int, n_fft: int) -> np.ndarray:
@@ -251,13 +334,16 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     table when it carries at most _COSINE_MAX_BINS slabs, where per-line FFT
     overhead would outweigh the few bins, and by irfft past that.  A frame
     is summed as its strips (the top strip over its full width, the side
-    strips below it), so no line is computed twice or left out.  Each
-    slab's Hermite table is built once per call, on the x1 rows of the
-    widest frame that carries the slab; its x1 >= 0 tail serves as the x2
-    table.  At u = 0 the column is even in x1 as in x2, so only x1 >= 0 is
-    summed, with the x2 weights.  The zero-frequency slab is a cubic spline
-    of its radial profile at 16 samples per wavelength, from r = 0 to 2 dx
-    past the farthest line, hypot(max |x1 - u|, extent); the spline does not
+    strips below it), so no line is computed twice or left out.  The slabs
+    are set up together, once per call: F goes through one profile call at
+    the eigenvalues of every slab, and each slab's Hermite table, on the x1
+    rows of the widest frame that carries the slab, comes from one
+    recurrence per group of slabs (hermite_lanes); its x1 >= 0 tail serves
+    as the x2 table.  At u = 0 the column is even in x1 as in x2, so only
+    x1 >= 0 is summed, with the x2 weights.  The zero-frequency slab is a
+    cubic spline of its radial profile at 16 samples per wavelength, from
+    r = 0 to 2 dx past the farthest line, hypot(max |x1 - u|, extent),
+    evaluated by direct index into its breakpoints; the spline does not
     extrapolate.  xi_zero_radial overrides that profile (closed forms save
     the quadrature); default is planar_radial_kernel, the Gauss-Legendre
     Hankel quadrature of the profile, whose panel count follows from the
@@ -270,10 +356,12 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     core_half_width past the extent makes the innermost square the whole
     domain, a dense all-frequency evaluation useful as a reference.  extent
     overrides the integration half width in x'.  Numbers follow the rule of
-    grushin.errors, and xi_zero_radial must return finite values.  The cap
-    is oscillator.eigenvalue_cap's: lambda_max None and inf both mean no
-    cap, and a cap below the support edge where |F| > 1e-14 raises
-    DomainError.
+    grushin.errors, and xi_zero_radial must return finite values.  A grid
+    of more than _MAX_LINES lines, or an innermost frame of more than
+    _MAX_TORUS_SAMPLES torus samples per line, raises DomainError before
+    anything is allocated.  The cap is oscillator.eigenvalue_cap's:
+    lambda_max None and inf both mean no cap, and a cap below the support
+    edge where |F| > 1e-14 raises DomainError.
     """
     check_real(torus_half_period, "torus_half_period", 0.0, strict=True)
     check_real(u, "u")
@@ -299,10 +387,18 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
                 f"edge {profile.support[1]:.6g} or a cap where F vanishes")
     dxi = np.pi / torus_half_period
     dx = 2.0 * np.pi / (points_per_wavelength * np.sqrt(top))
+    samples = fft_oversample * (4.0 * top / (2.0 * dxi) + 4.0)
+    if samples > _MAX_TORUS_SAMPLES:
+        raise DomainError(
+            f"the innermost frame needs {samples:.3g} torus samples per line "
+            f"(fft_oversample = {fft_oversample}, torus_half_period = "
+            f"{torus_half_period:g}), above the cap of {_MAX_TORUS_SAMPLES}")
     # every slab below the cap: one without an active level gets a zero C
-    k_caps = [max(0, k_hi) for _, _, k_hi in torus_slabs(profile, top, dxi, 2)]
-    j_max = len(k_caps)
-    reach = _reach(top, dxi * np.arange(1, j_max + 1))
+    k_caps = np.array([max(0, k_hi) for _, _, k_hi
+                       in torus_slabs(profile, top, dxi, 2)], dtype=int)
+    j_max = k_caps.size
+    xis = dxi * np.arange(1, j_max + 1)
+    reach = _reach(top, xis)
     if extent is None:
         # too narrow when the spectrum sits far below the first slab, so
         # slowly decaying near-planar kernels should pass extent explicitly
@@ -311,7 +407,14 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
         raise DomainError("column foot u is outside the resolved region")
     if core_half_width is None:
         core_half_width = reach[-1] if j_max else extent
-    n_half = int(np.ceil(extent / dx))
+    n_half = np.ceil(extent / dx)
+    lines = (n_half + 1) * (n_half + 1 if u == 0.0 else 2 * n_half + 1)
+    if lines > _MAX_LINES:
+        raise DomainError(
+            f"the x' grid needs {lines:.3g} lines (points_per_wavelength = "
+            f"{points_per_wavelength:g}, extent = {extent:g}), above the cap "
+            f"of {_MAX_LINES}")
+    n_half = int(n_half)
     ax2 = dx * np.arange(0, n_half + 1)  # even in x2: half grid, weight 2
     w2 = np.full(ax2.size, 2.0)
     w2[0] = 1.0
@@ -334,9 +437,9 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     frames = [(nodes(w_in), nodes(w_out), bins)
               for w_in, w_out, bins in _frames(reach, core_half_width, extent)]
     # slab j's tables cover the widest frame that carries it
-    widest = np.zeros(j_max + 1, dtype=int)
+    widest = np.zeros(j_max, dtype=int)
     for _, n_out, bins in frames:
-        widest[1:bins + 1] = n_out
+        widest[:bins] = n_out
 
     if xi_zero_radial is None:
         def xi_zero_radial(r, _p=profile, _t=top):
@@ -356,17 +459,17 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     # rows of H1 on the x1 >= 0 tail, which is the x2 axis.  The factor xi
     # is the slab's weight in the torus transform; the alternating sign
     # recenters the transform on [-S, S)
-    slabs = {}
+    roots = np.sqrt(xis)
     # column 0 holds h_m(0), column j holds h_m at slab j's sqrt(xi) u
-    h_0u = hermite_table(max(k_caps, default=0),
-                         np.r_[0.0, np.sqrt(dxi * np.arange(1, j_max + 1)) * u])
-    for j, k_cap in enumerate(k_caps, 1):
-        xi = j * dxi
-        C, even = _kernel_slab_coeff(profile, xi, k_cap, h_0u[:, j],
-                                     h_0u[:, 0], top)
-        rows = span(widest[j])
-        H1 = hermite_table(k_cap, np.sqrt(xi) * ax1[rows])
-        slabs[j] = (rows.start, H1.T @ (C * ((-1) ** j * xi)),
+    h_0u = hermite_table(k_caps.max(initial=0), np.r_[0.0, roots * u])
+    coeffs = _kernel_slab_coeff(profile, xis, k_caps, h_0u[:, 1:], h_0u[:, 0],
+                                top)
+    spans = [span(n) for n in widest]
+    slabs = {}
+    for j, (C, even), rows, H1 in zip(
+            range(1, j_max + 1), coeffs, spans,
+            _slab_tables(k_caps, roots, ax1, spans)):
+        slabs[j] = (rows.start, H1.T @ (C * ((-1) ** j * xis[j - 1])),
                     H1[even, tail - rows.start:])
 
     def strip_sum(rows, cols, bins, n_fft, table, out):
@@ -389,9 +492,7 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
                 c1 = min(x2.size, c0 + n_cols)
                 spec = spec_buf[:n_bins * (i1 - i0) * (c1 - c0)]
                 spec = spec.reshape(n_bins, i1 - i0, c1 - c0)
-                rr = np.sqrt((x1[i0:i1, None] - u) ** 2
-                             + x2[None, c0:c1] ** 2)
-                spec[0] = zero_slab(rr)
+                _spline_values(zero_slab, x1[i0:i1], x2[c0:c1], u, spec[0])
                 for j in range(1, n_bins):
                     start, P, T2 = slabs[j]
                     a = rows.start - start + i0
@@ -438,7 +539,7 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     if not np.isfinite(total):
         raise GrushinError(f"the L^1 norm came out {total}: a line lies past "
                            f"the zero slab's spline grid, which ends at "
-                           f"r = {r_grid[-1]:g}")
+                           f"r = {zero_slab.x[-1]:g}")
     return total * dx * dx
 
 

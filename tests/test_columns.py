@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracles import bump
+from scipy.interpolate import CubicSpline
 
 from grushin.engine import schwartz_kernel_column
 from grushin.errors import DomainError, GrushinError
 from grushin.fields import GrushinGrid, MultiplierProfile, SpectralTruncation
-from grushin.hermite import PrimeGrid
+from grushin.hermite import PrimeGrid, hermite_table
 from grushin.lab import columns
 from grushin.lab.columns import (
     bochner_riesz_radial_kernel,
@@ -264,6 +265,12 @@ class TestL1MultiplierNorm:
                                       (0.0, np.inf))
         with pytest.raises(DomainError):
             l1_multiplier_norm(unbounded, S)  # no eigenvalue cap
+        # grids no run could finish are refused before any allocation
+        heat = MultiplierProfile.heat(0.2)
+        with pytest.raises(DomainError, match="torus samples per line"):
+            l1_multiplier_norm(heat, S, fft_oversample=2 ** 60)
+        with pytest.raises(DomainError, match="lines"):
+            l1_multiplier_norm(heat, S, points_per_wavelength=1e12)
 
     @pytest.mark.parametrize("kwargs", [
         {"torus_half_period": np.nan},
@@ -436,26 +443,97 @@ class TestL1MultiplierNorm:
                                   **args)
         assert half == pytest.approx(full, rel=1e-14)
 
-    def test_one_hermite_table_per_slab(self, monkeypatch):
-        # R = 8 has 16 torus slabs; one more table holds h_m at 0 and at every
-        # slab's sqrt(xi) u
-        calls = []
-        table = columns.hermite_table
-        monkeypatch.setattr(columns, "hermite_table",
-                            lambda n, x: calls.append(n) or table(n, x))
-        l1_multiplier_norm(br_profile(8.0, 0.2), S, u=1.0 / 8.0,
-                           lambda_max=64.0)
-        assert len(calls) == 16 + 1
+    @pytest.mark.parametrize("radius, u", [(8.0, 1.0 / 8.0),
+                                          (32.0, 4.0 / 32.0)],
+                             ids=["R=8", "R=32 u=4/32"])
+    def test_lane_tables_are_the_per_slab_tables(self, monkeypatch, radius,
+                                                 u):
+        # the slabs' Hermite tables come from one recurrence per group of
+        # slabs; each is hermite_table(k_cap, sqrt(xi) x1[rows]) bit for bit
+        seen, groups = [], []
+        tables, lanes = columns._slab_tables, columns.hermite_lanes
+
+        def tables_spy(k_caps, roots, ax1, spans):
+            for j, H1 in enumerate(tables(k_caps, roots, ax1, spans)):
+                seen.append((k_caps[j], ax1[spans[j]], H1))
+                yield H1
+
+        monkeypatch.setattr(columns, "_slab_tables", tables_spy)
+        monkeypatch.setattr(columns, "hermite_lanes", lambda *a: groups.append(
+            len(a[0])) or lanes(*a))
+        l1_multiplier_norm(br_profile(radius, 0.2), S, u=u,
+                           lambda_max=radius ** 2)
+        j_max = int(radius ** 2 / 4.0)
+        assert len(seen) == sum(groups) == j_max
+        assert len(groups) < j_max / 4
+        for j, (k_cap, x1, H1) in enumerate(seen, 1):
+            want = hermite_table(k_cap, np.sqrt(j * (np.pi / S)) * x1)
+            assert H1.shape == want.shape
+            assert np.array_equal(H1, want)
+
+    def test_one_profile_call_for_the_torus_slabs(self, monkeypatch):
+        # with the cap at the support edge and a closed-form zero slab, the
+        # torus slabs' eigenvalues are the only ones F is evaluated at
+        calls, call = [], MultiplierProfile.__call__
+        monkeypatch.setattr(MultiplierProfile, "__call__", lambda self, lam:
+                            calls.append(np.size(lam)) or call(self, lam))
+        for radius in (8.0, 32.0):
+            calls.clear()
+            l1_multiplier_norm(br_profile(radius, 0.2), S, u=1.0 / radius,
+                               lambda_max=radius ** 2, xi_zero_radial=lambda r:
+                               bochner_riesz_radial_kernel(radius, 0.2, r))
+            assert len(calls) == 1
+
+    def test_profile_not_finite_at_a_slab_eigenvalue_is_named(self):
+        # on S = pi/2 the slab eigenvalues are 4j(L + 1); 12 is slab 1's at
+        # L = 2 and slab 3's at L = 0
+        def nan_at_12(lam):
+            return np.where(lam == 12.0, np.nan,
+                            np.maximum(0.0, 1.0 - lam / 16.0))
+
+        profile = MultiplierProfile(nan_at_12, (0.0, 16.0))
+        with pytest.raises(DomainError, match=r"not finite at lambda = 12$"):
+            l1_multiplier_norm(profile, S, lambda_max=16.0,
+                               xi_zero_radial=lambda r: np.exp(-r * r))
+
+    @pytest.mark.parametrize("radius, delta, u", [
+        (32.0, 0.2, 4.0 / 32.0), (8.0, 1.5, 0.0), (4.0, 0.2, 0.25)])
+    def test_direct_index_spline_matches_cubic_spline(self, radius, delta, u):
+        # on the radii of the frames' lines, on every knot and past the last
+        # one, the zero slab's direct-index Horner evaluation is
+        # CubicSpline.__call__ to rounding (1e-15 of the largest value)
+        dx = 2.0 * np.pi / (4.0 * radius)
+        n_half = int(np.ceil(columns._reach(radius ** 2, np.pi / S) / dx))
+        ax2 = dx * np.arange(n_half + 1)
+        ax1 = dx * np.arange(-n_half, n_half + 1)
+        r_far = np.hypot(np.max(np.abs(ax1 - u)), ax2[-1])
+        grid = np.arange(0.0, r_far + 2.0 * dx, 0.25 * dx)
+        spline = CubicSpline(grid, bochner_riesz_radial_kernel(
+            radius, delta, grid), extrapolate=False)
+        scale = np.abs(spline.c[-1]).max()
+        got = np.empty((ax1.size, ax2.size))
+        columns._spline_values(spline, ax1, ax2, u, got)
+        want = spline(np.sqrt((ax1[:, None] - u) ** 2 + ax2[None, :] ** 2))
+        assert np.abs(got - want).max() <= 1e-15 * scale
+        # sqrt(k * k) == k, so x1 = knots, x2 = 0 lands on the knots
+        x1 = np.r_[grid, grid[-1] + 0.125 * dx]
+        got = np.empty((x1.size, 1))
+        columns._spline_values(spline, x1, np.zeros(1), 0.0, got)
+        want = spline(x1)
+        assert np.abs(got[:-1, 0] - want[:-1]).max() <= 1e-15 * scale
+        assert np.isnan(got[-1, 0]) and np.isnan(want[-1])
 
     @pytest.mark.parametrize("radius, u, bound_mib", [
-        # closed-form zero slab: 8.0 MiB measured with nested frames, 10.7
-        # with a core square and one bulk zone carrying 17 slabs out to the
-        # extent; 33.0 with x1 blocks of up to 48 MB, and 84.8 when the
-        # samples of a whole block of lines went through one buffer
+        # closed-form zero slab: 8.2 MiB measured with the slabs set up as
+        # lanes (8.0 one slab at a time), 10.7 with a core square and one
+        # bulk zone carrying 17 slabs out to the extent; 33.0 with x1 blocks
+        # of up to 48 MB, and 84.8 when the samples of a whole block of
+        # lines went through one buffer
         (32.0, 4.0 / 32.0, 13.0),
         # heat t = 0.05: the zero slab's Bessel matrix goes in blocks of
-        # rows; 4.0 MiB measured (5.5 with the core and bulk zones), 11.4
-        # with x1 blocks of up to 48 MB and 62.3 with the whole matrix
+        # rows; 4.0 MiB measured with the slabs set up as lanes, as one slab
+        # at a time (5.5 with the core and bulk zones), 11.4 with x1 blocks
+        # of up to 48 MB and 62.3 with the whole matrix
         (None, 0.0, 7.0),
     ], ids=["br R=32 u=4/32", "heat t=0.05"])
     def test_peak_memory(self, radius, u, bound_mib):
@@ -481,9 +559,9 @@ class TestL1MultiplierNorm:
         coeff, slabs = columns._kernel_slab_coeff, []
 
         def spy(profile, xi, *args):
-            C, even = coeff(profile, xi, *args)
-            slabs.append((xi, C))
-            return C, even
+            coeffs = coeff(profile, xi, *args)
+            slabs.extend((x, C) for x, (C, _) in zip(xi, coeffs))
+            return coeffs
 
         monkeypatch.setattr(columns, "_kernel_slab_coeff", spy)
         assert np.isfinite(l1_multiplier_norm(bump(9.0, 13.0), S, u=0.25))
