@@ -26,7 +26,7 @@ from .errors import (
 from .fields import Field, GrushinGrid, MultiplierProfile, SpectralTruncation
 from .geometry import (
     MetricPoint,
-    ball_volume_mc,
+    ball_volume,
     ball_volume_model,
     doubling_ratio,
     grushin_distance,
@@ -53,7 +53,7 @@ __all__ = [
     "TruncationError",
     "WindowingError",
     "apply_multiplier",
-    "ball_volume_mc",
+    "ball_volume",
     "ball_volume_model",
     "doubling_ratio",
     "grushin_distance",

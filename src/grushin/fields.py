@@ -40,6 +40,9 @@ class Dims:
         return max(self.d1 + self.d2, 2 * self.d2)
 
 
+_MAX_NODES = 1 << 26  # 8x the default kernel_support grid (420 MB peak)
+
+
 @dataclass(frozen=True)
 class GrushinGrid:
     """Product grid: a symmetric x'-grid times a uniform torus grid in x''.
@@ -47,6 +50,7 @@ class GrushinGrid:
     The torus is one axis, [-S, S), sampled at n_second points, so the dual
     lattice has spacing pi/S.  d2 is kept as a field so that callers can
     pass it, but only d2 = 1 is built: the engine transforms one torus axis.
+    More than _MAX_NODES nodes raise DomainError before any allocation.
     """
 
     prime: PrimeGrid
@@ -61,6 +65,8 @@ class GrushinGrid:
             raise DomainError(f"n_second must be even, got {self.n_second!r}")
         if self.d2 != 1:
             raise DomainError(f"the torus has one axis: d2 must be 1, got {self.d2!r}")
+        if self.prime.n_points ** self.prime.d1 * self.n_second > _MAX_NODES:
+            raise DomainError(f"grid {self.shape} has over {_MAX_NODES} nodes")
 
     @property
     def d1(self) -> int:
@@ -85,12 +91,6 @@ class GrushinGrid:
     @property
     def cell_volume(self) -> float:
         return self.prime.cell * self.second_spacing
-
-    def meshgrid_prime(self) -> Tuple[np.ndarray, ...]:
-        return np.meshgrid(*([self.prime.axis] * self.prime.d1), indexing="ij")
-
-    def meshgrid_second(self) -> Tuple[np.ndarray, ...]:
-        return np.meshgrid(*([self.second_axis] * self.d2), indexing="ij")
 
     def locate(self, x_prime, x_second) -> Tuple[int, ...]:
         """Index of a grid node; ContractViolation off-grid.

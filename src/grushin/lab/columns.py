@@ -315,7 +315,6 @@ def _frames(reach: np.ndarray, inner: float, extent: float):
 def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
                        lambda_max: float | None = None,
                        points_per_wavelength: float = 4.0,
-                       core_half_width: float | None = None,
                        xi_zero_radial=None, fft_oversample: int = 1,
                        extent: float | None = None) -> float:
     """L^1 norm of the multiplier kernel column based at ((u, 0), 0).
@@ -323,14 +322,14 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     Slab j of the torus transform, at frequency xi_j = j pi / S, dies past
     its reach r_j = sqrt(lambda + 2 xi_j) / xi_j + 4 / sqrt(xi_j) from the
     origin of x', with lambda the eigenvalue cap.  So the x' domain is tiled
-    by nested square frames: the innermost square, of half width
-    core_half_width (default r_{j_max}, the reach of the last slab), carries
-    every slab, and the frames past it, of half widths doubling out to the
-    extent (default r_1), carry only the slabs that reach past their inner
-    edge.  Each frame samples |K| at its own n_fft torus points per line,
-    4 (bins + 1) rounded up to a power of 2.  The innermost square goes by
-    irfft, so the dense reference below stays apart from the cosine
-    product; a frame past it goes by one product with a half-period cosine
+    by nested square frames: the innermost square, of half width r_{j_max}
+    (the reach of the last slab), carries every slab, and the frames past
+    it, of half widths doubling out to the extent (default r_1), carry only
+    the slabs that reach past their inner edge.  Each frame samples |K| at
+    its own n_fft torus points per line, 4 (bins + 1) rounded up to a power
+    of 2.  The innermost square goes by irfft, so a dense reference, one
+    square over the whole domain, stays apart from the cosine product; a
+    frame past it goes by one product with a half-period cosine
     table when it carries at most _COSINE_MAX_BINS slabs, where per-line FFT
     overhead would outweigh the few bins, and by irfft past that.  A frame
     is summed as its strips (the top strip over its full width, the side
@@ -352,13 +351,11 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
 
     The modulus of a band-limited kernel is not band-limited, so the torus
     integral of |K| carries a residual resolution error; fft_oversample,
-    the torus sampling factor, a power of 2, serves convergence studies.  A
-    core_half_width past the extent makes the innermost square the whole
-    domain, a dense all-frequency evaluation useful as a reference.  extent
-    overrides the integration half width in x'.  Numbers follow the rule of
-    grushin.errors, and xi_zero_radial must return finite values.  A grid
-    of more than _MAX_LINES lines, or an innermost frame of more than
-    _MAX_TORUS_SAMPLES torus samples per line, raises DomainError before
+    the torus sampling factor, a power of 2, serves convergence studies.
+    extent overrides the integration half width in x'.  Numbers follow the
+    rule of grushin.errors, and xi_zero_radial must return finite values.
+    A grid of more than _MAX_LINES lines, or an innermost frame of more
+    than _MAX_TORUS_SAMPLES torus samples per line, raises DomainError before
     anything is allocated.  The cap is oscillator.eigenvalue_cap's:
     lambda_max None and inf both mean no cap, and a cap below the support
     edge where |F| > 1e-14 raises DomainError.
@@ -370,8 +367,6 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     if fft_oversample & (fft_oversample - 1):
         raise DomainError(f"fft_oversample must be a power of 2, got "
                           f"{fft_oversample!r}")
-    if core_half_width is not None:
-        check_real(core_half_width, "core_half_width", 0.0, strict=True)
     if extent is not None:
         check_real(extent, "extent", 0.0, strict=True)
     top = eigenvalue_cap(profile, lambda_max)
@@ -405,8 +400,6 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
         extent = float(_reach(top, dxi))
     if abs(u) > extent / 2.0:
         raise DomainError("column foot u is outside the resolved region")
-    if core_half_width is None:
-        core_half_width = reach[-1] if j_max else extent
     n_half = np.ceil(extent / dx)
     lines = (n_half + 1) * (n_half + 1 if u == 0.0 else 2 * n_half + 1)
     if lines > _MAX_LINES:
@@ -435,7 +428,8 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
         return slice(max(0, tail - n + 1), tail + n)
 
     frames = [(nodes(w_in), nodes(w_out), bins)
-              for w_in, w_out, bins in _frames(reach, core_half_width, extent)]
+              for w_in, w_out, bins
+              in _frames(reach, reach[-1] if j_max else extent, extent)]
     # slab j's tables cover the widest frame that carries it
     widest = np.zeros(j_max, dtype=int)
     for _, n_out, bins in frames:

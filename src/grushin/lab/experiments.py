@@ -32,7 +32,7 @@ from ..errors import (
 from ..fields import Dims, GrushinGrid, MultiplierProfile, SpectralTruncation
 from ..geometry import (
     MetricPoint,
-    ball_volume_mc,
+    ball_volume,
     ball_volume_model,
     doubling_ratio,
     grushin_distance,
@@ -47,7 +47,7 @@ from .columns import (
     l1_multiplier_norm,
 )
 from .profiles import CutoffSpec, PieceProfile, dyadic_pieces, sobolev_norm
-from .radial import weighted_column_norms, weighted_operator_norm
+from .radial import _MAX_SCAN, weighted_column_norms, weighted_operator_norm
 from .reports import ScalingReport
 
 __all__ = [
@@ -80,6 +80,7 @@ class ExperimentResult:
 # predictions keep the paper's general formulas.
 _DIMS = Dims(2, 1)
 _D1, _D2, _P = _DIMS.d1, _DIMS.d2, 1.0
+_MAX_TRIPLES = 10 ** 7  # geometry_suite peaks at about 144 bytes a triple
 
 
 def _restriction_precondition(gamma: float) -> None:
@@ -173,13 +174,15 @@ def localized_restriction_experiment(
     are the slope in R at fixed y (prediction (d2 + d1)(1/p - 1/2)) and the
     slope in y at fixed R (prediction gamma - d2 (1/p - 1/2)).  Every y,
     y_fix among them, must satisfy y > 4 ball_radius to keep the ball away
-    from the degenerate axis.
+    from the degenerate axis.  n_scan is capped as in weighted_operator_norm.
     """
     _restriction_precondition(gamma)
     radii = _increasing(radii, "radii")
     y_values = _increasing(y_values, "y_values")
     check_real(ball_radius, "ball_radius", 0.0, strict=True)
     check_integer(n_scan, "n_scan", minimum=2)
+    if n_scan > _MAX_SCAN:
+        raise DomainError(f"n_scan = {n_scan} is above {_MAX_SCAN}")
     y_fix, r_fix = _numbers(
         [y_values[len(y_values) // 2] if y_fix is None else y_fix,
          radii[-1] if r_fix is None else r_fix], "y_fix and r_fix")
@@ -534,19 +537,21 @@ def kernel_support_suite(
                  "worst_fraction_outside": worst})
 
 
-def geometry_suite(n_triples: int = 100000, mc_samples: int = 1000000,
+def geometry_suite(n_triples: int = 100000,
                    seed: int = 0) -> ExperimentResult:
     """Bundle of quasi-metric measure checks at (d1, d2) = (2, 1).
 
     Four parts: exact equality of the two quasi-distance branches on the
-    interface; the empirical quasi-triangle constant over random triples;
-    Monte-Carlo ball volumes against the model r^{d1+d2} max(r, |x'|)^{d2}
-    (two-sided comparability constant); and doubling ratios against the
-    homogeneous-dimension growth (1 + lambda)^Q.
+    interface; the empirical quasi-triangle constant over n_triples (at most
+    _MAX_TRIPLES) random triples drawn from seed; ball_volume's quadrature
+    against the model r^{d1+d2} max(r, |x'|)^{d2} (two-sided comparability
+    constant); and doubling ratios against the homogeneous-dimension growth
+    (1 + lambda)^Q.
     """
     d1, d2 = _D1, _D2
     check_integer(n_triples, "n_triples", minimum=1)
-    check_integer(mc_samples, "mc_samples", minimum=1)
+    if n_triples > _MAX_TRIPLES:
+        raise DomainError(f"n_triples = {n_triples} is above {_MAX_TRIPLES}")
     check_integer(seed, "seed")
     q_hom = _DIMS.homogeneous
     rng = np.random.default_rng(seed)
@@ -582,8 +587,7 @@ def geometry_suite(n_triples: int = 100000, mc_samples: int = 1000000,
     for height in (0.0, 0.5, 2.0):
         center = MetricPoint((height,) + (0.0,) * (d1 - 1), (0.0,))
         for radius in (0.25, 1.0, 3.0):
-            vol, _stderr = ball_volume_mc(center, radius, mc_samples,
-                                          seed=seed)
+            vol = ball_volume(center, radius)
             model = ball_volume_model(center, radius)
             two_sided = max(vol / model, model / vol)
             comparability = max(comparability, two_sided)
@@ -594,8 +598,7 @@ def geometry_suite(n_triples: int = 100000, mc_samples: int = 1000000,
         center = MetricPoint((height,) + (0.0,) * (d1 - 1), (0.0,))
         for radius in (0.5, 1.0):
             for lam in (2.0, 4.0, 8.0):
-                ratio = doubling_ratio(center, radius, lam,
-                                       n_samples=mc_samples, seed=seed)
+                ratio = doubling_ratio(center, radius, lam)
                 excess = ratio / (1.0 + lam) ** q_hom
                 doubling_excess = max(doubling_excess, excess)
                 rows.append(["doubling", height, lam, excess])

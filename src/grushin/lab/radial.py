@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.special import gammaln
 
-from ..errors import check_integer, check_real, real_array
+from ..errors import DomainError, check_integer, check_real, real_array
 from ..oscillator import eigenvalue_cap, torus_slabs
 
 __all__ = [
@@ -56,6 +56,7 @@ _D1 = 2  # this fast path is specific to two prime coordinates
 _BLOCK_BUDGET = 5.6e5
 # from this angular momentum on, _radial_log_row0 uses Stirling's form
 _STIRLING_L = 20
+_MAX_SCAN = 10 ** 5  # feet of a scan: 410 MB of forms at R = 32, S = pi
 
 
 def _normalized_recurrence(n_max: np.ndarray, l: np.ndarray, x: np.ndarray,
@@ -301,10 +302,13 @@ def weighted_operator_norm(profile, gamma: float, torus_half_period: float,
     from 0 to sqrt(top) / dxi + 1; the search is a dense scan with extra
     density near the axis, then two local grid-refinement rounds.  A ball
     cutoff on the input side is a scan of weighted_column_norms over the
-    feet in the ball.  gamma and k_max are checked by the first scan.
+    feet in the ball.  gamma and k_max are checked by the first scan; an
+    n_scan above _MAX_SCAN raises DomainError before any allocation.
     """
     check_real(torus_half_period, "torus half period", 0.0, strict=True)
     check_integer(n_scan, "n_scan", minimum=5)
+    if n_scan > _MAX_SCAN:
+        raise DomainError(f"n_scan = {n_scan} is above {_MAX_SCAN}")
     top = eigenvalue_cap(profile, lambda_max)
     dxi = np.pi / torus_half_period
     u_hi = np.sqrt(top) / dxi + 1.0

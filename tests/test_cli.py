@@ -36,8 +36,7 @@ class TestExitCodes:
 
     def test_geometry_suite_succeeds_on_small_budgets(self, tmp_path):
         code = run(tmp_path, "experiment.kind = geometry_suite\n"
-                             "experiment.n_triples = 2000\n"
-                             "experiment.mc_samples = 5000\n")
+                             "experiment.n_triples = 2000\n")
         assert code == 0
         assert (tmp_path / "out" / "run-0001" / "report.json").is_file()
 
@@ -76,6 +75,12 @@ class TestExitCodes:
         "experiment.kind = localized_restriction\nexperiment.n_scan = -1\n",
         "experiment.kind = geometry_suite\nseed = -1\n",
         "experiment.kind = kernel_support\ngrid.n_prime = 255\n",
+        "experiment.kind = geometry_suite\nexperiment.n_triples = 10000000000\n",
+        "experiment.kind = kernel_support\ngrid.n_prime = 100000\n",
+        "experiment.kind = weighted_restriction\n"
+        "experiment.n_scan = 100000000000\n",
+        "experiment.kind = localized_restriction\n"
+        "experiment.n_scan = 100000000000\n",
     ], ids=["unknown-kind", "unknown-key", "duplicate-key", "missing-pairs",
             "malformed-line", "missing-kind", "levels-times-mismatch",
             "non-integer-seed", "non-finite-sobolev-order", "nan-heat-time",
@@ -86,7 +91,9 @@ class TestExitCodes:
             "string-y-fix", "bool-k-max", "non-integer-level",
             "scalar-pairs", "three-part-pair", "nan-kappa", "infinite-time",
             "one-point-ball-scan", "zero-point-ball-scan",
-            "negative-ball-scan", "negative-seed", "foot-off-the-grid"])
+            "negative-ball-scan", "negative-seed", "foot-off-the-grid",
+            "triples-past-the-cap", "grid-past-the-node-cap",
+            "weighted-scan-past-the-cap", "localized-scan-past-the-cap"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, text):
         assert run(tmp_path, text) == 2
         assert "config error" in capsys.readouterr().err
@@ -124,7 +131,7 @@ def test_list_output_is_golden(capsys):
 @pytest.mark.parametrize("text", [
     f"experiment.kind = distance_table\nexperiment.pairs = {PAIRS}\n",
     "experiment.kind = geometry_suite\nexperiment.n_triples = 2000\n"
-    "experiment.mc_samples = 5000\nseed = 3\n",
+    "seed = 3\n",
 ], ids=["distance_table", "geometry_suite"])
 def test_reports_are_byte_identical_across_runs(tmp_path, text):
     path = write_config(tmp_path, text)
@@ -176,6 +183,7 @@ def test_catalog_keywords_are_the_runner_parameters(kind):
     ("bochner_riesz", "experiment.p = 1.0"),
     ("heat_gaussian", "dims.d2 = 1"),
     ("distance_table", "seed = 3"),
+    ("geometry_suite", "experiment.mc_samples = 1000"),
 ])
 def test_keys_that_change_no_number_are_refused(tmp_path, capsys, kind, key):
     text = f"experiment.kind = {kind}\n{key}\n"

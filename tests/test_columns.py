@@ -173,25 +173,31 @@ class TestL1MultiplierNorm:
         with pytest.raises(GrushinError, match="past the zero slab's spline"):
             l1_multiplier_norm(br_profile(4.0, 1.5), S, lambda_max=16.0)
 
-    def test_zone_split_matches_dense_evaluation(self):
+    @staticmethod
+    def _dense(monkeypatch):
+        # one innermost square over the whole domain, carrying every slab
+        monkeypatch.setattr(columns, "_frames", lambda reach, inner, extent:
+                            [(0.0, extent, reach.size)])
+
+    def test_zone_split_matches_dense_evaluation(self, monkeypatch):
         # the nested frames must agree with the dense reference (an innermost
         # square covering the whole domain) on the same discretization
         for radius, delta, u in ((4.0, 0.5, 0.1), (8.0, 0.2, 0.0)):
             closed = lambda r: bochner_riesz_radial_kernel(radius, delta, r)
-            split = l1_multiplier_norm(br_profile(radius, delta), S, u=u,
-                                       lambda_max=radius ** 2,
-                                       xi_zero_radial=closed)
-            dense = l1_multiplier_norm(br_profile(radius, delta), S, u=u,
-                                       lambda_max=radius ** 2,
-                                       xi_zero_radial=closed,
-                                       core_half_width=1e9)
+            args = dict(u=u, lambda_max=radius ** 2, xi_zero_radial=closed)
+            split = l1_multiplier_norm(br_profile(radius, delta), S, **args)
+            with monkeypatch.context() as patch:
+                self._dense(patch)
+                dense = l1_multiplier_norm(br_profile(radius, delta), S,
+                                           **args)
             assert abs(split - dense) / dense < 1e-4
 
     @pytest.mark.parametrize("radius", [4.0, 8.0, 16.0])
     @pytest.mark.parametrize("delta", [1.5, 0.2])
     @pytest.mark.parametrize("foot", [0.0, 1.0, 4.0], ids=["u=0", "u=1/R",
                                                           "u=4/R"])
-    def test_frames_match_dense_evaluation(self, radius, delta, foot):
+    def test_frames_match_dense_evaluation(self, monkeypatch, radius, delta,
+                                           foot):
         # a frame leaves out the slabs that have died inside its inner edge;
         # the dense reference keeps every slab everywhere, at the n_fft of
         # the whole spectrum
@@ -199,8 +205,8 @@ class TestL1MultiplierNorm:
                     xi_zero_radial=lambda r: bochner_riesz_radial_kernel(
                         radius, delta, r))
         framed = l1_multiplier_norm(br_profile(radius, delta), S, **args)
-        dense = l1_multiplier_norm(br_profile(radius, delta), S,
-                                   core_half_width=1e9, **args)
+        self._dense(monkeypatch)
+        dense = l1_multiplier_norm(br_profile(radius, delta), S, **args)
         assert abs(framed - dense) / dense < 1e-4
 
     @pytest.mark.parametrize("delta", [1.5, 0.2])
@@ -279,7 +285,6 @@ class TestL1MultiplierNorm:
         {"lambda_max": np.nan},
         {"points_per_wavelength": np.nan},
         {"points_per_wavelength": np.inf},
-        {"core_half_width": np.nan},
         {"fft_oversample": np.nan},
         {"u": None},
         {"torus_half_period": "a"},

@@ -55,10 +55,18 @@ def test_increasing_rejects_non_finite_entries(values):
     lambda: heat_gaussian_check(times=0.1),
     lambda: multiplier_norm_experiment(t_values=0.5),
     lambda: kernel_support_suite(levels=0, times=1.0),
+    # sizes no run could finish, refused before any allocation: each was a
+    # bare numpy MemoryError
+    lambda: geometry_suite(n_triples=10 ** 10),
+    lambda: kernel_support_suite(n_prime=100_000),
+    lambda: weighted_restriction_experiment(n_scan=10 ** 11),
+    lambda: localized_restriction_experiment(n_scan=10 ** 11),
 ], ids=["deltas-none", "level-fractional", "level-string", "gamma-string",
         "y-fix-string", "multiplier-torus-half-period-zero", "ball-radius-list",
         "radii-scalar", "deltas-scalar", "times-scalar", "t-values-scalar",
-        "levels-and-times-scalar"])
+        "levels-and-times-scalar", "triples-past-the-cap",
+        "grid-past-the-node-cap", "weighted-scan-past-the-cap",
+        "localized-scan-past-the-cap"])
 def test_bad_numbers_raise_domain_error(call):
     # each was a bare TypeError, ValueError or ZeroDivisionError
     with pytest.raises(DomainError):
@@ -310,7 +318,7 @@ class TestKernelSupport:
 
 class TestGeometrySuite:
     def test_reduced_budgets(self):
-        res = geometry_suite(seed=0, n_triples=5000, mc_samples=50000)
+        res = geometry_suite(seed=0, n_triples=5000)
         assert_well_formed(res, "geometry_suite")
         s = res.summary
         assert s["interface_max_gap"] == 0.0
@@ -320,8 +328,8 @@ class TestGeometrySuite:
         assert s["homogeneous_dimension"] == 4
 
     def test_deterministic(self):
-        a = geometry_suite(seed=3, n_triples=2000, mc_samples=20000)
-        b = geometry_suite(seed=3, n_triples=2000, mc_samples=20000)
+        a = geometry_suite(seed=3, n_triples=2000)
+        b = geometry_suite(seed=3, n_triples=2000)
         assert a.rows == b.rows
 
     def test_rejects_empty_budgets(self):

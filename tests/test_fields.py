@@ -21,12 +21,7 @@ from grushin.fields import (
     MultiplierProfile,
     SpectralTruncation,
 )
-from grushin.geometry import (
-    MetricPoint,
-    ball_volume_mc,
-    ball_volume_model,
-    doubling_ratio,
-)
+from grushin.geometry import MetricPoint, ball_volume, ball_volume_model
 from grushin.hermite import PrimeGrid
 from grushin.lab.columns import heat_kernel_pointwise, l1_multiplier_norm
 from grushin.lab.experiments import geometry_suite, heat_gaussian_check
@@ -220,7 +215,7 @@ class TestSpectralTruncation:
     lambda: PrimeGrid(np.nan, 16, 2),
     lambda: GrushinGrid(PrimeGrid(6.0, 32, 2), np.inf, 16, 1),
     lambda: SpectralTruncation(8, np.inf),
-    lambda: ball_volume_mc(MetricPoint((0.0, 0.0), (0.0,)), np.nan, 1000),
+    lambda: ball_volume(MetricPoint((0.0, 0.0), (0.0,)), np.nan),
     lambda: MultiplierProfile.bochner_riesz(0.1, np.nan),
     lambda: ball_volume_model(MetricPoint((0.0, 0.0), (0.0,)), np.nan),
     lambda: ball_volume_model(MetricPoint((0.0, 0.0), (0.0,)), np.inf),
@@ -234,7 +229,8 @@ class TestSpectralTruncation:
     lambda: heat_gaussian_check(times=[np.nan]),
     # out of domain, though finite
     lambda: GrushinGrid(PrimeGrid(6.0, 32, 2), np.pi, 16, 2),
-    lambda: ball_volume_mc(MetricPoint((0.0, 0.0), (0.0,)), 1.0, 1000, seed=-1),
+    # a grid no run could finish, refused before any allocation
+    lambda: GrushinGrid(PrimeGrid(22.0, 100_000, 2), 6.0, 128, 1),
     # k > nan is always false, so a NaN k_max would switch the level check off
     lambda: SpectralTruncation(np.nan, 26.0),
     lambda: SpectralTruncation(3.5, 26.0),
@@ -263,7 +259,7 @@ class TestSpectralTruncation:
         "ball-radius-nan", "bochner-riesz-delta-nan", "ball-model-radius-nan",
         "ball-model-radius-inf", "scaling-fit-norm-nan", "dyadic-ds-nan",
         "dyadic-ds-inf", "heat-kernel-time-nan", "heat-check-time-nan",
-        "grid-two-torus-axes", "ball-volume-seed-negative", "k-max-nan",
+        "grid-two-torus-axes", "grid-past-the-node-cap", "k-max-nan",
         "k-max-fractional", "wave-time-nan", "locate-foot-nan",
         "kernel-column-foot-nan", "heat-time-string", "lambda-max-string",
         "lambda-max-none", "torus-half-period-string", "heat-time-array",
@@ -278,18 +274,9 @@ def test_non_finite_parameters_raise_domain_error(build):
 @pytest.mark.parametrize("name,build", [
     ("k_max", lambda: SpectralTruncation(True, 26.0)),
     ("k_max", lambda: SpectralTruncation(2.0, 26.0)),
-    ("seed", lambda: geometry_suite(n_triples=10, mc_samples=10, seed=1.5)),
-    ("seed", lambda: geometry_suite(n_triples=10, mc_samples=10, seed=True)),
-    ("n_triples", lambda: geometry_suite(n_triples=2.5, mc_samples=10)),
-    ("mc_samples", lambda: geometry_suite(n_triples=10, mc_samples=10.5)),
-    ("seed", lambda: ball_volume_mc(MetricPoint((0.0, 0.0), (0.0,)), 1.0, 1000,
-                                    seed=1.5)),
-    ("seed", lambda: ball_volume_mc(MetricPoint((0.0, 0.0), (0.0,)), 1.0, 1000,
-                                    seed=True)),
-    ("seed", lambda: doubling_ratio(MetricPoint((0.0, 0.0), (0.0,)), 1.0, 2.0,
-                                    1000, seed=1.5)),
-    ("seed", lambda: doubling_ratio(MetricPoint((0.0, 0.0), (0.0,)), 1.0, 2.0,
-                                    1000, seed=True)),
+    ("seed", lambda: geometry_suite(n_triples=10, seed=1.5)),
+    ("seed", lambda: geometry_suite(n_triples=10, seed=True)),
+    ("n_triples", lambda: geometry_suite(n_triples=2.5)),
     ("d1", lambda: heat_gaussian_check(d1=True)),
     ("d1", lambda: heat_gaussian_check(d1=2.0)),
     ("d1", lambda: heat_gaussian_check(d1=0)),
@@ -300,10 +287,8 @@ def test_non_finite_parameters_raise_domain_error(build):
     ("d1", lambda: Dims(1.5, 1)),
     ("d1", lambda: Dims("a", 1)),
 ], ids=["k-max-bool", "k-max-float", "suite-seed-fractional", "suite-seed-bool",
-        "suite-triples-fractional", "suite-samples-fractional",
-        "ball-seed-fractional", "ball-seed-bool", "doubling-seed-fractional",
-        "doubling-seed-bool", "heat-d1-bool", "heat-d1-float", "heat-d1-zero",
-        "prime-points-fractional", "prime-points-string", "prime-d1-fractional",
+        "suite-triples-fractional", "heat-d1-bool", "heat-d1-float",
+        "heat-d1-zero", "prime-points-fractional", "prime-points-string", "prime-d1-fractional",
         "torus-points-float", "dims-d1-fractional", "dims-d1-string"])
 def test_integer_parameters_refuse_other_values(name, build):
     with pytest.raises(DomainError, match=f"{name} must be an integer >= "):
