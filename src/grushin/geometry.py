@@ -116,9 +116,14 @@ def grushin_distance_field(grid: GrushinGrid, y_prime, y_second,
 
 
 def ball_volume_model(x: MetricPoint, r: float) -> float:
-    """Comparability representative r^{d1+d2} max{r, |x'|}^{d2}."""
+    """Comparability representative r^{d1+d2} max{r, |x'|}^{d2}; one past
+    about e^(+-700) raises DomainError."""
     check_real(r, "radius", 0.0, strict=True)
-    return r ** (x.d1 + x.d2) * max(r, x.prime_norm) ** x.d2
+    outer = max(r, x.prime_norm)
+    if abs((x.d1 + x.d2) * math.log(r) + x.d2 * math.log(outer)) > 700.0:
+        raise DomainError(f"the model volume leaves the float range at "
+                          f"r = {r:g}")
+    return r ** (x.d1 + x.d2) * outer ** x.d2
 
 
 _RADIAL_NODES = 96  # ball_volume's Gauss-Legendre nodes per radial piece

@@ -13,9 +13,10 @@ coordinate and both choosing their own discretizations:
   many by irfft, both a cache-sized chunk of lines at a time; every slab's
   set-up is built once per call for all slabs together, from one profile
   call and one Hermite recurrence per group of slabs; the zero slab is a
-  cubic spline of its radial profile, a closed form or a composite
-  Gauss-Legendre Hankel quadrature, over the radii the frames evaluate and
-  no further, read by direct index into its uniform breakpoints, and
+  not-a-knot cubic spline of its radial profile, a closed form or a
+  composite Gauss-Legendre Hankel quadrature, over the radii the frames
+  evaluate and no further, built here by one banded solve for its slopes
+  and read by direct index into its uniform breakpoints, and
 * a closed-form heat kernel evaluator built from the oscillator semigroup
   kernel per frequency, with no level truncation at all, over scalar points
   or arrays of them.
@@ -33,7 +34,7 @@ own norm.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 from scipy.special import j0, jv, gamma as _gamma_fn
 
 from ..errors import DomainError, GrushinError, check_integer, check_real, real_array
@@ -219,17 +220,50 @@ def _slab_tables(k_caps: np.ndarray, roots: np.ndarray, ax1: np.ndarray,
             yield out[:tops[i] + 1, end - sizes[i]:end]
 
 
-def _spline_values(spline, x1: np.ndarray, x2: np.ndarray, u: float,
-                   out: np.ndarray) -> None:
+def _not_a_knot_spline(x: np.ndarray, y: np.ndarray):
+    """Knots and coefficients of the not-a-knot cubic spline through (x, y).
+
+    Returns (x, coef), coef of shape (4, x.size - 1): on [x_i, x_i+1] the
+    spline is coef[0, i] s^3 + coef[1, i] s^2 + coef[2, i] s + coef[3, i],
+    s = r - x_i.  The slopes s_i at the knots solve the tridiagonal system of
+    C^2 continuity with not-a-knot end rows (de Boor, A Practical Guide to
+    Splines, 1978), filled and solved as scipy.interpolate.CubicSpline does,
+    so the coefficients are its .c bit for bit.  x increases, with at least
+    4 knots; y is finite.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    ab = np.zeros((3, x.size))  # bands: upper, diagonal, lower
+    ab[0, 2:] = dx[:-1]
+    ab[1, 1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    ab[2, :-2] = dx[1:]
+    b = np.empty(x.size)
+    b[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # not-a-knot: the third derivative is continuous at x_1 and x_n-2
+    d = x[2] - x[0]
+    ab[1, 0], ab[0, 1] = dx[1], d
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    ab[1, -1], ab[2, -2] = dx[-2], d
+    b[-1] = (dx[-1] ** 2 * slope[-2]
+             + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return x, np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
+def _spline_values(knots: np.ndarray, coef: np.ndarray, x1: np.ndarray,
+                   x2: np.ndarray, u: float, out: np.ndarray) -> None:
     """The zero slab's spline at r = hypot(x1 - u, x2), into out.
 
-    out has shape (x1.size, x2.size).  The breakpoints spline.x are uniform
-    from 0, so r lies in the interval floor(r / h), the last one closed as
-    in CubicSpline; past the last knot the value is NaN, as
-    extrapolate=False gives.  Horner goes in place, rows of about
-    _SPLINE_CHUNK points at a time, so no temporary is larger than that.
+    knots and coef are _not_a_knot_spline's; out has shape
+    (x1.size, x2.size).  The knots are uniform from 0, so r lies in the
+    interval floor(r / h), the last one closed; past the last knot the
+    value is NaN, as the spline does not extrapolate.  Horner goes in
+    place, rows of about _SPLINE_CHUNK points at a time, so no temporary is
+    larger than that.
     """
-    knots, coef = spline.x, spline.c
     h, last = knots[1], knots[-1]
     step = max(1, _SPLINE_CHUNK // x2.size)
     for i0 in range(0, x1.size, step):
@@ -438,15 +472,15 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     if xi_zero_radial is None:
         def xi_zero_radial(r, _p=profile, _t=top):
             return planar_radial_kernel(_p, r, _t)
-    # cubic spline of the radial zero slab at 16 samples per wavelength:
+    # not-a-knot cubic spline of the radial zero slab at 16 samples per
+    # wavelength, its slopes from one banded solve (_not_a_knot_spline):
     # interpolation error ~(sqrt(top) dr)^4 stays below the torus sampling
     # error.  It runs past the farthest line strip_sum evaluates by 2 dx and
     # never extrapolates
     r_far = np.hypot(np.max(np.abs(ax1 - u)), ax2[-1])
     r_grid = np.arange(0.0, r_far + 2.0 * dx, 0.25 * dx)
-    zero_slab = CubicSpline(
-        r_grid, real_array(xi_zero_radial(r_grid), "xi_zero_radial value"),
-        extrapolate=False)
+    knots, coef = _not_a_knot_spline(
+        r_grid, real_array(xi_zero_radial(r_grid), "xi_zero_radial value"))
 
     # per slab, whatever no tile changes, from one Hermite table H1 on the
     # x1 rows of its widest frame: P = H1^T C (-1)^j xi, and T2, the even
@@ -486,7 +520,8 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
                 c1 = min(x2.size, c0 + n_cols)
                 spec = spec_buf[:n_bins * (i1 - i0) * (c1 - c0)]
                 spec = spec.reshape(n_bins, i1 - i0, c1 - c0)
-                _spline_values(zero_slab, x1[i0:i1], x2[c0:c1], u, spec[0])
+                _spline_values(knots, coef, x1[i0:i1], x2[c0:c1], u,
+                               spec[0])
                 for j in range(1, n_bins):
                     start, P, T2 = slabs[j]
                     a = rows.start - start + i0
@@ -533,7 +568,7 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     if not np.isfinite(total):
         raise GrushinError(f"the L^1 norm came out {total}: a line lies past "
                            f"the zero slab's spline grid, which ends at "
-                           f"r = {zero_slab.x[-1]:g}")
+                           f"r = {knots[-1]:g}")
     return total * dx * dx
 
 

@@ -546,7 +546,7 @@ def geometry_suite(n_triples: int = 100000,
     _MAX_TRIPLES) random triples drawn from seed; ball_volume's quadrature
     against the model r^{d1+d2} max(r, |x'|)^{d2} (two-sided comparability
     constant); and doubling ratios against the homogeneous-dimension growth
-    (1 + lambda)^Q.
+    (1 + lambda)^Q, one row per radius r, labelled "doubling r=<r>".
     """
     d1, d2 = _D1, _D2
     check_integer(n_triples, "n_triples", minimum=1)
@@ -601,7 +601,7 @@ def geometry_suite(n_triples: int = 100000,
                 ratio = doubling_ratio(center, radius, lam)
                 excess = ratio / (1.0 + lam) ** q_hom
                 doubling_excess = max(doubling_excess, excess)
-                rows.append(["doubling", height, lam, excess])
+                rows.append([f"doubling r={radius:g}", height, lam, excess])
 
     return ExperimentResult(
         kind="geometry_suite",

@@ -167,9 +167,9 @@ class TestL1MultiplierNorm:
     def test_line_past_the_spline_grid_raises(self, monkeypatch):
         # a spline cut to half its grid gives NaN past its end, which must
         # not leave as the norm
-        spline = columns.CubicSpline
-        monkeypatch.setattr(columns, "CubicSpline", lambda x, y, **kw:
-                            spline(x[:x.size // 2], y[:y.size // 2], **kw))
+        build = columns._not_a_knot_spline
+        monkeypatch.setattr(columns, "_not_a_knot_spline", lambda x, y:
+                            build(x[:x.size // 2], y[:y.size // 2]))
         with pytest.raises(GrushinError, match="past the zero slab's spline"):
             l1_multiplier_norm(br_profile(4.0, 1.5), S, lambda_max=16.0)
 
@@ -504,8 +504,9 @@ class TestL1MultiplierNorm:
     @pytest.mark.parametrize("radius, delta, u", [
         (32.0, 0.2, 4.0 / 32.0), (8.0, 1.5, 0.0), (4.0, 0.2, 0.25)])
     def test_direct_index_spline_matches_cubic_spline(self, radius, delta, u):
-        # on the radii of the frames' lines, on every knot and past the last
-        # one, the zero slab's direct-index Horner evaluation is
+        # the in-module not-a-knot spline is scipy's CubicSpline bit for
+        # bit, and on the radii of the frames' lines, on every knot and past
+        # the last one, its direct-index Horner evaluation is
         # CubicSpline.__call__ to rounding (1e-15 of the largest value)
         dx = 2.0 * np.pi / (4.0 * radius)
         n_half = int(np.ceil(columns._reach(radius ** 2, np.pi / S) / dx))
@@ -513,17 +514,20 @@ class TestL1MultiplierNorm:
         ax1 = dx * np.arange(-n_half, n_half + 1)
         r_far = np.hypot(np.max(np.abs(ax1 - u)), ax2[-1])
         grid = np.arange(0.0, r_far + 2.0 * dx, 0.25 * dx)
-        spline = CubicSpline(grid, bochner_riesz_radial_kernel(
-            radius, delta, grid), extrapolate=False)
+        values = bochner_riesz_radial_kernel(radius, delta, grid)
+        spline = CubicSpline(grid, values, extrapolate=False)
+        knots, coef = columns._not_a_knot_spline(grid, values)
+        assert np.array_equal(knots, spline.x)
+        assert np.array_equal(coef, spline.c)
         scale = np.abs(spline.c[-1]).max()
         got = np.empty((ax1.size, ax2.size))
-        columns._spline_values(spline, ax1, ax2, u, got)
+        columns._spline_values(knots, coef, ax1, ax2, u, got)
         want = spline(np.sqrt((ax1[:, None] - u) ** 2 + ax2[None, :] ** 2))
         assert np.abs(got - want).max() <= 1e-15 * scale
         # sqrt(k * k) == k, so x1 = knots, x2 = 0 lands on the knots
         x1 = np.r_[grid, grid[-1] + 0.125 * dx]
         got = np.empty((x1.size, 1))
-        columns._spline_values(spline, x1, np.zeros(1), 0.0, got)
+        columns._spline_values(knots, coef, x1, np.zeros(1), 0.0, got)
         want = spline(x1)
         assert np.abs(got[:-1, 0] - want[:-1]).max() <= 1e-15 * scale
         assert np.isnan(got[-1, 0]) and np.isnan(want[-1])

@@ -327,6 +327,14 @@ class TestGeometrySuite:
         assert s["doubling_excess"] <= 1.5
         assert s["homogeneous_dimension"] == 4
 
+    def test_default_rows_have_distinct_keys(self):
+        # a reader of report.csv tells rows apart by their first three
+        # columns; the doubling rows at r = 0.5 and r = 1 differ by radius
+        keys = [tuple(row[:3]) for row in geometry_suite().rows]
+        assert len(set(keys)) == len(keys)
+        assert {k[0] for k in keys if k[0].startswith("doubling")} == {
+            "doubling r=0.5", "doubling r=1"}
+
     def test_deterministic(self):
         a = geometry_suite(seed=3, n_triples=2000)
         b = geometry_suite(seed=3, n_triples=2000)

@@ -38,9 +38,14 @@ def small_grid():
     # bare ZeroDivisionError from a volume that underflowed to 0
     lambda: ball_volume(MetricPoint((0.0, 0.0), (0.0,)), 1e100),
     lambda: doubling_ratio(MetricPoint((0.0, 0.0), (0.0,)), 1e-100, 2.0),
+    # and model volumes past it: inf, a bare OverflowError, and 0
+    lambda: ball_volume_model(MetricPoint((0.0, 0.0), (0.0,)), 1e100),
+    lambda: ball_volume_model(MetricPoint((0.0, 0.0), (0.0,)), 1e200),
+    lambda: ball_volume_model(MetricPoint((0.0, 0.0), (0.0,)), 1e-100),
 ], ids=["model-radius-string", "doubling-factor-string", "arrays-nan",
         "field-foot-nan", "model-radius-list", "doubling-factor-list",
-        "volume-radius-string", "volume-overflow", "volume-underflow"])
+        "volume-radius-string", "volume-overflow", "volume-underflow",
+        "model-overflow-inf", "model-overflow-error", "model-underflow"])
 def test_bad_numbers_raise_domain_error(call):
     # each was a bare TypeError or a silent NaN
     with pytest.raises(DomainError):
@@ -218,6 +223,9 @@ class TestBallVolume:
     def test_model_examples(self):
         assert ball_volume_model(MetricPoint((0.0, 0.0), (0.0,)), 2.0) == 16.0
         assert ball_volume_model(MetricPoint((8.0, 0.0), (0.0,)), 2.0) == 64.0
+        # radii well inside the float range pass the e^(+-700) check
+        for r in (1e40, 1e-40):
+            assert ball_volume_model(MetricPoint((0.0, 0.0), (0.0,)), r) == r ** 4
 
     def test_model_rejects_bad_radius(self):
         with pytest.raises(DomainError):
