@@ -17,7 +17,6 @@ from .errors import (
     AliasingError,
     ConfigError,
     ContractViolation,
-    DegenerateInputError,
     DomainError,
     GrushinError,
     TruncationError,
@@ -41,7 +40,6 @@ __all__ = [
     "AliasingError",
     "ConfigError",
     "ContractViolation",
-    "DegenerateInputError",
     "DomainError",
     "Field",
     "GrushinError",

@@ -49,10 +49,6 @@ class WindowingError(GrushinError):
     """A sampled profile does not decay at its window edges."""
 
 
-class DegenerateInputError(GrushinError):
-    """A nonzero input is required (e.g. ratio with zero denominator)."""
-
-
 class ConfigError(GrushinError):
     """Invalid experiment configuration; carries the offending field name."""
 

@@ -9,6 +9,19 @@ the Laguerre connection formula (DLMF 18.18.18), so this path cross-validates
 the tensor-grid engine rather than reusing it.  Its spectral window is the
 engine's: oscillator.eigenvalue_cap and oscillator.torus_slabs.
 
+At gamma = 0 no sector form is needed.  The squared column norm of a
+frequency xi is 2 pi sum_k |F_k|^2 Q_k(s), s = sqrt(xi) u, where Q_k(s) =
+sum_{a+b=k} h_a(s)^2 h_b(0)^2 is the diagonal of the level-k projection at
+(s, 0) in Hermite functions h_a.  Regrouped it is 2 pi sum_a h_a(s)^2 W_a
+with W_a = sum_{b even} h_b(0)^2 |F_{a+b}|^2, which depends on the frequency
+only.  By DLMF 18.7.19-20, h_{2n}(s) and h_{2n+1}(s) are Laguerre functions
+of parameter -1/2 and +1/2 in s^2, so two parity lanes of the same
+recurrence give every h_a(s)^2: O(k_hi) entries per foot, against O(k_hi^2)
+for the sectors.  Every term is nonnegative, so nothing cancels; the
+alternating form (e^{-s^2}/pi) sum_{n<=k} (-1)^n L_n(2 s^2) of Q_k would lose
+all its digits near the turning point.  At gamma > 0 the weight does not
+commute with the projections, and each sector (xi, l) keeps its lane.
+
 The zero torus frequency is left out of the sum.  The lattice sum over xi
 is a Riemann sum of the continuum xi-integral, in which the xi = 0 slab
 carries the weight 1 / (2S) of every slab, falling like 1/S as the torus of
@@ -18,15 +31,15 @@ part of the x''-periodization of the kernel on R^2 x R.  Each convention is
 the right one for its own norm.
 
 One call evaluates the profile once, on the levels of all active torus
-frequencies, and runs every sector (xi, l) as a lane of one vectorised
-recurrence over n: lanes in decreasing order of their last row
-n_max = (k_hi - l) // 2, each retiring after it, so lanes of different
+frequencies, and runs every lane (a parity at gamma = 0, a sector at
+gamma > 0) in one vectorised recurrence over n: lanes in decreasing order of
+their last row n_max, each retiring after it, so lanes of different
 frequencies share a pass.  _BLOCK_BUDGET bounds the lanes of one pass; at
 gamma > 0 the rows of a block meet the Gram factor in one matrix product.
 So the passes of a call, each a Python loop over n, are bounded by its
-blocks, not by its frequencies.  The forms are summed per frequency in
-ascending l, and the frequencies in ascending order, so at gamma = 0 every
-norm has the arithmetic of a frequency-by-frequency sum.
+blocks, not by its frequencies.  The forms are summed per frequency in lane
+order, and the frequencies in ascending order, so at gamma = 0 every norm
+has the arithmetic of a frequency-by-frequency sum.
 """
 
 from __future__ import annotations
@@ -48,11 +61,12 @@ __all__ = [
 
 _D1 = 2  # this fast path is specific to two prime coordinates
 # floats a pass holds, about lanes * (feet + 1) * depth: seven arrays of
-# lanes * feet (x, log psi_0, the unscale factor, three recurrence buffers and
+# lanes * feet (x, log row 0, the unscale factor, three recurrence buffers and
 # the forms) and, at gamma > 0, two of rows * lanes * feet (the stacked
 # coefficients and their product with T) for the rows n of the block's first
-# lane; T adds rows^2 more.  This keeps the peak of a 144-foot scan at R = 32
-# at that of a pass per frequency
+# lane; T adds rows^2 more.  The lanes are two parities per frequency at
+# gamma = 0 and k_hi + 1 sectors at gamma > 0.  This keeps the peak of a
+# 144-foot scan at R = 32 at that of a pass per frequency
 _BLOCK_BUDGET = 5.6e5
 # from this angular momentum on, _radial_log_row0 uses Stirling's form
 _STIRLING_L = 20
@@ -160,6 +174,39 @@ def _log_row0_stirling(l, s):
             + 0.5 * l * gap)
 
 
+def _parity_log_row0(l, s: np.ndarray) -> np.ndarray:
+    """log h_0(s) on even lanes (l = -1/2) and log h_1(s) on odd ones (l = +1/2).
+
+    h_0(s) = pi^{-1/4} e^{-s^2/2} and h_1(s) = sqrt(2) s h_0(s), -inf at
+    s = 0.  With these starts the rows of _normalized_recurrence in x = s^2
+    are h_{2n}(s) and h_{2n+1}(s) up to the sign (-1)^n.
+    """
+    with np.errstate(divide="ignore"):  # s = 0 on an odd lane
+        odd = np.where(l > 0, 0.5 * np.log(2.0) + np.log(s), 0.0)
+    return odd - 0.5 * (s * s) - 0.25 * np.log(np.pi)
+
+
+def _diagonal_weights(vals: np.ndarray, k_his: np.ndarray) -> np.ndarray:
+    """2 pi W_a, W_a = sum_{b even} h_b(0)^2 |F_{a+b}|^2, frequency by frequency.
+
+    vals lists the profile at the levels 0..k_hi of each frequency in turn,
+    and the weights come out in the same places.  h_{2m}(0)^2 =
+    Gamma(m + 1/2) / (pi m!) is a product of positive ratios, and each W is
+    one correlation of positive terms.
+    """
+    top = k_his.max(initial=0)
+    m = np.arange(1.0, top // 2 + 1)
+    even = np.zeros(top + 1)  # h_b(0)^2: zero at odd b
+    even[::2] = np.cumprod(np.concatenate(([np.pi ** -0.5],
+                                           (m - 0.5) / m)))
+    power = 2.0 * np.pi * vals * vals
+    weights = np.empty_like(power)
+    stop = np.cumsum(k_his + 1)
+    for a, b in zip((stop - k_his - 1).tolist(), stop.tolist()):
+        weights[a:b] = np.correlate(power[a:b], even[:b - a], "full")[b - a - 1:]
+    return weights
+
+
 def laguerre_radial_table(n_max: int, l: int, s: np.ndarray) -> np.ndarray:
     """Rows n = 0..n_max of psi_{n,l}(s), orthonormal for the weight s ds.
 
@@ -209,29 +256,37 @@ def _gauss_modes(n_max: np.ndarray, l: np.ndarray, gamma: float):
 def _block_forms(vals: np.ndarray, base: np.ndarray, n_max: np.ndarray,
                  l: np.ndarray, root_xi: np.ndarray, u: np.ndarray,
                  gamma: float) -> np.ndarray:
-    """The weighted quadratic form of each lane of one block, at each foot u.
+    """The form of each lane of one block, at each foot u.
 
-    Lane i is a sector (xi, l) with the radial argument s_u = root_xi[i] u.
-    vals lists the profile at the levels of each frequency in turn, and
-    vals[base[i]] is the lane's level l, so its mode n has the level
-    k = 2n + l at vals[base[i] + 2n].  The form
-    || s^gamma sum_n a_n psi_{n,l} ||^2 with a_n = vals[base + 2n]
+    Lane i has the radial argument s_u = root_xi[i] u, and its row n belongs
+    to level 2n + (its lowest level) of its frequency, whose entry in vals is
+    vals[base[i] + 2n]; vals lists the levels of each frequency in turn.
+
+    At gamma = 0 lane i is a parity, l = -1/2 (even) or +1/2 (odd), its
+    rows are h_a(s_u), a = 2n or 2n + 1, and vals holds the diagonal weights
+    2 pi W_a of _diagonal_weights: the form is sum_n h_a(s_u)^2 2 pi W_a.
+
+    At gamma > 0 lane i is a sector (xi, l), vals holds the profile, and the
+    form || s^gamma sum_n a_n psi_{n,l} ||^2 with a_n = vals[base + 2n]
     psi_{n,l}(s_u) is sum_k |sum_n a_n M[n, k]|^2 for the Gram factor M of
-    _gauss_modes.  The block takes one pass of the psi recurrence and, at
-    gamma > 0, one product with T.  At gamma = 0 each (lane, u) entry sees
-    the same arithmetic in any block; at gamma > 0 BLAS may group the sums of
-    the product by the block's shape.
+    _gauss_modes.
+
+    The block takes one pass of the recurrence and, at gamma > 0, one
+    product with T.  At gamma = 0 each (lane, u) entry sees the same
+    arithmetic in any block; at gamma > 0 BLAS may group the sums of the
+    product by the block's shape.
     """
     s_u = root_xi[:, None] * u
-    log_row0 = _radial_log_row0(l, s_u)
+    log_row0 = (_parity_log_row0 if gamma == 0.0 else _radial_log_row0)(l, s_u)
     psi = _normalized_recurrence(n_max, l, np.multiply(s_u, s_u, out=s_u),
                                  log_row0)
     del s_u, log_row0  # the recurrence alone holds them, so a rescale frees
-    if gamma == 0.0:  # orthonormal modes: the Gram is the identity
+    if gamma == 0.0:
         form = np.zeros((l.size, u.size))
         for n, row in enumerate(psi):
+            np.square(row, out=row)
             row *= vals[base[:len(row)] + 2 * n, None]
-            form[:len(row)] += np.square(row, out=row)
+            form[:len(row)] += row
         return form
     rows = int(n_max[0]) + 1
     e, t, ep_inv = _gauss_modes(n_max, l, gamma)
@@ -244,14 +299,23 @@ def _block_forms(vals: np.ndarray, base: np.ndarray, n_max: np.ndarray,
     return np.einsum("nlu,nlu->lu", mixed, mixed)
 
 
+def _lanes(count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(frequency, index within it) of each lane, count[j] lanes at frequency j."""
+    freq = np.repeat(np.arange(count.size), count)
+    return freq, np.arange(freq.size) - (np.cumsum(count) - count)[freq]
+
+
 def weighted_column_norms(profile, u, gamma: float, torus_half_period: float,
                           k_max: int, lambda_max: float) -> np.ndarray:
     """|| |x'|^gamma K_F(., y) ||_2 for columns at |y'| = u, vectorized in u.
 
     The column norm depends on y only through u = |y'| by rotation invariance
-    in x' and translation invariance on the torus.  Levels beyond the k_max
-    policy raise TruncationError naming the offending frequency; numbers
-    follow the rule of grushin.errors.
+    in x' and translation invariance on the torus.  At gamma = 0 each
+    frequency takes two Hermite parity lanes against its level-diagonal
+    weights; at gamma > 0 it takes one Laguerre lane per sector (xi, l),
+    l = 0..k_hi, and its Gram factor (module docstring).  Levels beyond the
+    k_max policy raise TruncationError naming the offending frequency;
+    numbers follow the rule of grushin.errors.
     """
     u = np.atleast_1d(real_array(u, "radius u", 0.0))
     check_real(gamma, "gamma", 0.0)
@@ -261,18 +325,24 @@ def weighted_column_norms(profile, u, gamma: float, torus_half_period: float,
     # the active torus frequencies, ascending
     active = [(xi, k_hi) for xi, k_lo, k_hi in torus_slabs(
         profile, top, np.pi / torus_half_period, _D1, k_max) if k_hi >= k_lo]
-    xis = [xi for xi, _ in active]
+    xis = np.array([xi for xi, _ in active])
     k_his = np.array([k_hi for _, k_hi in active], dtype=int)
-    # one lane per sector (xi, l), l = 0..k_hi, frequency by frequency; lane
-    # i holds the profile at level l, and level 2n + l of its frequency is
-    # lane i + 2n
-    freq = np.repeat(np.arange(k_his.size), k_his + 1)
-    l = np.arange(freq.size) - (np.cumsum(k_his + 1) - k_his - 1)[freq]
-    xi = np.array(xis)[freq]
-    vals = profile((2.0 * l + _D1) * xi)
-    n_max = (k_his[freq] - l) // 2
+    # the levels 0..k_hi of each frequency in turn; level 0 of frequency j is
+    # at first[j]
+    first = np.cumsum(k_his + 1) - k_his - 1
+    freq, low = _lanes(k_his + 1)
+    vals = profile((2.0 * low + _D1) * xis[freq])
+    if gamma == 0.0:  # two parity lanes, one where k_hi = 0
+        vals = _diagonal_weights(vals, k_his)
+        freq, low = _lanes(np.minimum(k_his, 1) + 1)
+        l = low - 0.5
+    else:  # one lane per sector (xi, l), its lowest level l
+        l = low
+    # row n of a lane is level 2n + low of its frequency, at vals[base + 2n]
+    base = first[freq] + low
+    n_max = (k_his[freq] - low) // 2
     # lanes by decreasing n_max, as the recurrence takes them; the sort is
-    # stable, so within a frequency l still ascends
+    # stable, so within a frequency the lowest level still ascends
     order = np.argsort(-n_max, kind="stable")
     slabs = np.zeros((k_his.size, u.size))
     i = 0
@@ -280,14 +350,15 @@ def weighted_column_norms(profile, u, gamma: float, torus_half_period: float,
         depth = 7 + (2 * (n_max[order[i]] + 1) if gamma > 0 else 0)
         block = order[i:i + max(1, int(_BLOCK_BUDGET / ((u.size + 1) * depth)))]
         i += block.size
-        form = _block_forms(vals, block, n_max[block],
-                            l[block, None].astype(float), np.sqrt(xi[block]),
-                            u, gamma)
-        form *= np.where(l[block] > 0, 2.0, 1.0)[:, None]  # the two signs of l
-        np.add.at(slabs, freq[block], form)  # in lane order: l ascends
+        form = _block_forms(vals, base[block], n_max[block],
+                            l[block, None].astype(float),
+                            np.sqrt(xis[freq[block]]), u, gamma)
+        if gamma > 0:
+            form *= np.where(l[block] > 0, 2.0, 1.0)[:, None]  # signs of l
+        np.add.at(slabs, freq[block], form)  # in lane order
         del form  # before the next block allocates its own
     total = np.zeros(u.shape)
-    for xi_j, slab in zip(xis, slabs):
+    for xi_j, slab in zip(xis.tolist(), slabs):
         total += 2.0 * xi_j ** (1.0 - gamma) / (2.0 * np.pi) * slab
     return np.sqrt(total / (2.0 * torus_half_period))
 

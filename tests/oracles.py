@@ -26,7 +26,6 @@ import numpy as np
 
 from grushin.errors import (
     ContractViolation,
-    DegenerateInputError,
     DomainError,
     TruncationError,
 )
@@ -210,7 +209,7 @@ def weighted_oscillator_check(f: np.ndarray, xi_mag: float, k_max: int, d1: int,
     f = np.asarray(f)
     nf2 = np.sum(np.abs(f) ** 2) * grid.cell
     if nf2 == 0:
-        raise DegenerateInputError("weighted check needs a nonzero field")
+        raise DomainError("weighted check needs a nonzero field")
     axes = np.meshgrid(*([grid.axis] * grid.d1), indexing="ij")
     r2 = sum(a * a for a in axes)
     num = np.sqrt(np.sum(r2 ** gamma * np.abs(f) ** 2) * grid.cell)

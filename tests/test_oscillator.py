@@ -12,7 +12,7 @@ from oracles import (
 )
 
 from grushin.engine import apply_slice_multiplier
-from grushin.errors import DegenerateInputError, DomainError, TruncationError
+from grushin.errors import DomainError, TruncationError
 from grushin.fields import MultiplierProfile
 from grushin.hermite import PrimeGrid, hermite_table
 from grushin.lab.columns import l1_multiplier_norm, planar_radial_kernel
@@ -340,7 +340,7 @@ class TestWeightedInequalities:
         assert self.ratio(self.random_field(rng), 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_field_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DomainError, match="nonzero field"):
             weighted_oscillator_check(np.zeros(2048), 1.0, 10, 1, 1.0, self.grid)
 
     def test_report_exposes_both_sides(self):

@@ -1,5 +1,8 @@
 """Tests for the radial column-norm machinery against independent oracles."""
 
+import json
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -301,6 +304,13 @@ class TestWeightedColumnNorm:
                                     24.0)
         assert got.shape == (0,)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.25])
+    def test_no_active_frequency_gives_zero_norms(self, gamma):
+        # lambda_max = 1 on S = pi is below the lowest slab eigenvalue 2
+        got = weighted_column_norms(band_profile(1.0), [0.0, 1.0], gamma,
+                                    np.pi, 40, 1.0)
+        assert np.array_equal(got, np.zeros(2))
+
     def test_truncation_policy_enforced(self):
         # lambda_max = 24 at the lowest frequency xi = 2 needs oscillator
         # levels up to 5; a cap below that must refuse, not silently clip
@@ -392,8 +402,10 @@ class TestSharedWindow:
         norms = weighted_column_norms(bump(9.0, 13.0), [0.0, 0.5], gamma,
                                       np.pi / 2.0, 40, 13.0)
         assert np.all(norms > 0)
-        # slab 1 at level 2 (three sectors l = 0, 1, 2), slab 3 at level 0
-        assert sorted(lanes) == sorted([np.sqrt(2.0)] * 3 + [np.sqrt(6.0)])
+        # slab 1 at level 2 (at gamma = 0 its two parity lanes, at gamma > 0
+        # its three sectors l = 0, 1, 2), slab 3 at level 0 (one lane)
+        slab1 = 2 if gamma == 0.0 else 3
+        assert sorted(lanes) == sorted([np.sqrt(2.0)] * slab1 + [np.sqrt(6.0)])
 
     def test_k_max_error_names_the_slab_as_the_engine_does(self):
         # slab 1 keeps level 2 (eigenvalue 12), past k_max = 1
@@ -485,16 +497,63 @@ class TestBlockRecurrence:
         weighted_column_norms(band_profile(16.0), feet, gamma, np.pi, 4000,
                               256.0)
         # lambda_max = 256 on S = pi: 128 active frequencies, k_hi = 127 at
-        # xi = 1 down to 0 at xi = 128, one lane per level
-        lanes = sum((256 // j - 2) // 2 + 1 for j in range(1, 129))
-        assert sum(n.size for n in passes) == lanes
-        if gamma == 0.0:
+        # xi = 1 down to 0 at xi = 65..128
+        k_his = [(256 // j - 2) // 2 for j in range(1, 129)]
+        if gamma == 0.0:  # two parity lanes, one where k_hi = 0
+            lanes = sum(min(k, 1) + 1 for k in k_his)
+            assert lanes == 2 * 64 + 64
             per_block = int(radial._BLOCK_BUDGET / (7 * (feet.size + 1)))
             assert len(passes) == -(-lanes // per_block) == 1
-        else:
+            assert gauss == []
+        else:  # one lane per level
+            lanes = sum(k + 1 for k in k_his)
             assert len(gauss) == len(passes) < 128 // 4
+        assert sum(n.size for n in passes) == lanes
         # every pass takes its lanes longest first
         assert all(np.all(np.diff(n) <= 0) for n in passes)
+
+
+class TestLevelDiagonalRoute:
+    # gamma = 0 norms of the per-sector route (one Laguerre lane per (xi, l)),
+    # frozen over the default weighted_operator_norm scan at R = 32 (144
+    # feet, down to 2.3e-14 in the tail) and at seven feet at R = 64 (down
+    # to 4.7e-23 at u = 65); S = pi, lambda_max = R^2 as the default
+    # weighted_restriction run.  The parity lanes met them within 5.1e-14
+    # and 1.3e-13
+    FROZEN = json.loads(
+        (Path(__file__).parent / "data" / "gamma0_norms.json").read_text())
+
+    @pytest.mark.parametrize("radius", ["32", "64"])
+    def test_matches_the_frozen_sector_norms(self, radius):
+        feet, want = np.array(self.FROZEN[radius]).T
+        R = float(radius)
+        got = weighted_column_norms(band_profile(R), feet, 0.0, np.pi, 4000,
+                                    R * R)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_sector_route_at_tiny_gamma_is_continuous(self):
+        # gamma = 1e-9 goes by the Gauss-Laguerre sector route, gamma = 0 by
+        # the parity lanes; the norms move by gamma times a log moment of the
+        # column, 3.4e-9 at most over the scan (also in the tail) at R = 32,
+        # 8.5e-10 at R = 4
+        feet = np.array(self.FROZEN["32"])[:, 0]
+        plain, near = (weighted_column_norms(band_profile(32.0), feet, gamma,
+                                             np.pi, 4000, 1024.0)
+                       for gamma in (0.0, 1e-9))
+        np.testing.assert_allclose(near, plain, rtol=5e-9, atol=0.0)
+
+    def test_passes_follow_the_block_budget(self, monkeypatch):
+        # 192 parity lanes at lambda_max = 256 (see above), 50 per block
+        feet = np.linspace(0.0, 6.0, 9)
+        monkeypatch.setattr(radial, "_BLOCK_BUDGET", 7 * (feet.size + 1) * 50)
+        passes, recurrence = [], _normalized_recurrence
+        monkeypatch.setattr(radial, "_normalized_recurrence",
+                            lambda *a: passes.append(a[0]) or recurrence(*a))
+        weighted_column_norms(band_profile(16.0), feet, 0.0, np.pi, 4000,
+                              256.0)
+        assert [n.size for n in passes] == [50, 50, 50, 42]
+        # the longest lanes go first: the two parities of xi = 1, k_hi = 127
+        assert passes[0][:2].tolist() == [63, 63]
 
 
 class TestMixedLanes:
