@@ -246,13 +246,6 @@ class MultiplierProfile:
             ev = lambda lam: np.maximum(0.0, 1.0 - t * lam) ** delta
         return cls(ev, (0.0, 1.0 / t), label=f"bochner_riesz(t={t:g}, delta={delta:g})")
 
-    @classmethod
-    def wave_cosine(cls, s: float) -> "MultiplierProfile":
-        """cos(s sqrt(lam)); unbounded support, band-limited only by policy."""
-        check_real(s, "propagation time", 0.0)
-        return cls(lambda lam: np.cos(s * np.sqrt(np.maximum(lam, 0.0))),
-                   (0.0, np.inf), label=f"wave_cosine(s={s:g})")
-
 
 @dataclass(frozen=True)
 class SpectralTruncation:

@@ -423,10 +423,9 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
             f"(fft_oversample = {fft_oversample}, torus_half_period = "
             f"{torus_half_period:g}), above the cap of {_MAX_TORUS_SAMPLES}")
     # every slab below the cap: one without an active level gets a zero C
-    k_caps = np.array([max(0, k_hi) for _, _, k_hi
-                       in torus_slabs(profile, top, dxi, 2)], dtype=int)
+    xis, _, k_his = torus_slabs(profile, top, dxi, 2)
+    k_caps = np.maximum(k_his, 0)
     j_max = k_caps.size
-    xis = dxi * np.arange(1, j_max + 1)
     reach = _reach(top, xis)
     if extent is None:
         # too narrow when the spectrum sits far below the first slab, so

@@ -34,12 +34,20 @@ One call evaluates the profile once, on the levels of all active torus
 frequencies, and runs every lane (a parity at gamma = 0, a sector at
 gamma > 0) in one vectorised recurrence over n: lanes in decreasing order of
 their last row n_max, each retiring after it, so lanes of different
-frequencies share a pass.  _BLOCK_BUDGET bounds the lanes of one pass; at
-gamma > 0 the rows of a block meet the Gram factor in one matrix product.
-So the passes of a call, each a Python loop over n, are bounded by its
-blocks, not by its frequencies.  The forms are summed per frequency in lane
-order, and the frequencies in ascending order, so at gamma = 0 every norm
-has the arithmetic of a frequency-by-frequency sum.
+frequencies share a pass.  A pass builds the recurrence coefficients of all
+its (n, lane) entries before its loop, so each step of the loop is a few
+array operations on the (lanes, feet) rows.  _BLOCK_BUDGET bounds the
+floats of one pass.  At gamma > 0 the rows of a block, scaled by E, meet the
+Gram factor M = E T / E' in a product with T that is written over them band
+by band (_BAND) and skips T's upper triangle.  T depends on gamma alone, so
+one T per call, sized for the longest lane, serves every block by its
+leading submatrix.  So the passes of a call, each a Python loop over n, are
+bounded by its blocks, not by its frequencies; the level ranges, the
+gamma = 0 weights and the closing sum are array operations over all
+frequencies at once.  The forms are summed per frequency in lane order, and
+the frequencies in ascending order as a running sum, so at gamma = 0 every
+norm has the arithmetic of a frequency-by-frequency sum, whatever the number
+of feet.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from ..errors import DomainError, check_integer, check_real, real_array
@@ -60,17 +68,48 @@ __all__ = [
 ]
 
 _D1 = 2  # this fast path is specific to two prime coordinates
-# floats a pass holds, about lanes * (feet + 1) * depth: seven arrays of
-# lanes * feet (x, log row 0, the unscale factor, three recurrence buffers and
-# the forms) and, at gamma > 0, two of rows * lanes * feet (the stacked
-# coefficients and their product with T) for the rows n of the block's first
-# lane; T adds rows^2 more.  The lanes are two parities per frequency at
-# gamma = 0 and k_hi + 1 sectors at gamma > 0.  This keeps the peak of a
-# 144-foot scan at R = 32 at that of a pass per frequency
+# floats a pass holds, 7 (feet + 1) per lane: seven arrays of lanes * feet
+# (x, log row 0, the unscale factor, three recurrence buffers and the forms).
+# At gamma > 0 a lane of r rows (those of the block's first lane) adds
+# r (feet + 8) + min(r, _BAND) feet: per (lane, row) the stacked
+# coefficients (feet floats), E and 1/E', the profile value, the three
+# recurrence coefficients and two more while those are built, and the
+# product's temporary of min(r, _BAND) rows.  The stacked coefficients, the
+# largest array of a pass, also stay within half the budget (2 r feet per
+# lane): glibc's malloc raises its mmap threshold to the largest array
+# freed, and arrays below it stay in the heap, so without this cap the peak
+# resident memory of a benchmark round read 0.44 MB higher (median of 24
+# rounds).  At gamma = 0 the lanes are two parities per frequency, whose
+# n_max fall like 1/xi, and their per-row floats are not counted.  Nor is
+# the one T of a call (rows^2 for its longest lane).  This keeps the peak of
+# a 144-foot scan at R = 32 at that of a pass per frequency
 _BLOCK_BUDGET = 5.6e5
 # from this angular momentum on, _radial_log_row0 uses Stirling's form
 _STIRLING_L = 20
 _MAX_SCAN = 10 ** 5  # feet of a scan: 410 MB of forms at R = 32, S = pi
+# radial arguments s past this are taken as it: every row there is e^{-s^2/2}
+# times a polynomial of degree <= 2 n_max + l in s, far below the double
+# floor, and s^2 <= 1e100 keeps the recurrence's products finite
+_S_CAP = 1e50
+# rows of T^T coef per product: the products skip T's upper triangle but for
+# the diagonal blocks, 1/2 + _BAND / (2 rows) of the full product's
+# multiply-adds, and hold a _BAND-row temporary.  They run on numpy's BLAS.
+# scipy's trmm would skip the whole triangle, but scipy links an OpenBLAS of
+# its own, whose first call leaves ~1.2 MB of buffers resident beside
+# numpy's: with it a benchmark round read 0.3 MB more peak resident memory
+# than with the full product (median of 24 rounds)
+_BAND = 32
+
+
+def _rows(n_max: np.ndarray):
+    """(count, n, lane): the entries of rows n = 0..n_max[0] of a pass.
+
+    n_max is nonincreasing over the lanes, and row n holds the count[n]
+    leading lanes, those with n_max >= n.  n and lane list the entries row
+    by row, so row n is the slice [sum(count[:n]), sum(count[:n + 1])).
+    """
+    count = np.searchsorted(-n_max, -np.arange(n_max[0] + 1), side="right")
+    return (count, *_lanes(count))
 
 
 def _normalized_recurrence(n_max: np.ndarray, l: np.ndarray, x: np.ndarray,
@@ -88,9 +127,10 @@ def _normalized_recurrence(n_max: np.ndarray, l: np.ndarray, x: np.ndarray,
 
     The leading axis holds lanes: n_max has one entry per lane, in
     nonincreasing order, and l is a matching column; x may differ per lane.
-    Row n holds the leading lanes with n_max >= n, so a lane costs no work
-    past its own last row.  Every entry sees the same arithmetic as in a run
-    of its lane alone.
+    Row n holds the leading lanes with n_max >= n (_rows), so a lane costs
+    no work past its own last row.  The coefficients of every step are built
+    before the first, with the arithmetic of one step at a time, so every
+    entry sees the same arithmetic as in a run of its lane alone.
     """
     shape = np.broadcast_shapes(l.shape, np.shape(x), np.shape(log_row0))
     x = np.broadcast_to(x, shape)  # read-only views, sliced as lanes retire
@@ -100,22 +140,39 @@ def _normalized_recurrence(n_max: np.ndarray, l: np.ndarray, x: np.ndarray,
     unscale = np.exp(np.minimum(expo, 709.0))
     work = unscale.copy()
     yield work
-    # alive[n]: the lanes with n_max > n, which take the step n -> n + 1
-    alive = np.searchsorted(-n_max, -np.arange(n_max[0]), side="left")
+    # the step n -> n + 1 takes the lanes of row n + 1:
+    # nxt = ((2n + 1 + l - x) cur - sqrt(n (n + l)) prev)
+    #       / sqrt((n + 1)(n + 1 + l)), built in prev, which is spent;
+    # at n = 0 the prev term vanishes and the divisor is sqrt(1 + l)
+    count, n, lane = _rows(n_max)
+    l = l[lane[count[0]:]]
+    del lane
+    n = (n[count[0]:] - 1.0).reshape(l.shape)
+    # in place, so that n and l are the only temporaries (_BLOCK_BUDGET)
+    diag = 2.0 * n
+    diag += 1.0
+    diag += l
+    back = n + l
+    back *= n
+    np.sqrt(back, out=back)
+    n += 1.0
+    ahead = n + l
+    ahead *= n
+    np.sqrt(ahead, out=ahead)
+    del n, l
     prev = np.zeros(shape)
     cur = np.ones(shape)  # scaled row 0 mantissa
-    for n, m in enumerate(alive.tolist()):
+    stop = 0
+    for m in count[1:].tolist():
+        start, stop = stop, stop + m
         if m < len(cur):
-            l, x, prev, cur, work, expo, unscale = (
-                a[:m] for a in (l, x, prev, cur, work, expo, unscale))
-        # nxt = ((2n + 1 + l - x) cur - sqrt(n (n + l)) prev)
-        #       / sqrt((n + 1)(n + 1 + l)), built in prev, which is spent;
-        # at n = 0 the prev term vanishes and the divisor is sqrt(1 + l)
-        np.subtract(2.0 * n + 1.0 + l, x, out=work)
+            x, prev, cur, work, expo, unscale = (
+                a[:m] for a in (x, prev, cur, work, expo, unscale))
+        np.subtract(diag[start:stop], x, out=work)
         work *= cur
-        prev *= np.sqrt(n * (n + l))
+        prev *= back[start:stop]
         np.subtract(work, prev, out=prev)
-        prev /= np.sqrt((n + 1.0) * (n + 1.0 + l))
+        prev /= ahead[start:stop]
         nxt = prev
         if nxt.max(initial=0.0) > 1e200 or nxt.min(initial=0.0) < -1e200:
             scale = np.abs(nxt)
@@ -187,23 +244,33 @@ def _parity_log_row0(l, s: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_weights(vals: np.ndarray, k_his: np.ndarray) -> np.ndarray:
-    """2 pi W_a, W_a = sum_{b even} h_b(0)^2 |F_{a+b}|^2, frequency by frequency.
+    """2 pi W_a, W_a = sum_{b even} h_b(0)^2 |F_{a+b}|^2, for every frequency.
 
     vals lists the profile at the levels 0..k_hi of each frequency in turn,
     and the weights come out in the same places.  h_{2m}(0)^2 =
-    Gamma(m + 1/2) / (pi m!) is a product of positive ratios, and each W is
-    one correlation of positive terms.
+    Gamma(m + 1/2) / (pi m!) is a product of positive ratios.  A run of
+    frequencies whose level counts k_hi + 1 round up to the same power of
+    two w (at least 16) shares one zero-padded array of width 2 w, and their
+    W are one contraction of its windows of width w at even steps with
+    h_b(0)^2.  The level counts fall with the frequency, so there is a run
+    per power of two, and every term is positive.
     """
-    top = k_his.max(initial=0)
-    m = np.arange(1.0, top // 2 + 1)
-    even = np.zeros(top + 1)  # h_b(0)^2: zero at odd b
-    even[::2] = np.cumprod(np.concatenate(([np.pi ** -0.5],
-                                           (m - 0.5) / m)))
+    count = k_his + 1
+    width = np.maximum(16, 2 ** np.ceil(np.log2(count)).astype(int))
+    m = np.arange(1.0, int(width.max(initial=16)) // 2)
+    even = np.cumprod(np.concatenate(([np.pi ** -0.5], (m - 0.5) / m)))
     power = 2.0 * np.pi * vals * vals
     weights = np.empty_like(power)
-    stop = np.cumsum(k_his + 1)
-    for a, b in zip((stop - k_his - 1).tolist(), stop.tolist()):
-        weights[a:b] = np.correlate(power[a:b], even[:b - a], "full")[b - a - 1:]
+    ends = np.cumsum(count)
+    starts = np.flatnonzero(np.diff(width, prepend=0)).tolist()
+    for j0, j1 in zip(starts, starts[1:] + [count.size]):
+        w, lo, hi = int(width[j0]), ends[j0] - count[j0], ends[j1 - 1]
+        row, a = _lanes(count[j0:j1])
+        padded = np.zeros((j1 - j0, 2 * w))
+        padded[row, a] = power[lo:hi]
+        # windows[., a, m] = padded[., a + 2 m]: zero past the frequency's top
+        windows = sliding_window_view(padded, w, axis=1)[:, :w, ::2]
+        weights[lo:hi] = np.einsum("fam,m->fa", windows, even[:w // 2])[row, a]
     return weights
 
 
@@ -223,22 +290,23 @@ def laguerre_radial_table(n_max: int, l: int, s: np.ndarray) -> np.ndarray:
 
 
 def _gauss_modes(n_max: np.ndarray, l: np.ndarray, gamma: float):
-    """Closed-form factor (E, T, 1/E') of the weighted Gram of each lane.
+    """The diagonal scalings (E, 1/E') of the weighted Gram factor of each lane.
 
     DLMF 18.18.18 (lambda = l, mu = l + gamma) gives L_n^l = sum_k c_{n-k}
     L_k^{l+gamma}, c_i = (-gamma)_i / i!, and the L_k^{l+gamma} are
     orthogonal for t^{l+gamma} e^{-t}.  In t = s^2 the weighted Gram
     int_0^inf s^{2 gamma + 1} psi_{n,l} psi_{m,l} ds is then M M^T,
-    M[n, k] = E[n] T[n, k] / E'[k] with T[n, k] = c_{n-k} (zero for k > n;
-    shared by all lanes and frequencies), E[n] = sqrt(n!/(n+l)!) and
-    E'[k] = sqrt(k!/Gamma(k+l+gamma+1)).  Lanes are as in
-    _normalized_recurrence; the rows of E and 1/E' stop at n_max of their
-    lane and share a lane constant centring log E (range e^{+-960} at k_hi =
-    3999).  benchmark/tracer.py times this function as radial.gauss_modes.
+    M[n, k] = E[n] T[n, k] / E'[k] with T[n, k] = c_{n-k} (zero for k > n),
+    E[n] = sqrt(n!/(n+l)!) and E'[k] = sqrt(k!/Gamma(k+l+gamma+1)).  T is
+    the same for all lanes and frequencies: _connection_matrix builds it
+    once per call, and a block takes its leading submatrix.  Lanes are as
+    in _normalized_recurrence; the rows of E and 1/E' stop at n_max of
+    their lane and share a lane constant centring log E (range e^{+-960} at
+    k_hi = 3999).  benchmark/tracer.py times this function as
+    radial.gauss_modes.
     """
     width = int(n_max[0]) + 1
     k = np.arange(width, dtype=float)
-    c = np.cumprod(np.concatenate(([1.0], (k[1:] - 1.0 - gamma) / k[1:])))
     # log-ratio sums, not log Gamma, whose rounding near l log l reaches E / E'
     # (4e-12 at l = 4000); rho[x - 1] = log Gamma(x + gamma) - log Gamma(x)
     log_e = np.zeros((len(n_max), width))
@@ -249,54 +317,86 @@ def _gauss_modes(n_max: np.ndarray, l: np.ndarray, gamma: float):
     real = k <= n_max[:, None]
     shift = 0.5 * log_e[np.arange(len(n_max)), n_max, None]
     return (np.exp(np.where(real, log_e - shift, -np.inf)),
-            toeplitz(c, np.zeros(width)),
             np.exp(np.where(real, shift - log_e_prime, -np.inf)))
+
+
+def _connection_matrix(width: int, gamma: float) -> np.ndarray:
+    """T[n, k] = c_{n-k} (zero for k > n), c_i = (-gamma)_i / i!, width by width.
+
+    The connection coefficients of _gauss_modes as a lower-triangular
+    Toeplitz matrix.  A block of r rows takes its leading r by r submatrix.
+    """
+    k = np.arange(1.0, width)
+    c = np.cumprod(np.concatenate(([1.0], (k - 1.0 - gamma) / k)))
+    # row k of T^T is c behind k zeros, a window of (0, ..., 0, c)
+    windows = sliding_window_view(np.concatenate((np.zeros(width - 1), c)),
+                                  width)
+    return np.ascontiguousarray(windows[::-1]).T
 
 
 def _block_forms(vals: np.ndarray, base: np.ndarray, n_max: np.ndarray,
                  l: np.ndarray, root_xi: np.ndarray, u: np.ndarray,
-                 gamma: float) -> np.ndarray:
+                 gamma: float, t) -> np.ndarray:
     """The form of each lane of one block, at each foot u.
 
-    Lane i has the radial argument s_u = root_xi[i] u, and its row n belongs
-    to level 2n + (its lowest level) of its frequency, whose entry in vals is
-    vals[base[i] + 2n]; vals lists the levels of each frequency in turn.
+    Lane i has the radial argument s_u = root_xi[i] u (at most _S_CAP), and
+    its row n belongs to level 2n + (its lowest level) of its frequency,
+    whose entry in vals is vals[base[i] + 2n]; vals lists the levels of
+    each frequency in turn.
 
     At gamma = 0 lane i is a parity, l = -1/2 (even) or +1/2 (odd), its
     rows are h_a(s_u), a = 2n or 2n + 1, and vals holds the diagonal weights
     2 pi W_a of _diagonal_weights: the form is sum_n h_a(s_u)^2 2 pi W_a.
+    t is unused.
 
     At gamma > 0 lane i is a sector (xi, l), vals holds the profile, and the
     form || s^gamma sum_n a_n psi_{n,l} ||^2 with a_n = vals[base + 2n]
-    psi_{n,l}(s_u) is sum_k |sum_n a_n M[n, k]|^2 for the Gram factor M of
-    _gauss_modes.
+    psi_{n,l}(s_u) is sum_k |sum_n a_n M[n, k]|^2 for the Gram factor
+    M = E T / E' of _gauss_modes.  t is the call's T (_connection_matrix),
+    at least as wide as the block's rows.  The rows a_n E[n] of all lanes
+    and feet are stacked in one array, which the product with T overwrites.
 
     The block takes one pass of the recurrence and, at gamma > 0, one
-    product with T.  At gamma = 0 each (lane, u) entry sees the same
-    arithmetic in any block; at gamma > 0 BLAS may group the sums of the
-    product by the block's shape.
+    product with T.  Each (lane, u) entry sees the same arithmetic in any
+    block: the bands of the product start at multiples of _BAND whatever
+    the block, and BLAS sums each entry of a band alike whatever its number
+    of columns (lanes times feet), which the per-foot tests check.
     """
-    s_u = root_xi[:, None] * u
+    s_u = np.minimum(u, _S_CAP / root_xi[:, None])
+    s_u *= root_xi[:, None]
     log_row0 = (_parity_log_row0 if gamma == 0.0 else _radial_log_row0)(l, s_u)
     psi = _normalized_recurrence(n_max, l, np.multiply(s_u, s_u, out=s_u),
                                  log_row0)
     del s_u, log_row0  # the recurrence alone holds them, so a rescale frees
+    # the vals entry of every row of every lane, row by row (_rows)
+    count, n, lane = _rows(n_max)
+    scale = vals[base[lane] + 2 * n]
+    del n, lane
     if gamma == 0.0:
         form = np.zeros((l.size, u.size))
-        for n, row in enumerate(psi):
+        stop = 0
+        for row in psi:
+            start, stop = stop, stop + len(row)
             np.square(row, out=row)
-            row *= vals[base[:len(row)] + 2 * n, None]
+            row *= scale[start:stop, None]
             form[:len(row)] += row
         return form
-    rows = int(n_max[0]) + 1
-    e, t, ep_inv = _gauss_modes(n_max, l, gamma)
+    rows = count.size
+    e, ep_inv = _gauss_modes(n_max, l, gamma)
     coef = np.zeros((rows, l.size, u.size))
-    for n, row in enumerate(psi):  # a_n E[n], zero past a lane's end
-        row *= vals[base[:len(row)] + 2 * n, None]
-        np.multiply(row, e[:len(row), n, None], out=coef[n, :len(row)])
-    mixed = (t.T @ coef.reshape(rows, -1)).reshape(coef.shape)
-    mixed *= ep_inv.T[:, :, None]
-    return np.einsum("nlu,nlu->lu", mixed, mixed)
+    stop = 0
+    for k, row in enumerate(psi):  # a_n E[n], zero past a lane's end
+        start, stop = stop, stop + len(row)
+        row *= scale[start:stop, None]
+        np.multiply(row, e[:len(row), k, None], out=coef[k, :len(row)])
+    # T^T coef in place, _BAND rows at a time from the top: rows k0..k1 of
+    # the product read the rows n >= k0 of coef, which no band before has
+    # overwritten, and the rows n < k0, where T[n, k] = 0, not at all
+    flat, t = coef.reshape(rows, -1), t[:rows, :rows]
+    for k0 in range(0, rows, _BAND):
+        flat[k0:k0 + _BAND] = t[k0:, k0:k0 + _BAND].T @ flat[k0:]
+    coef *= ep_inv.T[:, :, None]
+    return np.einsum("nlu,nlu->lu", coef, coef)
 
 
 def _lanes(count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -322,11 +422,10 @@ def weighted_column_norms(profile, u, gamma: float, torus_half_period: float,
     check_real(torus_half_period, "torus half period", 0.0, strict=True)
     check_integer(k_max, "k_max")
     top = eigenvalue_cap(profile, lambda_max)
-    # the active torus frequencies, ascending
-    active = [(xi, k_hi) for xi, k_lo, k_hi in torus_slabs(
-        profile, top, np.pi / torus_half_period, _D1, k_max) if k_hi >= k_lo]
-    xis = np.array([xi for xi, _ in active])
-    k_his = np.array([k_hi for _, k_hi in active], dtype=int)
+    xis, k_los, k_his = torus_slabs(profile, top, np.pi / torus_half_period,
+                                    _D1, k_max)
+    live = k_his >= k_los  # the active torus frequencies, ascending
+    xis, k_his = xis[live], k_his[live]
     # the levels 0..k_hi of each frequency in turn; level 0 of frequency j is
     # at first[j]
     first = np.cumsum(k_his + 1) - k_his - 1
@@ -344,22 +443,29 @@ def weighted_column_norms(profile, u, gamma: float, torus_half_period: float,
     # lanes by decreasing n_max, as the recurrence takes them; the sort is
     # stable, so within a frequency the lowest level still ascends
     order = np.argsort(-n_max, kind="stable")
-    slabs = np.zeros((k_his.size, u.size))
+    t = (_connection_matrix(int(n_max.max(initial=0)) + 1, gamma)
+         if gamma > 0 else None)
+    slabs = np.zeros((k_his.size + 1, u.size))  # row 0: the empty sum
     i = 0
     while i < order.size:
-        depth = 7 + (2 * (n_max[order[i]] + 1) if gamma > 0 else 0)
-        block = order[i:i + max(1, int(_BLOCK_BUDGET / ((u.size + 1) * depth)))]
+        rows = n_max[order[i]] + 1
+        per_lane = 7 * (u.size + 1)
+        if gamma > 0:
+            per_lane = max(per_lane + rows * (u.size + 8)
+                           + min(rows, _BAND) * u.size, 2 * rows * u.size)
+        block = order[i:i + max(1, int(_BLOCK_BUDGET / per_lane))]
         i += block.size
         form = _block_forms(vals, base[block], n_max[block],
                             l[block, None].astype(float),
-                            np.sqrt(xis[freq[block]]), u, gamma)
+                            np.sqrt(xis[freq[block]]), u, gamma, t)
         if gamma > 0:
             form *= np.where(l[block] > 0, 2.0, 1.0)[:, None]  # signs of l
-        np.add.at(slabs, freq[block], form)  # in lane order
+        np.add.at(slabs, freq[block] + 1, form)  # in lane order
         del form  # before the next block allocates its own
-    total = np.zeros(u.shape)
-    for xi_j, slab in zip(xis.tolist(), slabs):
-        total += 2.0 * xi_j ** (1.0 - gamma) / (2.0 * np.pi) * slab
+    # the frequencies in ascending order as a running sum, which a single foot
+    # keeps too (np.add.reduce would sum one foot pairwise)
+    slabs[1:] *= (2.0 * xis ** (1.0 - gamma) / (2.0 * np.pi))[:, None]
+    total = np.cumsum(slabs, axis=0, out=slabs)[-1]
     return np.sqrt(total / (2.0 * torus_half_period))
 
 

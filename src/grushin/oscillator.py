@@ -51,34 +51,46 @@ def active_level_range(profile, xi_mag: float, d1: int, lambda_max,
     range (k_lo > k_hi).  Given k_max, a non-empty range with k_hi past it
     raises TruncationError(k_hi, xi_mag, k_max).
     """
-    return _level_range(profile, xi_mag, d1, eigenvalue_cap(profile, lambda_max),
-                        k_max)
+    k_lo, k_hi = _level_ranges(profile, float(xi_mag), d1,
+                               eigenvalue_cap(profile, lambda_max), k_max)
+    return int(k_lo), int(k_hi)
 
 
-def _level_range(profile, xi_mag: float, d1: int, top: float, k_max):
-    """active_level_range under the cap top, which eigenvalue_cap has checked."""
+def _level_ranges(profile, xis, d1: int, top: float, k_max):
+    """active_level_range of each slab xis (an array or one float) under top.
+
+    top is an eigenvalue_cap.  Given k_max, the first non-empty range past
+    it raises TruncationError.
+    """
     a = profile.support[0]
     if top < a:
-        return 0, -1
-    k_lo = max(0, int(np.ceil((a / xi_mag - d1) / 2.0 - 1e-12)))
-    k_hi = int(np.floor((top / xi_mag - d1) / 2.0 + 1e-12))
-    if k_max is not None and k_lo <= k_hi and k_hi > k_max:
-        raise TruncationError(k_hi, xi_mag, k_max)
+        return np.zeros(np.shape(xis), dtype=int), np.full(np.shape(xis), -1)
+    k_lo = np.maximum(np.ceil((a / xis - d1) / 2.0 - 1e-12), 0).astype(int)
+    k_hi = np.floor((top / xis - d1) / 2.0 + 1e-12).astype(int)
+    if k_max is not None:
+        past = (k_lo <= k_hi) & (k_hi > k_max)
+        if past.any():
+            i = np.argmax(past)  # the first
+            raise TruncationError(int(np.ravel(k_hi)[i]),
+                                  float(np.ravel(xis)[i]), k_max)
     return k_lo, k_hi
 
 
 def torus_slabs(profile, top: float, dxi: float, d1: int,
                 k_max: int | None = None):
-    """(xi_j, k_lo, k_hi) of the slabs j = 1 ... floor(top / (d1 dxi) + 1e-12).
+    """Arrays (xi_j, k_lo, k_hi) over the slabs j = 1 ... j_top.
 
-    top is an eigenvalue_cap, and xi_j = j dxi.  These are the slabs whose
-    lowest eigenvalue d1 xi_j is at most top; each level range is that of
-    active_level_range and may be empty.  Given k_max, the first non-empty
-    slab past it raises TruncationError.
+    top is an eigenvalue_cap, xi_j = j dxi and j_top = floor(top / (d1 dxi)
+    + 1e-12): the slabs whose lowest eigenvalue d1 xi_j is at most top.  Each
+    level range is that of active_level_range and may be empty.  Given
+    k_max, the first non-empty slab past it raises TruncationError; slab 1,
+    which has the most levels, is checked before the arrays are built.
     """
     j_top = int(np.floor(top / (d1 * dxi) + 1e-12))
-    return [(j * dxi, *_level_range(profile, j * dxi, d1, top, k_max))
-            for j in range(1, j_top + 1)]
+    if k_max is not None and j_top > 0:
+        _level_ranges(profile, float(dxi), d1, top, k_max)
+    xis = dxi * np.arange(1, j_top + 1)
+    return (xis, *_level_ranges(profile, xis, d1, top, k_max))
 
 
 def _tables(grid: PrimeGrid, xi_mag: float, k_hi: int) -> np.ndarray:

@@ -17,7 +17,8 @@ it:
   factor (compared with quadrature and mpmath in the radial tests);
 - the discrete inner product and L^p norm of fields, fields sampled from a
   function, the unit-mass node delta, the torus frequency labels in FFT
-  order, the sharp indicator profile and a smooth bump profile.
+  order, the sharp indicator profile, a smooth bump profile and the
+  unbounded wave profile cos(s sqrt(lam)).
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ from grushin.errors import (
     ContractViolation,
     DomainError,
     TruncationError,
+    check_real,
 )
 from grushin.engine import _apply_xi_zero, apply_slice_multiplier, slice_levels
 from grushin.fields import Field, GrushinGrid, MultiplierProfile, SpectralTruncation
 from grushin.hermite import PrimeGrid, hermite_table
-from grushin.lab.radial import _gauss_modes
+from grushin.lab.radial import _connection_matrix, _gauss_modes
 from grushin.oscillator import _level_weights, oscillator_synthesis, oscillator_transform
 
 
@@ -232,8 +234,8 @@ def radial_gram(n_max: int, l: int, gamma: float) -> np.ndarray:
         raise DomainError("need n_max >= 0 and l >= 0")
     if not 0.0 <= gamma < np.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma!r}")
-    e, t, ep_inv = _gauss_modes(np.array([n_max]), np.array([[l]]), gamma)
-    factor = e[0, :, None] * t * ep_inv[0]
+    e, ep_inv = _gauss_modes(np.array([n_max]), np.array([[l]]), gamma)
+    factor = e[0, :, None] * _connection_matrix(n_max + 1, gamma) * ep_inv[0]
     return factor @ factor.T
 
 
@@ -241,6 +243,13 @@ def indicator(lo: float, hi: float) -> MultiplierProfile:
     """The sharp spectral band 1_[lo, hi]."""
     return MultiplierProfile(lambda lam: ((lam >= lo) & (lam <= hi)).astype(float),
                              (lo, hi), label=f"indicator[{lo:g},{hi:g}]")
+
+
+def wave_cosine(s: float) -> MultiplierProfile:
+    """cos(s sqrt(lam)); unbounded support, band-limited only by policy."""
+    check_real(s, "propagation time", 0.0)
+    return MultiplierProfile(lambda lam: np.cos(s * np.sqrt(np.maximum(lam, 0.0))),
+                             (0.0, np.inf), label=f"wave_cosine(s={s:g})")
 
 
 def bump(lo: float, hi: float) -> MultiplierProfile:

@@ -23,6 +23,7 @@ from oracles import (
     multiindex_enum,
     norm_lp,
     phi_xi_eval,
+    wave_cosine,
 )
 
 from grushin import engine
@@ -238,7 +239,7 @@ class TestApplyMultiplier:
         # The xi = 0 slab keeps each profile's own support, so it is compared
         # without: taking out the torus mean removes exactly that slab
         tr = SpectralTruncation(k_max=12, lambda_max=40.0)
-        wave = MultiplierProfile.wave_cosine(1.0)
+        wave = wave_cosine(1.0)
         cut = MultiplierProfile(lambda lam: np.cos(np.sqrt(lam)) * (lam <= 40.0),
                                 (0.0, 40.0))
 
@@ -274,11 +275,11 @@ class TestStockOperators:
     def test_wave_zero_time_is_bandlimit_projection(self, grid, trunc):
         nu, xi0 = (0, 1), 2.0
         f = eigenfield(grid, nu, xi0)
-        out = apply_multiplier(MultiplierProfile.wave_cosine(0.0), f, trunc)
+        out = apply_multiplier(wave_cosine(0.0), f, trunc)
         assert np.max(np.abs(out.values - f.values)) < 1e-8 * np.max(np.abs(f.values))
 
     def test_wave_l2_contraction(self, grid, trunc, rough_field):
-        out = apply_multiplier(MultiplierProfile.wave_cosine(0.7), rough_field, trunc)
+        out = apply_multiplier(wave_cosine(0.7), rough_field, trunc)
         assert norm_lp(out, 2) <= norm_lp(rough_field, 2) * (1 + 1e-12)
 
     def test_wave_finite_speed(self):
@@ -434,7 +435,7 @@ def nyquist_grid():
 
 COLUMN_CASES = {
     # unbounded profile: every bin up to lambda_max / d1 is active
-    "wave-off-axis": lambda: (MultiplierProfile.wave_cosine(1.0), *support_grid(),
+    "wave-off-axis": lambda: (wave_cosine(1.0), *support_grid(),
                               (140, 97), 5),
     "d1=1": lambda: (MultiplierProfile.heat(0.1),
                      GrushinGrid(PrimeGrid(8.0, 64, 1), np.pi / 2, 32, 1),
@@ -443,7 +444,7 @@ COLUMN_CASES = {
                      GrushinGrid(PrimeGrid(7.0, 32, 3), np.pi / 2, 16, 1),
                      SpectralTruncation(k_max=12, lambda_max=30.0),
                      (19, 14, 11), 3),
-    "nyquist-active": lambda: (MultiplierProfile.wave_cosine(0.5), *nyquist_grid(),
+    "nyquist-active": lambda: (wave_cosine(0.5), *nyquist_grid(),
                                (40, 27), 11),
 }
 
@@ -458,7 +459,7 @@ def test_column_matches_apply_multiplier(case):
 def test_nyquist_case_keeps_the_nyquist_bin():
     grid, tr = nyquist_grid()
     xi_top = grid.n_second // 2 * grid.xi_spacing
-    assert engine.slice_levels(MultiplierProfile.wave_cosine(0.5), grid.prime,
+    assert engine.slice_levels(wave_cosine(0.5), grid.prime,
                                xi_top, tr.k_max, tr.lambda_max)
 
 
@@ -586,7 +587,7 @@ class TestWorkAndMemory:
         # the column is the only grid-sized array: no delta, no half
         # spectrum, and every other buffer at most 2 MiB
         grid, tr = support_grid()
-        profile = MultiplierProfile.wave_cosine(1.0)
+        profile = wave_cosine(1.0)
         real_array_bytes = 8 * np.prod(grid.shape)
         tracemalloc.start()
         try:

@@ -8,6 +8,7 @@ from oracles import (
     indicator,
     inner,
     norm_lp,
+    wave_cosine,
     xi_index,
 )
 
@@ -186,7 +187,7 @@ class TestMultiplierProfile:
         assert np.allclose(sharp(lam), [1.0, 1.0, 0.0, 0.0])
 
     def test_wave_profile(self):
-        p = MultiplierProfile.wave_cosine(2.0)
+        p = wave_cosine(2.0)
         assert p(np.array([np.pi ** 2]))[0] == pytest.approx(np.cos(2 * np.pi))
 
     def test_rejects_bad_support(self):
@@ -234,7 +235,7 @@ class TestSpectralTruncation:
     # k > nan is always false, so a NaN k_max would switch the level check off
     lambda: SpectralTruncation(np.nan, 26.0),
     lambda: SpectralTruncation(3.5, 26.0),
-    lambda: MultiplierProfile.wave_cosine(np.nan),
+    lambda: wave_cosine(np.nan),
     # refused before the coordinate is rounded to an index
     lambda: small_grid().locate((np.nan, 0.0), (0.0,)),
     lambda: schwartz_kernel_column(

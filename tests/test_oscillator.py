@@ -1,5 +1,7 @@
 """Tests for the scaled-oscillator spectral calculus on a single slice."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from oracles import (
     indicator,
     phi_xi_eval,
     restriction_norm_level,
+    wave_cosine,
     weighted_oscillator_check,
 )
 
@@ -110,7 +113,7 @@ class TestEigenvalueCap:
     @pytest.mark.parametrize("lambda_max", [None, np.inf, 10 ** 400])
     def test_refuses_no_cap_on_an_unbounded_support(self, lambda_max):
         with pytest.raises(DomainError, match="finite positive eigenvalue cap"):
-            eigenvalue_cap(MultiplierProfile.wave_cosine(1.0), lambda_max)
+            eigenvalue_cap(wave_cosine(1.0), lambda_max)
 
 
 S_HALF = np.pi / 2.0  # torus slabs at xi_j = 2 j
@@ -138,6 +141,11 @@ def test_every_path_reads_lambda_max_alike(call):
             call(prof, bad)
 
 
+def as_tuples(slabs):
+    """The (xi_j, k_lo, k_hi) of each slab, from torus_slabs' three arrays."""
+    return list(zip(*(a.tolist() for a in slabs)))
+
+
 class TestTorusSlabs:
     @pytest.mark.parametrize("d1", [1, 2])
     @pytest.mark.parametrize("half_period", [1.0, 1.3, np.pi / 2.0])
@@ -146,7 +154,8 @@ class TestTorusSlabs:
         for j in range(1, 7):
             for k in range(13):
                 top = (2 * k + d1) * (j * dxi)
-                slabs = torus_slabs(indicator(0.0, 1e6), top, dxi, d1)
+                slabs = as_tuples(torus_slabs(indicator(0.0, 1e6), top, dxi,
+                                              d1))
                 assert slabs[j - 1] == (j * dxi, 0, k), (j, k)
 
     @pytest.mark.parametrize("d1", [1, 2])
@@ -155,21 +164,67 @@ class TestTorusSlabs:
             self, d1, half_period):
         dxi = np.pi / half_period
         for j in range(1, 41):
-            slabs = torus_slabs(indicator(0.0, 1e6), d1 * j * dxi, dxi, d1)
+            slabs = as_tuples(torus_slabs(indicator(0.0, 1e6), d1 * j * dxi,
+                                         dxi, d1))
             assert len(slabs) == j
             assert slabs[-1] == (j * dxi, 0, 0)
 
     def test_support_floor_between_eigenvalues_gives_an_empty_range(self):
         # eigenvalues 4j(k + 1) at xi_j = 2j: slab 2 has 8 and 16, both
         # outside [9, 13]
-        slabs = torus_slabs(bump(9.0, 13.0), 13.0, 2.0, 2)
+        slabs = as_tuples(torus_slabs(bump(9.0, 13.0), 13.0, 2.0, 2))
         assert slabs == [(2.0, 2, 2), (4.0, 1, 0), (6.0, 0, 0)]
+
+    @staticmethod
+    def scalar_rule(profile, top, dxi, d1, k_max):
+        """The slabs one at a time, by the level rule in scalar form."""
+        a, slabs = profile.support[0], []
+        for j in range(1, math.floor(top / (d1 * dxi) + 1e-12) + 1):
+            xi = j * dxi
+            if top < a:
+                k_lo, k_hi = 0, -1
+            else:
+                k_lo = max(0, math.ceil((a / xi - d1) / 2.0 - 1e-12))
+                k_hi = math.floor((top / xi - d1) / 2.0 + 1e-12)
+            if k_max is not None and k_lo <= k_hi and k_hi > k_max:
+                raise TruncationError(k_hi, xi, k_max)
+            slabs.append((xi, k_lo, k_hi))
+        return slabs
+
+    @pytest.mark.parametrize("k_max", [None, 0, 3, 40])
+    @pytest.mark.parametrize("d1", [1, 2])
+    @pytest.mark.parametrize("dxi", [1.0, 2.0, np.pi / 1.3])
+    @pytest.mark.parametrize("lo,top", [
+        (0.0, 30.0),           # from the bottom of the spectrum
+        (0.0, 12.0),           # top on eigenvalues (2k + d1) j of d1 = 1, 2
+        (6.0, 30.0),           # lower edge on eigenvalues too
+        (5.5, 29.0),           # lower edge above 0, between eigenvalues
+        (9.0, 13.0),           # slabs with no level in the band
+        (20.0, 12.0),          # top below the lower edge: all empty
+    ])
+    def test_equals_the_scalar_rule(self, lo, top, dxi, d1, k_max):
+        prof = indicator(lo, max(lo + 10.0, top))
+        try:
+            want = self.scalar_rule(prof, top, dxi, d1, k_max)
+        except TruncationError as err:
+            with pytest.raises(TruncationError) as got:
+                torus_slabs(prof, top, dxi, d1, k_max)
+            assert ((got.value.level, got.value.xi_mag, got.value.k_max)
+                    == (err.level, err.xi_mag, err.k_max))
+            return
+        slabs = torus_slabs(prof, top, dxi, d1, k_max)
+        assert [a.dtype.kind for a in slabs] == ["f", "i", "i"]
+        assert as_tuples(slabs) == want
+        # each slab as active_level_range reads it alone
+        for xi, k_lo, k_hi in want:
+            if k_max is None or k_lo > k_hi or k_hi <= k_max:
+                assert active_level_range(prof, xi, d1, top) == (k_lo, k_hi)
 
     def test_k_max_names_the_first_non_empty_slab_past_it(self):
         # d1 = 1, xi_j = j: eigenvalues (2k + 1) j; slab 1 has none in
         # [5.5, 6.5], slab 2 has 6 at k = 1
         prof = indicator(5.5, 6.5)
-        assert torus_slabs(prof, 6.5, 1.0, 1, k_max=1)[:2] == [
+        assert as_tuples(torus_slabs(prof, 6.5, 1.0, 1, k_max=1))[:2] == [
             (1.0, 3, 2), (2.0, 1, 1)]
         with pytest.raises(TruncationError) as err:
             torus_slabs(prof, 6.5, 1.0, 1, k_max=0)

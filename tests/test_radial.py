@@ -1,6 +1,7 @@
 """Tests for the radial column-norm machinery against independent oracles."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -16,6 +17,7 @@ from grushin.hermite import PrimeGrid
 from grushin.lab.experiments import band_profile
 from grushin.lab import radial
 from grushin.lab.radial import (
+    _connection_matrix,
     _gauss_modes,
     _normalized_recurrence,
     _radial_log_row0,
@@ -239,8 +241,9 @@ class TestDefaultRunSizes:
         # blocks of consecutive l of one frequency
         for l0 in (0, int(0.45 * k_hi), k_hi - 9):
             l = np.arange(l0, min(k_hi + 1, l0 + 12))
-            e, t, ep_inv = _gauss_modes((k_hi - l) // 2,
-                                        l[:, None].astype(float), 0.25)
+            n_max = (k_hi - l) // 2
+            e, ep_inv = _gauss_modes(n_max, l[:, None].astype(float), 0.25)
+            t = _connection_matrix(n_max[0] + 1, 0.25)
             for part in (e, t, ep_inv):
                 assert np.all(np.isfinite(part))
             assert np.all(e[:, 0] > 0) and np.all(ep_inv[:, 0] > 0)
@@ -310,6 +313,22 @@ class TestWeightedColumnNorm:
         got = weighted_column_norms(band_profile(1.0), [0.0, 1.0], gamma,
                                     np.pi, 40, 1.0)
         assert np.array_equal(got, np.zeros(2))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.25])
+    def test_huge_feet_give_zero_norms(self, gamma):
+        # s^2 = xi u^2 would overflow past u ~ 1e154, and the recurrence's
+        # products past u ~ 1e54; every row there is far below the double
+        # floor, as at u = 40 (RuntimeWarnings are errors here)
+        feet = np.array([40.0, 1e100, 1e154, 1e300])
+        norms = weighted_column_norms(band_profile(8.0), feet, gamma, np.pi,
+                                      4000, 64.0)
+        assert np.array_equal(norms, np.zeros(4))
+        # a huge foot leaves the others alone
+        near = weighted_column_norms(band_profile(8.0), [0.5, 1e300], gamma,
+                                     np.pi, 4000, 64.0)
+        assert near[0] == weighted_column_norm(band_profile(8.0), 0.5, gamma,
+                                               np.pi, 4000, 64.0) > 0
+        assert near[1] == 0.0
 
     def test_truncation_policy_enforced(self):
         # lambda_max = 24 at the lowest frequency xi = 2 needs oscillator
@@ -394,9 +413,9 @@ class TestSharedWindow:
     def test_slab_without_an_active_level_is_skipped(self, monkeypatch, gamma):
         forms, lanes = radial._block_forms, []
 
-        def spy(vals, base, n_max, l, root_xi, u, gamma):
+        def spy(vals, base, n_max, l, root_xi, u, gamma, t):
             lanes.extend(root_xi.tolist())
-            return forms(vals, base, n_max, l, root_xi, u, gamma)
+            return forms(vals, base, n_max, l, root_xi, u, gamma, t)
 
         monkeypatch.setattr(radial, "_block_forms", spy)
         norms = weighted_column_norms(bump(9.0, 13.0), [0.0, 0.5], gamma,
@@ -508,6 +527,11 @@ class TestBlockRecurrence:
         else:  # one lane per level
             lanes = sum(k + 1 for k in k_his)
             assert len(gauss) == len(passes) < 128 // 4
+            # a lane of r rows counts 7 (feet + 1) + r (feet + 8)
+            # + min(r, 32) feet floats, and its r feet coefficients at most
+            # half the budget, which binds at 97 feet: the first pass takes
+            # 45 lanes of 64 rows
+            assert [n.size for n in passes] == [45, 68, 113, 243, 176]
         assert sum(n.size for n in passes) == lanes
         # every pass takes its lanes longest first
         assert all(np.all(np.diff(n) <= 0) for n in passes)
@@ -555,6 +579,68 @@ class TestLevelDiagonalRoute:
         # the longest lanes go first: the two parities of xi = 1, k_hi = 127
         assert passes[0][:2].tolist() == [63, 63]
 
+    def test_sector_passes_follow_the_block_budget(self, monkeypatch):
+        # the 645 sectors at lambda_max = 256; a lane of r rows counts
+        # 7 (feet + 1) + r (feet + 8) + min(r, 32) feet floats, which binds
+        # at 9 feet before the cap of 2 r feet: the first pass holds 50
+        # lanes, sized by the 64 rows of xi = 1, l = 0, and later passes
+        # more of the shorter ones
+        feet = np.linspace(0.0, 6.0, 9)
+        monkeypatch.setattr(radial, "_BLOCK_BUDGET",
+                            (7 * (feet.size + 1) + 64 * (feet.size + 8)
+                             + 32 * feet.size) * 50)
+        passes, recurrence = [], _normalized_recurrence
+        monkeypatch.setattr(radial, "_normalized_recurrence",
+                            lambda *a: passes.append(a[0]) or recurrence(*a))
+        weighted_column_norms(band_profile(16.0), feet, 0.25, np.pi, 4000,
+                              256.0)
+        assert [n.size for n in passes] == [50, 70, 128, 286, 111]
+        assert [int(n[0]) for n in passes] == [63, 38, 18, 6, 0]
+
+
+class TestSectorRoute:
+    # gamma > 0 norms of the sector route as it stood with a full product
+    # by T and per-step recurrence coefficients: the 17 feet of the
+    # benchmark's ball (centre 3, radius 0.1875) at R = 32 and 64, and the
+    # first weighted_operator_norm scan at R = 32 (144 feet) with its result;
+    # S = pi, lambda_max = R^2.  The banded product meets them within 2.3e-16
+    FROZEN = json.loads(
+        (Path(__file__).parent / "data" / "gamma_pos_norms.json").read_text())
+
+    @pytest.mark.parametrize("gamma", ["0.25", "1"])
+    @pytest.mark.parametrize("radius", ["32", "64"])
+    def test_ball_matches_the_frozen_norms(self, radius, gamma):
+        R = float(radius)
+        got = weighted_column_norms(band_profile(R), self.FROZEN["ball_feet"],
+                                    float(gamma), np.pi, 4000, R * R)
+        want = self.FROZEN["ball"][radius][gamma]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_scan_matches_the_frozen_norms(self):
+        feet, want = np.array(self.FROZEN["scan_32"]).T
+        got = weighted_column_norms(band_profile(32.0), feet, 0.25, np.pi,
+                                    4000, 1024.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        norm, u_star = weighted_operator_norm(band_profile(32.0), 0.25, np.pi,
+                                              4000, 1024.0)
+        assert norm == pytest.approx(self.FROZEN["opnorm_32"][0], rel=1e-12)
+        assert u_star == self.FROZEN["opnorm_32"][1]
+
+    def test_ball_call_peak_memory(self):
+        # 5.21 MB when a pass held the coefficients and their product with
+        # T and built its own T; 4.39 MB measured with the product written
+        # over the coefficients
+        feet = np.array(self.FROZEN["ball_feet"])
+        prof = band_profile(32.0)
+        weighted_column_norms(prof, feet, 0.25, np.pi, 4000, 1024.0)
+        tracemalloc.start()
+        try:
+            weighted_column_norms(prof, feet, 0.25, np.pi, 4000, 1024.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.21e6
+
 
 class TestMixedLanes:
     # lanes of several frequencies in one block: x = xi u^2 differs per lane,
@@ -581,14 +667,17 @@ class TestMixedLanes:
 
     def test_gram_factor_lanes_equal_each_lane_alone(self):
         l = self.L[:, None].astype(float)
-        e, t, ep_inv = _gauss_modes(self.N_MAX, l, 0.25)
+        e, ep_inv = _gauss_modes(self.N_MAX, l, 0.25)
+        t = _connection_matrix(self.N_MAX[0] + 1, 0.25)
         for i in range(4):
-            e1, t1, ep1 = _gauss_modes(self.N_MAX[i:i + 1], l[i:i + 1], 0.25)
+            e1, ep1 = _gauss_modes(self.N_MAX[i:i + 1], l[i:i + 1], 0.25)
             width = self.N_MAX[i] + 1
             assert np.array_equal(e[i, :width], e1[0])
             assert np.array_equal(ep_inv[i, :width], ep1[0])
             assert not np.any(e[i, width:]) and not np.any(ep_inv[i, width:])
-            assert np.array_equal(t[:width, :width], t1)
+            # the leading submatrix of the call's T is each lane's own
+            assert np.array_equal(t[:width, :width],
+                                  _connection_matrix(width, 0.25))
 
 
 class TestFeetAreIndependent:
