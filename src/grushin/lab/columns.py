@@ -38,6 +38,7 @@ from scipy.linalg import solve_banded
 from scipy.special import j0, jv, gamma as _gamma_fn
 
 from ..errors import DomainError, GrushinError, check_integer, check_real, real_array
+from ..geometry import _gauss_legendre
 from ..hermite import MIN_TURNING_MARGIN, hermite_lanes, hermite_table
 from ..oscillator import eigenvalue_cap, torus_slabs
 
@@ -87,27 +88,6 @@ _J0_BLOCK = 1 << 18
 _PANEL_RADIANS = 50.0
 _MIN_PANELS = 4
 _EDGE_SPLITS = 8.0 ** -np.arange(1, 4)
-
-
-def _gauss_legendre(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1].
-
-    Newton's method on the Legendre recurrence from Tricomi's starting
-    values; at n = 32 the fourth of its 8 steps already moves no node by
-    1e-16.  Unlike numpy's leggauss it calls no LAPACK, whose first use
-    added 0.5 MB to the peak resident memory of a process that needs no
-    LAPACK otherwise (a bochner_l1 benchmark round).
-    """
-    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
-    for _ in range(8):
-        p0, p1 = np.ones(n), x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = n * (x * p1 - p0) / (x * x - 1.0)
-        x = x - p1 / dp
-    return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * dp * dp)
-
-
 _PANEL_NODES, _PANEL_WEIGHTS = _gauss_legendre(32)
 
 

@@ -15,7 +15,7 @@ deterministic for a fixed configuration and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,7 +48,7 @@ from .columns import (
 )
 from .profiles import CutoffSpec, PieceProfile, dyadic_pieces, sobolev_norm
 from .radial import _MAX_SCAN, weighted_column_norms, weighted_operator_norm
-from .reports import ScalingReport
+from .reports import ScalingReport, _line_fit
 
 __all__ = [
     "ExperimentResult",
@@ -232,6 +232,11 @@ def localized_restriction_experiment(
         })
 
 
+def _largest_foot(norm_at, feet: Sequence[float]) -> Tuple[float, float]:
+    """The largest norm_at(u) over the feet, and the first foot that gives it."""
+    return max(((norm_at(u), u) for u in feet), key=lambda pair: pair[0])
+
+
 def bochner_riesz_sweep(
         deltas: Sequence[float] = (1.5, 0.2),
         radii: Sequence[float] = (4.0, 8.0, 16.0, 32.0, 64.0), *,
@@ -256,16 +261,14 @@ def bochner_riesz_sweep(
         for radius in radii:
             profile = MultiplierProfile.bochner_riesz(1.0 / (radius * radius),
                                                       delta)
-            best, best_u = 0.0, 0.0
-            for u in (0.0, 1.0 / radius, 4.0 / radius):
-                val = l1_multiplier_norm(
+            best, best_u = _largest_foot(
+                lambda u: l1_multiplier_norm(
                     profile, torus_half_period, u=u,
                     lambda_max=radius * radius,
                     points_per_wavelength=points_per_wavelength,
-                    xi_zero_radial=lambda r, R=radius, d=delta:
-                        bochner_riesz_radial_kernel(R, d, r))
-                if val > best:
-                    best, best_u = val, u
+                    xi_zero_radial=lambda r: bochner_riesz_radial_kernel(
+                        radius, delta, r)),
+                (0.0, 1.0 / radius, 4.0 / radius))
             per_radius.append(best)
             rows.append([delta, radius, best, best_u, "exact"])
         ratios[f"{delta:g}"] = max(per_radius) / min(per_radius)
@@ -288,10 +291,7 @@ def multiplier_norm_experiment(
     For the standard dyadic cutoff F, supported in [1/4, 1], the exact
     1 -> 1 norm of F(t L) is measured across t; the summary reports, per
     Sobolev order s, the ratio norm / ||F||_{W_2^s} and its max/min across t,
-    the uniformity indicator.  Also recorded: the relative gap between
-    computing one norm through the dilation F(t lambda) and through the
-    equivalent band parameterization F(lambda / R^2) with R = t^{-1/2}; the
-    two must agree to rounding.
+    the uniformity indicator.
     """
     profile_fn = CutoffSpec.standard().eta
     t_values = _numbers(t_values, "t_values")
@@ -302,33 +302,18 @@ def multiplier_norm_experiment(
     samples = np.asarray(profile_fn(lam_s), dtype=float)
     sob = {s: sobolev_norm(samples, lam_s[1] - lam_s[0], s) for s in orders}
 
-    def extent_at(t: float) -> float:
-        return max(_reach(1.0 / t, math.pi / torus_half_period),
-                   _PLANAR_EXTENT_FACTOR * math.sqrt(t))
-
-    def foot_norms(t: float) -> List[float]:
+    def norm_at(t: float) -> float:
         profile = MultiplierProfile(
-            lambda lam, t=t: np.asarray(profile_fn(t * np.asarray(lam))),
+            lambda lam: np.asarray(profile_fn(t * np.asarray(lam))),
             (0.25 / t, 1.0 / t))
-        return [l1_multiplier_norm(profile, torus_half_period, u=u,
-                                   lambda_max=1.0 / t, extent=extent_at(t))
-                for u in (0.0, math.sqrt(t), 2.0 * math.sqrt(t))]
+        extent = max(_reach(1.0 / t, math.pi / torus_half_period),
+                     _PLANAR_EXTENT_FACTOR * math.sqrt(t))
+        return _largest_foot(
+            lambda u: l1_multiplier_norm(profile, torus_half_period, u=u,
+                                         lambda_max=1.0 / t, extent=extent),
+            (0.0, math.sqrt(t), 2.0 * math.sqrt(t)))[0]
 
-    feet = {t: foot_norms(t) for t in t_values}
-    norms = {t: max(vals) for t, vals in feet.items()}
-
-    # same operator, two parameterizations: must agree to rounding
-    t_mid = t_values[len(t_values) // 2]
-    scale_mid = 1.0 / math.sqrt(t_mid)
-    prof_band = MultiplierProfile(
-        lambda lam: np.asarray(profile_fn(np.asarray(lam) / scale_mid ** 2)),
-        (scale_mid ** 2 / 4.0, scale_mid ** 2))
-    via_band = l1_multiplier_norm(prof_band, torus_half_period, u=0.0,
-                                  lambda_max=scale_mid ** 2,
-                                  extent=extent_at(t_mid))
-    via_dilation = feet[t_mid][0]  # the u = 0 foot of F(t_mid L)
-    denom = max(abs(via_dilation), 1e-300)
-    consistency = abs(via_dilation - via_band) / denom
+    norms = {t: norm_at(t) for t in t_values}
 
     rows: List[list] = []
     for t in t_values:
@@ -344,7 +329,6 @@ def multiplier_norm_experiment(
         rows=rows,
         summary={
             "p": _P, "norm_max_over_min": uniformity,
-            "dilation_consistency_rel": consistency,
             "sobolev_norms": {f"{s:g}": sob[s] for s in orders},
             "certificate": "exact",
         })
@@ -386,6 +370,7 @@ def heat_gaussian_check(
     if max(_HEAT_SECOND_OFFSETS) > torus_half_period / 2.0:
         raise DomainError("pair outside the aliasing-safe half of the torus")
     pairs = _heat_pairs(d1)
+    rhos = [grushin_distance(x, y) for x, y in pairs]
     # the (x', x'') arrays of the first and of the second points, one row
     # per pair, so each time takes one heat_kernel_pointwise call
     ends = [(np.array([p.x_prime for p in side]),
@@ -398,8 +383,7 @@ def heat_gaussian_check(
     max_kernel = 0.0
     for t in times:
         kernel = heat_kernel_pointwise(*ends, t, torus_half_period).tolist()
-        for (x, y), p_val in zip(pairs, kernel):
-            rho = grushin_distance(x, y)
+        for (x, y), rho, p_val in zip(pairs, rhos, kernel):
             v_model = ball_volume_model(y, math.sqrt(t))
             min_kernel = min(min_kernel, p_val)
             max_kernel = max(max_kernel, p_val)
@@ -416,12 +400,9 @@ def heat_gaussian_check(
     if len(abscissa) < 3:
         raise DomainError("too few usable pairs for a decay fit")
 
-    a = np.asarray(abscissa)
     o = np.asarray(ordinate)
-    design = np.stack([a, np.ones_like(a)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, o, rcond=None)
-    fit = design @ coef
-    ss_res = float(np.sum((o - fit) ** 2))
+    slope, intercept, resid = _line_fit(np.asarray(abscissa), o)
+    ss_res = float(np.sum(resid ** 2))
     ss_tot = float(np.sum((o - o.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     diag = np.asarray(diag_vals)
@@ -431,16 +412,60 @@ def heat_gaussian_check(
                 "log_kernel_volume"],
         rows=rows,
         summary={
-            "decay_rate_b": float(-coef[0]),
-            "log_constant": float(coef[1]),
+            "decay_rate_b": -slope,
+            "log_constant": intercept,
             "r_squared": r_squared,
-            "n_points": int(a.size),
+            "n_points": o.size,
             "on_diag_min": float(diag.min()) if diag.size else math.nan,
             "on_diag_max": float(diag.max()) if diag.size else math.nan,
             "on_diag_ratio": float(diag.max() / diag.min()) if diag.size
             else math.nan,
             "min_kernel_value": float(min_kernel),
         })
+
+
+def _kernel_support(
+        runs: Sequence[Tuple[PieceProfile, float]], kappas: Sequence[float],
+        grid: GrushinGrid,
+        trunc: SpectralTruncation) -> Tuple[ExperimentResult, List[float]]:
+    """Rows of the mass fractions of each (piece, scale_time) run, summary
+    left empty, and each run's total column mass.
+
+    Every run's column has its foot at the origin, so one distance field
+    from it serves them all.
+    """
+    kappas = sorted(_numbers(kappas, "kappas"))
+    for piece, scale_time in runs:
+        check_real(scale_time, "scale_time", 0.0, strict=True)
+        support_radius = 2.0 ** piece.level * scale_time
+        if support_radius ** 2 > 0.9 * grid.torus_half_period:
+            raise AliasingError(
+                f"support radius {support_radius:g} reaches second-layer "
+                f"extent {support_radius ** 2:g}, too large for torus half "
+                f"period {grid.torus_half_period:g}")
+    rho = grushin_distance_field(grid, (0.0, 0.0), (0.0,), wrap=True)
+
+    rows: List[list] = []
+    totals = []
+    for piece, scale_time in runs:
+        support_radius = 2.0 ** piece.level * scale_time
+        profile = MultiplierProfile(
+            lambda lam: piece(scale_time * np.sqrt(np.maximum(lam, 0.0))),
+            (0.0, np.inf))
+        column = schwartz_kernel_column(profile, grid, (0.0, 0.0), (0.0,),
+                                        trunc)
+        mass = np.abs(column.values) ** 2
+        total = float(mass.sum()) * grid.cell_volume
+        totals.append(total)
+        for kappa in kappas:
+            frac = (float(mass[rho > kappa * support_radius].sum())
+                    * grid.cell_volume / total if total else 0.0)
+            rows.append([piece.level, scale_time, kappa, support_radius, frac])
+    return ExperimentResult(
+        kind="kernel_support",
+        header=["level", "scale_time", "kappa", "support_radius",
+                "fraction_outside"],
+        rows=rows, summary={}), totals
 
 
 def kernel_support_check(
@@ -456,41 +481,12 @@ def kernel_support_check(
     reported fractions are the relative L^2 mass beyond kappa times the
     support radius.
     """
-    check_real(scale_time, "scale_time", 0.0, strict=True)
-    kappas = sorted(_numbers(kappas, "kappas"))
-    support_radius = 2.0 ** piece.level * scale_time
-    if support_radius ** 2 > 0.9 * grid.torus_half_period:
-        raise AliasingError(
-            f"support radius {support_radius:g} reaches second-layer extent "
-            f"{support_radius ** 2:g}, too large for torus half period "
-            f"{grid.torus_half_period:g}")
-
-    profile = MultiplierProfile(
-        lambda lam: piece(scale_time * np.sqrt(np.maximum(lam, 0.0))),
-        (0.0, np.inf))
-    column = schwartz_kernel_column(profile, grid, (0.0, 0.0), (0.0,), trunc)
-    mass = np.abs(column.values) ** 2
-    total = float(mass.sum()) * grid.cell_volume
-    rho = grushin_distance_field(grid, (0.0, 0.0), (0.0,), wrap=True)
-
-    rows: List[list] = []
-    fractions = {}
-    for kappa in kappas:
-        if total == 0.0:
-            frac = 0.0
-        else:
-            frac = float(mass[rho > kappa * support_radius].sum()) \
-                * grid.cell_volume / total
-        fractions[f"{kappa:g}"] = frac
-        rows.append([piece.level, scale_time, kappa, support_radius, frac])
-    return ExperimentResult(
-        kind="kernel_support",
-        header=["level", "scale_time", "kappa", "support_radius",
-                "fraction_outside"],
-        rows=rows,
-        summary={"level": piece.level, "scale_time": scale_time,
-                 "total_mass": total, "fractions_outside": fractions,
-                 "zero_kernel": total == 0.0})
+    res, (total,) = _kernel_support([(piece, scale_time)], kappas, grid, trunc)
+    return replace(res, summary={
+        "level": piece.level, "scale_time": scale_time, "total_mass": total,
+        "fractions_outside": {f"{kappa:g}": frac
+                              for _, _, kappa, _, frac in res.rows},
+        "zero_kernel": total == 0.0})
 
 
 def kernel_support_suite(
@@ -519,22 +515,15 @@ def kernel_support_suite(
     trunc = SpectralTruncation(k_max=k_max, lambda_max=lambda_max)
     cutoffs = CutoffSpec.standard()
     pieces = dyadic_pieces(cutoffs.eta, cutoffs, n_levels=max(max(levels), 1))
-    rows: List[list] = []
+    res, _ = _kernel_support([(pieces[level], t)
+                              for level, t in zip(levels, times)],
+                             kappas, grid, trunc)
     worst = {}
-    header = None
-    for level, t in zip(levels, times):
-        res = kernel_support_check(pieces[level], t, kappas, grid, trunc)
-        header = res.header
-        rows.extend(res.rows)
-        for kappa, frac in res.summary["fractions_outside"].items():
-            worst[kappa] = max(worst.get(kappa, 0.0), frac)
-    return ExperimentResult(
-        kind="kernel_support",
-        header=header,
-        rows=rows,
-        summary={"level_times": [[int(l), t]
-                                 for l, t in zip(levels, times)],
-                 "worst_fraction_outside": worst})
+    for _, _, kappa, _, frac in res.rows:
+        worst[f"{kappa:g}"] = max(worst.get(f"{kappa:g}", 0.0), frac)
+    return replace(res, summary={
+        "level_times": [[int(l), t] for l, t in zip(levels, times)],
+        "worst_fraction_outside": worst})
 
 
 def geometry_suite(n_triples: int = 100000,

@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import DomainError, real_array
 
 __all__ = ["ScalingReport", "rows_to_csv"]
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, np.ndarray]:
+    """Least-squares line through (x, y): slope, intercept and the residuals
+    y - (slope x + intercept)."""
+    design = np.stack([x, np.ones_like(x)], axis=1)
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    slope, intercept = float(coef[0]), float(coef[1])
+    return slope, intercept, y - (slope * x + intercept)
 
 
 @dataclass(frozen=True)
@@ -33,10 +42,7 @@ class ScalingReport:
         if np.any(np.diff(x) <= 0):
             raise DomainError("abscissae must be strictly increasing")
         lx, ly = np.log(x), np.log(y)
-        design = np.stack([lx, np.ones_like(lx)], axis=1)
-        coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
-        slope, intercept = float(coef[0]), float(coef[1])
-        resid = ly - (slope * lx + intercept)
+        slope, _, resid = _line_fit(lx, ly)
         dof = max(x.size - 2, 1)
         sxx = float(np.sum((lx - lx.mean()) ** 2))
         stderr = float(np.sqrt(np.sum(resid ** 2) / dof / sxx)) if sxx > 0 else np.inf

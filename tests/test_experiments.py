@@ -7,6 +7,7 @@ import pytest
 
 from grushin.errors import AliasingError, DomainError
 from grushin.fields import GrushinGrid, SpectralTruncation
+from grushin.geometry import grushin_distance, grushin_distance_field
 from grushin.hermite import PrimeGrid
 from grushin.lab.experiments import (
     ExperimentResult,
@@ -177,11 +178,10 @@ class TestBochnerRiesz:
 
 
 class TestMultiplierNorm:
-    def test_uniformity_and_consistency(self):
+    def test_uniformity(self):
         res = multiplier_norm_experiment(t_values=(0.25, 1.0, 4.0))
         assert_well_formed(res, "multiplier_norm")
         assert res.summary["norm_max_over_min"] < 8.0
-        assert res.summary["dilation_consistency_rel"] <= 1e-9
         assert res.summary["sobolev_norms"]["2"] > 0.0
 
     def test_ratio_columns_consistent(self):
@@ -192,7 +192,7 @@ class TestMultiplierNorm:
             assert ratio == pytest.approx(norm / sob, rel=1e-12)
             assert cert == "exact"
 
-    def test_dilation_check_reuses_the_u0_foot(self, monkeypatch):
+    def test_one_norm_per_foot(self, monkeypatch):
         calls = []
 
         def counting(*args, **kwargs):
@@ -202,10 +202,9 @@ class TestMultiplierNorm:
         monkeypatch.setattr("grushin.lab.experiments.l1_multiplier_norm",
                             counting)
         t_values = (0.25, 1.0, 4.0)
-        res = multiplier_norm_experiment(t_values=t_values)
-        # three feet per t, plus the band parameterization at t_mid
-        assert len(calls) == 3 * len(t_values) + 1
-        assert res.summary["dilation_consistency_rel"] <= 1e-9
+        multiplier_norm_experiment(t_values=t_values)
+        # three feet per t, and nothing else
+        assert len(calls) == 3 * len(t_values)
 
     def test_rejects_bad_times_and_orders(self):
         with pytest.raises(DomainError):
@@ -233,6 +232,19 @@ class TestHeatGaussian:
         assert s["decay_rate_b"] > 0.0
         assert s["r_squared"] >= 0.9
         assert s["on_diag_ratio"] <= 4.0
+
+    def test_one_distance_per_pair(self, monkeypatch):
+        calls = []
+
+        def counting(x, y):
+            calls.append((x, y))
+            return grushin_distance(x, y)
+
+        monkeypatch.setattr("grushin.lab.experiments.grushin_distance",
+                            counting)
+        res = heat_gaussian_check()
+        # 45 pairs at each of the three times
+        assert len(calls) == len(res.rows) // 3 == 45
 
     def test_single_time_still_fits(self):
         res = heat_gaussian_check(times=(0.1,))
@@ -309,6 +321,19 @@ class TestKernelSupport:
             key = f"{kappa:g}"
             per_kappa[key] = max(per_kappa.get(key, 0.0), frac)
         assert worst == per_kappa
+
+    def test_default_suite_builds_one_distance_field(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return grushin_distance_field(*args, **kwargs)
+
+        monkeypatch.setattr("grushin.lab.experiments.grushin_distance_field",
+                            counting)
+        res = kernel_support_suite()
+        assert len(res.rows) == 9  # three runs of three kappas
+        assert len(calls) == 1
 
     def test_suite_rejects_missing_level(self):
         with pytest.raises(DomainError):

@@ -1,0 +1,50 @@
+"""Default reports against frozen copies: a change that moves a default
+number fails here, and updates the frozen file on purpose.
+
+Each kind runs through the command line at its defaults.  The reports are
+compared byte for byte, except geometry_suite's volume and doubling rows,
+whose values are quadratures compared within a relative tolerance.
+"""
+
+import csv
+from pathlib import Path
+
+import pytest
+
+from grushin import cli
+
+FROZEN = Path(__file__).parent / "data" / "reports"
+# geometry_suite's quadrature values; the frozen ones came from numpy's
+# leggauss rule, and the package's own rule moved them by at most 3.7e-15
+QUADRATURE_ROWS = ("volume", "doubling")
+QUADRATURE_RTOL = 1e-12
+
+
+def default_report(tmp_path, kind):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"experiment.kind = {kind}\n", encoding="utf-8")
+    assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+    return (tmp_path / "out" / "run-0001" / "report.csv").read_text(
+        encoding="utf-8")
+
+
+@pytest.mark.parametrize("kind", ["bochner_riesz", "multiplier_norm",
+                                  "heat_gaussian", "kernel_support"])
+def test_default_report_is_frozen(tmp_path, kind):
+    frozen = (FROZEN / f"{kind}.csv").read_text(encoding="utf-8")
+    assert default_report(tmp_path, kind) == frozen
+
+
+def test_geometry_suite_report_is_frozen(tmp_path):
+    rows = list(csv.reader(default_report(tmp_path, "geometry_suite")
+                           .splitlines()))
+    frozen = list(csv.reader((FROZEN / "geometry_suite.csv")
+                             .read_text(encoding="utf-8").splitlines()))
+    assert len(rows) == len(frozen)
+    for row, pinned in zip(rows, frozen):
+        if not row[0].startswith(QUADRATURE_ROWS):
+            assert row == pinned
+            continue
+        assert row[:3] == pinned[:3]
+        assert float(row[3]) == pytest.approx(float(pinned[3]),
+                                              rel=QUADRATURE_RTOL, abs=0.0)
