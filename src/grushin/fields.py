@@ -4,12 +4,14 @@ The degenerate-elliptic operator acts on functions of (x', x'') where x' lives
 in R^d1 and x'' on a flat torus [-S, S)^d2; grids sample d2 = 1.  A field
 couples a real float64 value array to that product grid.  Multiplier
 profiles wrap a real scalar function of the spectral parameter together with
-an authoritative support interval, and a truncation policy records how far
-the discrete spectral decomposition is trusted.
+an authoritative support interval and, where one is known, the closed form
+of its planar kernel; a truncation policy records how far the discrete
+spectral decomposition is trusted.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -155,10 +157,15 @@ class MultiplierProfile:
     the mask is a guarantee rather than a modification.  A call where the
     evaluator returns a NaN, an infinity or a value with a nonzero imaginary
     part raises DomainError naming the label and a lambda where it happens.
+
+    planar, if given, is the radial planar kernel of F(-Laplacian) on R^2,
+    (2 pi)^{-1} int F(rho^2) J_0(rho r) rho drho, as a function of arrays of
+    r >= 0; the L^1 column path takes its zero torus slab from it.
     """
 
     def __init__(self, evaluate: Callable[[np.ndarray], np.ndarray],
-                 support: Tuple[float, float], label: str = ""):
+                 support: Tuple[float, float], label: str = "",
+                 planar: Callable[[np.ndarray], np.ndarray] | None = None):
         if not isinstance(support, (tuple, list)) or len(support) != 2:
             raise DomainError(f"support must be a pair (lo, hi), got {support!r}")
         lo, hi = support
@@ -175,6 +182,7 @@ class MultiplierProfile:
         self._evaluate = evaluate
         self.support = (float(lo), float(hi))
         self.label = label
+        self.planar = planar
         self._validate_outside()
 
     def _validate_outside(self):
@@ -233,18 +241,46 @@ class MultiplierProfile:
         """
         check_real(t, "heat time", 0.0, strict=True)
         hi = np.log(1e14) / t
-        return cls(lambda lam: np.exp(-t * lam), (0.0, hi), label=f"heat(t={t:g})")
+        return cls(lambda lam: np.exp(-t * lam), (0.0, hi), label=f"heat(t={t:g})",
+                   planar=lambda r: (np.exp(-r ** 2 / (4.0 * t))
+                                     / (4.0 * np.pi * t)))
 
     @classmethod
     def bochner_riesz(cls, t: float, delta: float) -> "MultiplierProfile":
-        """(1 - t lam)_+^delta.  delta = 0 gives the sharp spectral cutoff."""
+        """(1 - t lam)_+^delta.  delta = 0 gives the sharp spectral cutoff.
+
+        Its planar kernel is bochner_riesz_radial_kernel at scale 1/sqrt(t).
+        """
         check_real(t, "scale parameter t", 0.0, strict=True)
         check_real(delta, "order delta", 0.0)
         if delta == 0:
             ev = lambda lam: (t * lam < 1.0).astype(float)
         else:
             ev = lambda lam: np.maximum(0.0, 1.0 - t * lam) ** delta
-        return cls(ev, (0.0, 1.0 / t), label=f"bochner_riesz(t={t:g}, delta={delta:g})")
+        scale = 1.0 / math.sqrt(t)
+        return cls(ev, (0.0, 1.0 / t), label=f"bochner_riesz(t={t:g}, delta={delta:g})",
+                   planar=lambda r: bochner_riesz_radial_kernel(scale, delta, r))
+
+
+def bochner_riesz_radial_kernel(scale: float, delta: float,
+                                r: np.ndarray) -> np.ndarray:
+    """Radial kernel profile of (1 + Laplacian/scale^2)_+^delta in the plane.
+
+    Closed form via the Bessel function of order delta + 1 (Stein, Harmonic
+    Analysis, 1993, ch. IX); the removable r = 0 singularity is filled with
+    its limit.
+    """
+    # imported here, so that importing grushin loads no scipy
+    from scipy.special import gamma, jv
+
+    check_real(scale, "scale", 0.0, strict=True)
+    check_real(delta, "delta", 0.0)
+    z = scale * real_array(r, "r")
+    small = z < 1e-8
+    zz = np.where(small, 1.0, z)
+    vals = (scale ** 2 / (2.0 * np.pi) * 2.0 ** delta * gamma(delta + 1.0)
+            * jv(delta + 1.0, zz) / zz ** (delta + 1.0))
+    return np.where(small, scale ** 2 / (4.0 * np.pi * (delta + 1.0)), vals)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,11 @@ coordinate and both choosing their own discretizations:
   many by irfft, both a cache-sized chunk of lines at a time; every slab's
   set-up is built once per call for all slabs together, from one profile
   call and one Hermite recurrence per group of slabs; the zero slab is a
-  not-a-knot cubic spline of its radial profile, a closed form or a
-  composite Gauss-Legendre Hankel quadrature, over the radii the frames
-  evaluate and no further, built here by one banded solve for its slopes
-  and read by direct index into its uniform breakpoints, and
+  not-a-knot cubic spline of its radial profile, the profile's closed-form
+  planar kernel or else a composite Gauss-Legendre Hankel quadrature, over
+  the radii the frames evaluate and no further, built here by one banded
+  solve for its slopes and read by direct index into its uniform
+  breakpoints, and
 * a closed-form heat kernel evaluator built from the oscillator semigroup
   kernel per frequency, with no level truncation at all, over scalar points
   or arrays of them.
@@ -35,9 +36,10 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.special import j0, jv, gamma as _gamma_fn
+from scipy.special import j0
 
 from ..errors import DomainError, GrushinError, check_integer, check_real, real_array
+from ..fields import bochner_riesz_radial_kernel
 from ..geometry import _gauss_legendre
 from ..hermite import MIN_TURNING_MARGIN, hermite_lanes, hermite_table
 from ..oscillator import eigenvalue_cap, torus_slabs
@@ -45,7 +47,10 @@ from ..oscillator import eigenvalue_cap, torus_slabs
 # benchmark/tracer.py times _kernel_slab_coeff, hermite_table,
 # planar_radial_kernel, bochner_riesz_radial_kernel and np.fft.irfft by
 # replacing them where this module looks them up: they stay module
-# attributes, called by name at call time
+# attributes, called by name at call time.  bochner_riesz_radial_kernel
+# lives in grushin.fields and is re-exported here; a profile's own planar
+# kernel calls it there, so its span sees only explicit xi_zero_radial
+# callers that look it up here, and a profile's planar kernel is not timed
 
 __all__ = [
     "bochner_riesz_radial_kernel",
@@ -89,23 +94,6 @@ _PANEL_RADIANS = 50.0
 _MIN_PANELS = 4
 _EDGE_SPLITS = 8.0 ** -np.arange(1, 4)
 _PANEL_NODES, _PANEL_WEIGHTS = _gauss_legendre(32)
-
-
-def bochner_riesz_radial_kernel(scale: float, delta: float,
-                                r: np.ndarray) -> np.ndarray:
-    """Radial kernel profile of (1 + Laplacian/scale^2)_+^delta in the plane.
-
-    Closed form via the Bessel function of order delta + 1; the removable
-    r = 0 singularity is filled with its limit.
-    """
-    check_real(scale, "scale", 0.0, strict=True)
-    check_real(delta, "delta", 0.0)
-    z = scale * real_array(r, "r")
-    small = z < 1e-8
-    zz = np.where(small, 1.0, z)
-    vals = (scale ** 2 / (2.0 * np.pi) * 2.0 ** delta * _gamma_fn(delta + 1.0)
-            * jv(delta + 1.0, zz) / zz ** (delta + 1.0))
-    return np.where(small, scale ** 2 / (4.0 * np.pi * (delta + 1.0)), vals)
 
 
 def planar_radial_kernel(profile, r: np.ndarray,
@@ -357,11 +345,14 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     cubic spline of its radial profile at 16 samples per wavelength, from
     r = 0 to 2 dx past the farthest line, hypot(max |x1 - u|, extent),
     evaluated by direct index into its breakpoints; the spline does not
-    extrapolate.  xi_zero_radial overrides that profile (closed forms save
-    the quadrature); default is planar_radial_kernel, the Gauss-Legendre
-    Hankel quadrature of the profile, whose panel count follows from the
-    same farthest radius.  With no torus slab below the cap (j_max = 0) the
-    default is one frame holding the zero slab alone.
+    extrapolate.  The radial profile is, first to last: xi_zero_radial if
+    given; the profile's planar kernel (MultiplierProfile.planar), the
+    closed form that heat and bochner_riesz carry; else planar_radial_kernel,
+    the Gauss-Legendre Hankel quadrature of the profile, whose panel count
+    follows from the same farthest radius.  A closed form does not see the
+    cap; the stock profiles decrease, so a cap that passes the check below
+    cuts off only values |F| <= 1e-14.  With no torus slab below the cap
+    (j_max = 0) the default is one frame holding the zero slab alone.
 
     The modulus of a band-limited kernel is not band-limited, so the torus
     integral of |K| carries a residual resolution error; fft_oversample,
@@ -449,8 +440,8 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
         widest[:bins] = n_out
 
     if xi_zero_radial is None:
-        def xi_zero_radial(r, _p=profile, _t=top):
-            return planar_radial_kernel(_p, r, _t)
+        xi_zero_radial = profile.planar or (
+            lambda r: planar_radial_kernel(profile, r, top))
     # not-a-knot cubic spline of the radial zero slab at 16 samples per
     # wavelength, its slopes from one banded solve (_not_a_knot_spline):
     # interpolation error ~(sqrt(top) dr)^4 stays below the torus sampling

@@ -42,7 +42,6 @@ from ..geometry import (
 from ..hermite import PrimeGrid
 from .columns import (
     _reach,
-    bochner_riesz_radial_kernel,
     heat_kernel_pointwise,
     l1_multiplier_norm,
 )
@@ -246,10 +245,10 @@ def bochner_riesz_sweep(
 
     The exact 1 -> 1 norm of each mean is the largest column L^1 norm; by
     symmetry the foot search reduces to prime radii, scanned over the
-    candidates {0, 1/R, 4/R}.  The zero-frequency slab uses the closed-form
-    planar kernel.  The summary reports max/min over R for each delta: a
-    ratio near 1 indicates a uniformly bounded family, steady growth a
-    divergent one.
+    candidates {0, 1/R, 4/R}.  The zero-frequency slab uses the profile's
+    closed-form planar kernel.  The summary reports max/min over R for each
+    delta: a ratio near 1 indicates a uniformly bounded family, steady growth
+    a divergent one.
     """
     radii = _increasing(radii, "radii")
     deltas = _numbers(deltas, "deltas", strict=False)
@@ -265,9 +264,7 @@ def bochner_riesz_sweep(
                 lambda u: l1_multiplier_norm(
                     profile, torus_half_period, u=u,
                     lambda_max=radius * radius,
-                    points_per_wavelength=points_per_wavelength,
-                    xi_zero_radial=lambda r: bochner_riesz_radial_kernel(
-                        radius, delta, r)),
+                    points_per_wavelength=points_per_wavelength),
                 (0.0, 1.0 / radius, 4.0 / radius))
             per_radius.append(best)
             rows.append([delta, radius, best, best_u, "exact"])
@@ -458,7 +455,8 @@ def _kernel_support(
         total = float(mass.sum()) * grid.cell_volume
         totals.append(total)
         for kappa in kappas:
-            frac = (float(mass[rho > kappa * support_radius].sum())
+            # a masked sum: gathering the masked values copies up to 64 MB
+            frac = (float(np.sum(mass, where=rho > kappa * support_radius))
                     * grid.cell_volume / total if total else 0.0)
             rows.append([piece.level, scale_time, kappa, support_radius, frac])
     return ExperimentResult(

@@ -9,6 +9,7 @@ from scipy.interpolate import CubicSpline
 
 from grushin.engine import schwartz_kernel_column
 from grushin.errors import DomainError, GrushinError
+from grushin import fields
 from grushin.fields import GrushinGrid, MultiplierProfile, SpectralTruncation
 from grushin.hermite import PrimeGrid, hermite_table
 from grushin.lab import columns
@@ -55,6 +56,42 @@ class TestRadialKernels:
             want = np.exp(-r ** 2 / (4.0 * t)) / (4.0 * np.pi * t)
             got = planar_radial_kernel(prof, r, prof.support[1])
             assert np.max(np.abs(got - want)) <= 1e-12
+
+    @staticmethod
+    def _l1_radii(profile, **kwargs):
+        # the radii at which a default L^1 call evaluates the zero slab
+        seen = []
+
+        def record(r):
+            seen.append(r)
+            return profile.planar(r)
+
+        l1_multiplier_norm(profile, S, xi_zero_radial=record, **kwargs)
+        (r,) = seen
+        return r
+
+    @pytest.mark.parametrize("t", [0.05, 0.1, 0.2])
+    def test_heat_planar_kernel_matches_quadrature(self, t):
+        prof = MultiplierProfile.heat(t)
+        r = self._l1_radii(prof)
+        got = prof.planar(r)
+        quad = planar_radial_kernel(prof, r, prof.support[1])
+        assert np.max(np.abs(got - quad)) <= 1e-12
+
+    @pytest.mark.parametrize("radius, delta, tol", [(5.0, 0.7, 1e-10),
+                                                    (5.0, 2.0, 1e-12)])
+    def test_bochner_riesz_planar_kernel_matches_quadrature(self, radius,
+                                                            delta, tol):
+        # the tolerances of test_closed_form_matches_quadrature
+        prof = MultiplierProfile.bochner_riesz(1.0 / radius ** 2, delta)
+        r = self._l1_radii(prof, lambda_max=radius ** 2)
+        got = prof.planar(r)
+        assert np.array_equal(got, bochner_riesz_radial_kernel(radius, delta, r))
+        quad = planar_radial_kernel(prof, r, radius ** 2)
+        assert np.max(np.abs(got - quad)) < tol * np.max(np.abs(got))
+
+    def test_closed_form_is_importable_from_the_lab(self):
+        assert bochner_riesz_radial_kernel is fields.bochner_riesz_radial_kernel
 
     def test_panel_rule_is_gauss_legendre(self):
         # numpy's rule, moved from [-1, 1] to [0, 1]
@@ -146,13 +183,42 @@ class TestL1MultiplierNorm:
     ], ids=["heat-0.05", "heat-0.1", "heat-0.2", "br-1.5-R=8"])
     def test_quadrature_zero_slab_matches_its_closed_form(self, profile,
                                                           closed):
-        # the default zero slab goes by planar_radial_kernel; the norm must
-        # be the one the closed-form radial profile gives
+        # a zero slab by planar_radial_kernel, the route of a profile without
+        # a planar kernel, must give the norm the closed form gives; the
+        # stock heat profile carries its closed form, so the quadrature is
+        # passed explicitly
         top = profile.support[1]
-        quad = l1_multiplier_norm(profile, S, lambda_max=top)
+        quad = l1_multiplier_norm(
+            profile, S, lambda_max=top,
+            xi_zero_radial=lambda r: planar_radial_kernel(profile, r, top))
         want = l1_multiplier_norm(profile, S, lambda_max=top,
                                   xi_zero_radial=closed)
         assert quad == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("profile, cap", [
+        (MultiplierProfile.heat(0.1), None),
+        (MultiplierProfile.bochner_riesz(1.0 / 16.0, 1.5), 16.0),
+    ], ids=["heat", "bochner-riesz"])
+    def test_stock_profiles_skip_the_quadrature(self, profile, cap,
+                                                monkeypatch):
+        def refuse(*args):
+            raise AssertionError("planar_radial_kernel was called")
+
+        monkeypatch.setattr(columns, "planar_radial_kernel", refuse)
+        assert np.isfinite(l1_multiplier_norm(profile, S, lambda_max=cap))
+
+    def test_profile_without_planar_kernel_takes_the_quadrature(
+            self, monkeypatch):
+        calls = []
+        quad = columns.planar_radial_kernel
+
+        def spy(*args):
+            calls.append(args)
+            return quad(*args)
+
+        monkeypatch.setattr(columns, "planar_radial_kernel", spy)
+        l1_multiplier_norm(br_profile(4.0, 1.5), S, lambda_max=16.0)
+        assert len(calls) == 1
 
     def test_foot_at_half_the_extent_stays_on_the_spline_grid(self):
         # the zero slab's spline never extrapolates, so a line past its grid
@@ -539,10 +605,11 @@ class TestL1MultiplierNorm:
         # of up to 48 MB, and 84.8 when the samples of a whole block of
         # lines went through one buffer
         (32.0, 4.0 / 32.0, 13.0),
-        # heat t = 0.05: the zero slab's Bessel matrix goes in blocks of
-        # rows; 4.0 MiB measured with the slabs set up as lanes, as one slab
-        # at a time (5.5 with the core and bulk zones), 11.4 with x1 blocks
-        # of up to 48 MB and 62.3 with the whole matrix
+        # heat t = 0.05: 3.5 MiB measured with the closed-form zero slab;
+        # 4.0 with the quadrature's Bessel matrix in blocks of rows and the
+        # slabs set up as lanes, as one slab at a time (5.5 with the core and
+        # bulk zones), 11.4 with x1 blocks of up to 48 MB and 62.3 with the
+        # whole matrix
         (None, 0.0, 7.0),
     ], ids=["br R=32 u=4/32", "heat t=0.05"])
     def test_peak_memory(self, radius, u, bound_mib):

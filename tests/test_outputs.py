@@ -29,7 +29,9 @@ def default_report(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", ["bochner_riesz", "multiplier_norm",
-                                  "heat_gaussian", "kernel_support"])
+                                  "heat_gaussian", "kernel_support",
+                                  "weighted_restriction",
+                                  "localized_restriction"])
 def test_default_report_is_frozen(tmp_path, kind):
     frozen = (FROZEN / f"{kind}.csv").read_text(encoding="utf-8")
     assert default_report(tmp_path, kind) == frozen
