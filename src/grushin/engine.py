@@ -26,12 +26,21 @@ column is
 G_m = F(L_{xi_m}) D, c_m = 1 at m = 0 and m = n/2 and 2 otherwise, and every
 slab G_m is real.  A nonzero bin keeps G_m factored as H_m^T Q_m: H_m is the
 bin's Hermite table along the first x' axis and Q_m holds the weighted
-coefficients with the other x' axes already synthesized.  The column is then
-filled one block of first-axis rows at a time: the rows of every G_m go into
-one buffer of at most _ROW_BLOCK_BYTES, and one real matrix product with the
-cosine waves writes that block of the column.  The full stack of slabs G_m
-(up to n/2 + 1 of them) is never formed: held at once it would stay resident
-in the heap beside the column.
+coefficients with the other x' axes already synthesized.  Its Hermite
+functions turn near |x'| = sqrt(lambda_max) / xi_m, so G_m lives on a window
+of first-axis rows: those where the bound
+
+    b_m(x1) = max_a |H_m[a, x1]| * max_col sum_a |Q_m[a, col]|  >=  |G_m(x1, .)|
+
+exceeds eps^2 times its largest value (eps of float64).  Past the window,
+|G_m| is below eps^2 of that peak, and a bin whose bound is 0 everywhere (a
+profile vanishing on all its kept levels) is left out.  The column is then
+filled one block of first-axis rows at a time: the rows of the zero slab and
+of every G_m whose window meets the block go into one buffer of at most
+_ROW_BLOCK_BYTES, and one real matrix product with those bins' cosine waves
+writes that block of the column.  The full stack of slabs G_m (up to n/2 + 1
+of them) is never formed: held at once it would stay resident in the heap
+beside the column.
 """
 
 from __future__ import annotations
@@ -164,12 +173,13 @@ def _slice_weights(profile: MultiplierProfile, kept: range, xi_mag: float,
     """Profile values over the coefficient tensor of one |xi| slice.
 
     Entry nu is F((2|nu| + d1)|xi|) for the kept levels and 0 for the others;
-    the tensor has kept.stop entries along each of its d1 axes.
+    the tensor has kept.stop entries along each of its d1 axes.  The profile
+    is evaluated once per kept level, not once per entry.
     """
-    levels = _level_weights((kept.stop,), d1)
-    weights = profile((2 * levels + d1) * xi_mag)
-    weights[(levels < kept.start) | (levels >= kept.stop)] = 0.0
-    return weights
+    values = np.zeros(d1 * (kept.stop - 1) + 1)
+    values[kept.start:kept.stop] = profile(
+        (2 * np.arange(kept.start, kept.stop) + d1) * xi_mag)
+    return values[_level_weights((kept.stop,), d1)]
 
 
 def apply_slice_multiplier(profile: MultiplierProfile, f: np.ndarray, prime: PrimeGrid,
@@ -229,9 +239,12 @@ def schwartz_kernel_column(profile: MultiplierProfile, grid: GrushinGrid,
     oscillator_transform of D, the level weights of apply_slice_multiplier
     and a synthesis along every x' axis but the first.  Rows of the first x'
     axis then go through one buffer of at most _ROW_BLOCK_BYTES (one row at
-    least): the first-axis synthesis of every bin fills it, and one real
-    product with the bins' cosine waves writes that block of the column.  No
-    complex array is made, and no grid-sized one but the column.
+    least): the first-axis synthesis of each bin whose row window meets the
+    block fills it, and one real product with those bins' cosine waves writes
+    that block of the column.  A bin enters no row where its bound is below
+    eps^2 of its peak (module docstring), so the column moves by less than
+    rounding.  No complex array is made, and no grid-sized one but the
+    column.
 
     y must be a grid node: an off-grid point raises ContractViolation, and
     its coordinates follow the number rule of grushin.errors.
@@ -243,6 +256,7 @@ def schwartz_kernel_column(profile: MultiplierProfile, grid: GrushinGrid,
     delta = np.zeros((n_rows,) * d1)
     delta[tuple(foot)] = 1.0 / grid.cell_volume
     zero = _apply_xi_zero(profile, delta, prime).reshape(n_rows, row_size)
+    floor = np.finfo(float).eps ** 2
     bins, factors = [0], []
     for m in range(1, n // 2 + 1):
         xi_mag = m * grid.xi_spacing
@@ -254,8 +268,16 @@ def schwartz_kernel_column(profile: MultiplierProfile, grid: GrushinGrid,
         table = _tables(prime, xi_mag, kept[-1])
         for axis in range(1, d1):
             coef = np.moveaxis(np.tensordot(table, coef, axes=(0, axis)), 0, axis)
+        coef = coef.reshape(kept.stop, row_size)
+        # the bound's second factor, max_col sum_a |Q_m[a, col]|, is one
+        # number per bin: it drops a bin when 0 and otherwise leaves the
+        # table alone to set the window
+        if not coef.any():
+            continue
+        reach = np.abs(table).max(axis=0)
+        live = np.flatnonzero(reach > floor * reach.max())
         bins.append(m)
-        factors.append((table, coef.reshape(kept.stop, row_size)))
+        factors.append((table, coef, live[0], live[-1] + 1))
 
     bins = np.array(bins)
     phase = np.outer(bins, np.arange(n) - k0) % n
@@ -267,10 +289,13 @@ def schwartz_kernel_column(profile: MultiplierProfile, grid: GrushinGrid,
     buffer = np.empty(min(block, n_rows) * bins.size * row_size)
     for start in range(0, n_rows, block):
         rows = slice(start, min(start + block, n_rows))
+        meet = [i for i, (_, _, lo, hi) in enumerate(factors, 1)
+                if lo < rows.stop and hi > start]
         size = (rows.stop - start) * row_size
-        stack = buffer[:bins.size * size].reshape(bins.size, size)
+        stack = buffer[:(1 + len(meet)) * size].reshape(1 + len(meet), size)
         stack[0] = zero[rows].ravel()
-        for slab, (table, coef) in zip(stack[1:], factors):
+        for slab, i in zip(stack[1:], meet):
+            table, coef, _, _ = factors[i - 1]
             np.matmul(table[:, rows].T, coef, out=slab.reshape(-1, row_size))
-        np.matmul(stack.T, waves, out=column[rows].reshape(size, n))
+        np.matmul(stack.T, waves[[0] + meet], out=column[rows].reshape(size, n))
     return Field(grid, column)

@@ -116,9 +116,16 @@ class PieceProfile:
 
     def __call__(self, mu) -> np.ndarray:
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        acc = (self.weights * self.amplitudes) @ np.cos(np.outer(self.nodes, mu))
-        out = np.sqrt(2.0 / np.pi) * acc
-        return out
+        # node by node, not one BLAS product: each value then depends on its
+        # own mu alone, not on the batch or the BLAS thread count
+        acc = np.zeros(mu.shape)
+        term = np.empty(mu.shape)
+        for c, s in zip(self.weights * self.amplitudes, self.nodes):
+            np.multiply(s, mu, out=term)
+            np.cos(term, out=term)
+            term *= c
+            acc += term
+        return np.sqrt(2.0 / np.pi) * acc
 
 
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:

@@ -1,8 +1,15 @@
 """Tests for cutoffs, Sobolev norms, and the dyadic cosine decomposition."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
+
+import grushin
 
 from grushin.errors import DomainError, WindowingError
 from grushin.lab.profiles import CutoffSpec, dyadic_pieces, smoothstep, sobolev_norm
@@ -182,3 +189,30 @@ class TestDyadicPieces:
             dyadic_pieces(self.cs.eta, self.cs, n_levels=0)
         with pytest.raises(DomainError):
             dyadic_pieces(self.cs.eta, self.cs, n_levels=3, ds=0.0)
+
+
+def test_piece_values_do_not_depend_on_the_blas_thread_count():
+    # the default kernel_support piece at every distinct value of its zero
+    # slab's symbol (28 685 points), where one BLAS product over the nodes
+    # gave different last bits at 1 and 2 threads; the thread count is read
+    # when the BLAS library loads, so each count takes its own process
+    src = str(Path(grushin.__file__).resolve().parents[1])
+    code = ("import sys, numpy as np\n"
+            "from grushin.engine import _xi_zero_symbol\n"
+            "from grushin.hermite import PrimeGrid\n"
+            "from grushin.lab.profiles import CutoffSpec, dyadic_pieces\n"
+            "cs = CutoffSpec.standard()\n"
+            "mu = np.sqrt(_xi_zero_symbol(PrimeGrid(22.0, 256, 2))[0])\n"
+            "for piece in dyadic_pieces(cs.eta, cs, n_levels=2):\n"
+            "    sys.stdout.write(piece(mu).tobytes().hex())\n")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                     if p])
+        out.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True,
+                                  check=True).stdout)
+    assert len(out[0]) == 2 * 3 * 8 * 28685
+    assert out[0] == out[1]
