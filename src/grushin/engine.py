@@ -168,18 +168,21 @@ def slice_levels(profile: MultiplierProfile, prime: PrimeGrid, xi_mag: float,
     return range(k_lo, k_hi + 1)
 
 
-def _slice_weights(profile: MultiplierProfile, kept: range, xi_mag: float,
-                   d1: int) -> np.ndarray:
+def _level_eigenvalues(kept: range, xi_mag: float, d1: int) -> np.ndarray:
+    """Eigenvalues (2k + d1)|xi| of the kept levels k of one |xi| slice."""
+    return (2 * np.arange(kept.start, kept.stop) + d1) * xi_mag
+
+
+def _slice_weights(values: np.ndarray, kept: range, d1: int) -> np.ndarray:
     """Profile values over the coefficient tensor of one |xi| slice.
 
-    Entry nu is F((2|nu| + d1)|xi|) for the kept levels and 0 for the others;
-    the tensor has kept.stop entries along each of its d1 axes.  The profile
-    is evaluated once per kept level, not once per entry.
+    values are F at the _level_eigenvalues of the kept levels.  Entry nu is
+    F((2|nu| + d1)|xi|) for the kept levels and 0 for the others; the tensor
+    has kept.stop entries along each of its d1 axes.
     """
-    values = np.zeros(d1 * (kept.stop - 1) + 1)
-    values[kept.start:kept.stop] = profile(
-        (2 * np.arange(kept.start, kept.stop) + d1) * xi_mag)
-    return values[_level_weights((kept.stop,), d1)]
+    by_level = np.zeros(d1 * (kept.stop - 1) + 1)
+    by_level[kept.start:kept.stop] = values
+    return by_level[_level_weights((kept.stop,), d1)]
 
 
 def apply_slice_multiplier(profile: MultiplierProfile, f: np.ndarray, prime: PrimeGrid,
@@ -195,7 +198,8 @@ def apply_slice_multiplier(profile: MultiplierProfile, f: np.ndarray, prime: Pri
         return np.zeros_like(f)
     d1 = prime.d1
     coef = oscillator_transform(f, prime, xi_mag, kept[-1])
-    weights = _slice_weights(profile, kept, xi_mag, d1)
+    weights = _slice_weights(profile(_level_eigenvalues(kept, xi_mag, d1)),
+                             kept, d1)
     weights = weights.reshape(weights.shape + (1,) * (coef.ndim - d1))
     return oscillator_synthesis(coef * weights, prime, xi_mag)
 
@@ -237,14 +241,14 @@ def schwartz_kernel_column(profile: MultiplierProfile, grid: GrushinGrid,
     e^{-2 pi i m k0 / n} in bin m (module docstring), so the xi = 0 slab is
     _apply_xi_zero of D, and each bin that slice_levels keeps takes
     oscillator_transform of D, the level weights of apply_slice_multiplier
-    and a synthesis along every x' axis but the first.  Rows of the first x'
-    axis then go through one buffer of at most _ROW_BLOCK_BYTES (one row at
-    least): the first-axis synthesis of each bin whose row window meets the
-    block fills it, and one real product with those bins' cosine waves writes
-    that block of the column.  A bin enters no row where its bound is below
-    eps^2 of its peak (module docstring), so the column moves by less than
-    rounding.  No complex array is made, and no grid-sized one but the
-    column.
+    (from one profile call for all bins) and a synthesis along every x' axis
+    but the first.  Rows of the first x' axis then go through one buffer of
+    at most _ROW_BLOCK_BYTES (one row at least): the first-axis synthesis of
+    each bin whose row window meets the block fills it, and one real product
+    with those bins' cosine waves writes that block of the column.  A bin
+    enters no row where its bound is below eps^2 of its peak (module
+    docstring), so the column moves by less than rounding.  No complex array
+    is made, and no grid-sized one but the column.
 
     y must be a grid node: an off-grid point raises ContractViolation, and
     its coordinates follow the number rule of grushin.errors.
@@ -257,14 +261,22 @@ def schwartz_kernel_column(profile: MultiplierProfile, grid: GrushinGrid,
     delta[tuple(foot)] = 1.0 / grid.cell_volume
     zero = _apply_xi_zero(profile, delta, prime).reshape(n_rows, row_size)
     floor = np.finfo(float).eps ** 2
-    bins, factors = [0], []
+    slabs = []
     for m in range(1, n // 2 + 1):
         xi_mag = m * grid.xi_spacing
         kept = slice_levels(profile, prime, xi_mag, trunc.k_max, trunc.lambda_max)
-        if not kept:
-            continue
+        if kept:
+            slabs.append((m, xi_mag, kept))
+    # one profile call for the kept levels of every bin, not one per bin;
+    # the empty head keeps it valid when no bin is kept
+    values = profile(np.concatenate(
+        [np.zeros(0)] + [_level_eigenvalues(kept, xi_mag, d1)
+                         for _, xi_mag, kept in slabs]))
+    bins, factors, end = [0], [], 0
+    for m, xi_mag, kept in slabs:
+        end += len(kept)
         coef = oscillator_transform(delta, prime, xi_mag, kept[-1])
-        coef *= _slice_weights(profile, kept, xi_mag, d1)
+        coef *= _slice_weights(values[end - len(kept):end], kept, d1)
         table = _tables(prime, xi_mag, kept[-1])
         for axis in range(1, d1):
             coef = np.moveaxis(np.tensordot(table, coef, axes=(0, axis)), 0, axis)

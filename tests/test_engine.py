@@ -421,7 +421,7 @@ class TestHalfLatticeMatchesFullLattice:
         xis = grid.xi_spacing * np.arange(1, grid.n_second // 2 + 1)
         kept = [engine.slice_levels(gapped, grid.prime, xi, tr.k_max,
                                     tr.lambda_max) for xi in xis]
-        silent = [not engine._slice_weights(gapped, k, xi, 2).any()
+        silent = [not gapped(engine._level_eigenvalues(k, xi, 2)).any()
                   for k, xi in zip(kept, xis) if k]
         assert 0 < sum(silent) < len(silent)
         ax = grid.prime.axis
