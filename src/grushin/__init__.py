@@ -7,12 +7,7 @@ F(L) act level-by-level through explicit Hermite eigenfunctions.  Subpackage
 grushin.lab layers quantitative estimate experiments on top of that engine.
 """
 
-from .engine import (
-    apply_multiplier,
-    inverse_partial_fourier,
-    partial_fourier,
-    schwartz_kernel_column,
-)
+from .engine import schwartz_kernel_column
 from .errors import (
     AliasingError,
     ConfigError,
@@ -50,15 +45,12 @@ __all__ = [
     "SpectralTruncation",
     "TruncationError",
     "WindowingError",
-    "apply_multiplier",
     "ball_volume",
     "ball_volume_model",
     "doubling_ratio",
     "grushin_distance",
     "grushin_distance_arrays",
     "grushin_distance_field",
-    "inverse_partial_fourier",
-    "partial_fourier",
     "schwartz_kernel_column",
     "__version__",
 ]

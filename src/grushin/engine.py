@@ -5,7 +5,10 @@ operator into a family of scaled harmonic oscillators indexed by the dual
 lattice.  Applying a multiplier profile then means: transform, weight each
 oscillator eigenspace by the profile value at its eigenvalue, synthesize, and
 transform back.  The torus has one axis (GrushinGrid holds d2 = 1), so each
-lattice bin m is one slice, at |xi| = m xi_spacing.
+lattice bin m is one slice, at |xi| = m xi_spacing.  The bins and the levels
+each keeps come from the one spectral window of the three evaluators,
+oscillator.torus_slabs, cut at the Nyquist bin n/2 (_kept_bins):
+apply_multiplier and the kernel column both loop over that list.
 
 Fields are real (Field enforces it), profile values are real, and the slice
 operators are real and depend on |xi| only, so F(L) maps a field to a real
@@ -60,9 +63,10 @@ from .hermite import PrimeGrid
 from .oscillator import (
     _level_weights,
     _tables,
-    active_level_range,
+    eigenvalue_cap,
     oscillator_synthesis,
     oscillator_transform,
+    torus_slabs,
 )
 
 # bound on each buffer of a kernel column besides the column itself, as on
@@ -152,56 +156,42 @@ def _apply_xi_zero(profile: MultiplierProfile, slab: np.ndarray,
     return np.fft.irfftn(spec * w, s=(pad,) * d1, axes=axes)[crop]
 
 
-def slice_levels(profile: MultiplierProfile, prime: PrimeGrid, xi_mag: float,
-                 k_max: int, lambda_max: float) -> range:
-    """Levels k that F(L_xi) keeps on one nonzero |xi| slice; possibly empty.
+def _kept_bins(profile: MultiplierProfile, grid: GrushinGrid,
+               trunc: SpectralTruncation) -> list:
+    """[(m, xi_m, weights)] over the bins m = 1 ... n/2 that keep a level.
 
-    The levels, and the TruncationError past k_max, are those of
-    oscillator.active_level_range.  A kept level beyond what the x' grid
-    represents reliably at this |xi| raises TruncationError too.
+    The levels are those of oscillator.torus_slabs, and so is the
+    TruncationError past k_max.  A kept level past what the x' grid
+    represents reliably at xi_m (PrimeGrid.reliable_level_cap) raises
+    TruncationError too, at the first such bin.  weights is F at
+    (2|nu| + d1) xi_m over the coefficient tensor of the bin, k_hi + 1
+    entries along each of its d1 axes, and 0 at levels not kept; the kept
+    levels of every bin go through one profile call.
     """
-    k_lo, k_hi = active_level_range(profile, xi_mag, prime.d1, lambda_max,
-                                    k_max)
-    cap = prime.reliable_level_cap(xi_mag)
-    if k_lo <= k_hi and k_hi > cap:
-        raise TruncationError(k_hi, xi_mag, cap)
-    return range(k_lo, k_hi + 1)
-
-
-def _level_eigenvalues(kept: range, xi_mag: float, d1: int) -> np.ndarray:
-    """Eigenvalues (2k + d1)|xi| of the kept levels k of one |xi| slice."""
-    return (2 * np.arange(kept.start, kept.stop) + d1) * xi_mag
-
-
-def _slice_weights(values: np.ndarray, kept: range, d1: int) -> np.ndarray:
-    """Profile values over the coefficient tensor of one |xi| slice.
-
-    values are F at the _level_eigenvalues of the kept levels.  Entry nu is
-    F((2|nu| + d1)|xi|) for the kept levels and 0 for the others; the tensor
-    has kept.stop entries along each of its d1 axes.
-    """
-    by_level = np.zeros(d1 * (kept.stop - 1) + 1)
-    by_level[kept.start:kept.stop] = values
-    return by_level[_level_weights((kept.stop,), d1)]
-
-
-def apply_slice_multiplier(profile: MultiplierProfile, f: np.ndarray, prime: PrimeGrid,
-                           xi_mag: float, k_max: int, lambda_max: float) -> np.ndarray:
-    """F(L_xi) f on one nonzero |xi| slice via the truncated eigenfunction expansion.
-
-    The first d1 axes of f are spatial; trailing axes are a batch of slices
-    sharing |xi|.  Only the levels of slice_levels are kept, and its
-    TruncationError conditions apply.
-    """
-    kept = slice_levels(profile, prime, xi_mag, k_max, lambda_max)
-    if not kept:
-        return np.zeros_like(f)
-    d1 = prime.d1
-    coef = oscillator_transform(f, prime, xi_mag, kept[-1])
-    weights = _slice_weights(profile(_level_eigenvalues(kept, xi_mag, d1)),
-                             kept, d1)
-    weights = weights.reshape(weights.shape + (1,) * (coef.ndim - d1))
-    return oscillator_synthesis(coef * weights, prime, xi_mag)
+    d1 = grid.d1
+    xis, k_lo, k_hi = torus_slabs(
+        profile, eigenvalue_cap(profile, trunc.lambda_max), grid.xi_spacing,
+        d1, trunc.k_max)
+    half = grid.n_second // 2
+    live = np.flatnonzero(k_lo[:half] <= k_hi[:half])
+    xis, k_lo, k_hi = xis[live], k_lo[live], k_hi[live]
+    caps = grid.prime.reliable_level_cap(xis)
+    past = np.flatnonzero(k_hi > caps)
+    if past.size:
+        i = past[0]
+        raise TruncationError(int(k_hi[i]), float(xis[i]), int(caps[i]))
+    sizes = k_hi - k_lo + 1
+    starts = np.cumsum(sizes) - sizes
+    levels = np.arange(sizes.sum()) - np.repeat(starts - k_lo, sizes)
+    values = profile((2 * levels + d1) * np.repeat(xis, sizes))
+    bins = []
+    for m, xi_mag, lo, hi, start in zip((live + 1).tolist(), xis.tolist(),
+                                        k_lo.tolist(), k_hi.tolist(),
+                                        starts.tolist()):
+        by_level = np.zeros(d1 * hi + 1)
+        by_level[lo:hi + 1] = values[start:start + hi - lo + 1]
+        bins.append((m, xi_mag, by_level[_level_weights((hi + 1,), d1)]))
+    return bins
 
 
 def apply_multiplier(profile: MultiplierProfile, field: Field,
@@ -211,10 +201,11 @@ def apply_multiplier(profile: MultiplierProfile, field: Field,
     This is the operator on general fields; on a delta it is the reference
     that schwartz_kernel_column's closed-form path is tested against.
 
-    Each nonzero bin m = 1 ... n/2 goes through apply_slice_multiplier, so
-    the TruncationError conditions are those of slice_levels.  Field values
-    follow the number rule of grushin.errors, and a profile value with a
-    nonzero imaginary part raises DomainError.
+    Each bin of _kept_bins is transformed, weighted and synthesized, and
+    every other nonzero bin is zeroed, so the TruncationError conditions are
+    those of _kept_bins.  Field values follow the number rule of
+    grushin.errors, and a profile value with a nonzero imaginary part raises
+    DomainError.
     """
     real_array(field.values, "field value")
     grid = field.grid
@@ -223,10 +214,14 @@ def apply_multiplier(profile: MultiplierProfile, field: Field,
     # each bin is read before it is written, so every result goes back into
     # the transform this call owns
     fhat[..., 0] = _apply_xi_zero(profile, fhat[..., 0].real, prime)
-    for m in range(1, fhat.shape[-1]):
-        fhat[..., m] = apply_slice_multiplier(
-            profile, fhat[..., m], prime, m * grid.xi_spacing, trunc.k_max,
-            trunc.lambda_max)
+    empty = np.ones(fhat.shape[-1], dtype=bool)
+    empty[0] = False
+    for m, xi_mag, weights in _kept_bins(profile, grid, trunc):
+        coef = oscillator_transform(fhat[..., m], prime, xi_mag,
+                                    weights.shape[0] - 1)
+        fhat[..., m] = oscillator_synthesis(coef * weights, prime, xi_mag)
+        empty[m] = False
+    fhat[..., empty] = 0.0
     return inverse_partial_fourier(grid, fhat)
 
 
@@ -239,16 +234,15 @@ def schwartz_kernel_column(profile: MultiplierProfile, grid: GrushinGrid,
     with the same TruncationError raised at the same bin, but without a torus
     transform.  The delta's half spectrum is the real x' slab D times
     e^{-2 pi i m k0 / n} in bin m (module docstring), so the xi = 0 slab is
-    _apply_xi_zero of D, and each bin that slice_levels keeps takes
-    oscillator_transform of D, the level weights of apply_slice_multiplier
-    (from one profile call for all bins) and a synthesis along every x' axis
-    but the first.  Rows of the first x' axis then go through one buffer of
-    at most _ROW_BLOCK_BYTES (one row at least): the first-axis synthesis of
-    each bin whose row window meets the block fills it, and one real product
-    with those bins' cosine waves writes that block of the column.  A bin
-    enters no row where its bound is below eps^2 of its peak (module
-    docstring), so the column moves by less than rounding.  No complex array
-    is made, and no grid-sized one but the column.
+    _apply_xi_zero of D, and each bin of _kept_bins takes
+    oscillator_transform of D, its weights and a synthesis along every x'
+    axis but the first.  Rows of the first x' axis then go through one
+    buffer of at most _ROW_BLOCK_BYTES (one row at least): the first-axis
+    synthesis of each bin whose row window meets the block fills it, and one
+    real product with those bins' cosine waves writes that block of the
+    column.  A bin enters no row where its bound is below eps^2 of its peak
+    (module docstring), so the column moves by less than rounding.  No
+    complex array is made, and no grid-sized one but the column.
 
     y must be a grid node: an off-grid point raises ContractViolation, and
     its coordinates follow the number rule of grushin.errors.
@@ -261,26 +255,15 @@ def schwartz_kernel_column(profile: MultiplierProfile, grid: GrushinGrid,
     delta[tuple(foot)] = 1.0 / grid.cell_volume
     zero = _apply_xi_zero(profile, delta, prime).reshape(n_rows, row_size)
     floor = np.finfo(float).eps ** 2
-    slabs = []
-    for m in range(1, n // 2 + 1):
-        xi_mag = m * grid.xi_spacing
-        kept = slice_levels(profile, prime, xi_mag, trunc.k_max, trunc.lambda_max)
-        if kept:
-            slabs.append((m, xi_mag, kept))
-    # one profile call for the kept levels of every bin, not one per bin;
-    # the empty head keeps it valid when no bin is kept
-    values = profile(np.concatenate(
-        [np.zeros(0)] + [_level_eigenvalues(kept, xi_mag, d1)
-                         for _, xi_mag, kept in slabs]))
-    bins, factors, end = [0], [], 0
-    for m, xi_mag, kept in slabs:
-        end += len(kept)
-        coef = oscillator_transform(delta, prime, xi_mag, kept[-1])
-        coef *= _slice_weights(values[end - len(kept):end], kept, d1)
-        table = _tables(prime, xi_mag, kept[-1])
+    bins, factors = [0], []
+    for m, xi_mag, weights in _kept_bins(profile, grid, trunc):
+        k_hi = weights.shape[0] - 1
+        coef = oscillator_transform(delta, prime, xi_mag, k_hi)
+        coef *= weights
+        table = _tables(prime, xi_mag, k_hi)
         for axis in range(1, d1):
             coef = np.moveaxis(np.tensordot(table, coef, axes=(0, axis)), 0, axis)
-        coef = coef.reshape(kept.stop, row_size)
+        coef = coef.reshape(k_hi + 1, row_size)
         # the bound's second factor, max_col sum_a |Q_m[a, col]|, is one
         # number per bin: it drops a bin when 0 and otherwise leaves the
         # table alone to set the window

@@ -99,9 +99,11 @@ class PrimeGrid:
     def axis(self) -> np.ndarray:
         return -self.half_width + self.spacing * np.arange(self.n_points)
 
-    def reliable_level_cap(self, xi_mag: float = 1.0) -> int:
-        """Largest level whose turning point stays MIN_TURNING_MARGIN inside the box."""
+    def reliable_level_cap(self, xi_mag=1.0):
+        """Largest level whose turning point stays MIN_TURNING_MARGIN inside the box.
+
+        An int at one |xi|; an array of |xi| gives an int array of caps.
+        """
         reach = np.sqrt(xi_mag) * self.half_width - MIN_TURNING_MARGIN
-        if reach <= 0:
-            return -1
-        return int(np.floor((reach * reach - self.d1) / 2.0))
+        cap = np.where(reach > 0, np.floor((reach * reach - self.d1) / 2.0), -1)
+        return cap.astype(int) if cap.ndim else int(cap)

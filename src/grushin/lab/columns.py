@@ -135,7 +135,7 @@ def planar_radial_kernel(profile, r: np.ndarray,
 
 
 def _kernel_slab_coeff(profile, xi: np.ndarray, k_caps: np.ndarray,
-                       h_u: np.ndarray, h_0: np.ndarray, lambda_max: float):
+                       h_u: np.ndarray, h_0: np.ndarray):
     """Even-column coefficient matrices of the torus slabs at y' = (u, 0).
 
     Returns, for slab j at frequency xi[j] with top level k_caps[j], the
@@ -145,13 +145,14 @@ def _kernel_slab_coeff(profile, xi: np.ndarray, k_caps: np.ndarray,
     h_m(s_j u) and h_0 holds h_m(0), for m = 0 .. k_caps[j] at least.  F
     goes through one profile call, at the eigenvalues (2L + 2) xi_j,
     L <= 2 k_cap_j, of every slab in turn, and each C is a Hankel gather of
-    its slab's stretch.
+    its slab's stretch.  Level L is kept when L <= k_cap_j, the top level
+    of the slab in oscillator.torus_slabs, and is 0 past it.
     """
     sizes = 2 * k_caps + 1
     starts = np.cumsum(sizes) - sizes
     L = np.arange(sizes.sum()) - np.repeat(starts, sizes)
     lam = (2.0 * L + 2.0) * np.repeat(xi, sizes)
-    F = profile(lam) * (lam <= lambda_max * (1.0 + 1e-12))
+    F = profile(lam) * (L <= np.repeat(k_caps, sizes))
     coeffs = []
     for j, (k_cap, start) in enumerate(zip(k_caps.tolist(), starts.tolist())):
         even = np.arange(0, k_cap + 1, 2)
@@ -460,8 +461,7 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     roots = np.sqrt(xis)
     # column 0 holds h_m(0), column j holds h_m at slab j's sqrt(xi) u
     h_0u = hermite_table(k_caps.max(initial=0), np.r_[0.0, roots * u])
-    coeffs = _kernel_slab_coeff(profile, xis, k_caps, h_0u[:, 1:], h_0u[:, 0],
-                                top)
+    coeffs = _kernel_slab_coeff(profile, xis, k_caps, h_0u[:, 1:], h_0u[:, 0])
     spans = [span(n) for n in widest]
     slabs = {}
     for j, (C, even), rows, H1 in zip(

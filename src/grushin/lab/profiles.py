@@ -22,6 +22,10 @@ __all__ = [
     "dyadic_pieces",
 ]
 
+# time quadrature spacing of dyadic_pieces: resolves arguments mu up to
+# about pi / (8 _DS) ~ 8
+_DS = 0.05
+
 
 def smoothstep(u) -> np.ndarray:
     """C-infinity monotone step: 0 for u <= 0, 1 for u >= 1."""
@@ -136,17 +140,14 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
 
 
 def dyadic_pieces(profile: Callable[[np.ndarray], np.ndarray],
-                  cutoffs: CutoffSpec, n_levels: int,
-                  ds: float = 0.05) -> List[PieceProfile]:
+                  cutoffs: CutoffSpec, n_levels: int) -> List[PieceProfile]:
     """Split a profile supported in [1/4, 1] into dyadic cosine pieces.
 
     Piece l >= 1 windows the cosine transform by eta(2^-l s); piece 0 carries
     the low block eta_zero.  Summing the pieces reconstructs the profile by
-    cosine inversion.  ds controls the time quadrature spacing; the default
-    resolves arguments mu up to ~pi/(8 ds) ~ 8.
+    cosine inversion.  The time quadrature has spacing at most _DS.
     """
     check_integer(n_levels, "n_levels", minimum=1)
-    check_real(ds, "quadrature spacing", 0.0, strict=True)
     # support contract: the profile must live inside [1/4, 1]
     lam_probe = np.concatenate([np.linspace(0.0, 0.25, 200, endpoint=False),
                                 np.linspace(1.0, 8.0, 400)[1:]])
@@ -167,7 +168,7 @@ def dyadic_pieces(profile: Callable[[np.ndarray], np.ndarray],
     for level in range(n_levels + 1):
         hi = 2.0 ** level
         lo = 0.0 if level == 0 else hi / 4.0
-        n = max(9, int(np.ceil((hi - lo) / ds)) + 1)
+        n = max(9, int(np.ceil((hi - lo) / _DS)) + 1)
         s = np.linspace(lo, hi, n)
         w = _trapezoid_weights(n, s[1] - s[0])
         window = cutoffs.eta_zero(s) if level == 0 else cutoffs.eta(s / hi)

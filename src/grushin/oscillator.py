@@ -3,7 +3,10 @@
 Eigenfunctions are the dilated products Phi_nu^xi(x') = |xi|^{d1/4} Phi_nu(sqrt(|xi|) x')
 with eigenvalues (2|nu| + d1)|xi|.  All operations evaluate Hermite tables at the
 dilated argument directly; nothing is resampled or interpolated.  Every
-evaluator keeps the spectral window decided here: eigenvalue_cap, torus_slabs.
+evaluator keeps the spectral window decided here: eigenvalue_cap gives the top
+eigenvalue, and torus_slabs the levels each torus frequency keeps.  The
+engine, the radial path and the L^1 column path all take their slabs from
+torus_slabs.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from .errors import DomainError, TruncationError, check_real
 from .hermite import PrimeGrid, hermite_table
 
 __all__ = [
-    "active_level_range",
     "eigenvalue_cap",
     "oscillator_transform",
     "oscillator_synthesis",
@@ -43,24 +45,13 @@ def eigenvalue_cap(profile, lambda_max) -> float:
     return top
 
 
-def active_level_range(profile, xi_mag: float, d1: int, lambda_max,
-                       k_max: int | None = None):
-    """Levels k with eigenvalue (2k + d1) xi_mag in supp(F), at most the cap.
-
-    The cap is eigenvalue_cap's.  Returns (k_lo, k_hi), possibly an empty
-    range (k_lo > k_hi).  Given k_max, a non-empty range with k_hi past it
-    raises TruncationError(k_hi, xi_mag, k_max).
-    """
-    k_lo, k_hi = _level_ranges(profile, float(xi_mag), d1,
-                               eigenvalue_cap(profile, lambda_max), k_max)
-    return int(k_lo), int(k_hi)
-
-
 def _level_ranges(profile, xis, d1: int, top: float, k_max):
-    """active_level_range of each slab xis (an array or one float) under top.
+    """Level ranges (k_lo, k_hi) of the slabs xis (an array or one float).
 
-    top is an eigenvalue_cap.  Given k_max, the first non-empty range past
-    it raises TruncationError.
+    The levels k of slab xi are those with eigenvalue (2k + d1) xi in the
+    profile's support and at most top, an eigenvalue_cap; a range may be
+    empty (k_lo > k_hi).  Given k_max, the first non-empty range past it
+    raises TruncationError(k_hi, xi, k_max).
     """
     a = profile.support[0]
     if top < a:
@@ -82,7 +73,7 @@ def torus_slabs(profile, top: float, dxi: float, d1: int,
 
     top is an eigenvalue_cap, xi_j = j dxi and j_top = floor(top / (d1 dxi)
     + 1e-12): the slabs whose lowest eigenvalue d1 xi_j is at most top.  Each
-    level range is that of active_level_range and may be empty.  Given
+    level range is that of _level_ranges and may be empty.  Given
     k_max, the first non-empty slab past it raises TruncationError; slab 1,
     which has the most levels, is checked before the arrays are built.
     """

@@ -10,9 +10,10 @@ it:
   gamma = 0 reference of the radial path), its Gaussian tail fit, and the
   exact p = 1 level-k restriction norm from its maximum;
 - the Hardy-type weight check on the oscillator transform;
-- the full-lattice multiplier path (complex FFT over the torus axis, every
-  +-xi bin weighted by the real profile values), against which the engine's
-  half-lattice path is checked;
+- one |xi| slice of F(L) by transform, level weights and synthesis, and the
+  full-lattice multiplier path built on it (complex FFT over the torus
+  axis, every +-xi bin weighted as the engine's _kept_bins list says),
+  against which the engine's half-lattice path is checked;
 - the weighted radial Gram matrix M M^T from the radial path's closed-form
   factor (compared with quadrature and mpmath in the radial tests);
 - the discrete inner product and L^p norm of fields, fields sampled from a
@@ -31,7 +32,7 @@ from grushin.errors import (
     TruncationError,
     check_real,
 )
-from grushin.engine import _apply_xi_zero, apply_slice_multiplier, slice_levels
+from grushin.engine import _apply_xi_zero, _kept_bins
 from grushin.fields import Field, GrushinGrid, MultiplierProfile, SpectralTruncation
 from grushin.hermite import PrimeGrid, hermite_table
 from grushin.lab.radial import _connection_matrix, _gauss_modes
@@ -301,43 +302,51 @@ def _full_lattice_phase(grid: GrushinGrid) -> np.ndarray:
     return 1.0 - 2.0 * (np.abs(xi_index(grid)) % 2)
 
 
-def full_lattice_groups(grid: GrushinGrid) -> list:
-    """[(xi_mag, indices)] over the whole dual lattice, grouped by |xi|.
+def level_weights(profile: MultiplierProfile, xi_mag: float, d1: int,
+                  levels: range) -> np.ndarray:
+    """F((2|nu| + d1)|xi|) over the coefficients nu of one |xi| slice.
 
-    Each group but those of 0 and the Nyquist bin holds the pair +-m.
+    The tensor has levels.stop entries along each of its d1 axes, and is 0
+    where |nu| is not in levels.
     """
-    key = xi_index(grid).astype(np.int64) ** 2
-    order = np.argsort(key, kind="stable")
-    groups, start = [], 0
-    for stop in range(1, order.size + 1):
-        if stop == order.size or key[order[stop]] != key[order[start]]:
-            groups.append((grid.xi_spacing * float(np.sqrt(key[order[start]])),
-                           order[start:stop]))
-            start = stop
-    return groups
+    nu = _level_weights((levels.stop,), d1)
+    kept = (nu >= levels.start) & (nu < levels.stop)
+    return np.where(kept, profile((2 * nu + d1) * xi_mag), 0.0)
+
+
+def slice_multiplier(weights: np.ndarray, f: np.ndarray, prime: PrimeGrid,
+                     xi_mag: float) -> np.ndarray:
+    """F(L_xi) f on one nonzero |xi| slice, by transform, weights, synthesis.
+
+    weights is F at the eigenvalue of each coefficient (level_weights, or
+    the engine's _kept_bins).  The first d1 axes of f are spatial; trailing
+    axes are a batch of slices sharing |xi|.
+    """
+    coef = oscillator_transform(f, prime, xi_mag, weights.shape[0] - 1)
+    weights = weights.reshape(weights.shape + (1,) * (coef.ndim - prime.d1))
+    return oscillator_synthesis(coef * weights, prime, xi_mag)
 
 
 def full_lattice_apply(profile: MultiplierProfile, field: Field,
                        trunc: SpectralTruncation) -> np.ndarray:
     """F(L) f through a complex FFT over the torus axis and every lattice bin.
 
-    The engine's slice kernels weight each |xi| group by the real profile
-    values, as in the engine; only the lattice handling differs: no
-    real-input half spectrum, and each +-xi pair goes through the slice
-    kernel together.  The zero bin of the real field's spectrum is real, and
-    its real part goes to _apply_xi_zero as the engine passes it.  The result
-    is complex; its imaginary part is rounding.
+    The bins, and their weights, are the engine's _kept_bins list; only the
+    lattice handling differs: no real-input half spectrum, and each +-m
+    pair goes through slice_multiplier together.  The zero bin of the real
+    field's spectrum is real, and its real part goes to _apply_xi_zero as
+    the engine passes it; every other bin is zeroed.  The result is complex;
+    its imaginary part is rounding.
     """
     grid, prime = field.grid, field.grid.prime
     spacing = grid.second_spacing / np.sqrt(2.0 * np.pi)
     fh = np.fft.fft(field.values) * _full_lattice_phase(grid) * spacing
-    for xi_mag, idx in full_lattice_groups(grid):
-        if xi_mag == 0.0:
-            fh[..., idx] = _apply_xi_zero(profile, fh[..., idx].real, prime)
-        elif slice_levels(profile, prime, xi_mag, trunc.k_max, trunc.lambda_max):
-            fh[..., idx] = apply_slice_multiplier(profile, fh[..., idx], prime, xi_mag,
-                                                  trunc.k_max, trunc.lambda_max)
-        else:
-            fh[..., idx] = 0.0
-    fh *= _full_lattice_phase(grid) / spacing
-    return np.fft.ifft(fh)
+    labels = np.abs(xi_index(grid))
+    out = np.zeros_like(fh)
+    out[..., labels == 0] = _apply_xi_zero(profile, fh[..., labels == 0].real,
+                                           prime)
+    for m, xi_mag, weights in _kept_bins(profile, grid, trunc):
+        pair = labels == m
+        out[..., pair] = slice_multiplier(weights, fh[..., pair], prime, xi_mag)
+    out *= _full_lattice_phase(grid) / spacing
+    return np.fft.ifft(out)

@@ -57,3 +57,28 @@ def test_unpaired_run_is_left_out():
     got = bench_pairs.summarize(RUNS + [run(4, "parent", 9.0, 9.0, {})])
     assert got["w"]["wall_s"]["pairs"] == 4
     assert got["w"]["wall_s"]["parent_median"] == pytest.approx(0.295)
+
+
+END_TO_END = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+              {"name": "setup_s", "better": "lower", "bound": 0.25}]
+
+
+def test_fixed_runs_are_within_bound():
+    got = bench_pairs.add_verdicts(bench_pairs.summarize(RUNS), END_TO_END)["w"]
+    assert got["wall_s"]["verdict"] == got["setup_s"]["verdict"] == "within bound"
+
+
+@pytest.mark.parametrize("parent, change, better, want", [
+    # the change's median 1.3 is 30% above the parent's 1.0
+    ([1.0, 1.0, 1.01, 0.99], [1.3, 1.3, 1.29, 1.31], "lower", "worse"),
+    ([1.0, 1.0, 1.01, 0.99], [0.7, 0.7, 0.71, 0.69], "higher", "worse"),
+    # 20% above: inside the bound, and the parent's spread is narrow
+    ([1.0, 1.0, 1.01, 0.99], [1.2, 1.2, 1.21, 1.19], "lower", "within bound"),
+    # parent quartiles 1.75 and 3.25: 1.5 apart, above 0.25 x 2.5
+    ([1.0, 2.0, 3.0, 4.0], [2.0, 2.5, 3.0, 2.0], "lower", "unresolved"),
+    # the same spread, but every change run beats every parent run
+    ([1.0, 2.0, 3.0, 4.0], [0.5, 0.6, 0.7, 0.8], "lower", "within bound"),
+    ([1.0, 2.0, 3.0, 4.0], [4.5, 4.6, 4.7, 4.8], "higher", "within bound"),
+])
+def test_verdict(parent, change, better, want):
+    assert bench_pairs.verdict(parent, change, better, 0.25) == want

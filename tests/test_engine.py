@@ -20,6 +20,7 @@ from oracles import (
     full_lattice_apply,
     indicator,
     inner,
+    level_weights,
     multiindex_enum,
     norm_lp,
     phi_xi_eval,
@@ -42,6 +43,7 @@ from grushin.fields import (
 )
 from grushin.hermite import PrimeGrid
 from grushin.lab.profiles import CutoffSpec, dyadic_pieces
+from grushin.oscillator import eigenvalue_cap, torus_slabs
 
 
 @pytest.fixture(scope="module")
@@ -418,11 +420,8 @@ class TestHalfLatticeMatchesFullLattice:
             lambda lam: ((lam <= 8.0) | (lam >= 40.0) & (lam <= 64.0))
             .astype(float),
             (0.0, 64.0), "gapped band")
-        xis = grid.xi_spacing * np.arange(1, grid.n_second // 2 + 1)
-        kept = [engine.slice_levels(gapped, grid.prime, xi, tr.k_max,
-                                    tr.lambda_max) for xi in xis]
-        silent = [not gapped(engine._level_eigenvalues(k, xi, 2)).any()
-                  for k, xi in zip(kept, xis) if k]
+        silent = [not weights.any()
+                  for _, _, weights in engine._kept_bins(gapped, grid, tr)]
         assert 0 < sum(silent) < len(silent)
         ax = grid.prime.axis
         assert_column_matches(gapped, grid, (ax[140], ax[97]), (0.0,), tr)
@@ -479,46 +478,92 @@ def test_column_matches_apply_multiplier(case):
 
 def test_nyquist_case_keeps_the_nyquist_bin():
     grid, tr = nyquist_grid()
-    xi_top = grid.n_second // 2 * grid.xi_spacing
-    assert engine.slice_levels(wave_cosine(0.5), grid.prime,
-                               xi_top, tr.k_max, tr.lambda_max)
+    kept = engine._kept_bins(wave_cosine(0.5), grid, tr)
+    # the slabs run to bin 10 (lowest eigenvalue 2 |xi| <= 40); the list
+    # stops at n/2 = 8
+    assert kept[-1][0] == grid.n_second // 2
 
 
-@pytest.mark.parametrize("grid, tr", [
-    # lambda_max high enough that the smallest slice needs k > k_max
+@pytest.mark.parametrize("grid, tr, want", [
+    # lambda_max high enough that the smallest slice needs k = 5 > k_max
     (GrushinGrid(PrimeGrid(7.0, 64, 2), np.pi / 2, 128, 1),
-     SpectralTruncation(k_max=3, lambda_max=26.0)),
-    # wide profile on a narrow window: the grid cap trips first
+     SpectralTruncation(k_max=3, lambda_max=26.0), (5, 2.0, 3)),
+    # wide profile on a narrow window: the grid cap, 3 at |xi| = 2, trips
+    # before k_max
     (GrushinGrid(PrimeGrid(5.0, 64, 2), np.pi / 2, 32, 1),
-     SpectralTruncation(k_max=40, lambda_max=60.0)),
+     SpectralTruncation(k_max=40, lambda_max=60.0), (14, 2.0, 3)),
 ], ids=["k-max", "grid-cap"])
-def test_column_truncation_error_matches_apply_multiplier(grid, tr):
+def test_column_truncation_error_matches_apply_multiplier(grid, tr, want):
+    # both paths raise the one refusal of _kept_bins: (level, |xi|, cap)
     foot = (grid.prime.axis[32], grid.prime.axis[32]), (grid.second_axis[3],)
     heat = MultiplierProfile.heat(0.05)
     with pytest.raises(TruncationError) as via_fft:
         apply_multiplier(heat, delta_field(grid, *foot), tr)
     with pytest.raises(TruncationError) as column:
         schwartz_kernel_column(heat, grid, *foot, tr)
-    got, want = column.value, via_fft.value
-    assert (got.level, got.xi_mag, got.k_max) == (want.level, want.xi_mag, want.k_max)
+    for err in (via_fft.value, column.value):
+        assert (err.level, err.xi_mag, err.k_max) == want
+
+
+def support_piece_case():
+    """The level-1 kernel_support profile at t = 1 on its grid."""
+    cutoffs = CutoffSpec.standard()
+    piece = dyadic_pieces(cutoffs.eta, cutoffs, n_levels=2)[1]
+    return (MultiplierProfile(lambda lam: piece(np.sqrt(np.maximum(lam, 0.0))),
+                              (0.0, np.inf)), *support_grid())
+
+
+KEPT_BIN_CASES = {
+    # the benchmark's grids with profiles it applies there
+    "support": support_piece_case,
+    "heat": lambda: (MultiplierProfile.heat(0.1),
+                     GrushinGrid(PrimeGrid(8.0, 192, 2), 1.0, 128, 1),
+                     SpectralTruncation(k_max=48, lambda_max=280.0)),
+    # slabs 9 and 10 lie past the Nyquist bin 8
+    "nyquist": lambda: (wave_cosine(0.5), *nyquist_grid()),
+}
+
+
+@pytest.mark.parametrize("case", KEPT_BIN_CASES.values(),
+                         ids=KEPT_BIN_CASES.keys())
+def test_kept_bins_are_the_non_empty_slabs_up_to_nyquist(case):
+    profile, grid, tr = case()
+    xis, k_lo, k_hi = torus_slabs(profile, eigenvalue_cap(profile, tr.lambda_max),
+                                  grid.xi_spacing, grid.d1, tr.k_max)
+    want = [(m, xi, range(lo, hi + 1)) for m, xi, lo, hi
+            in zip(range(1, xis.size + 1), xis.tolist(), k_lo.tolist(),
+                   k_hi.tolist())
+            if lo <= hi and m <= grid.n_second // 2]
+    got = engine._kept_bins(profile, grid, tr)
+    assert [(m, xi) for m, xi, _ in got] == [(m, xi) for m, xi, _ in want]
+    for (_, xi, weights), (_, _, levels) in zip(got, want):
+        np.testing.assert_allclose(
+            weights, level_weights(profile, xi, grid.d1, levels), rtol=1e-15,
+            atol=0.0)
 
 
 class TestSharedWindow:
-    # slice_levels takes its levels and its k_max check from
-    # oscillator.active_level_range; only the grid cap is its own
+    # _kept_bins takes its levels and its k_max check from
+    # oscillator.torus_slabs; only the Nyquist cut and the grid cap are its
+    # own
 
     def test_cap_on_an_eigenvalue_keeps_its_level(self):
-        prime, xi = PrimeGrid(12.0, 128, 2), 3 * np.pi / 1.3
+        grid = GrushinGrid(PrimeGrid(12.0, 128, 2), 1.3, 8, 1)
+        xi = 3 * grid.xi_spacing
         for k in range(6):
-            kept = engine.slice_levels(indicator(0.0, 1e6), prime, xi, 40,
-                                       (2 * k + 2) * xi)
-            assert kept == range(0, k + 1)
+            tr = SpectralTruncation(k_max=40, lambda_max=(2 * k + 2) * xi)
+            kept = {m: weights for m, _, weights
+                    in engine._kept_bins(indicator(0.0, 1e6), grid, tr)}
+            assert kept[3].shape == (k + 1, k + 1)
+            assert kept[3][k, 0] == 1.0 and kept[3].sum() == (k + 1) * (k + 2) / 2
 
     def test_support_floor_between_eigenvalues_gives_an_empty_range(self):
-        # the eigenvalues 8 and 16 at |xi| = 4 miss [9, 13]
-        kept = engine.slice_levels(indicator(9.0, 13.0), PrimeGrid(7.0, 64, 2),
-                                   4.0, 40, 13.0)
-        assert kept == range(1, 1)
+        # |xi| = 2, 4, 6, 8: the eigenvalues 8 and 16 at |xi| = 4 miss
+        # [9, 13], so bin 2 is left out
+        grid = GrushinGrid(PrimeGrid(7.0, 64, 2), np.pi / 2, 8, 1)
+        kept = engine._kept_bins(indicator(9.0, 13.0), grid,
+                                 SpectralTruncation(k_max=40, lambda_max=13.0))
+        assert [m for m, _, _ in kept] == [1, 3]
 
     @pytest.mark.parametrize("path", ["apply_multiplier",
                                       "schwartz_kernel_column"])
@@ -628,11 +673,16 @@ class TestWorkAndMemory:
                                      (0.0, 0.0), (0.0,), trunc)
         assert col.values.dtype == np.float64
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_empty_slice_keeps_the_input_dtype(self, grid, dtype):
-        # no level of the band lies under lambda_max = 16 at |xi| = 2
-        f = np.ones(grid.prime.axis.shape * 2 + (3,), dtype=dtype)
-        out = engine.apply_slice_multiplier(indicator(1000.0, 2000.0), f,
-                                            grid.prime, 2.0, 12, 16.0)
-        assert out.dtype == dtype
-        assert out.shape == f.shape and not out.any()
+    def test_bins_without_a_kept_level_are_zeroed(self, grid, rough_field,
+                                                  monkeypatch):
+        # |xi| = 2m: [9, 13] holds the eigenvalue 12 of bins 1 and 3 only;
+        # every other nonzero bin of the half spectrum goes back as zeros
+        inverse, spectra = engine.inverse_partial_fourier, []
+        monkeypatch.setattr(engine, "inverse_partial_fourier",
+                            lambda g, fhat: spectra.append(fhat.copy())
+                            or inverse(g, fhat))
+        apply_multiplier(indicator(9.0, 13.0), rough_field,
+                         SpectralTruncation(k_max=12, lambda_max=13.0))
+        fhat, = spectra
+        live = np.flatnonzero(np.abs(fhat).max(axis=(0, 1)))
+        assert live.tolist() == [0, 1, 3]

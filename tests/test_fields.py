@@ -26,7 +26,6 @@ from grushin.geometry import MetricPoint, ball_volume, ball_volume_model
 from grushin.hermite import PrimeGrid
 from grushin.lab.columns import heat_kernel_pointwise, l1_multiplier_norm
 from grushin.lab.experiments import geometry_suite, heat_gaussian_check
-from grushin.lab.profiles import CutoffSpec, dyadic_pieces
 from grushin.lab.radial import weighted_column_norms
 from grushin.lab.reports import ScalingReport
 
@@ -221,10 +220,6 @@ class TestSpectralTruncation:
     lambda: ball_volume_model(MetricPoint((0.0, 0.0), (0.0,)), np.nan),
     lambda: ball_volume_model(MetricPoint((0.0, 0.0), (0.0,)), np.inf),
     lambda: ScalingReport.fit([1.0, 2.0, 4.0], [1.0, np.nan, 4.0], 1.0),
-    lambda: dyadic_pieces(CutoffSpec.standard().eta, CutoffSpec.standard(), 3,
-                          ds=np.nan),
-    lambda: dyadic_pieces(CutoffSpec.standard().eta, CutoffSpec.standard(), 3,
-                          ds=np.inf),
     lambda: heat_kernel_pointwise(((0.0, 0.0), (0.0,)), ((0.0, 0.0), (0.0,)),
                                   np.nan, 12.0),
     lambda: heat_gaussian_check(times=[np.nan]),
@@ -258,8 +253,8 @@ class TestSpectralTruncation:
     lambda: MultiplierProfile(lambda lam: 0.0 * lam, (0.0, 1.0, 2.0)),
 ], ids=["prime-extent-nan", "torus-half-period-inf", "lambda-max-inf",
         "ball-radius-nan", "bochner-riesz-delta-nan", "ball-model-radius-nan",
-        "ball-model-radius-inf", "scaling-fit-norm-nan", "dyadic-ds-nan",
-        "dyadic-ds-inf", "heat-kernel-time-nan", "heat-check-time-nan",
+        "ball-model-radius-inf", "scaling-fit-norm-nan",
+        "heat-kernel-time-nan", "heat-check-time-nan",
         "grid-two-torus-axes", "grid-past-the-node-cap", "k-max-nan",
         "k-max-fractional", "wave-time-nan", "locate-foot-nan",
         "kernel-column-foot-nan", "heat-time-string", "lambda-max-string",

@@ -8,20 +8,21 @@ import pytest
 from oracles import (
     bump,
     indicator,
+    level_weights,
     phi_xi_eval,
     restriction_norm_level,
+    slice_multiplier,
     wave_cosine,
     weighted_oscillator_check,
 )
 
-from grushin.engine import apply_slice_multiplier
+from grushin.engine import _kept_bins
 from grushin.errors import DomainError, TruncationError
-from grushin.fields import MultiplierProfile
+from grushin.fields import GrushinGrid, MultiplierProfile, SpectralTruncation
 from grushin.hermite import PrimeGrid, hermite_table
 from grushin.lab.columns import l1_multiplier_norm, planar_radial_kernel
 from grushin.lab.radial import weighted_column_norms, weighted_operator_norm
 from grushin.oscillator import (
-    active_level_range,
     eigenvalue_cap,
     oscillator_synthesis,
     oscillator_transform,
@@ -76,23 +77,29 @@ class TestEigenfunctions:
 
 
 class TestActiveLevelRange:
+    """The levels one torus frequency keeps: slab 1 of torus_slabs, under
+    eigenvalue_cap, at slab spacing |xi| = 1 and d1 = 1."""
+
+    @staticmethod
+    def first_slab(profile, lambda_max):
+        _, k_lo, k_hi = torus_slabs(profile, eigenvalue_cap(profile, lambda_max),
+                                    1.0, 1)
+        return k_lo.tolist()[0], k_hi.tolist()[0]
+
     def test_interior_band(self):
-        prof = indicator(3.0, 10.0)
-        assert active_level_range(prof, 1.0, 1, 100.0) == (1, 4)
+        assert self.first_slab(indicator(3.0, 10.0), 100.0) == (1, 4)
 
     def test_edge_eigenvalue_included(self):
-        prof = indicator(3.0, 9.0)
         # eigenvalue (2*4+1)*1 = 9 sits exactly on the support edge
-        assert active_level_range(prof, 1.0, 1, 100.0)[1] == 4
+        assert self.first_slab(indicator(3.0, 9.0), 100.0)[1] == 4
 
     def test_lambda_cap_shrinks_range(self):
-        prof = indicator(3.0, 10.0)
-        assert active_level_range(prof, 1.0, 1, 7.0) == (1, 3)
+        assert self.first_slab(indicator(3.0, 10.0), 7.0) == (1, 3)
 
     def test_empty_when_support_above_cap(self):
-        prof = indicator(1000.0, 2000.0)
-        k_lo, k_hi = active_level_range(prof, 1.0, 1, 100.0)
-        assert k_hi < k_lo
+        # the cap 100 lies below the support: every slab is empty
+        xis, k_lo, k_hi = torus_slabs(indicator(1000.0, 2000.0), 100.0, 1.0, 1)
+        assert xis.size == 100 and np.all(k_hi < k_lo)
 
 
 class TestEigenvalueCap:
@@ -215,10 +222,6 @@ class TestTorusSlabs:
         slabs = torus_slabs(prof, top, dxi, d1, k_max)
         assert [a.dtype.kind for a in slabs] == ["f", "i", "i"]
         assert as_tuples(slabs) == want
-        # each slab as active_level_range reads it alone
-        for xi, k_lo, k_hi in want:
-            if k_max is None or k_lo > k_hi or k_hi <= k_max:
-                assert active_level_range(prof, xi, d1, top) == (k_lo, k_hi)
 
     def test_k_max_names_the_first_non_empty_slab_past_it(self):
         # d1 = 1, xi_j = j: eigenvalues (2k + 1) j; slab 1 has none in
@@ -273,15 +276,24 @@ class TestTransform:
                 < 1e-13 * np.max(np.abs(one))
 
 
+def one_bin_grid(prime, xi):
+    """A torus of two points whose one nonzero bin sits at |xi| = xi."""
+    return GrushinGrid(prime, np.pi / xi, 2, 1)
+
+
 class TestApplyMultiplier:
-    """The per-slice kernel the engine runs on every nonzero |xi| group."""
+    """The per-slice kernel the engine runs on every nonzero |xi| bin:
+    transform, level weights, synthesis (oracles.slice_multiplier), and the
+    engine's choice of bins and levels (engine._kept_bins)."""
 
     def test_identity_on_span(self, grid2d):
         xi, k_hi = 1.5, 6
         f, _ = random_span_field(grid2d, xi, k_hi, seed=8)
         top = (2 * (2 * k_hi) + 2) * xi + 1.0
         ident = indicator(0.0, top)
-        out = apply_slice_multiplier(ident, f, grid2d, xi, 12, lambda_max=39.0)
+        # levels 0 ... 12: eigenvalues (2k + 2) 1.5 up to 39
+        out = slice_multiplier(level_weights(ident, xi, 2, range(13)), f,
+                               grid2d, xi)
         assert np.max(np.abs(out - f)) < 1e-8 * np.max(np.abs(f))
 
     def test_indicator_projects_single_level(self, grid2d):
@@ -294,7 +306,8 @@ class TestApplyMultiplier:
         f = 2.0 * f1 + 3.0 * f4
         lam1 = (2 * 1 + 2) * xi
         band = indicator(lam1 - xi, lam1 + xi)
-        out = apply_slice_multiplier(band, f, grid2d, xi, 10, lambda_max=44.0)
+        out = slice_multiplier(level_weights(band, xi, 2, range(1, 2)), f,
+                               grid2d, xi)
         assert np.max(np.abs(out - 2.0 * f1)) < 1e-9 * np.max(np.abs(f1))
 
     def test_multiplicativity(self, grid2d):
@@ -307,17 +320,21 @@ class TestApplyMultiplier:
         fg = MultiplierProfile(
             lambda lam: np.exp(-0.3 * lam) * lam / (1.0 + lam) * (lam <= top),
             (0.0, top))
-        kw = dict(k_max=14, lambda_max=top)
-        once = apply_slice_multiplier(fg, f, grid2d, xi, **kw)
-        twice = apply_slice_multiplier(
-            fp, apply_slice_multiplier(gp, f, grid2d, xi, **kw), grid2d, xi, **kw)
+
+        def apply(prof, g):
+            # levels 0 ... 14: eigenvalues 2k + 2 up to top
+            return slice_multiplier(level_weights(prof, xi, 2, range(15)), g,
+                                    grid2d, xi)
+
+        once = apply(fg, f)
+        twice = apply(fp, apply(gp, f))
         assert np.max(np.abs(once - twice)) < 1e-9 * np.max(np.abs(once))
 
     def test_truncation_error_names_offender(self, grid2d):
-        f = np.zeros((grid2d.n_points,) * 2)
         wide = indicator(0.0, 30.0)
         with pytest.raises(TruncationError) as err:
-            apply_slice_multiplier(wide, f, grid2d, 1.0, 3, lambda_max=30.0)
+            _kept_bins(wide, one_bin_grid(grid2d, 1.0),
+                       SpectralTruncation(k_max=3, lambda_max=30.0))
         assert err.value.level == 14
         assert err.value.k_max == 3
 
@@ -325,14 +342,16 @@ class TestApplyMultiplier:
         tiny = PrimeGrid(5.0, 64, 1)
         wide = indicator(0.0, 400.0)
         with pytest.raises(TruncationError) as err:
-            apply_slice_multiplier(wide, np.zeros(64), tiny, 1.0, 500, lambda_max=1001.0)
+            _kept_bins(wide, one_bin_grid(tiny, 1.0),
+                       SpectralTruncation(k_max=500, lambda_max=1001.0))
         assert err.value.k_max == tiny.reliable_level_cap(1.0)
 
     def test_empty_band_returns_zero(self, grid2d):
-        f, _ = random_span_field(grid2d, 1.0, 3, seed=10)
+        # no level of the band lies under lambda_max: the bin is not kept,
+        # and the engine zeroes it
         high = indicator(500.0, 600.0)
-        out = apply_slice_multiplier(high, f, grid2d, 1.0, 10, lambda_max=22.0)
-        assert np.count_nonzero(out) == 0
+        assert _kept_bins(high, one_bin_grid(grid2d, 1.0),
+                          SpectralTruncation(k_max=10, lambda_max=22.0)) == []
 
 
 class TestRestrictionNorm:

@@ -136,12 +136,9 @@ class TestSobolevNorm:
                           n_levels=1.5),
     lambda: dyadic_pieces(CutoffSpec.standard().eta, CutoffSpec.standard(),
                           n_levels=True),
-    lambda: dyadic_pieces(CutoffSpec.standard().eta, CutoffSpec.standard(),
-                          n_levels=1, ds=[0.05, 0.1]),
     lambda: sobolev_norm(np.zeros(16), 0.1, [1.0, 2.0]),
 ], ids=["sobolev-order-string", "sobolev-spacing-string",
-        "dyadic-levels-fractional", "dyadic-levels-bool", "dyadic-ds-list",
-        "sobolev-order-list"])
+        "dyadic-levels-fractional", "dyadic-levels-bool", "sobolev-order-list"])
 def test_bad_numbers_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
@@ -187,8 +184,6 @@ class TestDyadicPieces:
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
             dyadic_pieces(self.cs.eta, self.cs, n_levels=0)
-        with pytest.raises(DomainError):
-            dyadic_pieces(self.cs.eta, self.cs, n_levels=3, ds=0.0)
 
 
 def test_piece_values_do_not_depend_on_the_blas_thread_count():

@@ -12,7 +12,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from grushin import engine
 from grushin.errors import DomainError, TruncationError
-from grushin.fields import MultiplierProfile
+from grushin.fields import GrushinGrid, MultiplierProfile, SpectralTruncation
 from grushin.hermite import PrimeGrid
 from grushin.lab.experiments import band_profile
 from grushin.lab import radial
@@ -432,7 +432,9 @@ class TestSharedWindow:
         with pytest.raises(TruncationError) as err:
             weighted_column_norms(band, [0.0], 0.0, np.pi / 2.0, 1, 13.0)
         with pytest.raises(TruncationError) as via_engine:
-            engine.slice_levels(band, PrimeGrid(12.0, 128, 2), 2.0, 1, 13.0)
+            engine._kept_bins(band, GrushinGrid(PrimeGrid(12.0, 128, 2),
+                                                np.pi / 2.0, 8, 1),
+                              SpectralTruncation(k_max=1, lambda_max=13.0))
         for e in (err.value, via_engine.value):
             assert (e.level, e.xi_mag, e.k_max) == (2, 2.0, 1)
 

@@ -11,8 +11,9 @@ checkout's root, for BENCHMARK.json's run_seconds and with the same seed;
 every pair has its own seed.  Even pairs run the parent first, odd pairs the
 change first, and within a pair index the workloads run in turn.  The output keeps each run's final JSON line and the
 per-operation seconds of its rounds (from benchmark/out/), and summarizes
-each end-to-end metric: the median and quartiles of each side, and in how
-many pairs the change was lower.
+each end-to-end metric: the median and quartiles of each side, in how many
+pairs the change was lower, and a verdict against BENCHMARK.json's bound
+(verdict).
 """
 
 from __future__ import annotations
@@ -87,6 +88,41 @@ def summarize(runs) -> dict:
     return out
 
 
+def verdict(parent, change, better: str, bound: float) -> str:
+    """How one end-to-end metric of the change stands against the parent's.
+
+    better is "lower" or "higher" and bound is relative, as BENCHMARK.json
+    gives them.  "worse": the change's median is past the parent's, on the
+    worse side, by more than bound times the parent's median.  "unresolved":
+    the parent's interquartile distance is more than bound times its median,
+    unless every change run beats every parent run.  "within bound":
+    otherwise.
+    """
+    sign = 1.0 if better == "lower" else -1.0  # sign * value: lower is better
+    median = statistics.median(parent)
+    if sign * (statistics.median(change) - median) > bound * abs(median):
+        return "worse"
+    q1, q3 = quartiles(parent)
+    if (q3 - q1 > bound * abs(median)
+            and not max(sign * c for c in change) < min(sign * p for p in parent)):
+        return "unresolved"
+    return "within bound"
+
+
+def add_verdicts(summary: dict, end_to_end) -> dict:
+    """Put a verdict into each end-to-end metric of summarize's output.
+
+    end_to_end is BENCHMARK.json's list of {name, better, bound}.
+    """
+    for metrics in summary.values():
+        for spec in end_to_end:
+            if spec["name"] in metrics:
+                m = metrics[spec["name"]]
+                m["verdict"] = verdict(m["parent_values"], m["change_values"],
+                                       spec["better"], spec["bound"])
+    return summary
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float):
     """benchmark/run.py's final JSON line and its rounds' op seconds."""
     proc = subprocess.run(
@@ -146,7 +182,7 @@ def main(argv=None) -> int:
         "seeds": {w: [args.seed0 + k * args.pairs + i
                       for i in range(args.pairs)]
                   for k, w in enumerate(workloads)},
-        "summary": summarize(runs),
+        "summary": add_verdicts(summarize(runs), spec["end_to_end"]),
         "runs": runs,
     }, indent=1) + "\n")
     return 0
