@@ -8,6 +8,11 @@ runner's signature, one key per keyword parameter, and an unset key takes
 the keyword's default.  Every run echoes the fully resolved configuration,
 so a report is reproducible from its own header alone.
 
+Each run writes report.csv, the kind's rows, and report.json: ``kind``,
+``version``, the resolved ``config``, a ``summary`` that for the norm kinds
+holds one sweep report per swept axis (lab.reports.sweep_report), and
+``certificates``, the distinct values of the CSV's certificate column.
+
 Exit codes: 0 success; 2 invalid configuration or any other library error
 the configured values raise (the message names the cause); 3 truncation or
 aliasing violation with diagnostics.

@@ -25,13 +25,12 @@ from .radial import (
     weighted_column_norms,
     weighted_operator_norm,
 )
-from .reports import ScalingReport, rows_to_csv
+from .reports import rows_to_csv, sweep_report
 
 __all__ = [
     "CutoffSpec",
     "ExperimentResult",
     "PieceProfile",
-    "ScalingReport",
     "band_profile",
     "bochner_riesz_radial_kernel",
     "bochner_riesz_sweep",
@@ -50,6 +49,7 @@ __all__ = [
     "rows_to_csv",
     "smoothstep",
     "sobolev_norm",
+    "sweep_report",
     "weighted_column_norms",
     "weighted_operator_norm",
 ]

@@ -1,15 +1,15 @@
 """End-to-end scaling experiments with frozen, measured configurations.
 
-Each experiment sweeps one parameter of a spectral-multiplier family, measures
-operator norms with an exact p = 1 estimator, and reduces the sweep to a small
-summary: a fitted log-log slope against the exponent predicted by the
-anisotropic dilation structure, or a max/min uniformity ratio.  Defaults are
-desk-scale configurations whose truncation parameters were chosen by
-convergence measurements; they run in seconds to a few minutes.
+The four norm experiments sweep one parameter of a spectral-multiplier
+family, measure operator norms with an exact p = 1 estimator, and reduce each
+swept axis to one reports.sweep_report: step and fitted log-log slopes,
+max/min, and the slope the anisotropic dilation structure predicts where one
+is known.  Defaults are desk-scale configurations whose truncation parameters
+were chosen by convergence measurements; they run in seconds to a few minutes.
 
-Every function returns an ExperimentResult: plot-ready CSV rows plus a
-JSON-able summary embedding the certificates of all norms used.  Results are
-deterministic for a fixed configuration and seed.
+Every function returns an ExperimentResult: plot-ready CSV rows, the last
+column naming each norm's certificate where a kind has one, plus a JSON-able
+summary.  Results are deterministic for a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .columns import (
 )
 from .profiles import CutoffSpec, PieceProfile, dyadic_pieces, sobolev_norm
 from .radial import _MAX_SCAN, weighted_column_norms, weighted_operator_norm
-from .reports import ScalingReport, _line_fit
+from .reports import _line_fit, sweep_report
 
 __all__ = [
     "ExperimentResult",
@@ -144,17 +144,11 @@ def weighted_restriction_experiment(
             k_max=k_max, lambda_max=radius * radius, n_scan=n_scan)
         norms.append(norm)
         rows.append([radius, norm, u_star, "exact"])
-    report = ScalingReport.fit(radii, norms, predicted)
     return ExperimentResult(
         kind="weighted_restriction",
         header=["radius", "norm", "maximizer_u", "certificate"],
         rows=rows,
-        summary={
-            "p": _P, "gamma": gamma, "predicted_slope": predicted,
-            "fitted_slope": report.fitted_slope,
-            "slope_stderr": report.slope_stderr,
-            "report": report.to_dict(), "certificate": "exact",
-        })
+        summary={"p": _P, "radius": sweep_report(radii, norms, predicted)})
 
 
 def localized_restriction_experiment(
@@ -210,24 +204,16 @@ def localized_restriction_experiment(
         norms_y.append(norm)
         rows.append(["height", r_fix, y, norm, "exact"])
 
-    predicted_r = (_D2 + _D1) * (1.0 / _P - 0.5)
-    predicted_y = gamma - _D2 * (1.0 / _P - 0.5)
-    report_r = ScalingReport.fit(radii, norms_r, predicted_r)
-    report_y = ScalingReport.fit(y_values, norms_y, predicted_y)
     return ExperimentResult(
         kind="localized_restriction",
         header=["scan", "radius", "center_height", "norm", "certificate"],
         rows=rows,
         summary={
-            "p": _P, "gamma": gamma, "ball_radius": ball_radius,
-            "y_fix": y_fix, "r_fix": r_fix,
-            "predicted_slope_radius": predicted_r,
-            "fitted_slope_radius": report_r.fitted_slope,
-            "predicted_slope_height": predicted_y,
-            "fitted_slope_height": report_y.fitted_slope,
-            "report_radius": report_r.to_dict(),
-            "report_height": report_y.to_dict(),
-            "certificate": "exact",
+            "p": _P, "y_fix": y_fix, "r_fix": r_fix,
+            "radius": sweep_report(radii, norms_r,
+                                   (_D2 + _D1) * (1.0 / _P - 0.5)),
+            "height": sweep_report(y_values, norms_y,
+                                   gamma - _D2 * (1.0 / _P - 0.5)),
         })
 
 
@@ -246,15 +232,15 @@ def bochner_riesz_sweep(
     The exact 1 -> 1 norm of each mean is the largest column L^1 norm; by
     symmetry the foot search reduces to prime radii, scanned over the
     candidates {0, 1/R, 4/R}.  The zero-frequency slab uses the profile's
-    closed-form planar kernel.  The summary reports max/min over R for each
-    delta: a ratio near 1 indicates a uniformly bounded family, steady growth
+    closed-form planar kernel.  The summary holds one sweep report over R per
+    delta: max/min near 1 indicates a uniformly bounded family, steady growth
     a divergent one.
     """
     radii = _increasing(radii, "radii")
     deltas = _numbers(deltas, "deltas", strict=False)
 
     rows: List[list] = []
-    ratios = {}
+    reports = {}
     for delta in deltas:
         per_radius = []
         for radius in radii:
@@ -268,12 +254,12 @@ def bochner_riesz_sweep(
                 (0.0, 1.0 / radius, 4.0 / radius))
             per_radius.append(best)
             rows.append([delta, radius, best, best_u, "exact"])
-        ratios[f"{delta:g}"] = max(per_radius) / min(per_radius)
+        reports[f"{delta:g}"] = sweep_report(radii, per_radius)
     return ExperimentResult(
         kind="bochner_riesz",
         header=["delta", "radius", "norm", "maximizer_u", "certificate"],
         rows=rows,
-        summary={"p": _P, "ratios": ratios, "certificate": "exact"})
+        summary={"p": _P, "radius": reports})
 
 
 _PLANAR_EXTENT_FACTOR = 32.0  # kernel tail reach in units of sqrt(t)
@@ -286,12 +272,12 @@ def multiplier_norm_experiment(
     """Ratios of dilated-multiplier norms to a fixed smoothness norm.
 
     For the standard dyadic cutoff F, supported in [1/4, 1], the exact
-    1 -> 1 norm of F(t L) is measured across t; the summary reports, per
-    Sobolev order s, the ratio norm / ||F||_{W_2^s} and its max/min across t,
-    the uniformity indicator.
+    1 -> 1 norm of F(t L) is measured across increasing t; the rows give,
+    per Sobolev order s, the ratio norm / ||F||_{W_2^s}, and the summary's
+    sweep report over t the uniformity indicator max/min.
     """
     profile_fn = CutoffSpec.standard().eta
-    t_values = _numbers(t_values, "t_values")
+    t_values = _increasing(t_values, "t_values")
     orders = _numbers(sobolev_orders, "sobolev_orders", strict=False)
     check_real(torus_half_period, "torus half period", 0.0, strict=True)
 
@@ -310,24 +296,20 @@ def multiplier_norm_experiment(
                                          lambda_max=1.0 / t, extent=extent),
             (0.0, math.sqrt(t), 2.0 * math.sqrt(t)))[0]
 
-    norms = {t: norm_at(t) for t in t_values}
+    norms = [norm_at(t) for t in t_values]
 
     rows: List[list] = []
-    for t in t_values:
+    for t, norm in zip(t_values, norms):
         for s in orders:
-            ratio = norms[t] / sob[s] if sob[s] > 0 else 0.0
-            rows.append([t, s, norms[t], sob[s], ratio, "exact"])
-    vals = np.array([norms[t] for t in t_values])
-    uniformity = float(vals.max() / vals.min()) if vals.min() > 0 else math.inf
+            rows.append([t, s, norm, sob[s], norm / sob[s], "exact"])
     return ExperimentResult(
         kind="multiplier_norm",
         header=["t", "sobolev_order", "norm", "sobolev_norm", "ratio",
                 "certificate"],
         rows=rows,
         summary={
-            "p": _P, "norm_max_over_min": uniformity,
+            "p": _P, "t": sweep_report(t_values, norms),
             "sobolev_norms": {f"{s:g}": sob[s] for s in orders},
-            "certificate": "exact",
         })
 
 
@@ -413,10 +395,9 @@ def heat_gaussian_check(
             "log_constant": intercept,
             "r_squared": r_squared,
             "n_points": o.size,
-            "on_diag_min": float(diag.min()) if diag.size else math.nan,
-            "on_diag_max": float(diag.max()) if diag.size else math.nan,
-            "on_diag_ratio": float(diag.max() / diag.min()) if diag.size
-            else math.nan,
+            "on_diag_min": float(diag.min()),
+            "on_diag_max": float(diag.max()),
+            "on_diag_ratio": float(diag.max() / diag.min()),
             "min_kernel_value": float(min_kernel),
         })
 

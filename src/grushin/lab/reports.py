@@ -1,15 +1,14 @@
-"""Scaling-law fits and deterministic report serialization."""
+"""Sweep reports and deterministic report serialization."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import List, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import DomainError, real_array
 
-__all__ = ["ScalingReport", "rows_to_csv"]
+__all__ = ["sweep_report", "rows_to_csv"]
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, np.ndarray]:
@@ -21,40 +20,35 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, np.ndarray]:
     return slope, intercept, y - (slope * x + intercept)
 
 
-@dataclass(frozen=True)
-class ScalingReport:
-    """A measured power law: norms against abscissae with a log-log OLS fit."""
-
-    abscissae: List[float]
-    norms: List[float]
-    fitted_slope: float
-    slope_stderr: float
-    predicted_slope: float
-    residual_max: float
-
-    @classmethod
-    def fit(cls, abscissae: Sequence[float], norms: Sequence[float],
-            predicted_slope: float) -> "ScalingReport":
-        x = real_array(abscissae, "abscissa", 0.0, strict=True)
-        y = real_array(norms, "norm", 0.0, strict=True)
-        if x.size < 3:
-            raise DomainError("scaling fit needs at least 3 abscissae")
-        if np.any(np.diff(x) <= 0):
-            raise DomainError("abscissae must be strictly increasing")
-        lx, ly = np.log(x), np.log(y)
-        slope, _, resid = _line_fit(lx, ly)
-        dof = max(x.size - 2, 1)
-        sxx = float(np.sum((lx - lx.mean()) ** 2))
-        stderr = float(np.sqrt(np.sum(resid ** 2) / dof / sxx)) if sxx > 0 else np.inf
-        return cls(abscissae=x.tolist(),
-                   norms=y.tolist(),
-                   fitted_slope=slope,
-                   slope_stderr=stderr,
-                   predicted_slope=float(predicted_slope),
-                   residual_max=float(np.max(np.abs(resid))))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+def sweep_report(abscissae: Sequence[float], norms: Sequence[float],
+                 predicted_slope: Optional[float] = None) -> dict:
+    """One swept axis as a JSON-able dict: the abscissae and positive norms,
+    the log-log slope of each step, a log-log least-squares fit (slope, its
+    standard error, largest residual), max/min of the norms, and the
+    predicted slope when one is given."""
+    x = real_array(abscissae, "abscissa", 0.0, strict=True)
+    y = real_array(norms, "norm", 0.0, strict=True)
+    if x.size < 3:
+        raise DomainError("scaling fit needs at least 3 abscissae")
+    if y.shape != x.shape:
+        raise DomainError(f"{y.size} norms for {x.size} abscissae")
+    if np.any(np.diff(x) <= 0):
+        raise DomainError("abscissae must be strictly increasing")
+    lx, ly = np.log(x), np.log(y)
+    slope, _, resid = _line_fit(lx, ly)
+    report = {
+        "abscissae": x.tolist(),
+        "norms": y.tolist(),
+        "successive_slopes": (np.diff(ly) / np.diff(lx)).tolist(),
+        "fitted_slope": slope,
+        "slope_stderr": float(np.sqrt(np.sum(resid ** 2) / (x.size - 2)
+                                      / np.sum((lx - lx.mean()) ** 2))),
+        "residual_max": float(np.max(np.abs(resid))),
+        "max_over_min": float(y.max() / y.min()),
+    }
+    if predicted_slope is not None:
+        report["predicted_slope"] = float(predicted_slope)
+    return report
 
 
 def rows_to_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:

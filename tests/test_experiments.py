@@ -96,14 +96,17 @@ class TestWeightedRestriction:
         assert len(res.rows) == 3
         norms = [row[1] for row in res.rows]
         assert norms[0] < norms[1] < norms[2]
-        assert res.summary["predicted_slope"] == 2.0
-        assert abs(res.summary["fitted_slope"] - 2.0) < 0.5
+        report = res.summary["radius"]
+        assert report["predicted_slope"] == 2.0
+        assert abs(report["fitted_slope"] - 2.0) < 0.5
+        assert report["abscissae"] == [2.0, 4.0, 8.0]
+        assert report["norms"] == norms
         assert all(row[3] == "exact" for row in res.rows)
 
     def test_gamma_shifts_the_prediction(self):
         res = weighted_restriction_experiment(
             gamma=0.25, radii=(2.0, 4.0, 8.0), n_scan=21)
-        assert res.summary["predicted_slope"] == 1.75
+        assert res.summary["radius"]["predicted_slope"] == 1.75
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
@@ -126,8 +129,9 @@ class TestLocalizedRestriction:
             ball_radius=0.1875, n_scan=5)
         assert_well_formed(res, "localized_restriction")
         assert len(res.rows) == 6  # one scan in R plus one in y
-        assert res.summary["predicted_slope_radius"] == 1.5
-        assert res.summary["predicted_slope_height"] == -0.25
+        assert res.summary["radius"]["predicted_slope"] == 1.5
+        assert res.summary["height"]["predicted_slope"] == -0.25
+        assert res.summary["height"]["abscissae"] == [1.5, 3.0, 6.0]
         assert res.summary["y_fix"] == 3.0
         assert res.summary["r_fix"] == 16.0
 
@@ -154,8 +158,11 @@ class TestBochnerRiesz:
         res = bochner_riesz_sweep(deltas=(1.5,), radii=(4.0, 8.0, 16.0))
         assert_well_formed(res, "bochner_riesz")
         assert len(res.rows) == 3
-        assert set(res.summary["ratios"]) == {"1.5"}
-        assert res.summary["ratios"]["1.5"] < 4.0
+        assert set(res.summary["radius"]) == {"1.5"}
+        report = res.summary["radius"]["1.5"]
+        assert report["max_over_min"] < 4.0
+        assert report["norms"] == [row[2] for row in res.rows]
+        assert "predicted_slope" not in report
         # a multiplier with F(0) = 1 has L1 norm at least 1 (mass bound)
         assert all(row[2] >= 1.0 for row in res.rows)
 
@@ -181,7 +188,8 @@ class TestMultiplierNorm:
     def test_uniformity(self):
         res = multiplier_norm_experiment(t_values=(0.25, 1.0, 4.0))
         assert_well_formed(res, "multiplier_norm")
-        assert res.summary["norm_max_over_min"] < 8.0
+        assert res.summary["t"]["max_over_min"] < 8.0
+        assert res.summary["t"]["abscissae"] == [0.25, 1.0, 4.0]
         assert res.summary["sobolev_norms"]["2"] > 0.0
 
     def test_ratio_columns_consistent(self):
@@ -211,6 +219,8 @@ class TestMultiplierNorm:
             multiplier_norm_experiment(t_values=())
         with pytest.raises(DomainError):
             multiplier_norm_experiment(t_values=(0.0, 1.0))
+        with pytest.raises(DomainError, match="strictly increasing"):
+            multiplier_norm_experiment(t_values=(1.0, 0.5, 2.0))
         with pytest.raises(DomainError):
             multiplier_norm_experiment(sobolev_orders=())
 

@@ -27,7 +27,7 @@ from grushin.hermite import PrimeGrid
 from grushin.lab.columns import heat_kernel_pointwise, l1_multiplier_norm
 from grushin.lab.experiments import geometry_suite, heat_gaussian_check
 from grushin.lab.radial import weighted_column_norms
-from grushin.lab.reports import ScalingReport
+from grushin.lab.reports import sweep_report
 
 
 def small_grid():
@@ -219,7 +219,7 @@ class TestSpectralTruncation:
     lambda: MultiplierProfile.bochner_riesz(0.1, np.nan),
     lambda: ball_volume_model(MetricPoint((0.0, 0.0), (0.0,)), np.nan),
     lambda: ball_volume_model(MetricPoint((0.0, 0.0), (0.0,)), np.inf),
-    lambda: ScalingReport.fit([1.0, 2.0, 4.0], [1.0, np.nan, 4.0], 1.0),
+    lambda: sweep_report([1.0, 2.0, 4.0], [1.0, np.nan, 4.0], 1.0),
     lambda: heat_kernel_pointwise(((0.0, 0.0), (0.0,)), ((0.0, 0.0), (0.0,)),
                                   np.nan, 12.0),
     lambda: heat_gaussian_check(times=[np.nan]),
@@ -291,6 +291,30 @@ def test_integer_parameters_refuse_other_values(name, build):
         build()
 
 
+def engine_grid():
+    # inside the engine's grid cap for lambda_max = 12 (cap 7 at |xi| = 1),
+    # so a refusal below comes from the profile check, not the cap
+    return GrushinGrid(PrimeGrid(8.0, 32, 2), np.pi, 16, 1)
+
+
+ENGINE_PATHS = [
+    lambda prof: schwartz_kernel_column(prof, engine_grid(), (0.0, 0.0),
+                                        (0.0,), SpectralTruncation(8, 12.0)),
+    lambda prof: engine.apply_multiplier(
+        prof, delta_field(engine_grid(), (0.0, 0.0), (0.0,)),
+        SpectralTruncation(8, 12.0)),
+]
+
+
+@pytest.mark.parametrize("evaluate", ENGINE_PATHS,
+                         ids=["schwartz_kernel_column", "apply_multiplier"])
+def test_finite_profile_runs_on_the_engine_grid(evaluate):
+    finite = MultiplierProfile(
+        lambda lam: np.maximum(0.0, 1.0 - lam / 12.0) ** 1.5, (0.0, 12.0))
+    values = evaluate(finite).values
+    assert np.all(np.isfinite(values)) and np.any(values != 0.0)
+
+
 def nan_inside_profile():
     # vanishes above its support, as the constructor demands, but is NaN on
     # part of it
@@ -301,8 +325,7 @@ def nan_inside_profile():
 
 
 @pytest.mark.parametrize("evaluate", [
-    lambda prof: schwartz_kernel_column(prof, small_grid(), (0.0, 0.0), (0.0,),
-                                        SpectralTruncation(8, 12.0)),
+    ENGINE_PATHS[0],
     lambda prof: weighted_column_norms(prof, [0.0, 1.0], 0.0, np.pi, 40, 12.0),
     lambda prof: l1_multiplier_norm(prof, np.pi / 2.0, lambda_max=12.0),
 ], ids=["engine", "radial", "columns"])
@@ -312,9 +335,7 @@ def test_non_finite_profile_values_raise_domain_error(evaluate):
 
 
 @pytest.mark.parametrize("evaluate", [
-    lambda prof: engine.apply_multiplier(
-        prof, delta_field(small_grid(), (0.0, 0.0), (0.0,)),
-        SpectralTruncation(8, 12.0)),
+    ENGINE_PATHS[1],
     lambda prof: weighted_column_norms(prof, [0.0, 1.0], 0.25, np.pi, 40, 12.0),
     lambda prof: l1_multiplier_norm(prof, np.pi / 2.0, lambda_max=12.0),
 ], ids=["engine", "radial", "columns"])
