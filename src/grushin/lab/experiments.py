@@ -98,6 +98,16 @@ def _numbers(values, name: str, strict: bool = True) -> List[float]:
     return vals.tolist()
 
 
+def _keyed(values: List[float], name: str) -> List[float]:
+    """values, refused if two that differ share the summary key f"{v:g}"."""
+    keys = {}
+    for v in values:
+        if keys.setdefault(f"{v:g}", v) != v:
+            raise DomainError(f"{name} {keys[f'{v:g}']!r} and {v!r} share the "
+                              f"summary key {v:g}")
+    return values
+
+
 def _increasing(values, name: str, minimum: int = 3) -> List[float]:
     vals = _numbers(values, name)
     if len(vals) < minimum:
@@ -237,7 +247,7 @@ def bochner_riesz_sweep(
     a divergent one.
     """
     radii = _increasing(radii, "radii")
-    deltas = _numbers(deltas, "deltas", strict=False)
+    deltas = _keyed(_numbers(deltas, "deltas", strict=False), "deltas")
 
     rows: List[list] = []
     reports = {}
@@ -278,7 +288,8 @@ def multiplier_norm_experiment(
     """
     profile_fn = CutoffSpec.standard().eta
     t_values = _increasing(t_values, "t_values")
-    orders = _numbers(sobolev_orders, "sobolev_orders", strict=False)
+    orders = _keyed(_numbers(sobolev_orders, "sobolev_orders", strict=False),
+                    "sobolev_orders")
     check_real(torus_half_period, "torus half period", 0.0, strict=True)
 
     lam_s = np.linspace(-2.0, 3.0, 4001)
@@ -412,7 +423,7 @@ def _kernel_support(
     Every run's column has its foot at the origin, so one distance field
     from it serves them all.
     """
-    kappas = sorted(_numbers(kappas, "kappas"))
+    kappas = sorted(_keyed(_numbers(kappas, "kappas"), "kappas"))
     for piece, scale_time in runs:
         check_real(scale_time, "scale_time", 0.0, strict=True)
         support_radius = 2.0 ** piece.level * scale_time

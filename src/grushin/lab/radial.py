@@ -22,6 +22,18 @@ alternating form (e^{-s^2}/pi) sum_{n<=k} (-1)^n L_n(2 s^2) of Q_k would lose
 all its digits near the turning point.  At gamma > 0 the weight does not
 commute with the projections, and each sector (xi, l) keeps its lane.
 
+Away from the axis most sectors of a gamma > 0 call sit deep in a forbidden
+zone.  Every row of the lane (xi, l) lives in the classical region of its
+frequency's top level, l^2/s^2 + s^2 <= 2 (k_hi + 1), and past it decays
+like e^{-D}, D the Agmon distance from the region.  A (lane, foot) pair with
+D >= -log(eps) is skipped: its form there, below eps^2 of what its rows
+would give at full size, is exactly 0 (_kept_range; the forms skipped at
+the feet of the benchmark's balls are at most 6.8e-37 of the largest kept
+one).  A lane that no foot of the call keeps leaves the passes, and a pass
+runs only the feet that one of its lanes keeps.  The rule reads the lane
+and the foot alone, so it adds no dependence of a foot's norm on the other
+feet of its call.
+
 The zero torus frequency is left out of the sum.  The lattice sum over xi
 is a Riemann sum of the continuum xi-integral, in which the xi = 0 slab
 carries the weight 1 / (2S) of every slab, falling like 1/S as the torus of
@@ -91,6 +103,10 @@ _MAX_SCAN = 10 ** 5  # feet of a scan: 410 MB of forms at R = 32, S = pi
 # times a polynomial of degree <= 2 n_max + l in s, far below the double
 # floor, and s^2 <= 1e100 keeps the recurrence's products finite
 _S_CAP = 1e50
+# a sector lane is skipped at a foot whose Agmon distance from the lane's
+# classical region is at least this: its rows there are below eps
+# (_kept_range)
+_AGMON = -np.log(np.finfo(float).eps)
 # rows of T^T coef per product: the products skip T's upper triangle but for
 # the diagonal blocks, 1/2 + _BAND / (2 rows) of the full product's
 # multiply-adds, and hold a _BAND-row temporary.  They run on numpy's BLAS.
@@ -399,6 +415,56 @@ def _block_forms(vals: np.ndarray, base: np.ndarray, n_max: np.ndarray,
     return np.einsum("nlu,nlu->lu", coef, coef)
 
 
+def _kept_range(l: np.ndarray, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(x_lo, x_hi): where each sector lane reaches rounding size, in x = s^2.
+
+    Lane i is the sector l[i] of a frequency whose top level is h[i] - 1.
+    Every row of the lane has a lower level, so it lives in the classical
+    region l^2/s^2 + s^2 <= 2 h, the x in [a, b] with a + b = 2 h and
+    a b = l^2, and decays monotonically past it.  The Agmon distance
+    D = int sqrt(l^2/t^2 + t^2 - 2 h) dt from the region's edge to
+    s = sqrt(x) bounds every row there by e^{-D} of its size (Agmon,
+    Lectures on exponential decay, 1982).  In x it is
+    int sqrt(|t - a| |t - b|) / (2 t) dt, whose closed form below holds on
+    both sides of the region.  x_hi > b and, for l > 0, x_lo < a solve
+    D = _AGMON, so a skipped row is below eps of its size and its share of
+    a form below eps^2; at l = 0 the region reaches the axis, x_lo = 0.
+    Newton's method in log x runs from the far side, where D is convex in
+    log x: it starts where D >= (x - b)^2 / (4 x) >= _AGMON, or
+    D >= (l / 2)(log(a / x) - 1 + x / a) >= _AGMON, and its steps never
+    cross the root.  Six steps reach it within 1e-13 for h up to 3000 (and
+    within 3e-5 at h = 1e5), and short of it an edge errs towards keeping,
+    so [x_lo, x_hi] always holds the x where D < _AGMON.
+    """
+    l, h = np.asarray(l, dtype=float), np.asarray(h, dtype=float)
+    r = np.sqrt((h - l) * (h + l))  # l < h, so a < b
+    b = h + r
+    a = l * l / b
+    # the outer edge of every lane, then the inner edge of each lane l > 0
+    n, inner = l.size, np.flatnonzero(l > 0)
+    lane = np.concatenate((np.arange(n), inner))
+    outer = np.arange(lane.size) < n
+    sign = np.where(outer, 1.0, -1.0)
+    a, b, h, l, offset = (v[lane] for v in (a, b, h, l,
+                                             (h - l) * np.log(2.0 * r)))
+    y = np.log(np.where(
+        outer, b + 2.0 * _AGMON + 2.0 * np.sqrt(_AGMON * (b + _AGMON)),
+        a * np.exp(-2.0 * _AGMON / np.maximum(l, 1.0) - 1.0)))
+    for _ in range(6):
+        x = np.exp(y)
+        da, db = np.abs(x - a), np.abs(x - b)
+        root = np.sqrt(da * db)
+        gap = 0.5 * (sign * root + offset
+                     - 2.0 * h * np.log(np.sqrt(da) + np.sqrt(db))
+                     + 2.0 * l * np.log(np.sqrt(b * da) + np.sqrt(a * db))
+                     - l * y) - _AGMON
+        y -= 2.0 * sign * gap / root
+    x = np.exp(y)
+    x_lo = np.zeros(n)
+    x_lo[inner] = x[n:]
+    return x_lo, x[:n]
+
+
 def _lanes(count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(frequency, index within it) of each lane, count[j] lanes at frequency j."""
     freq = np.repeat(np.arange(count.size), count)
@@ -413,9 +479,14 @@ def weighted_column_norms(profile, u, gamma: float, torus_half_period: float,
     in x' and translation invariance on the torus.  At gamma = 0 each
     frequency takes two Hermite parity lanes against its level-diagonal
     weights; at gamma > 0 it takes one Laguerre lane per sector (xi, l),
-    l = 0..k_hi, and its Gram factor (module docstring).  Levels beyond the
-    k_max policy raise TruncationError naming the offending frequency;
-    numbers follow the rule of grushin.errors.
+    l = 0..k_hi, and its Gram factor (module docstring).  At gamma > 0 a
+    sector is skipped at each foot whose Agmon distance from the lane's
+    classical region is at least -log(eps) (_kept_range): its form there is
+    exactly 0, and the lane leaves the passes when every foot skips it.  The
+    rule reads the lane and the foot alone, so it does not tie a foot's norm
+    to the other feet of its call.  Levels beyond the k_max policy raise
+    TruncationError naming the offending frequency; numbers follow the rule
+    of grushin.errors.
     """
     u = np.atleast_1d(real_array(u, "radius u", 0.0))
     check_real(gamma, "gamma", 0.0)
@@ -440,12 +511,22 @@ def weighted_column_norms(profile, u, gamma: float, torus_half_period: float,
     # row n of a lane is level 2n + low of its frequency, at vals[base + 2n]
     base = first[freq] + low
     n_max = (k_his[freq] - low) // 2
+    root_xi = np.sqrt(xis[freq])
+    lanes = np.arange(l.size)
+    if gamma > 0:  # a sector is kept at the feet in [lo, hi], within
+        # _AGMON of its classical region, and run if one of them is a foot
+        lo, hi = (np.sqrt(x) / root_xi
+                  for x in _kept_range(l, k_his[freq] + 1))
+        ascending = np.sort(u)
+        lanes = lanes[np.searchsorted(ascending, lo)
+                      < np.searchsorted(ascending, hi, side="right")]
     # lanes by decreasing n_max, as the recurrence takes them; the sort is
     # stable, so within a frequency the lowest level still ascends
-    order = np.argsort(-n_max, kind="stable")
-    t = (_connection_matrix(int(n_max.max(initial=0)) + 1, gamma)
+    order = lanes[np.argsort(-n_max[lanes], kind="stable")]
+    t = (_connection_matrix(int(n_max[order].max(initial=0)) + 1, gamma)
          if gamma > 0 else None)
     slabs = np.zeros((k_his.size + 1, u.size))  # row 0: the empty sum
+    feet = slice(None)  # at gamma = 0 every pass runs every foot
     i = 0
     while i < order.size:
         rows = n_max[order[i]] + 1
@@ -455,11 +536,17 @@ def weighted_column_norms(profile, u, gamma: float, torus_half_period: float,
                            + min(rows, _BAND) * u.size, 2 * rows * u.size)
         block = order[i:i + max(1, int(_BLOCK_BUDGET / per_lane))]
         i += block.size
+        if gamma > 0:  # the block's pairs, and the feet that any of them keeps
+            keep = (lo[block, None] <= u) & (u <= hi[block, None])
+            feet = keep.any(axis=0)
         form = _block_forms(vals, base[block], n_max[block],
-                            l[block, None].astype(float),
-                            np.sqrt(xis[freq[block]]), u, gamma, t)
-        if gamma > 0:
-            form *= np.where(l[block] > 0, 2.0, 1.0)[:, None]  # signs of l
+                            l[block, None].astype(float), root_xi[block],
+                            u[feet], gamma, t)
+        if gamma > 0:  # the signs of l, and 0 at the skipped pairs, as in a
+            # call without the other feet; the next block's mask frees keep
+            keep = keep * np.where(l[block] > 0, 2.0, 1.0)[:, None]
+            keep[:, feet] *= form
+            form = keep
         np.add.at(slabs, freq[block] + 1, form)  # in lane order
         del form  # before the next block allocates its own
     # the frequencies in ascending order as a running sum, which a single foot

@@ -183,6 +183,11 @@ class TestBochnerRiesz:
         with pytest.raises(DomainError):
             bochner_riesz_sweep(deltas=(delta,), radii=(2.0, 4.0, 8.0))
 
+    def test_rejects_deltas_that_share_a_summary_key(self):
+        # both print as "1.5", so one report would replace the other
+        with pytest.raises(DomainError, match="share the summary key 1.5"):
+            bochner_riesz_sweep(deltas=(1.5, 1.5000001), radii=(2.0, 4.0, 8.0))
+
 
 class TestMultiplierNorm:
     def test_uniformity(self):
@@ -223,6 +228,10 @@ class TestMultiplierNorm:
             multiplier_norm_experiment(t_values=(1.0, 0.5, 2.0))
         with pytest.raises(DomainError):
             multiplier_norm_experiment(sobolev_orders=())
+
+    def test_rejects_orders_that_share_a_summary_key(self):
+        with pytest.raises(DomainError, match="share the summary key 2"):
+            multiplier_norm_experiment(sobolev_orders=(2.0, 2.0000001))
 
 
 class TestHeatGaussian:
@@ -319,6 +328,15 @@ class TestKernelSupport:
         piece = dyadic_pieces(self.cs.eta, self.cs, n_levels=1)[0]
         with pytest.raises(DomainError, match="finite"):
             kernel_support_check(piece, scale_time, kappas, *self.small)
+
+    def test_rejects_kappas_that_share_a_summary_key(self):
+        piece = dyadic_pieces(self.cs.eta, self.cs, n_levels=1)[0]
+        with pytest.raises(DomainError, match="share the summary key 1.1"):
+            kernel_support_check(piece, 1.0, (1.1, 1.1000001), *self.small)
+        with pytest.raises(DomainError, match="share the summary key 1.1"):
+            kernel_support_suite(levels=(0,), times=(0.5,),
+                                 kappas=(1.1000001, 1.1),
+                                 **self.small_kwargs())
 
     def test_suite_collects_worst_case(self):
         res = kernel_support_suite(levels=(0, 1), times=(0.5, 0.5),

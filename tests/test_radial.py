@@ -698,3 +698,89 @@ class TestFeetAreIndependent:
         for i, u in enumerate(self.FEET):
             assert weighted_column_norm(prof, u, gamma, np.pi, 4000,
                                         256.0) == got[i], u
+
+
+class TestSkippedSectors:
+    # at gamma > 0 a sector lane is skipped at a foot whose Agmon distance
+    # from the classical region of its top level is at least -log(eps)
+    # (_kept_range), and a lane that no foot keeps leaves the passes
+
+    def test_edges_solve_the_agmon_distance(self):
+        # the closed form of _kept_range against mpmath's quadrature of
+        # int sqrt(l^2/t^2 + t^2 - 2 h) dt from the edge of the region, on
+        # 20 geometric panels (down to s = 8e-17 below the inner edges)
+        l = np.array([0, 1, 7, 40, 127, 511, 0, 2])
+        h = np.array([1, 2, 8, 128, 128, 512, 512, 3])
+        x_lo, x_hi = radial._kept_range(l, h)
+        for li, hi_, lo, up in zip(l.tolist(), h.tolist(), x_lo, x_hi):
+            reach = mp.sqrt(hi_ * hi_ - li * li)
+
+            def distance(a, b):
+                return mp.quad(lambda t: mp.sqrt(max(
+                    li * li / t ** 2 + t ** 2 - 2 * hi_, 0)),
+                    [a * (b / a) ** (k / 20) for k in range(21)])
+
+            assert float(distance(mp.sqrt(hi_ + reach), mp.sqrt(up))) \
+                == pytest.approx(radial._AGMON, rel=1e-12)
+            if li == 0:
+                assert lo == 0.0
+            else:
+                assert float(distance(mp.sqrt(lo), mp.sqrt(hi_ - reach))) \
+                    == pytest.approx(radial._AGMON, rel=1e-12)
+
+    @staticmethod
+    def every_form(monkeypatch, radius, feet):
+        """(form, kept): every sector's form at every foot of a call at
+        gamma = 0.25, S = pi, lambda_max = R^2, each lane run whether the
+        skip rule keeps it or not, and which pairs the rule keeps."""
+        kept_range, block_forms = radial._kept_range, radial._block_forms
+        ranges, blocks = [], []
+
+        def keep_all(l, h):
+            ranges.append(kept_range(l, h))
+            return np.zeros(len(l)), np.full(len(l), np.inf)
+
+        def record(vals, base, n_max, l, root_xi, u, gamma, t):
+            form = block_forms(vals, base, n_max, l, root_xi, u, gamma, t)
+            blocks.append((base, root_xi, form.copy()))
+            return form
+
+        monkeypatch.setattr(radial, "_kept_range", keep_all)
+        monkeypatch.setattr(radial, "_block_forms", record)
+        weighted_column_norms(band_profile(radius), feet, 0.25, np.pi, 4000,
+                              radius * radius)
+        (x_lo, x_hi), = ranges
+        base, root_xi, form = (np.concatenate(a) for a in zip(*blocks))
+        # the bases ascend with the lanes as _kept_range takes them
+        lane = np.argsort(np.argsort(base))
+        assert np.array_equal(np.sort(lane), np.arange(x_lo.size))
+        lo, hi = (np.sqrt(x[lane]) / root_xi for x in (x_lo, x_hi))
+        return form, (lo[:, None] <= feet) & (feet <= hi[:, None])
+
+    # the benchmark's balls (R = 8, 16, 32 at y = 3) and the default
+    # localized_restriction balls (those and R = 32 at y = 1.5 and 6), 17
+    # feet of radius 0.1875.  Measured: the largest skipped form is at most
+    # 6.8e-37 of the largest kept form at its foot (R = 8), and 1.7e-42 at
+    # R = 32, y = 3
+    @pytest.mark.parametrize("radius, y", [(8.0, 3.0), (16.0, 3.0),
+                                           (32.0, 3.0), (32.0, 1.5),
+                                           (32.0, 6.0)])
+    def test_skipped_forms_are_below_rounding(self, monkeypatch, radius, y):
+        feet = np.linspace(y - 0.1875, y + 0.1875, 17)
+        form, kept = self.every_form(monkeypatch, radius, feet)
+        assert not kept.all() and kept.any(axis=1).sum() < kept.shape[0]
+        skipped = np.where(kept, 0.0, form).max(axis=0)
+        assert np.all(skipped <= 1e-30 * np.where(kept, form, 0.0).max(axis=0))
+
+    def test_each_foot_equals_its_single_foot_call_across_the_skip_edge(
+            self, monkeypatch):
+        feet = np.array([0.5, 2.8125, 3.0, 3.1875, 6.0])
+        _, kept = self.every_form(monkeypatch, 32.0, feet)
+        monkeypatch.undo()
+        # some lanes are kept at some feet and skipped at others
+        assert np.any(kept.any(axis=1) & ~kept.all(axis=1))
+        prof = band_profile(32.0)
+        got = weighted_column_norms(prof, feet, 0.25, np.pi, 4000, 1024.0)
+        for i, u in enumerate(feet):
+            assert weighted_column_norm(prof, u, 0.25, np.pi, 4000,
+                                        1024.0) == got[i], u

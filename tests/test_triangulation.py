@@ -4,8 +4,9 @@ against the Grushin dilation.
 The tensor-grid engine, the radial path and the L^1 column path share no
 code past the spectral window (oscillator.torus_slabs): the engine
 synthesizes a kernel column on a Cartesian grid, the radial path sums
-Hermite parity lanes against the level diagonal, the L^1 path sums |K| over
-nested frames by irfft.  Their norms must agree where they measure the same
+Hermite parity lanes against the level diagonal (at gamma > 0, Laguerre
+sector lanes against the weighted Gram), the L^1 path sums |K| over nested
+frames by irfft.  Their norms must agree where they measure the same
 thing.  The dilation (x', x'') -> (x'/2, x''/4) maps F(L/R^2) on the torus
 of half period S to F(L/(2R)^2) on the torus of half period S/4, so each
 norm must follow it exactly.
@@ -47,6 +48,38 @@ def test_engine_column_norm_matches_radial_path(y_prime):
     u = np.hypot(*y_prime)
     radial = weighted_column_norms(profile, [u], 0.0, S, K_MAX, LAMBDA_MAX)[0]
     assert engine == pytest.approx(radial, rel=4e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("y_prime", [(0.0, 0.0), (1.5, 1.0)],
+                         ids=["u=0", "off-axis"])
+def test_engine_weighted_norm_matches_radial_path(y_prime):
+    # the |x'|^0.25-weighted column L^2 norm at X = 8.  The weight is not
+    # smooth at x' = 0, so the Riemann sum of the squared norm converges
+    # like h^(2 + 2 gamma); one Richardson step from 128 and 256 points per
+    # prime axis leaves h^(4 + 2 gamma).  Measured gaps of the Riemann sums
+    # at 32, 64, 128, 256 points: 6.9e-2, 1.1e-2, 2.0e-3, 3.5e-4 at u = 0
+    # and 1.4e-3, 2.4e-4, 4.1e-5, 7.3e-6 off the axis; of the Richardson
+    # step from the pairs 32-64, 64-128 and 128-256: 6.6e-4, 2.3e-5, 9.6e-7
+    # and 9.9e-6, 3.9e-7, 1.7e-8
+    gamma, p = 0.25, 2.5
+    profile = band_profile(4.0)
+    squares = []
+    for n in (128, 256):
+        grid = GrushinGrid(PrimeGrid(8.0, n, 2), S, 32, 1)
+        column = schwartz_kernel_column(
+            profile, grid, y_prime, (0.0,),
+            SpectralTruncation(K_MAX, LAMBDA_MAX)).values
+        column -= column.mean(axis=-1, keepdims=True)
+        axis = grid.prime.axis
+        weight = np.hypot(axis[:, None], axis[None, :]) ** (2.0 * gamma)
+        squares.append(np.sum(weight[..., None] * column * column)
+                       * grid.cell_volume)
+    engine = np.sqrt((2.0 ** p * squares[1] - squares[0]) / (2.0 ** p - 1.0))
+    u = np.hypot(*y_prime)
+    radial = weighted_column_norms(profile, [u], gamma, S, K_MAX,
+                                   LAMBDA_MAX)[0]
+    tol = 2e-6 if u == 0.0 else 4e-8
+    assert engine == pytest.approx(radial, rel=tol, abs=0.0)
 
 
 def bochner_riesz_l1(radius, torus_half_period, u, delta=1.5, **kwargs):
