@@ -55,9 +55,10 @@ def _rho_from_parts(dp: np.ndarray, ds: np.ndarray, ax: np.ndarray,
 
     dp = |x'-y'|, ds = |x''-y''|, ax = |x'|, ay = |y'|.  The second layer
     costs min(sqrt(ds), ds / (ax + ay)), the graded cost where
-    sqrt(ds) <= ax + ay.  fmin passes over the inf or 0/0 at ax + ay = 0.
+    sqrt(ds) <= ax + ay.  fmin passes over the inf or 0/0 at ax + ay = 0,
+    and over the inf of an overflow where ax + ay is tiny.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.asarray(ds / (ax + ay))  # even for scalars: filled in place
     np.fmin(out, np.sqrt(ds), out=out)
     out += dp

@@ -10,14 +10,15 @@ coordinate and both choosing their own discretizations:
   frame past it only the slabs that reach past its inner edge, at its own
   torus sampling; a frame of few slabs is summed over the torus by a
   half-period cosine matrix product, the innermost square and a frame of
-  many by irfft, both a cache-sized chunk of lines at a time; every slab's
-  set-up is built once per call for all slabs together, from one profile
-  call and one Hermite recurrence per group of slabs; the zero slab is a
-  not-a-knot cubic spline of its radial profile, the profile's closed-form
-  planar kernel or else a composite Gauss-Legendre Hankel quadrature, over
-  the radii the frames evaluate and no further, built here by one banded
-  solve for its slopes and read by direct index into its uniform
-  breakpoints, and
+  many by irfft, both a cache-sized chunk of lines at a time; the slabs'
+  set-up is built once per call, from one profile call and one Hermite
+  recurrence per group of slabs, and the slabs go by runs that share a top
+  level and x1 rows, one gather and one stacked product per run in the
+  set-up and in each tile of lines; the zero slab is a not-a-knot cubic
+  spline of its radial profile, the profile's closed-form planar kernel or
+  else a composite Gauss-Legendre Hankel quadrature, over the radii the
+  frames evaluate and no further, built here by one banded solve for its
+  slopes and read by direct index into its uniform breakpoints, and
 * a closed-form heat kernel evaluator built from the oscillator semigroup
   kernel per frequency, with no level truncation at all, over scalar points
   or arrays of them.
@@ -74,7 +75,8 @@ _CHUNK_SAMPLES = 1 << 17
 # |K| by the half-period cosine product, a larger one by irfft
 _COSINE_MAX_BINS = 64
 # floats of the Hermite tables of one group of torus slabs, one
-# hermite_lanes recurrence each (512 KiB); a slab past it makes its own group
+# hermite_lanes recurrence each (512 KiB); a slab past it makes its own
+# group, and a run of slabs ends with its group
 _TABLE_BUDGET = 1 << 16
 # points of one chunk of the zero slab's spline evaluation (128 KiB per
 # temporary)
@@ -135,18 +137,19 @@ def planar_radial_kernel(profile, r: np.ndarray,
 
 
 def _kernel_slab_coeff(profile, xi: np.ndarray, k_caps: np.ndarray,
-                       h_u: np.ndarray, h_0: np.ndarray):
+                       h_u: np.ndarray, h_0: np.ndarray, runs):
     """Even-column coefficient matrices of the torus slabs at y' = (u, 0).
 
-    Returns, for slab j at frequency xi[j] with top level k_caps[j], the
-    pair (C, even) with C[m, n] = F((2(m + n_e) + 2) xi_j) h_m(s_j u)
-    h_{n_e}(0) over levels m <= k_cap and even n_e; odd second indices drop
-    out because the axis eigenfunctions vanish at 0.  h_u[:, j] holds
-    h_m(s_j u) and h_0 holds h_m(0), for m = 0 .. k_caps[j] at least.  F
-    goes through one profile call, at the eigenvalues (2L + 2) xi_j,
-    L <= 2 k_cap_j, of every slab in turn, and each C is a Hankel gather of
-    its slab's stretch.  Level L is kept when L <= k_cap_j, the top level
-    of the slab in oscillator.torus_slabs, and is 0 past it.
+    Returns, for each run (j0, j1) of slabs that share one top level k_cap,
+    C with C[i, m, n] = F((2(m + 2n) + 2) xi_j) h_m(s_j u) h_{2n}(0),
+    j = j0 + i, over levels m <= k_cap and even levels 2n <= k_cap; odd
+    second indices drop out because the axis eigenfunctions vanish at 0.
+    h_u[:, j] holds h_m(s_j u) and h_0 holds h_m(0), for m = 0 .. k_caps[j]
+    at least.  F goes through one profile call, at the eigenvalues
+    (2L + 2) xi_j, L <= 2 k_cap_j, of every slab in turn, and each run's C
+    is one Hankel gather of its slabs' stretches.  Level L is kept when
+    L <= k_cap_j, the top level of the slab in oscillator.torus_slabs, and
+    is 0 past it.
     """
     sizes = 2 * k_caps + 1
     starts = np.cumsum(sizes) - sizes
@@ -154,27 +157,29 @@ def _kernel_slab_coeff(profile, xi: np.ndarray, k_caps: np.ndarray,
     lam = (2.0 * L + 2.0) * np.repeat(xi, sizes)
     F = profile(lam) * (L <= np.repeat(k_caps, sizes))
     coeffs = []
-    for j, (k_cap, start) in enumerate(zip(k_caps.tolist(), starts.tolist())):
+    for j0, j1 in runs:
+        k_cap = int(k_caps[j0])
         even = np.arange(0, k_cap + 1, 2)
-        hankel = F[start + np.add.outer(np.arange(k_cap + 1), even)]
-        coeffs.append((hankel * h_u[:k_cap + 1, j, None]
-                       * h_0[even][None, :], even))
+        hankel = F[starts[j0:j1, None, None]
+                   + np.add.outer(np.arange(k_cap + 1), even)]
+        coeffs.append(hankel * h_u[:k_cap + 1, j0:j1].T[:, :, None]
+                      * h_0[even])
     return coeffs
 
 
-def _slab_tables(k_caps: np.ndarray, roots: np.ndarray, ax1: np.ndarray,
-                 spans):
-    """Slab j's table hermite_table(k_caps[j], roots[j] * ax1[spans[j]]),
-    for each slab in turn.
+def _slab_runs(k_caps: np.ndarray, spans):
+    """The torus slabs in groups of runs, each run a pair (j0, j1).
 
     k_caps and the span lengths are non-increasing, so the slabs go in
     groups through hermite_lanes, one recurrence per group: a group takes
     slabs while its first slab's levels times its points stay within
-    _TABLE_BUDGET floats.  Each table is a view of its group's buffer.
+    _TABLE_BUDGET floats.  A run is a stretch j0 <= j < j1 of one group
+    whose slabs share k_caps[j] and the x1 rows spans[j], so that their
+    tables and products stack along a leading axis.
     """
     tops = k_caps.tolist()
     sizes = [rows.stop - rows.start for rows in spans]
-    j = 0
+    groups, j = [], 0
     while j < len(sizes):
         first, width = j, sizes[j]
         j += 1
@@ -182,11 +187,30 @@ def _slab_tables(k_caps: np.ndarray, roots: np.ndarray, ax1: np.ndarray,
                and (tops[first] + 1) * (width + sizes[j]) <= _TABLE_BUDGET):
             width += sizes[j]
             j += 1
-        ends = np.cumsum(sizes[first:j])
-        out = hermite_lanes(tops[first:j], np.concatenate(
-            [roots[i] * ax1[spans[i]] for i in range(first, j)]), ends)
-        for i, end in zip(range(first, j), ends.tolist()):
-            yield out[:tops[i] + 1, end - sizes[i]:end]
+        cuts = [first] + [i for i in range(first + 1, j)
+                          if (tops[i], spans[i]) != (tops[i - 1], spans[i - 1])]
+        groups.append(list(zip(cuts, cuts[1:] + [j])))
+    return groups
+
+
+def _slab_tables(groups, k_caps: np.ndarray, roots: np.ndarray,
+                 ax1: np.ndarray, spans):
+    """For each run (j0, j1) of _slab_runs' groups in turn, the stack of
+    the tables hermite_table(k_caps[j], roots[j] * ax1[spans[j]]).
+
+    Each group is one hermite_lanes recurrence with one lane per run, and a
+    run's stack, of shape (k_cap + 1, j1 - j0, rows), is a view of its
+    group's buffer.
+    """
+    for runs in groups:
+        points = [(roots[j0:j1, None] * ax1[spans[j0]]).reshape(-1)
+                  for j0, j1 in runs]
+        ends = np.cumsum([p.size for p in points])
+        out = hermite_lanes([k_caps[j0] for j0, _ in runs],
+                            np.concatenate(points), ends)
+        for (j0, j1), end, p in zip(runs, ends.tolist(), points):
+            yield out[:k_caps[j0] + 1, end - p.size:end].reshape(
+                k_caps[j0] + 1, j1 - j0, -1)
 
 
 def _not_a_knot_spline(x: np.ndarray, y: np.ndarray):
@@ -341,16 +365,22 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     the eigenvalues of every slab, and each slab's Hermite table, on the x1
     rows of the widest frame that carries the slab, comes from one
     recurrence per group of slabs (hermite_lanes); its x1 >= 0 tail serves
-    as the x2 table.  At u = 0 the column is even in x1 as in x2, so only
-    x1 >= 0 is summed, with the x2 weights.  The zero-frequency slab is a
-    cubic spline of its radial profile at 16 samples per wavelength, from
-    r = 0 to 2 dx past the farthest line, hypot(max |x1 - u|, extent),
-    evaluated by direct index into its breakpoints; the spline does not
-    extrapolate.  The radial profile is, first to last: xi_zero_radial if
-    given; the profile's planar kernel (MultiplierProfile.planar), the
-    closed form that heat and bochner_riesz carry; else planar_radial_kernel,
-    the Gauss-Legendre Hankel quadrature of the profile, whose panel count
-    follows from the same farthest radius.  A closed form does not see the
+    as the x2 table.  Consecutive slabs of one group with the same top
+    level and x1 rows form a run (_slab_runs; 34 runs of 256 slabs at
+    R = 32): its coefficients come from one gather, and its products with
+    the tables, in the set-up and in each tile, from one stacked
+    np.matmul.  numpy takes a stack one BLAS call per slab, on that slab's
+    shapes and strides, so a run's sums are its slabs' own.  At u = 0 the
+    column is even in x1 as in x2, so only x1 >= 0 is summed, with the x2
+    weights.  The zero-frequency slab is a cubic spline of its radial
+    profile at 16 samples per wavelength, from r = 0 to 2 dx past the
+    farthest line, hypot(max |x1 - u|, extent), evaluated by direct index
+    into its breakpoints; the spline does not extrapolate.  The radial
+    profile is, first to last: xi_zero_radial if given; the profile's
+    planar kernel (MultiplierProfile.planar), the closed form that heat and
+    bochner_riesz carry; else planar_radial_kernel, the Gauss-Legendre
+    Hankel quadrature of the profile, whose panel count follows from the
+    same farthest radius.  A closed form does not see the
     cap; the stock profiles decrease, so a cap that passes the check below
     cuts off only values |F| <= 1e-14.  With no torus slab below the cap
     (j_max = 0) the default is one frame holding the zero slab alone.
@@ -453,22 +483,28 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
     knots, coef = _not_a_knot_spline(
         r_grid, real_array(xi_zero_radial(r_grid), "xi_zero_radial value"))
 
-    # per slab, whatever no tile changes, from one Hermite table H1 on the
-    # x1 rows of its widest frame: P = H1^T C (-1)^j xi, and T2, the even
-    # rows of H1 on the x1 >= 0 tail, which is the x2 axis.  The factor xi
-    # is the slab's weight in the torus transform; the alternating sign
-    # recenters the transform on [-S, S)
+    # per run of slabs, whatever no tile changes, from the stack of their
+    # Hermite tables H1 on the x1 rows of their widest frame: P = H1^T C
+    # (-1)^j xi, and T2, the even rows of H1 on the x1 >= 0 tail, which is
+    # the x2 axis.  The factor xi is the slab's weight in the torus
+    # transform; the alternating sign recenters the transform on [-S, S)
     roots = np.sqrt(xis)
     # column 0 holds h_m(0), column j holds h_m at slab j's sqrt(xi) u
     h_0u = hermite_table(k_caps.max(initial=0), np.r_[0.0, roots * u])
-    coeffs = _kernel_slab_coeff(profile, xis, k_caps, h_0u[:, 1:], h_0u[:, 0])
     spans = [span(n) for n in widest]
-    slabs = {}
-    for j, (C, even), rows, H1 in zip(
-            range(1, j_max + 1), coeffs, spans,
-            _slab_tables(k_caps, roots, ax1, spans)):
-        slabs[j] = (rows.start, H1.T @ (C * ((-1) ** j * xis[j - 1])),
-                    H1[even, tail - rows.start:])
+    groups = _slab_runs(k_caps, spans)
+    runs = [run for group in groups for run in group]
+    coeffs = _kernel_slab_coeff(profile, xis, k_caps, h_0u[:, 1:], h_0u[:, 0],
+                                runs)
+    signed = np.where(np.arange(1, j_max + 1) % 2, -xis, xis)[:, None, None]
+    slabs = []
+    for (j0, j1), C, H1 in zip(
+            runs, coeffs, _slab_tables(groups, k_caps, roots, ax1, spans)):
+        start = spans[j0].start
+        slabs.append((j0, j1, start,
+                      np.matmul(H1.transpose(1, 2, 0), C * signed[j0:j1]),
+                      np.ascontiguousarray(
+                          H1[::2, :, tail - start:].transpose(1, 0, 2))))
 
     def strip_sum(rows, cols, bins, n_fft, table, out):
         # weighted sum of the torus sums of |K| over the lines x1 in
@@ -492,12 +528,15 @@ def l1_multiplier_norm(profile, torus_half_period: float, u: float = 0.0,
                 spec = spec.reshape(n_bins, i1 - i0, c1 - c0)
                 _spline_values(knots, coef, x1[i0:i1], x2[c0:c1], u,
                                spec[0])
-                for j in range(1, n_bins):
-                    start, P, T2 = slabs[j]
+                # slab j in bin j: a run past the frame's last slab stops
+                for j0, j1, start, P, T2 in slabs:
+                    if j0 >= bins:
+                        break
+                    j1 = min(j1, bins)
                     a = rows.start - start + i0
-                    np.matmul(P[a:a + i1 - i0],
-                              T2[:, cols.start + c0:cols.start + c1],
-                              out=spec[j])
+                    np.matmul(P[:j1 - j0, a:a + i1 - i0],
+                              T2[:j1 - j0, :, cols.start + c0:cols.start + c1],
+                              out=spec[j0 + 1:j1 + 1])
                 if table is not None:
                     sums = _cosine_abs_sums(table, spec, out)
                 else:

@@ -107,6 +107,10 @@ _S_CAP = 1e50
 # classical region is at least this: its rows there are below eps
 # (_kept_range)
 _AGMON = -np.log(np.finfo(float).eps)
+# _kept_range's Newton steps stop after one that moves no edge by more than
+# this in log x: the next would move an edge by about its square, which is
+# below rounding
+_NEWTON_STOP = 1e-8
 # rows of T^T coef per product: the products skip T's upper triangle but for
 # the diagonal blocks, 1/2 + _BAND / (2 rows) of the full product's
 # multiply-adds, and hold a _BAND-row temporary.  They run on numpy's BLAS.
@@ -373,10 +377,16 @@ def _block_forms(vals: np.ndarray, base: np.ndarray, n_max: np.ndarray,
     and feet are stacked in one array, which the product with T overwrites.
 
     The block takes one pass of the recurrence and, at gamma > 0, one
-    product with T.  Each (lane, u) entry sees the same arithmetic in any
-    block: the bands of the product start at multiples of _BAND whatever
-    the block, and BLAS sums each entry of a band alike whatever its number
-    of columns (lanes times feet), which the per-foot tests check.
+    product with T.  The bands of the product start at multiples of _BAND
+    whatever the block, but BLAS may split the inner sum of a band, over
+    its rows - k0 rows of coef, into panels by that length, so an entry's
+    sum follows the block's longest lane: a product of 300 nonzero rows
+    read the same zero-padded to 301 ... 600 rows and moved by 2.8e-14 at
+    1 024.  So a (lane, u) entry sees the same arithmetic in any block
+    while the lanes stay short (every call up to R = 32 at S = pi, at most
+    257 rows, which the per-foot tests check), and past that a foot's form
+    may move by rounding with the other lanes and feet of its block: a
+    norm by 1.1e-16 relative at R = 64, S = pi, y = 3.
     """
     s_u = np.minimum(u, _S_CAP / root_xi[:, None])
     s_u *= root_xi[:, None]
@@ -432,9 +442,11 @@ def _kept_range(l: np.ndarray, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     Newton's method in log x runs from the far side, where D is convex in
     log x: it starts where D >= (x - b)^2 / (4 x) >= _AGMON, or
     D >= (l / 2)(log(a / x) - 1 + x / a) >= _AGMON, and its steps never
-    cross the root.  Six steps reach it within 1e-13 for h up to 3000 (and
-    within 3e-5 at h = 1e5), and short of it an edge errs towards keeping,
-    so [x_lo, x_hi] always holds the x where D < _AGMON.
+    cross the root.  They stop after one that moves no edge by more than
+    _NEWTON_STOP in log x, and after six at most, which reach the root
+    within 1e-13 for h up to 3000 (and within 3e-5 at h = 1e5); short of it
+    an edge errs towards keeping, so [x_lo, x_hi] always holds the x where
+    D < _AGMON.
     """
     l, h = np.asarray(l, dtype=float), np.asarray(h, dtype=float)
     r = np.sqrt((h - l) * (h + l))  # l < h, so a < b
@@ -450,15 +462,19 @@ def _kept_range(l: np.ndarray, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     y = np.log(np.where(
         outer, b + 2.0 * _AGMON + 2.0 * np.sqrt(_AGMON * (b + _AGMON)),
         a * np.exp(-2.0 * _AGMON / np.maximum(l, 1.0) - 1.0)))
+    h2, l2, sign2 = 2.0 * h, 2.0 * l, 2.0 * sign
     for _ in range(6):
         x = np.exp(y)
         da, db = np.abs(x - a), np.abs(x - b)
         root = np.sqrt(da * db)
         gap = 0.5 * (sign * root + offset
-                     - 2.0 * h * np.log(np.sqrt(da) + np.sqrt(db))
-                     + 2.0 * l * np.log(np.sqrt(b * da) + np.sqrt(a * db))
+                     - h2 * np.log(np.sqrt(da) + np.sqrt(db))
+                     + l2 * np.log(np.sqrt(b * da) + np.sqrt(a * db))
                      - l * y) - _AGMON
-        y -= 2.0 * sign * gap / root
+        step = sign2 * gap / root
+        y -= step
+        if not np.max(np.abs(step), initial=0.0) > _NEWTON_STOP:
+            break
     x = np.exp(y)
     x_lo = np.zeros(n)
     x_lo[inner] = x[n:]

@@ -514,33 +514,75 @@ class TestL1MultiplierNorm:
                                   **args)
         assert half == pytest.approx(full, rel=1e-14)
 
+    @staticmethod
+    def _runs(monkeypatch, radius, u):
+        """(k_caps, spans, ax1, runs): arguments of the call's _slab_tables,
+        and its runs in turn as ((j0, j1), the run's table stack)."""
+        tables, seen = columns._slab_tables, []
+
+        def tables_spy(groups, k_caps, roots, ax1, spans):
+            seen.extend((k_caps, spans, ax1))
+            runs = [run for group in groups for run in group]
+            for run, H1 in zip(runs, tables(groups, k_caps, roots, ax1,
+                                            spans)):
+                seen.append((run, H1))
+                yield H1
+
+        monkeypatch.setattr(columns, "_slab_tables", tables_spy)
+        l1_multiplier_norm(br_profile(radius, 0.2), S, u=u,
+                           lambda_max=radius ** 2)
+        k_caps, spans, ax1, *runs = seen
+        return k_caps, spans, ax1, runs
+
     @pytest.mark.parametrize("radius, u", [(8.0, 1.0 / 8.0),
                                           (32.0, 4.0 / 32.0)],
                              ids=["R=8", "R=32 u=4/32"])
     def test_lane_tables_are_the_per_slab_tables(self, monkeypatch, radius,
                                                  u):
         # the slabs' Hermite tables come from one recurrence per group of
-        # slabs; each is hermite_table(k_cap, sqrt(xi) x1[rows]) bit for bit
-        seen, groups = [], []
-        tables, lanes = columns._slab_tables, columns.hermite_lanes
-
-        def tables_spy(k_caps, roots, ax1, spans):
-            for j, H1 in enumerate(tables(k_caps, roots, ax1, spans)):
-                seen.append((k_caps[j], ax1[spans[j]], H1))
-                yield H1
-
-        monkeypatch.setattr(columns, "_slab_tables", tables_spy)
+        # slabs, stacked per run; slab j's is hermite_table(k_cap, sqrt(xi)
+        # x1[rows]) bit for bit
+        groups, lanes = [], columns.hermite_lanes
         monkeypatch.setattr(columns, "hermite_lanes", lambda *a: groups.append(
             len(a[0])) or lanes(*a))
-        l1_multiplier_norm(br_profile(radius, 0.2), S, u=u,
-                           lambda_max=radius ** 2)
+        k_caps, spans, ax1, runs = self._runs(monkeypatch, radius, u)
         j_max = int(radius ** 2 / 4.0)
-        assert len(seen) == sum(groups) == j_max
-        assert len(groups) < j_max / 4
-        for j, (k_cap, x1, H1) in enumerate(seen, 1):
-            want = hermite_table(k_cap, np.sqrt(j * (np.pi / S)) * x1)
-            assert H1.shape == want.shape
-            assert np.array_equal(H1, want)
+        assert len(runs) == sum(groups) and len(groups) < j_max / 4
+        # the runs take the slabs in turn, each once
+        bounds = [j for (j0, j1), _ in runs for j in (j0, j1)]
+        assert bounds == [0, *np.repeat(bounds[1:-1:2], 2), j_max]
+        for (j0, j1), H1 in runs:
+            for j in range(j0, j1):
+                want = hermite_table(k_caps[j], np.sqrt((j + 1) * (np.pi / S))
+                                     * ax1[spans[j]])
+                assert H1[:, j - j0].shape == want.shape
+                assert np.array_equal(H1[:, j - j0], want)
+
+    def test_runs_share_level_cap_and_rows(self, monkeypatch):
+        # the R = 32 set-up goes by runs of slabs with one k_cap and one
+        # x1 row span: 34 runs for 256 slabs
+        k_caps, spans, _, runs = self._runs(monkeypatch, 32.0, 1.0 / 32.0)
+        assert len(k_caps) == 256 and len(runs) <= 40
+        for (j0, j1), _ in runs:
+            assert len({int(k) for k in k_caps[j0:j1]}) == 1
+            assert len({(rows.start, rows.stop) for rows in spans[j0:j1]}) == 1
+
+    @pytest.mark.parametrize("delta, u, want", [
+        (0.2, 1.0 / 32.0, 37.188095067745095),
+        (0.2, 4.0 / 32.0, 36.04367367678291),
+        (1.5, 1.0 / 32.0, 2.300867002226547),
+        (1.5, 4.0 / 32.0, 2.220892552874158),
+    ], ids=["0.2-u=1/32", "0.2-u=4/32", "1.5-u=1/32", "1.5-u=4/32"])
+    def test_run_products_are_the_per_slab_products(self, delta, u, want):
+        # the off-axis R = 32 norms as one product per slab gave them: a
+        # stacked product is one BLAS call per slab on the same shapes and
+        # strides, so the norm stays the same bit for bit
+        radius = 32.0
+        got = l1_multiplier_norm(
+            br_profile(radius, delta), S, u=u, lambda_max=radius ** 2,
+            xi_zero_radial=lambda r: bochner_riesz_radial_kernel(
+                radius, delta, r))
+        assert got == want
 
     def test_one_profile_call_for_the_torus_slabs(self, monkeypatch):
         # with the cap at the support edge and a closed-form zero slab, the
@@ -634,9 +676,10 @@ class TestL1MultiplierNorm:
         # stays in the frames (oscillator.torus_slabs)
         coeff, slabs = columns._kernel_slab_coeff, []
 
-        def spy(profile, xi, *args):
-            coeffs = coeff(profile, xi, *args)
-            slabs.extend((x, C) for x, (C, _) in zip(xi, coeffs))
+        def spy(profile, xi, k_caps, h_u, h_0, runs):
+            coeffs = coeff(profile, xi, k_caps, h_u, h_0, runs)
+            for (j0, j1), C in zip(runs, coeffs):
+                slabs.extend(zip(xi[j0:j1], C))
             return coeffs
 
         monkeypatch.setattr(columns, "_kernel_slab_coeff", spy)

@@ -63,6 +63,13 @@ class TestDistance:
         y = MetricPoint((0.0, 0.0), (4.0,))
         assert grushin_distance(x, y) == 2.0
 
+    def test_rooted_branch_next_to_degenerate_set(self):
+        # |x'| at the smallest normal float: ds / (|x'| + |y'|) overflows to
+        # inf, which the square root branch passes over with no warning
+        x = MetricPoint((2.2250738585072014e-308,), (0.0,))
+        y = MetricPoint((0.0,), (10.0,))
+        assert grushin_distance(x, y) == math.sqrt(10.0)
+
     def test_graded_branch_value(self):
         x = MetricPoint((1.0, 0.0), (0.0,))
         y = MetricPoint((1.0, 0.0), (0.08,))

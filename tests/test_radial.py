@@ -699,6 +699,19 @@ class TestFeetAreIndependent:
             assert weighted_column_norm(prof, u, gamma, np.pi, 4000,
                                         256.0) == got[i], u
 
+    def test_long_lanes_tie_the_feet_only_by_rounding(self):
+        # at R = 64 the lanes reach 1 024 rows, and BLAS sums a band of the
+        # product with T by panels that follow the block's longest lane
+        # (_block_forms): the 17-foot call of the benchmark's ball at y = 3
+        # moved from its one-foot calls by 1.1e-16 to 1.3e-16 relative, at
+        # one foot, so the bound is 4e-16, three times the larger
+        feet = np.linspace(3.0 - 0.1875, 3.0 + 0.1875, 17)
+        prof = band_profile(64.0)
+        got = weighted_column_norms(prof, feet, 0.25, np.pi, 4000, 4096.0)
+        want = [weighted_column_norm(prof, u, 0.25, np.pi, 4000, 4096.0)
+                for u in feet]
+        np.testing.assert_allclose(got, want, rtol=4e-16, atol=0.0)
+
 
 class TestSkippedSectors:
     # at gamma > 0 a sector lane is skipped at a foot whose Agmon distance
